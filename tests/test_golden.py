@@ -1,0 +1,114 @@
+"""Golden pin: SHA-256 digests of tiny fixed-seed outputs.
+
+The rerun tests compare two runs of the same code; these compare the
+code against digests recorded once, so a change that moves any rollout,
+mask, update or file layout shows here.  Every rollout caller is
+covered: scripted and greedy dataset collection, ACD training, the
+three trainers' run directories, and greedy evaluation.
+
+The digests were taken with numpy 2.4.6 linked against OpenBLAS
+0.3.31 (scipy-openblas build), Python 3.11.7, on the numpy kernel
+backend.  Another numpy, BLAS or the numba backend may round
+differently; a mismatch there says nothing about this code.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from camarl import acd, marl
+
+TRAIN = dict(total_steps=300, eval_interval=150, eval_episodes=2,
+             epsilon_anneal_episodes=20, target_sync=2, batch_size=4,
+             n_hidden=8)
+RUNS = (("lj", "icl"), ("lj", "idql"), ("sk3", "acd-marl"))
+
+GOLDEN = {
+    "dataset_scripted_pp":
+        "c5b36bea72136e192a0e2a8449bac814c81cc40ba999069bd5b88c7dd6d8f906",
+    "dataset_scripted_sk3":
+        "37ea320ebf7a34c244ef7598c9a3de95c740b048920c4096088d5786a5d1f33c",
+    "acd_sk3":
+        "bea8aa1e9861645f0b345132af83e3c45ecb11c94cddbec0cad33f38b03920e2",
+    "train_lj_icl":
+        "e8a54675116c88397f6f6912adc5a746746c5901e0fde650cdd0f139f2d27db7",
+    "train_lj_idql":
+        "cab1a89eca8d7e80bef78406ed89d05e107b283504e48738b38bbbc383fbfb1a",
+    "train_sk3_acd-marl":
+        "bb70c78f76e291ef30dd1a0ad989e7fbbf0e2e5072b5f187b68a711466eb2a7f",
+    "eval_lj_icl":
+        "2c033e8536b1625e45ae3726ceda19fff88386ec9470d461731e103d85ef0c09",
+    "eval_lj_idql":
+        "e824c783c1011e4714cdbc894e1d2cb4ab8d7edb49c22732c3afcb8a23efd897",
+    "eval_sk3_acd-marl":
+        "d8e84c5c8f1be8008ff8347e7d37714c213c8ca635c9eb93c3166d98a2830c78",
+    "dataset_greedy_lj-sp":
+        "325254f87537ef25d4e7dbdb6421e553f05b9062cf922293853a676f380987f6",
+    "dataset_greedy_sk3-sp":
+        "3aa498bfd714a480e1c7537eb814643f371cd1e8fcc853a3dcc2e54b21288a61",
+}
+
+
+def _digest_files(paths):
+    h = hashlib.sha256()
+    for p in sorted(paths, key=lambda p: p.name):
+        h.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def _digest_eval(s):
+    h = hashlib.sha256()
+    h.update(np.asarray(s.returns, dtype=np.float64).tobytes())
+    h.update(np.asarray(s.per_agent_events, dtype=np.float64).tobytes())
+    h.update(repr((s.mean_return, s.ci95, s.win_rate,
+                   s.n_episodes)).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    out = {}
+
+    for env_id, n in (("pp", 2), ("sk3", 4)):
+        samples = acd.collect_dataset(env_id, n, seed=0)
+        path = root / f"scripted_{env_id}.ckpt"
+        acd.save_dataset(path, samples)
+        out[f"dataset_scripted_{env_id}"] = _digest_files([path])
+
+    fit = acd.train_acd(samples, epochs=2, batch_size=4, seed=0,
+                        enc_hidden=16, dec_hidden=16, out_dir=root / "acd")
+    out["acd_sk3"] = _digest_files(list((root / "acd").iterdir()))
+
+    learners = {}
+    for env_id, trainer in RUNS:
+        key = f"{env_id}_{trainer}"
+        cfg = marl.TrainConfig(env_id=env_id, trainer=trainer, seed=1,
+                               **TRAIN)
+        bits_fn = (acd.make_bits_fn(fit.model, env_id)
+                   if trainer == "acd-marl" else None)
+        run_dir = root / key
+        res = marl.train(cfg, bits_fn=bits_fn, out_dir=run_dir)
+        out["train_" + key] = _digest_files(list(run_dir.iterdir()))
+        out["eval_" + key] = _digest_eval(
+            marl.evaluate(res.learners, env_id, 5, seed=3))
+        learners[key] = res.learners
+
+    # greedy collection: the sparse variants are the ones these barely
+    # trained teams can win
+    for env_id, key in (("lj-sp", "lj_icl"), ("sk3-sp", "sk3_acd-marl")):
+        greedy = acd.collect_dataset(env_id, 2, seed=0,
+                                     learners=learners[key],
+                                     attempt_factor=100)
+        path = root / f"greedy_{env_id}.ckpt"
+        acd.save_dataset(path, greedy)
+        out[f"dataset_greedy_{env_id}"] = _digest_files([path])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(digests, name):
+    assert digests[name] == GOLDEN[name], (
+        f"{name} moved; digests were taken with numpy 2.4.6 / "
+        f"OpenBLAS 0.3.31 on the numpy kernel backend")
