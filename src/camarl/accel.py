@@ -1,11 +1,15 @@
 """Kernel backend selection.
 
 Hot numeric kernels throughout the package are written once, in
-numba-compatible numpy, and decorated with :func:`jit`.  The backend is
-chosen at import time from the ``CAMARL_KERNELS`` environment variable:
+numba-compatible numpy, and decorated with :func:`jit`.  numba is an
+optional extra (``pip install camarl[numba]``); when it is not
+installed, numpy is the backend.  The backend is chosen at import time
+from the ``CAMARL_KERNELS`` environment variable:
 
 ``numba`` (default)
-    kernels are compiled with ``numba.njit(cache=True)``
+    kernels are compiled with ``numba.njit(cache=True)``; with the
+    variable unset and numba not installed, the package warns and uses
+    the numpy backend, while an explicit ``numba`` raises ImportError
 ``numpy``
     kernels run as the same plain numpy/Python functions (slower fallback,
     useful for debugging and as the reference path for benchmarks)

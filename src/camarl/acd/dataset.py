@@ -14,6 +14,8 @@ from camarl.envs.oracles import episode_ground_truth_arrays
 from camarl.envs.scripted import ScriptedPolicy
 from camarl.errors import CollectionError, ConfigurationError, UsageError
 from camarl.acd.preprocess import preprocess_series
+from camarl.marl.agent import team_policy
+from camarl.marl.episode import EpisodeRecord, collect_episode
 
 
 @dataclass
@@ -29,8 +31,8 @@ class SeriesSample:
         return self.x.shape[0]
 
 
-def episode_to_sample(episode, bits) -> SeriesSample:
-    """Stack any episode carrying obs (L, N, D) and rewards (L,)."""
+def episode_to_sample(episode: EpisodeRecord, bits) -> SeriesSample:
+    """Stack an episode's observations and rewards as node series."""
     spec = env_spec(episode.env_id)
     obs = np.asarray(episode.obs, dtype=np.float64)
     rewards = np.asarray(episode.rewards, dtype=np.float64)
@@ -44,7 +46,7 @@ def episode_to_sample(episode, bits) -> SeriesSample:
     x[n, :L, 0] = rewards
     return SeriesSample(x=x, env_id=episode.env_id,
                         bits=np.asarray(bits, dtype=np.uint8),
-                        seed=getattr(episode, "seed", -1), length=L)
+                        seed=episode.seed, length=L)
 
 
 def preprocess(sample: SeriesSample) -> SeriesSample:
@@ -52,49 +54,6 @@ def preprocess(sample: SeriesSample) -> SeriesSample:
     return SeriesSample(x=preprocess_series(sample.x), env_id=sample.env_id,
                         bits=sample.bits, seed=sample.seed,
                         length=sample.length)
-
-
-class _EpisodeView:
-    """Light adapter so episode_to_sample sees a uniform surface."""
-
-    def __init__(self, env_id, seed, obs, rewards, kinds):
-        self.env_id, self.seed = env_id, seed
-        self.obs, self.rewards, self.kinds = obs, rewards, kinds
-
-
-def _roll_scripted(env, policy):
-    policy.begin_episode(env)
-    obs_l, rew_l, kind_l = [], [], []
-    while True:
-        obs_l.append(env._obs())
-        res = env.step(policy.act(env))
-        rew_l.append(res.reward)
-        kind_l.append(res.info["kind"])
-        if res.done:
-            return (np.asarray(obs_l), np.asarray(rew_l),
-                    np.asarray(kind_l, dtype=np.int64), res.info["win"])
-
-
-def _roll_greedy(env, learners):
-    n = len(learners)
-    obs = env._obs()
-    hidden = [ln.initial_hidden() for ln in learners]
-    prev = np.full(n, -1)
-    obs_l, rew_l, kind_l = [], [], []
-    while True:
-        acts = np.empty(n, dtype=np.int64)
-        for i, ln in enumerate(learners):
-            q, hidden[i] = ln.q_values(obs[i], prev[i], hidden[i])
-            acts[i] = int(np.argmax(q))
-        res = env.step(acts)
-        obs_l.append(obs)
-        rew_l.append(res.reward)
-        kind_l.append(res.info["kind"])
-        obs = res.obs
-        prev = acts
-        if res.done:
-            return (np.asarray(obs_l), np.asarray(rew_l),
-                    np.asarray(kind_l, dtype=np.int64), res.info["win"])
 
 
 def collect_dataset(env_id: str, n_episodes: int, seed: int = 0, *,
@@ -125,14 +84,16 @@ def collect_dataset(env_id: str, n_episodes: int, seed: int = 0, *,
         env = make_env(env_id, int(ep_seed))
         attempts += 1
         if learners is not None:
-            obs, rewards, kinds, win = _roll_greedy(env, learners)
+            ep = collect_episode(env, team_policy(learners))
         else:
-            obs, rewards, kinds, win = _roll_scripted(env, policy)
-        if not win:
+            policy.begin_episode(env)
+            ep = collect_episode(env, lambda obs: policy.act(env))
+        if not ep.win:
             continue
-        bits = episode_ground_truth_arrays(spec.family, obs, rewards, kinds)
-        view = _EpisodeView(env_id, int(ep_seed), obs, rewards, kinds)
-        samples.append(episode_to_sample(view, bits))
+        ep.seed = int(ep_seed)
+        bits = episode_ground_truth_arrays(spec.family, ep.obs, ep.rewards,
+                                           ep.kinds)
+        samples.append(episode_to_sample(ep, bits))
     if stats is not None:
         stats.update(attempts=attempts, wins=len(samples))
     if not samples:

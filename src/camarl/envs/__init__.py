@@ -15,16 +15,14 @@ from camarl.envs.lumberjacks import Lumberjacks
 from camarl.envs.skirmish import Skirmish
 from camarl.envs.oracles import (
     causal_oracle_pp, causal_oracle_lj, causal_oracle_sk,
-    episode_ground_truth, oracle_bits_for_step,
+    oracle_bits_for_step,
 )
-from camarl.envs.scripted import ScriptedPolicy, RandomPolicy
-from camarl.envs import serialize
+from camarl.envs.scripted import ScriptedPolicy
 
 __all__ = [
     "EnvSpec", "StepResult", "OBS_DIM", "env_spec", "make_env", "ENV_IDS",
     "KIND_NONE", "KIND_INTERMEDIATE", "KIND_WIN",
     "PredatorPrey", "Lumberjacks", "Skirmish",
     "causal_oracle_pp", "causal_oracle_lj", "causal_oracle_sk",
-    "episode_ground_truth", "oracle_bits_for_step",
-    "ScriptedPolicy", "RandomPolicy", "serialize",
+    "oracle_bits_for_step", "ScriptedPolicy",
 ]

@@ -79,10 +79,3 @@ def episode_ground_truth_arrays(family, obs, rewards, kinds) -> np.ndarray:
                                     int(kinds[t]))
         bits |= step
     return bits
-
-
-def episode_ground_truth(episode) -> np.ndarray:
-    """Duck-typed wrapper over an episode carrying obs/rewards/kinds/env_id."""
-    family = core.env_spec(episode.env_id).family
-    return episode_ground_truth_arrays(family, episode.obs, episode.rewards,
-                                       episode.kinds)

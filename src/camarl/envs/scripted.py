@@ -1,4 +1,4 @@
-"""Hand-written rollout policies for dataset collection and baselines.
+"""Hand-written rollout policy for dataset collection.
 
 The scripted policy walks each agent toward the nearest reward-bearing
 entity and triggers it (wait beside preys, stand on trees, shoot
@@ -22,20 +22,6 @@ def _toward(src, dst):
     if abs(dr) >= abs(dc):
         return 0 if dr < 0 else 1
     return 2 if dc < 0 else 3
-
-
-class RandomPolicy:
-    """Uniform random actions from a dedicated stream."""
-
-    def __init__(self, n_actions, seed):
-        self.n_actions = n_actions
-        self.rng = np.random.default_rng(seed)
-
-    def begin_episode(self, env):
-        pass
-
-    def act(self, env):
-        return self.rng.integers(0, self.n_actions, size=env.spec.n_agents)
 
 
 class ScriptedPolicy:

@@ -1,22 +1,20 @@
-from camarl.marl.agent import AgentLearner, select_action
-from camarl.marl.episode import EpisodeRecord
+from camarl.marl.agent import AgentLearner, team_policy
+from camarl.marl.episode import EpisodeRecord, collect_episode
 from camarl.marl.evaluate import EvalSummary, evaluate, return_ci95
 from camarl.marl.masking import (
-    CausalMask, MODE_ALWAYS_ONE, MODE_PER_EPISODE, MODE_PER_TIMESTEP,
-    masked_reward, masked_rewards)
+    MODE_ALWAYS_ONE, MODE_PER_EPISODE, MODE_PER_TIMESTEP, masked_reward,
+    masked_rewards)
 from camarl.marl.replay import ReplayBuffer
 from camarl.marl.schedule import epsilon_at
-from camarl.marl.tabular import tabular_q_update, value_iteration
 from camarl.marl.trainer import (
-    TRAINERS, TrainConfig, TrainResult, build_batch, collect_episode,
-    load_learners, oracle_episode_bits, train, write_log)
+    TRAINERS, TrainConfig, TrainResult, build_batch, load_learners,
+    oracle_episode_bits, train, write_log)
 
 __all__ = [
-    "AgentLearner", "CausalMask", "EpisodeRecord", "EvalSummary",
+    "AgentLearner", "EpisodeRecord", "EvalSummary",
     "MODE_ALWAYS_ONE", "MODE_PER_EPISODE", "MODE_PER_TIMESTEP",
     "ReplayBuffer", "TRAINERS", "TrainConfig", "TrainResult", "build_batch",
     "collect_episode", "epsilon_at", "evaluate", "load_learners",
     "masked_reward", "masked_rewards", "oracle_episode_bits", "return_ci95",
-    "select_action", "tabular_q_update", "train", "value_iteration",
-    "write_log",
+    "team_policy", "train", "write_log",
 ]

@@ -78,10 +78,6 @@ class AgentLearner:
 
     # -- training ----------------------------------------------------------
 
-    def clone_weights_from(self, other):
-        self.params.copy_from(other.params)
-        self.sync_target()
-
     def sync_target(self):
         for k, v in self.params.state_arrays().items():
             self.target[k][...] = v
@@ -154,7 +150,25 @@ class AgentLearner:
         self.opt.load_arrays(arrays)
 
 
-def select_action(learner: AgentLearner, obs, prev_action, hidden, epsilon,
-                  rng):
-    """Epsilon-greedy step through a learner; see AgentLearner.act."""
-    return learner.act(obs, prev_action, hidden, epsilon, rng)
+def team_policy(learners, epsilon: float = 0.0, rng=None):
+    """Joint-action callable for one episode of collect_episode.
+
+    Each learner acts on its own observation row through
+    AgentLearner.act, carrying its hidden state and previous action
+    across the episode's steps; build a fresh one per episode.  At
+    epsilon 0 nothing is drawn from rng and every agent takes its argmax.
+    """
+    n = len(learners)
+    hidden = [ln.initial_hidden() for ln in learners]
+    prev = np.full(n, -1)
+
+    def act(obs):
+        nonlocal prev
+        acts = np.empty(n, dtype=np.int64)
+        for i, ln in enumerate(learners):
+            acts[i], hidden[i] = ln.act(obs[i], prev[i], hidden[i], epsilon,
+                                        rng)
+        prev = acts
+        return acts
+
+    return act

@@ -6,6 +6,8 @@ import numpy as np
 from scipy import stats
 
 from camarl.envs import env_spec, make_env
+from camarl.marl.agent import team_policy
+from camarl.marl.episode import collect_episode
 
 
 @dataclass
@@ -47,29 +49,6 @@ def return_ci95(returns) -> float:
     return float(q * sd / np.sqrt(r.size))
 
 
-def run_episode_greedy(env, learners):
-    """Roll one episode with epsilon=0; returns (return, win, events, length)."""
-    n = len(learners)
-    spec = env.spec
-    obs = env._obs()
-    hidden = [ln.initial_hidden() for ln in learners]
-    prev = np.full(n, -1)
-    total, events, length = 0.0, np.zeros(n), 0
-    while True:
-        acts = np.empty(n, dtype=np.int64)
-        for i, ln in enumerate(learners):
-            q, hidden[i] = ln.q_values(obs[i], prev[i], hidden[i])
-            acts[i] = int(np.argmax(q))
-        res = env.step(acts)
-        total += res.reward
-        events += event_counts(res.info, spec.family, n)
-        length += 1
-        obs = res.obs
-        prev = acts
-        if res.done:
-            return total, bool(res.info["win"]), events, length
-
-
 def evaluate(learners, env_id: str, n_episodes: int, seed: int) -> EvalSummary:
     """Greedy rollouts over n_episodes fresh environments.
 
@@ -82,10 +61,12 @@ def evaluate(learners, env_id: str, n_episodes: int, seed: int) -> EvalSummary:
     events = np.zeros(spec.n_agents)
     for k in range(n_episodes):
         env = make_env(env_id, int(seeds[k]))
-        ret, win, ev, _ = run_episode_greedy(env, learners)
-        returns[k] = ret
-        wins += win
-        events += ev
+        ep = collect_episode(env, team_policy(learners))
+        # left to right: ndarray.sum() is pairwise and rounds differently
+        returns[k] = np.cumsum(ep.rewards)[-1]
+        wins += ep.win
+        for info in ep.infos:
+            events += event_counts(info, spec.family, spec.n_agents)
     return EvalSummary(mean_return=float(returns.mean()),
                        ci95=return_ci95(returns),
                        win_rate=wins / n_episodes,

@@ -5,32 +5,11 @@ feels the step penalty, which keeps the dense learning signal alive.
 The strict variant applies the multiplicative mask to every reward.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from camarl.errors import ConfigurationError
 
 MODE_ALWAYS_ONE = "always_one"      # IDQL
 MODE_PER_TIMESTEP = "per_timestep"  # ICL, oracle bits at collection time
 MODE_PER_EPISODE = "per_episode"    # encoder bits, one per agent per episode
-
-MODES = (MODE_ALWAYS_ONE, MODE_PER_TIMESTEP, MODE_PER_EPISODE)
-
-
-@dataclass
-class CausalMask:
-    mode: str
-    bits: np.ndarray  # (L, N) uint8
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigurationError(f"unknown mask mode {self.mode!r}")
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if not np.isin(self.bits, (0, 1)).all():
-            raise ConfigurationError("causality bits must be binary")
-        if self.mode == MODE_ALWAYS_ONE and not self.bits.all():
-            raise ConfigurationError("always-one mask carries a zero bit")
 
 
 def masked_reward(reward: float, c_bit: int, strict: bool = False) -> float:

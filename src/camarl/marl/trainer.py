@@ -19,8 +19,8 @@ import numpy as np
 import camarl
 from camarl.envs import env_spec, make_env, oracle_bits_for_step
 from camarl.errors import ConfigurationError
-from camarl.marl.agent import AgentLearner
-from camarl.marl.episode import EpisodeRecord
+from camarl.marl.agent import AgentLearner, team_policy
+from camarl.marl.episode import EpisodeRecord, collect_episode
 from camarl.marl.evaluate import evaluate
 from camarl.marl.masking import (
     MODE_ALWAYS_ONE, MODE_PER_EPISODE, MODE_PER_TIMESTEP, masked_rewards)
@@ -79,40 +79,6 @@ class TrainResult:
     steps: int = 0
 
 
-def collect_episode(env, learners, epsilon, rng) -> EpisodeRecord:
-    """One epsilon-greedy episode; causality bits left for the caller."""
-    n = len(learners)
-    obs = env._obs()
-    hidden = [ln.initial_hidden() for ln in learners]
-    prev = np.full(n, -1)
-    obs_l, act_l, rew_l, kind_l, infos = [], [], [], [], []
-    while True:
-        acts = np.empty(n, dtype=np.int64)
-        for i, ln in enumerate(learners):
-            acts[i], hidden[i] = ln.act(obs[i], prev[i], hidden[i], epsilon,
-                                        rng)
-        res = env.step(acts)
-        obs_l.append(obs.astype(np.float32))
-        act_l.append(acts)
-        rew_l.append(res.reward)
-        kind_l.append(res.info["kind"])
-        infos.append(res.info)
-        obs = res.obs
-        prev = acts
-        if res.done:
-            win = bool(res.info["win"])
-            break
-    L = len(obs_l)
-    dones = np.zeros(L, dtype=np.bool_)
-    dones[-1] = True
-    return EpisodeRecord(
-        env_id=env.spec.env_id, seed=-1,
-        obs=np.stack(obs_l), actions=np.stack(act_l),
-        rewards=np.asarray(rew_l), kinds=np.asarray(kind_l, dtype=np.int64),
-        dones=dones, bits=np.ones((L, n), dtype=np.uint8), win=win,
-        infos=infos)
-
-
 def oracle_episode_bits(episode: EpisodeRecord) -> np.ndarray:
     """Per-timestep ground-truth bits, (L, N) uint8."""
     family = env_spec(episode.env_id).family
@@ -160,7 +126,8 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
 
     bits_fn overrides the trainer's causality source: for icl it maps an
     episode to per-timestep bits (L, N); for acd-marl it is required and
-    maps an episode to per-episode bits (N,) or (L, N).
+    maps an episode to per-episode bits (N,) or (L, N).  Bits of any
+    other shape raise ConfigurationError.
     """
     config.validate()
     spec = env_spec(config.env_id)
@@ -222,7 +189,9 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
         eps = epsilon_at(episode_idx, config.epsilon_start,
                          config.epsilon_end, config.epsilon_anneal_episodes)
         env = make_env(config.env_id, int(env_seed_rng.integers(2 ** 63)))
-        ep = collect_episode(env, learners, eps, rng_explore)
+        ep = collect_episode(env, team_policy(learners, eps, rng_explore))
+        # replay stores float32 observations; bits are computed from them
+        ep.obs = ep.obs.astype(np.float32)
         ep.bits = _episode_bits(config.trainer, ep, bits_fn)
         ep.validate()
         buffer.push(ep)

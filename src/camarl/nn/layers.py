@@ -54,10 +54,6 @@ class ParamSet:
                     f"checkpoint has {src.shape}")
             t.data[...] = src
 
-    def copy_from(self, other):
-        for name, t in self._params.items():
-            t.data[...] = other._params[name].data
-
 
 def _uniform_init(rng, fan_in, shape):
     s = 1.0 / np.sqrt(fan_in)

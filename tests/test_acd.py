@@ -15,6 +15,7 @@ from camarl.acd.training import load_acd, save_acd
 from camarl.envs import OBS_DIM, env_spec
 from camarl.errors import (
     CollectionError, ConfigurationError, UsageError)
+from camarl.marl import EpisodeRecord
 from camarl.nn.functional import sample_gumbel
 from camarl.nn.tensor import backward
 
@@ -95,16 +96,17 @@ def test_preprocess_series_layout():
 # ------------------------------------------------------------------ dataset
 
 def test_episode_to_sample_layout_and_padding():
-    class Ep:
-        env_id = "pp-sp"
-        seed = 4
-        obs = np.random.default_rng(0).random((30, 5, OBS_DIM))
-        rewards = np.linspace(0, 1, 30)
-    s = episode_to_sample(Ep(), np.array([1, 0, 1, 0, 0], dtype=np.uint8))
+    ep = EpisodeRecord(
+        env_id="pp-sp", seed=4,
+        obs=np.random.default_rng(0).random((30, 5, OBS_DIM)),
+        actions=np.zeros((30, 5), dtype=np.int64),
+        rewards=np.linspace(0, 1, 30), kinds=np.zeros(30, dtype=np.int64),
+        bits=np.ones((30, 5), dtype=np.uint8), win=True)
+    s = episode_to_sample(ep, np.array([1, 0, 1, 0, 0], dtype=np.uint8))
     assert s.x.shape == (6, 100, OBS_DIM)
-    assert s.length == 30 and s.n_nodes == 6
-    np.testing.assert_array_equal(s.x[0, :30], Ep.obs[:, 0])
-    np.testing.assert_array_equal(s.x[5, :30, 0], Ep.rewards)
+    assert s.length == 30 and s.n_nodes == 6 and s.seed == 4
+    np.testing.assert_array_equal(s.x[0, :30], ep.obs[:, 0])
+    np.testing.assert_array_equal(s.x[5, :30, 0], ep.rewards)
     assert s.x[:, 30:].sum() == 0.0
     assert s.x[5, :, 1:].sum() == 0.0
 

@@ -1,4 +1,4 @@
-"""Environment mechanics, oracle predicates, and serialization tests.
+"""Environment mechanics and oracle predicate tests.
 
 The heavyweight 10k-rollout property sweeps live in the acceptance
 module; here the same invariant checkers run on smaller samples plus
@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from camarl.envs import (
     ENV_IDS, OBS_DIM, PredatorPrey, Lumberjacks, Skirmish,
     causal_oracle_lj, causal_oracle_pp, causal_oracle_sk, env_spec, make_env,
-    episode_ground_truth, oracle_bits_for_step, serialize,
+    oracle_bits_for_step,
     KIND_NONE, KIND_INTERMEDIATE, KIND_WIN,
 )
 from camarl.envs.core import TARGET_OFF, AGENT_OFF, STATUS_OFF
 from camarl.envs.oracles import episode_ground_truth_arrays
-from camarl.envs.scripted import RandomPolicy, ScriptedPolicy
+from camarl.envs.scripted import ScriptedPolicy
 from camarl.errors import ConfigurationError, UsageError
 
 
@@ -462,62 +462,6 @@ def test_episode_ground_truth_existential():
     assert bits.tolist() == [1, 1]
 
 
-# ------------------------------------------------------------ serialization
-
-class _EpStub:
-    def __init__(self, env_id, seed, obs, actions, rewards, kinds, win):
-        self.env_id, self.seed, self.win = env_id, seed, win
-        self.obs, self.actions = obs, actions
-        self.rewards, self.kinds = rewards, kinds
-
-
-def _run_episode(env_id, seed):
-    env = make_env(env_id, seed)
-    pol = ScriptedPolicy(seed=seed, lazy_prob=0.3)
-    pol.begin_episode(env)
-    obs = [env._obs()]
-    acts, rews, kinds = [], [], []
-    while True:
-        a = pol.act(env)
-        res = env.step(a)
-        acts.append(a)
-        rews.append(res.reward)
-        kinds.append(res.info["kind"])
-        if res.done:
-            win = res.info["win"]
-            break
-        obs.append(res.obs)
-    return _EpStub(env_id, seed, np.asarray(obs, dtype=np.float32),
-                   np.asarray(acts), np.asarray(rews), np.asarray(kinds), win)
-
-
-def test_serialize_roundtrip_bitexact(tmp_path):
-    eps = [_run_episode("sk3-sp", s) for s in range(3)]
-    bits = [episode_ground_truth(e) for e in eps]
-    p = tmp_path / "data.jsonl"
-    serialize.write_episodes(p, eps, bits)
-    loaded = serialize.read_episodes(p)
-    assert len(loaded) == 3
-    for ep, b, ld in zip(eps, bits, loaded):
-        assert ld.env_id == ep.env_id and ld.seed == ep.seed
-        assert ld.nominal_len == 60 and ld.win == ep.win
-        np.testing.assert_array_equal(ld.obs, np.asarray(ep.obs, dtype=np.float64))
-        np.testing.assert_array_equal(ld.actions, ep.actions)
-        np.testing.assert_array_equal(ld.rewards, ep.rewards)
-        np.testing.assert_array_equal(ld.ground_truth_bits, b)
-    # writing twice gives identical bytes
-    p2 = tmp_path / "data2.jsonl"
-    serialize.write_episodes(p2, eps, bits)
-    assert p.read_bytes() == p2.read_bytes()
-
-
-def test_serialize_rejects_garbage(tmp_path):
-    p = tmp_path / "bad.jsonl"
-    p.write_text("{not json}\n")
-    with pytest.raises(ConfigurationError):
-        serialize.read_episodes(p)
-
-
 # ------------------------------------------------------ random-rollout sweep
 
 @pytest.mark.parametrize("env_id", ["pp", "pp-sp", "lj", "lj-sp",
@@ -539,15 +483,3 @@ def test_scripted_policy_wins():
                 wins += res.info["win"]
                 break
     assert wins >= 18
-
-
-def test_random_policy_uniform():
-    pol = RandomPolicy(5, seed=0)
-    env = make_env("pp", 0)
-    counts = np.zeros(5)
-    for _ in range(2000):
-        a = pol.act(env)
-        for x in a:
-            counts[x] += 1
-    freq = counts / counts.sum()
-    assert np.abs(freq - 0.2).max() < 0.03

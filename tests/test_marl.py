@@ -9,10 +9,9 @@ from camarl.envs import OBS_DIM, env_spec, make_env, oracle_bits_for_step
 from camarl.envs.scripted import ScriptedPolicy
 from camarl.errors import ConfigurationError, UsageError
 from camarl.marl import (
-    AgentLearner, CausalMask, EpisodeRecord, ReplayBuffer, TrainConfig,
-    build_batch, collect_episode, epsilon_at, evaluate, load_learners,
-    masked_reward, masked_rewards, oracle_episode_bits, select_action,
-    tabular_q_update, train, value_iteration, write_log,
+    AgentLearner, EpisodeRecord, ReplayBuffer, TrainConfig, build_batch,
+    collect_episode, epsilon_at, evaluate, load_learners, masked_reward,
+    masked_rewards, oracle_episode_bits, team_policy, train, write_log,
 )
 
 
@@ -58,28 +57,15 @@ def test_masked_rewards_matches_scalar(rs, strict):
             assert out[t, i] == masked_reward(r, bits[t, i], strict)
 
 
-def test_causal_mask_binarity():
-    CausalMask("per_timestep", np.array([[0, 1], [1, 0]]))
-    with pytest.raises(ConfigurationError):
-        CausalMask("per_timestep", np.array([[0, 2]]))
-    with pytest.raises(ConfigurationError):
-        CausalMask("always_one", np.array([[1, 0]]))
-    with pytest.raises(ConfigurationError):
-        CausalMask("sometimes", np.ones((1, 2)))
-
-
 # -------------------------------------------------------------------- replay
 
 def _stub_episode(tag):
     L, n = 3, 2
-    dones = np.zeros(L, dtype=bool)
-    dones[-1] = True
     return EpisodeRecord(env_id="lj-sp", seed=tag,
                          obs=np.zeros((L, n, OBS_DIM), dtype=np.float32),
                          actions=np.zeros((L, n), dtype=np.int64),
                          rewards=np.zeros(L), kinds=np.zeros(L, dtype=np.int64),
-                         dones=dones, bits=np.ones((L, n), dtype=np.uint8),
-                         win=False)
+                         bits=np.ones((L, n), dtype=np.uint8), win=False)
 
 
 def test_replay_fifo_eviction():
@@ -110,59 +96,19 @@ def test_replay_empty_sample_raises():
 def test_episode_record_validation():
     ep = _stub_episode(0)
     ep.validate()
-    bad = _stub_episode(1)
-    bad.dones[:] = False
-    with pytest.raises(ConfigurationError):
-        bad.validate()
-    bad = _stub_episode(2)
-    bad.dones[0] = True
-    with pytest.raises(ConfigurationError):
-        bad.validate()
     bad = _stub_episode(3)
     bad.bits[0, 0] = 7
     with pytest.raises(ConfigurationError):
         bad.validate()
-
-
-# ------------------------------------------------------------------- tabular
-
-def test_tabular_update_edge_cases():
-    q = np.array([[1.0, 2.0], [3.0, 4.0]])
-    tabular_q_update(q, 0, 0, 99.0, 1, alpha=0.0, gamma=0.9)
-    assert q[0, 0] == 1.0
-    tabular_q_update(q, 0, 0, 7.0, 1, alpha=1.0, gamma=0.0)
-    assert q[0, 0] == 7.0
-
-
-def test_tabular_two_state_chain():
-    # s0 -> s1 with reward 0, s1 absorbing with reward 1, gamma 0.5:
-    # Q(1) = 1/(1 - 0.5) = 2, Q(0) = 0.5 * Q(1) = 1
-    q = np.zeros((2, 1))
-    for _ in range(10_000):
-        tabular_q_update(q, 0, 0, 0.0, 1, alpha=0.1, gamma=0.5)
-        tabular_q_update(q, 1, 0, 1.0, 1, alpha=0.1, gamma=0.5)
-    assert abs(q[0, 0] - 1.0) < 1e-3
-    assert abs(q[1, 0] - 2.0) < 1e-3
-
-
-def test_tabular_matches_value_iteration_three_states():
-    # deterministic 3-state MDP: next state is argmax of each P row, so
-    # sweeping every (s, a) with alpha=1 performs exact backups and the
-    # sample-based update must land on the value-iteration fixed point
-    nxt = np.array([[1, 2], [2, 0], [0, 1]])
-    R = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.0]])
-    gamma = 0.8
-    P = np.zeros((3, 2, 3))
-    for s in range(3):
-        for a in range(2):
-            P[s, a, nxt[s, a]] = 1.0
-    q_star = value_iteration(P, R, gamma)
-    q = np.zeros((3, 2))
-    for _ in range(100):
-        for s in range(3):
-            for a in range(2):
-                tabular_q_update(q, s, a, R[s, a], nxt[s, a], 1.0, gamma)
-    assert np.abs(q - q_star).max() < 1e-3
+    for name, arr in (("bits", np.ones(3, dtype=np.uint8)),
+                      ("bits", np.ones((3, 3), dtype=np.uint8)),
+                      ("actions", np.zeros((3, 1), dtype=np.int64)),
+                      ("rewards", np.zeros((3, 2))),
+                      ("obs", np.zeros((3, OBS_DIM)))):
+        bad = _stub_episode(4)
+        setattr(bad, name, arr)
+        with pytest.raises(ConfigurationError):
+            bad.validate()
 
 
 # ----------------------------------------------------------------- learners
@@ -184,7 +130,7 @@ def test_select_action_uniform_at_full_epsilon():
     obs = np.zeros(6)
     counts = np.zeros(4)
     for _ in range(10_000):
-        a, _ = select_action(ln, obs, -1, h, 1.0, rng)
+        a, _ = ln.act(obs, -1, h, 1.0, rng)
         counts[a] += 1
     assert stats.chisquare(counts).pvalue > 1e-3
 
@@ -338,7 +284,7 @@ def _collect(env_id="lj-sp", seed=3, epsilon=1.0):
                 for i in range(spec.n_agents)]
     env = make_env(env_id, seed)
     rng = np.random.default_rng(seed)
-    ep = collect_episode(env, learners, epsilon, rng)
+    ep = collect_episode(env, team_policy(learners, epsilon, rng))
     return spec, learners, ep
 
 
@@ -346,10 +292,10 @@ def test_collect_episode_shapes_and_flags():
     spec, _, ep = _collect()
     ep.validate()
     assert ep.obs.shape == (ep.length, spec.n_agents, OBS_DIM)
-    assert ep.obs.dtype == np.float32
+    assert ep.obs.dtype == np.float64 and ep.actions.dtype == np.int64
     assert ep.length <= spec.episode_len
-    assert ep.dones[-1] and not ep.dones[:-1].any()
     assert len(ep.infos) == ep.length
+    assert ep.infos[-1]["win"] == ep.win
 
 
 def test_oracle_episode_bits_match_stepwise():
@@ -384,12 +330,10 @@ def test_build_batch_layout():
 
 
 def _truncated(ep, L):
-    dones = np.zeros(L, dtype=bool)
-    dones[-1] = True
     return EpisodeRecord(env_id=ep.env_id, seed=ep.seed, obs=ep.obs[:L],
                          actions=ep.actions[:L], rewards=ep.rewards[:L],
-                         kinds=ep.kinds[:L], dones=dones, bits=ep.bits[:L],
-                         win=False, infos=ep.infos[:L])
+                         kinds=ep.kinds[:L], bits=ep.bits[:L], win=False,
+                         infos=ep.infos[:L])
 
 
 def test_build_batch_padding():
@@ -453,6 +397,16 @@ def test_train_icl_uses_oracle_bits():
     cfg = TrainConfig(env_id="lj-sp", trainer="icl", seed=7, **DESK)
     res = train(cfg)
     assert res.episodes > 0
+
+
+def test_train_icl_rejects_malformed_bits():
+    # (L,) would broadcast to an (L, L) reward matrix, (L, N+1) would
+    # carry a bit for an agent that does not exist
+    cfg = TrainConfig(env_id="lj", trainer="icl", seed=0, **DESK)
+    for shape in (lambda ep: (ep.length,),
+                  lambda ep: (ep.length, ep.n_agents + 1)):
+        with pytest.raises(ConfigurationError, match="bits has shape"):
+            train(cfg, bits_fn=lambda ep: np.ones(shape(ep), dtype=np.uint8))
 
 
 def test_train_acd_requires_encoder():

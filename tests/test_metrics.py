@@ -12,7 +12,8 @@ from scipy import stats
 from camarl.envs import OBS_DIM, env_spec, make_env
 from camarl.envs.core import STATUS_OFF
 from camarl.errors import IncompatibleInputsError, UsageError
-from camarl.marl import AgentLearner, EpisodeRecord, collect_episode
+from camarl.marl import (
+    AgentLearner, EpisodeRecord, collect_episode, team_policy)
 from camarl.marl.trainer import write_log
 from camarl.metrics import (
     CurvePoint, aggregate_curves, attribute_events, balance_index, bar_chart,
@@ -41,13 +42,11 @@ def _episode(env_id, positions, statuses=None, infos=None, rewards=None,
         infos = [{key: []} for _ in range(L)]
     if rewards is None:
         rewards = np.zeros(L)
-    dones = np.zeros(L, dtype=bool)
-    dones[-1] = True
     return EpisodeRecord(
         env_id=env_id, seed=0, obs=obs,
         actions=np.zeros((L, N), dtype=np.int64),
         rewards=np.asarray(rewards, dtype=np.float64),
-        kinds=np.zeros(L, dtype=np.int64), dones=dones,
+        kinds=np.zeros(L, dtype=np.int64),
         bits=np.ones((L, N), dtype=np.uint8), win=win,
         infos=list(infos))
 
@@ -119,7 +118,7 @@ def test_event_conservation_random_episodes():
     total_participants = 0
     for k in range(5):
         env = make_env("lj", 100 + k)
-        ep = collect_episode(env, learners, 1.0, rng)
+        ep = collect_episode(env, team_policy(learners, 1.0, rng))
         rec = attribute_events(ep)
         assert rec.events.min() >= 0
         total_credits += rec.events.sum()
