@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from camarl.envs import (
     ENV_IDS, OBS_DIM, PredatorPrey, Lumberjacks, Skirmish,
     causal_oracle_lj, causal_oracle_pp, causal_oracle_sk, env_spec, make_env,
-    oracle_bits_for_step,
     KIND_NONE, KIND_INTERMEDIATE, KIND_WIN,
 )
 from camarl.envs.core import TARGET_OFF, AGENT_OFF, STATUS_OFF
