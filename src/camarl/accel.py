@@ -6,10 +6,11 @@ optional extra (``pip install camarl[numba]``); when it is not
 installed, numpy is the backend.  The backend is chosen at import time
 from the ``CAMARL_KERNELS`` environment variable:
 
-``numba`` (default)
-    kernels are compiled with ``numba.njit(cache=True)``; with the
-    variable unset and numba not installed, the package warns and uses
-    the numpy backend, while an explicit ``numba`` raises ImportError
+unset (default)
+    numba when it is installed, numpy otherwise, without a warning
+``numba``
+    kernels are compiled with ``numba.njit(cache=True)``; raises
+    ImportError when numba is not installed
 ``numpy``
     kernels run as the same plain numpy/Python functions (slower fallback,
     useful for debugging and as the reference path for benchmarks)
@@ -18,7 +19,6 @@ from the ``CAMARL_KERNELS`` environment variable:
 """
 
 import os
-import warnings
 
 _requested = os.environ.get("CAMARL_KERNELS", "").strip().lower()
 if _requested not in ("", "numba", "numpy"):
@@ -34,7 +34,6 @@ if _requested in ("", "numba"):
     except ImportError:
         if _requested == "numba":
             raise
-        warnings.warn("numba unavailable, falling back to numpy kernels")
         BACKEND = "numpy"
 else:
     BACKEND = "numpy"

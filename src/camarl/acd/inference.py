@@ -19,28 +19,29 @@ def adjacency(model: AcdModel, edge_bits: np.ndarray) -> np.ndarray:
 def predict_c(model: AcdModel, sample: SeriesSample) -> np.ndarray:
     """Causality bits: the reward column of the hard-decoded adjacency.
 
-    The sample must be preprocessed.  bit i answers whether the model
-    found an edge from observation node i into the reward node.
+    The sample must have gone through ``preprocess``.  bit i answers
+    whether the model found an edge from observation node i into the
+    reward node.
     """
     logits = model.encode(sample.x[None]).data[0]
     a = adjacency(model, model.hard_edges(logits))
     return a[:-1, -1].copy()
 
 
-def evaluate_accuracy(model: AcdModel, samples, preprocessed: bool = False) -> dict:
+def evaluate_accuracy(model: AcdModel, samples) -> dict:
     """Confusion summary over every (episode, agent) pair, in percent.
 
     false_positive: predicted edge where the ground truth has none;
     false_negative: missed a ground-truth edge.  The three numbers
-    always sum to 100.  Raw samples are preprocessed to match the
-    training distribution unless flagged otherwise.
+    always sum to 100.  Raw samples go through ``preprocess`` to match
+    the training distribution.
     """
     if not samples:
         raise UsageError("cannot evaluate on an empty dataset")
     correct = fp = fn = 0
     total = 0
     for s in samples:
-        pred = predict_c(model, s if preprocessed else preprocess(s))
+        pred = predict_c(model, preprocess(s))
         truth = np.asarray(s.bits)
         correct += int((pred == truth).sum())
         fp += int(((pred == 1) & (truth == 0)).sum())

@@ -82,7 +82,7 @@ class AcdModel:
                 f"{self.feat_dim}), got {x.shape[2:]}")
 
     def encode(self, x: np.ndarray):
-        """Edge logits (batch, n_pairs, 2) for preprocessed series."""
+        """Edge logits (batch, n_pairs, 2) for smoothed, normalized series."""
         self._check_input(x)
         B, n = x.shape[0], self.n_nodes
         e = self.enc_hidden
@@ -129,14 +129,13 @@ class AcdModel:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample_edges(self, logits, temperature: float, rng=None, noise=None,
-                     hard: bool = False):
+    def sample_edges(self, logits, temperature: float, rng=None, noise=None):
         """Edge-type-1 weights (batch, n_pairs) from logits."""
         if noise is None:
             if rng is None:
                 raise ConfigurationError("need a generator or explicit noise")
             noise = sample_gumbel(rng, logits.data.shape)
-        sample = gumbel_softmax(logits, temperature, noise, hard=hard)
+        sample = gumbel_softmax(logits, temperature, noise)
         picked = T.take(sample, np.array([1]), axis=2)
         return picked.reshape(logits.data.shape[:2])
 

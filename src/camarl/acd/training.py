@@ -40,15 +40,14 @@ def _stack(samples):
 
 
 def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
-              seed: int = 0, sigma=None, temperature: float = TEMPERATURE,
-              lr: float = 5e-4, enc_hidden: int = 128, dec_hidden: int = 64,
-              preprocessed: bool = False, out_dir=None,
+              seed: int = 0, sigma=None, lr: float = 5e-4,
+              enc_hidden: int = 128, dec_hidden: int = 64, out_dir=None,
               progress=None) -> AcdResult:
-    """Fit the edge model on winning-episode samples.
+    """Fit the edge model on raw winning-episode samples.
 
-    Minimizes the per-sample ELBO with RMSprop over shuffled batches;
-    soft edge samples during training.  Returns the model plus one loss
-    row per epoch.
+    Preprocesses every sample, then minimizes the per-sample ELBO with
+    RMSprop over shuffled batches; soft edge samples at ``TEMPERATURE``
+    during training.  Returns the model plus one loss row per epoch.
     """
     if not samples:
         raise UsageError("cannot train on an empty dataset")
@@ -59,9 +58,7 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
     env_id = env_ids[0]
     if sigma is None:
         sigma = sigma_for(env_id)
-    if not preprocessed:
-        samples = [preprocess(s) for s in samples]
-    data = _stack(samples)
+    data = _stack([preprocess(s) for s in samples])
     M, n_nodes, T, D = data.shape
 
     root = np.random.SeedSequence(seed)
@@ -81,7 +78,7 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
             idx = order[lo:lo + batch_size]
             xb = data[idx]
             logits = model.encode(xb)
-            w = model.sample_edges(logits, temperature, rng=rng_noise)
+            w = model.sample_edges(logits, TEMPERATURE, rng=rng_noise)
             pred = model.decode(xb, w)
             terms = elbo_loss(pred, xb[:, :, 1:, :], logits, sigma)
             backward(terms.total)
@@ -96,18 +93,17 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
         if progress is not None:
             progress(row)
     if out_dir is not None:
-        save_acd(Path(out_dir), model, result, temperature)
+        save_acd(Path(out_dir), model, result)
     return result
 
 
-def save_acd(out_dir: Path, model: AcdModel, result: AcdResult,
-             temperature: float = TEMPERATURE):
+def save_acd(out_dir: Path, model: AcdModel, result: AcdResult):
     from camarl.nn.checkpoint import save_checkpoint
 
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = dict(model.meta())
     meta.update({"env_id": result.env_id, "sigma": result.sigma,
-                 "temperature": temperature,
+                 "temperature": TEMPERATURE,
                  "substrate_version": camarl.SUBSTRATE_VERSION})
     save_checkpoint(out_dir / "encoder.ckpt", model.params.state_arrays(),
                     meta)

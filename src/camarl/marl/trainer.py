@@ -194,6 +194,8 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
         ep.obs = ep.obs.astype(np.float32)
         ep.bits = _episode_bits(config.trainer, ep, bits_fn)
         ep.validate()
+        # training reads no step infos; keeping them costs ~26 kB per lj episode
+        ep.infos = []
         buffer.push(ep)
         step += ep.length
         episode_idx += 1

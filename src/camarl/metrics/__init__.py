@@ -1,15 +1,11 @@
 """Behaviour and performance analytics over completed runs."""
 
-from camarl.metrics.behaviour import (
-    BehaviourRecord, BehaviourSummary, attribute_events, balance_index,
-    cumulative_distance, summarize_behaviour)
+from camarl.metrics.behaviour import balance_index
 from camarl.metrics.curves import (
     CurvePoint, aggregate_curves, read_curve, read_log, write_curve)
 from camarl.metrics.svg import bar_chart, line_chart, save_svg
 
 __all__ = [
-    "BehaviourRecord", "BehaviourSummary", "CurvePoint", "aggregate_curves",
-    "attribute_events", "balance_index", "bar_chart", "cumulative_distance",
-    "line_chart", "read_curve", "read_log", "save_svg",
-    "summarize_behaviour", "write_curve",
+    "CurvePoint", "aggregate_curves", "balance_index", "bar_chart",
+    "line_chart", "read_curve", "read_log", "save_svg", "write_curve",
 ]

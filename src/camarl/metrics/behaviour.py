@@ -1,103 +1,15 @@
 """Per-agent behaviour analytics.
 
-Quantifies how evenly work is spread across a team: who participated in
-which reward events, and how closely agents moved together.  Positions
-and liveness are recovered from the stored observations, so a completed
-episode record is all that is needed.
+Quantifies how evenly work is spread across a team from its per-agent
+event participation counts (``event_count_agent_*`` in the training log).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from camarl.envs import env_spec
-from camarl.envs.core import STATUS_OFF
 from camarl.errors import UsageError
-from camarl.marl.evaluate import event_counts
 
 
-@dataclass
-class BehaviourRecord:
-    env_id: str
-    events: np.ndarray        # (N,) per-agent event participations
-    distance: np.ndarray      # (N,) cumulative distance to living teammates
-    episode_return: float
-    win: bool
-
-
-@dataclass
-class BehaviourSummary:
-    """Totals over a batch of episodes, Fig.-style cumulative bars."""
-    env_id: str
-    events: np.ndarray
-    distance: np.ndarray
-    mean_return: float
-    win_rate: float
-    n_episodes: int
-
-
-def cumulative_distance(episode) -> np.ndarray:
-    """Per-agent sum over timesteps of Euclidean distance to living teammates.
-
-    Dead agents (zeroed observations) neither accumulate nor attract
-    distance from the step they die onward.
-    """
-    spec = env_spec(episode.env_id)
-    obs = np.asarray(episode.obs, dtype=np.float64)
-    pos = np.rint(obs[:, :, :2] * (spec.grid - 1))
-    if spec.family == "sk":
-        alive = obs[:, :, STATUS_OFF] > 0.0
-    else:
-        alive = np.ones(obs.shape[:2], dtype=bool)
-    diff = pos[:, :, None, :] - pos[:, None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
-    pair = alive[:, :, None] & alive[:, None, :]
-    return (d * pair).sum(axis=(0, 2))
-
-
-def attribute_events(episode) -> BehaviourRecord:
-    """Credit reward events to the agents that took part in them.
-
-    A capture credits every agent participating in it, a cutdown every
-    agent on the tree's cell, and each attack that dealt damage counts
-    as one shot.
-    """
-    spec = env_spec(episode.env_id)
-    infos = getattr(episode, "infos", None)
-    if not infos or len(infos) != episode.length:
-        raise UsageError("episode carries no step info annotations")
-    counts = np.zeros(spec.n_agents)
-    for info in infos:
-        try:
-            counts += event_counts(info, spec.family, spec.n_agents)
-        except (KeyError, TypeError) as err:
-            raise UsageError(
-                f"step info lacks event annotations for {spec.family}: {err}")
-    return BehaviourRecord(
-        env_id=episode.env_id, events=counts,
-        distance=cumulative_distance(episode),
-        episode_return=float(np.asarray(episode.rewards).sum()),
-        win=bool(episode.win))
-
-
-def summarize_behaviour(records) -> BehaviourSummary:
-    """Accumulate event and distance totals over many episode records."""
-    records = list(records)
-    if not records:
-        raise UsageError("no behaviour records to summarize")
-    env_id = records[0].env_id
-    if any(r.env_id != env_id for r in records):
-        raise UsageError("behaviour records mix environments")
-    return BehaviourSummary(
-        env_id=env_id,
-        events=np.sum([r.events for r in records], axis=0),
-        distance=np.sum([r.distance for r in records], axis=0),
-        mean_return=float(np.mean([r.episode_return for r in records])),
-        win_rate=float(np.mean([r.win for r in records])),
-        n_episodes=len(records))
-
-
-def balance_index(record) -> float:
+def balance_index(counts) -> float:
     """How evenly the team's event participations are spread, in [0, 1].
 
     One agent doing everything scores 0; perfectly equal shares score 1.
@@ -105,7 +17,7 @@ def balance_index(record) -> float:
     normalized by the one-hot share vector's deviation (the most uneven
     split possible).  A team with no events at all counts as balanced.
     """
-    counts = np.asarray(getattr(record, "events", record), dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 1 or counts.size < 2:
         raise UsageError("balance index needs one count per agent, N >= 2")
     if counts.min() < 0:

@@ -12,38 +12,19 @@ def sample_gumbel(rng: np.random.Generator, shape):
     return -np.log(-np.log(u))
 
 
-def gumbel_softmax(logits, temperature, noise, hard=False):
+def gumbel_softmax(logits, temperature, noise):
     """Concrete relaxation of a categorical over the last axis.
 
     ``noise`` is a precomputed Gumbel array matching ``logits``; passing
     it explicitly keeps sampling out of the autodiff graph and makes the
-    op finite-difference checkable.  With ``hard`` the forward output is
-    the one-hot argmax and gradients flow through the soft sample.
+    op finite-difference checkable.
     """
     logits = T._wrap(logits)
     if np.asarray(noise).shape != logits.data.shape:
         raise UsageError("gumbel noise shape must match logits")
     if temperature <= 0.0:
         raise ConfigurationError("gumbel temperature must be positive")
-    y = T.softmax((logits + T.constant(noise)) * (1.0 / temperature), axis=-1)
-    if hard:
-        y = T.straight_through_onehot(y, axis=-1)
-    return y
-
-
-def mse_masked(pred, target, mask):
-    """Mean squared error over the entries where mask is nonzero.
-
-    An all-zero mask yields 0 rather than dividing by zero.
-    """
-    pred = T._wrap(pred)
-    target = T._wrap(target)
-    m = np.asarray(mask, dtype=np.float64)
-    total = float(m.sum())
-    if total == 0.0:
-        return (pred * T.constant(np.zeros_like(m))).sum()
-    d = pred - target
-    return (d * d * T.constant(m)).sum() * (1.0 / total)
+    return T.softmax((logits + T.constant(noise)) * (1.0 / temperature), axis=-1)
 
 
 def kl_categorical_uniform(logits, axis=-1):

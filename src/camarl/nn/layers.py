@@ -4,7 +4,6 @@ import numpy as np
 
 from camarl.errors import ConfigurationError, UsageError
 from camarl.nn import tensor as T
-from camarl.nn import kernels as K
 
 
 class ParamSet:
@@ -25,9 +24,6 @@ class ParamSet:
 
     def named(self):
         return self._params.items()
-
-    def tensors(self):
-        return list(self._params.values())
 
     def __len__(self):
         return len(self._params)
@@ -86,9 +82,3 @@ class GruCell:
 
     def step(self, x, h):
         return T.gru_step(x, h, self.Wx, self.Wh, self.bx, self.bh)
-
-    def step_arrays(self, x, h):
-        """Stateless kernel step on raw arrays, for acting without a tape."""
-        h_new, _, _, _, _ = K.gru_fwd(x, h, self.Wx.data, self.Wh.data,
-                                      self.bx.data, self.bh.data)
-        return h_new

@@ -36,9 +36,6 @@ class Tensor:
         if self.grad is not None:
             self.grad.fill(0.0)
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def item(self):
         return float(self.data)
 
@@ -59,23 +56,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -218,81 +200,7 @@ def mul(a, b):
     return _node(data, (a, b), bwd)
 
 
-def div(a, b):
-    a, b = _wrap(a), _wrap(b)
-    data = a.data / b.data
-
-    def bwd(g, accum):
-        accum(a, _unbroadcast(g / b.data, a.data.shape))
-        accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(data, (a, b), bwd)
-
-
-def matmul(a, b):
-    a, b = _wrap(a), _wrap(b)
-    data = a.data @ b.data
-
-    def bwd(g, accum):
-        if a.requires_grad:
-            accum(a, g @ b.data.swapaxes(-1, -2))
-        if b.requires_grad:
-            accum(b, a.data.swapaxes(-1, -2) @ g)
-
-    return _node(data, (a, b), bwd)
-
-
 # -------------------------------------------------------------- elementwise
-
-def relu(x):
-    x = _wrap(x)
-    data = np.maximum(x.data, 0.0)
-
-    def bwd(g, accum):
-        accum(x, g * (data > 0.0))
-
-    return _node(data, (x,), bwd)
-
-
-def tanh(x):
-    x = _wrap(x)
-    data = np.tanh(x.data)
-
-    def bwd(g, accum):
-        accum(x, g * (1.0 - data * data))
-
-    return _node(data, (x,), bwd)
-
-
-def sigmoid(x):
-    x = _wrap(x)
-    data = K.sigmoid_stable(x.data)
-
-    def bwd(g, accum):
-        accum(x, g * data * (1.0 - data))
-
-    return _node(data, (x,), bwd)
-
-
-def exp(x):
-    x = _wrap(x)
-    data = np.exp(x.data)
-
-    def bwd(g, accum):
-        accum(x, g * data)
-
-    return _node(data, (x,), bwd)
-
-
-def log(x):
-    x = _wrap(x)
-    data = np.log(x.data)
-
-    def bwd(g, accum):
-        accum(x, g / x.data)
-
-    return _node(data, (x,), bwd)
-
 
 def square(x):
     x = _wrap(x)
@@ -317,17 +225,6 @@ def sum_(x, axis=None, keepdims=False):
         accum(x, np.broadcast_to(gg, x.data.shape))
 
     return _node(np.asarray(data), (x,), bwd)
-
-
-def mean_(x, axis=None, keepdims=False):
-    x = _wrap(x)
-    if axis is None:
-        count = x.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([x.data.shape[a] for a in axis]))
-    else:
-        count = x.data.shape[axis]
-    return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 # ------------------------------------------------------------- shape moves
@@ -453,15 +350,3 @@ def log_softmax(x, axis=-1):
 
     return _node(data, (x,), bwd)
 
-
-def straight_through_onehot(soft, axis=-1):
-    """Hard one-hot of the argmax, gradients pass through to ``soft`` unchanged."""
-    soft = _wrap(soft)
-    idx = soft.data.argmax(axis=axis)
-    data = np.zeros_like(soft.data)
-    np.put_along_axis(data, np.expand_dims(idx, axis), 1.0, axis=axis)
-
-    def bwd(g, accum):
-        accum(soft, g)
-
-    return _node(data, (soft,), bwd)

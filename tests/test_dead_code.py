@@ -1,0 +1,71 @@
+"""Every function, class and method in ``src/camarl`` has a use in ``src/``.
+
+A definition counts as used when its name appears as an ``ast.Name`` or
+as the attribute of an ``ast.Attribute`` anywhere in the package.
+Import statements and ``__all__`` strings are not such nodes, so
+re-exporting a name does not keep it alive.  Checked definitions are
+top-level functions and classes, and non-dunder methods of top-level
+classes.
+
+Blind spot: the check matches bare names, not what they resolve to, so
+a definition whose name is also read elsewhere as an attribute or a
+variable passes.  A tape op ``tanh`` would pass on ``np.tanh``, and an
+``exp`` on ``np.exp``.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "camarl"
+
+# definitions kept without a caller in src/, each for a stated reason
+ALLOWED = {
+    "masked_reward": "scalar reference that test_masked_rewards_matches_scalar "
+                     "checks the vectorised mask against",
+    "Tensor.item": "the gradcheck helper reads scalar losses through it",
+    "read_curve": "reads back the CSV that write_curve writes",
+}
+
+
+def _trees():
+    return {p: ast.parse(p.read_text(), filename=str(p))
+            for p in sorted(PACKAGE.rglob("*.py"))}
+
+
+def _definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            yield node.name, node.name
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _used_names(trees):
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_no_definition_without_a_use_in_src():
+    trees = _trees()
+    used = _used_names(trees)
+    defined = {(path, label): name for path, tree in trees.items()
+               for label, name in _definitions(tree)}
+    unused = sorted(f"{path.relative_to(PACKAGE)}: {label}"
+                    for (path, label), name in defined.items()
+                    if name not in used and label not in ALLOWED)
+    assert not unused, "defined but never used in src/:\n" + "\n".join(unused)
+    # an allowlist entry that is gone or has gained a use is stale
+    stale = sorted(set(ALLOWED) - {label for (_, label), name in defined.items()
+                                   if name not in used})
+    assert not stale, f"stale ALLOWED entries: {stale}"

@@ -409,6 +409,28 @@ def test_train_icl_rejects_malformed_bits():
             train(cfg, bits_fn=lambda ep: np.ones(shape(ep), dtype=np.uint8))
 
 
+def test_train_pushes_records_without_infos(monkeypatch):
+    # bits are decided on the full record; replay keeps no per-step infos
+    pushed, seen = [], []
+    push = ReplayBuffer.push
+
+    def record(self, ep):
+        pushed.append(ep)
+        push(self, ep)
+
+    monkeypatch.setattr(ReplayBuffer, "push", record)
+
+    def bits(ep):
+        seen.append(len(ep.infos) == ep.length)
+        return oracle_episode_bits(ep)
+
+    cfg = TrainConfig(env_id="lj-sp", trainer="icl", seed=0, **DESK)
+    res = train(cfg, bits_fn=bits)
+    assert len(pushed) == res.episodes > 0
+    assert all(ep.infos == [] for ep in pushed)
+    assert seen == [True] * res.episodes
+
+
 def test_train_acd_requires_encoder():
     cfg = TrainConfig(env_id="lj-sp", trainer="acd-marl", seed=0, **DESK)
     with pytest.raises(ConfigurationError):

@@ -1,7 +1,6 @@
-"""Behaviour analytics, curve aggregation, and SVG rendering."""
+"""Event credits, behaviour balance, curve aggregation, SVG rendering."""
 
 import math
-import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -10,103 +9,42 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from camarl.envs import OBS_DIM, env_spec, make_env
-from camarl.envs.core import STATUS_OFF
 from camarl.errors import IncompatibleInputsError, UsageError
-from camarl.marl import (
-    AgentLearner, EpisodeRecord, collect_episode, team_policy)
+from camarl.marl import AgentLearner, collect_episode, team_policy
+from camarl.marl.evaluate import event_counts
 from camarl.marl.trainer import write_log
 from camarl.metrics import (
-    CurvePoint, aggregate_curves, attribute_events, balance_index, bar_chart,
-    cumulative_distance, line_chart, read_curve, read_log, save_svg,
-    summarize_behaviour, write_curve)
+    CurvePoint, aggregate_curves, balance_index, bar_chart, line_chart,
+    read_curve, read_log, save_svg, write_curve)
 
 
-def _episode(env_id, positions, statuses=None, infos=None, rewards=None,
-             win=False):
-    """Build a minimal completed episode around hand-placed agents.
-
-    positions is (L, N, 2) grid coordinates; statuses (L, N) or None for
-    always-alive; infos default to event-free steps.
-    """
+def _credits(infos, env_id):
+    """Per-agent event credits summed over an episode's step infos."""
     spec = env_spec(env_id)
-    pos = np.asarray(positions, dtype=np.float64)
-    L, N = pos.shape[:2]
-    obs = np.zeros((L, N, OBS_DIM), dtype=np.float32)
-    obs[:, :, :2] = pos / (spec.grid - 1)
-    if statuses is not None:
-        alive = np.asarray(statuses, dtype=np.float64)
-        obs[:, :, STATUS_OFF] = alive
-        obs[alive == 0.0] = 0.0
-    if infos is None:
-        key = {"pp": "captures", "lj": "cuts", "sk": "shots"}[spec.family]
-        infos = [{key: []} for _ in range(L)]
-    if rewards is None:
-        rewards = np.zeros(L)
-    return EpisodeRecord(
-        env_id=env_id, seed=0, obs=obs,
-        actions=np.zeros((L, N), dtype=np.int64),
-        rewards=np.asarray(rewards, dtype=np.float64),
-        kinds=np.zeros(L, dtype=np.int64),
-        bits=np.ones((L, N), dtype=np.uint8), win=win,
-        infos=list(infos))
+    counts = np.zeros(spec.n_agents)
+    for info in infos:
+        counts += event_counts(info, spec.family, spec.n_agents)
+    return counts
 
 
-# ---------------------------------------------------------------- behaviour
+# ------------------------------------------------------------ event credits
 
 def test_capture_credits_participants_only():
-    pos = np.tile(np.array([[0, 0], [1, 1], [2, 2], [3, 3]]), (10, 1, 1))
     infos = [{"captures": []} for _ in range(10)]
     infos[4] = {"captures": [{"prey": 0, "agents": [1, 2]}]}
-    ep = _episode("pp", pos, infos=infos, rewards=np.full(10, -0.01))
-    rec = attribute_events(ep)
-    np.testing.assert_array_equal(rec.events, [0, 1, 1, 0])
-    assert rec.episode_return == pytest.approx(-0.1)
-    assert rec.win is False
+    np.testing.assert_array_equal(_credits(infos, "pp"), [0, 1, 1, 0])
 
 
 def test_shots_counted_per_damaging_attack():
-    pos = np.tile(np.array([[0, 0], [5, 5], [9, 9]]), (6, 1, 1))
-    status = np.ones((6, 3))
     infos = [{"shots": [0, 2]} for _ in range(6)]
-    ep = _episode("sk3", pos, statuses=status, infos=infos)
-    rec = attribute_events(ep)
-    np.testing.assert_array_equal(rec.events, [6, 0, 6])
+    np.testing.assert_array_equal(_credits(infos, "sk3"), [6, 0, 6])
 
 
 def test_missing_annotations_raise():
-    pos = np.zeros((5, 4, 2))
-    ep = _episode("pp", pos)
-    ep.infos = [{} for _ in range(5)]
-    with pytest.raises(UsageError):
-        attribute_events(ep)
-    ep.infos = []
-    with pytest.raises(UsageError):
-        attribute_events(ep)
-
-
-def test_distance_alone_in_world_is_zero():
-    pos = np.tile(np.array([[4, 4], [0, 0], [0, 0]]), (8, 1, 1))
-    status = np.zeros((8, 3))
-    status[:, 0] = 1.0  # only agent 0 alive
-    ep = _episode("sk3", pos, statuses=status)
-    np.testing.assert_array_equal(cumulative_distance(ep), [0.0, 0.0, 0.0])
-
-
-def test_distance_two_static_agents():
-    # 3 cells apart for 10 steps: 30 for each of the living agents
-    pos = np.tile(np.array([[0, 0], [0, 3], [7, 7]]), (10, 1, 1))
-    status = np.ones((10, 3))
-    status[:, 2] = 0.0
-    ep = _episode("sk3", pos, statuses=status)
-    np.testing.assert_allclose(cumulative_distance(ep), [30.0, 30.0, 0.0])
-
-
-def test_distance_euclidean_diagonal():
-    pos = np.tile(np.array([[0, 0], [3, 4], [1, 1], [0, 0]]), (2, 1, 1))
-    ep = _episode("pp", pos)
-    d = cumulative_distance(ep)
-    # agent 0 vs (3,4) is 5, vs (1,1) is sqrt 2, vs (0,0) is 0
-    assert d[0] == pytest.approx(2 * (5.0 + math.sqrt(2.0)))
+    # a step info without the family's event key fails, never counts zero
+    for env_id in ("pp", "lj", "sk3"):
+        with pytest.raises(KeyError):
+            _credits([{}], env_id)
 
 
 def test_event_conservation_random_episodes():
@@ -119,30 +57,16 @@ def test_event_conservation_random_episodes():
     for k in range(5):
         env = make_env("lj", 100 + k)
         ep = collect_episode(env, team_policy(learners, 1.0, rng))
-        rec = attribute_events(ep)
-        assert rec.events.min() >= 0
-        total_credits += rec.events.sum()
+        credits = _credits(ep.infos, "lj")
+        assert credits.min() >= 0
+        total_credits += credits.sum()
         total_participants += sum(len(c["agents"])
                                   for info in ep.infos for c in info["cuts"])
-        assert rec.episode_return == pytest.approx(ep.rewards.sum())
+    assert total_participants > 0
     assert total_credits == total_participants
 
 
-def test_summarize_behaviour():
-    pos = np.tile(np.array([[0, 0], [0, 3], [5, 5]]), (4, 1, 1))
-    status = np.ones((4, 3))
-    infos = [{"shots": [0]} for _ in range(4)]
-    ep1 = _episode("sk3", pos, statuses=status, infos=infos, win=True,
-                   rewards=np.full(4, 0.25))
-    ep2 = _episode("sk3", pos, statuses=status, win=False)
-    summary = summarize_behaviour([attribute_events(e) for e in (ep1, ep2)])
-    np.testing.assert_array_equal(summary.events, [4, 0, 0])
-    assert summary.win_rate == 0.5
-    assert summary.mean_return == pytest.approx(0.5)
-    assert summary.n_episodes == 2
-    with pytest.raises(UsageError):
-        summarize_behaviour([])
-
+# ---------------------------------------------------------------- behaviour
 
 def test_balance_index_values():
     assert balance_index([3, 3, 3, 3]) == 1.0
