@@ -5,7 +5,7 @@ Subpackages:
     envs     seeded cooperative gridworlds and their causality oracles
     marl     independent recurrent Q-learners (IDQL / ICL / ACD-MARL)
     acd      amortized causal discovery over episode time series
-    metrics  behaviour analytics, confidence curves, SVG charts
+    metrics  event balance index, confidence curves, SVG charts
     harness  CLI, manifests, experiment orchestration
 """
 

@@ -13,16 +13,12 @@ from camarl.envs.core import (
 from camarl.envs.predator_prey import PredatorPrey
 from camarl.envs.lumberjacks import Lumberjacks
 from camarl.envs.skirmish import Skirmish
-from camarl.envs.oracles import (
-    causal_oracle_pp, causal_oracle_lj, causal_oracle_sk,
-    oracle_bits_for_step,
-)
+from camarl.envs.oracles import oracle_bits
 from camarl.envs.scripted import ScriptedPolicy
 
 __all__ = [
     "EnvSpec", "StepResult", "OBS_DIM", "env_spec", "make_env", "ENV_IDS",
     "KIND_NONE", "KIND_INTERMEDIATE", "KIND_WIN",
     "PredatorPrey", "Lumberjacks", "Skirmish",
-    "causal_oracle_pp", "causal_oracle_lj", "causal_oracle_sk",
-    "oracle_bits_for_step", "ScriptedPolicy",
+    "oracle_bits", "ScriptedPolicy",
 ]

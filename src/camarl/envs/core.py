@@ -9,9 +9,15 @@ Observation vector, width 53 for every environment:
   [52]     status scalar (health fraction in skirmish, 0 elsewhere)
 
 Dead or removed agents observe all zeros.  Every entry lies in [0, 1].
+
+A step returns a StepResult: the next observation, the team reward, the
+done flag, the reward kind (KIND_NONE, KIND_INTERMEDIATE or KIND_WIN),
+whether this step won the episode, and events, the (N,) int64 count of
+rewarded events each agent took part in on this step (captures in pp,
+cutdowns in lj, damaging attacks in sk).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +61,9 @@ class StepResult:
     obs: np.ndarray         # (N, OBS_DIM)
     reward: float
     done: bool
-    info: dict = field(default_factory=dict)
+    kind: int
+    win: bool
+    events: np.ndarray      # (N,) int64
 
 
 _SPECS = {

@@ -46,25 +46,17 @@ class Lumberjacks:
         self.agent_pos = core.apply_moves(self.agent_pos, a, self.alive,
                                           spec.grid, core.MOVES)
 
-        cuts = []
         live = np.flatnonzero(self.tree_alive)
         on_cell = (self.agent_pos[None, :, :]
                    == self.tree_pos[live, None, :]).all(axis=2)
-        for j in np.flatnonzero(on_cell.sum(axis=1) >= self.tree_level[live]):
-            m = int(live[j])
-            self.tree_alive[m] = False
-            cuts.append({"tree": m, "level": int(self.tree_level[m]),
-                         "pos": [int(self.tree_pos[m, 0]), int(self.tree_pos[m, 1])],
-                         "agents": [int(i) for i in np.flatnonzero(on_cell[j])]})
+        felled = on_cell.sum(axis=1) >= self.tree_level[live]
+        self.tree_alive[live[felled]] = False
+        events = on_cell[felled].sum(axis=0, dtype=np.int64)
 
-        reward = 5.0 * len(cuts) - 0.1
+        reward = 5.0 * int(felled.sum()) - 0.1
         self.t += 1
         win = bool(not self.tree_alive.any())
         self.done = bool(win or self.t >= spec.episode_len)
-        info = {
-            "cuts": cuts,
-            "n_events": len(cuts),
-            "kind": core.KIND_INTERMEDIATE if cuts else core.KIND_NONE,
-            "win": win,
-        }
-        return core.StepResult(self._obs(), reward, self.done, info)
+        kind = core.KIND_INTERMEDIATE if felled.any() else core.KIND_NONE
+        return core.StepResult(self._obs(), reward, self.done, kind, win,
+                               events)

@@ -1,13 +1,17 @@
-"""Ground-truth causality predicates computed from agent observations.
+"""Ground-truth causality bits computed from agent observations.
 
-Each oracle answers: did agent i plausibly contribute to this reward?
-The inputs are the agent's observation from the moment before the reward
-landed plus the reward itself (and, for skirmish, whether the reward was
-an intermediate damage payout or the win bonus).
+The oracle answers, for every step t and agent i of an episode: did i
+plausibly contribute to the reward of step t, judged from i's observation
+before the reward landed?
 
-The tree-level test in the lumberjacks predicate needs no agent count:
-both the visible-agent sum and the stored tree levels are scaled by 1/N,
-so the comparison cancels it.
+  pp  the reward is positive and a prey was visible
+  lj  the reward is positive and a visible tree's level was at most the
+      number of visible agents (self included)
+  sk  a win credits everyone; an intermediate reward needs an enemy in
+      sight range
+
+The tree-level test needs no agent count: both the visible-agent sum and
+the stored tree levels are scaled by 1/N, so the comparison cancels it.
 """
 
 import numpy as np
@@ -17,65 +21,31 @@ from camarl.envs import core
 _EPS = 1e-9
 
 
-def causal_oracle_pp(prev_obs_i, reward) -> int:
-    """1 iff the reward is positive and a prey was visible beforehand."""
-    if reward <= 0.0:
-        return 0
-    mask = np.asarray(prev_obs_i)[core.TARGET_OFF:core.AGENT_OFF]
-    return int((mask > 0.0).any())
+def oracle_bits(family, obs, rewards, kinds) -> np.ndarray:
+    """Per-step, per-agent oracle bits, (L, N) uint8.
 
-
-def causal_oracle_lj(prev_obs_i, reward) -> int:
-    """1 iff reward positive, a tree visible, and enough visible agents
-    (self included) to meet the level of at least one visible tree."""
-    if reward <= 0.0:
-        return 0
-    o = np.asarray(prev_obs_i)
-    trees = o[core.TARGET_OFF:core.AGENT_OFF]
-    visible = trees[trees > 0.0]
-    if visible.size == 0:
-        return 0
-    seen_share = o[core.AGENT_OFF:core.STATUS_OFF].sum()
-    return int((visible <= seen_share + _EPS).any())
-
-
-def causal_oracle_sk(prev_obs_i, reward_kind, reward) -> int:
-    """Win rewards credit everyone; intermediate rewards need an enemy in
-    sight range beforehand; everything else is 0."""
-    if reward_kind == core.KIND_WIN:
-        return 1
-    if reward_kind != core.KIND_INTERMEDIATE or reward <= 0.0:
-        return 0
-    mask = np.asarray(prev_obs_i)[core.TARGET_OFF:core.AGENT_OFF]
-    return int((mask > 0.0).any())
-
-
-def oracle_bits_for_step(family, prev_obs, reward, kind) -> np.ndarray:
-    """Vector of per-agent oracle bits for one step; prev_obs is (N, D)."""
-    prev_obs = np.asarray(prev_obs)
-    n = prev_obs.shape[0]
-    bits = np.zeros(n, dtype=np.uint8)
-    for i in range(n):
-        if family == "pp":
-            bits[i] = causal_oracle_pp(prev_obs[i], reward)
-        elif family == "lj":
-            bits[i] = causal_oracle_lj(prev_obs[i], reward)
-        else:
-            bits[i] = causal_oracle_sk(prev_obs[i], kind, reward)
-    return bits
+    obs (L, N, D) holds the observation before action t at row t;
+    rewards[t] and kinds[t] describe what that action caused.
+    """
+    obs = np.asarray(obs, dtype=np.float64)
+    rewards = np.asarray(rewards)[:, None]
+    kinds = np.asarray(kinds)[:, None]
+    targets = obs[:, :, core.TARGET_OFF:core.AGENT_OFF]
+    seen = targets > 0.0
+    if family == "lj":
+        share = obs[:, :, core.AGENT_OFF:core.STATUS_OFF].sum(axis=2)
+        seen &= targets <= share[:, :, None] + _EPS
+    bits = seen.any(axis=2) & (rewards > 0.0)
+    if family == "sk":
+        bits = (bits & (kinds == core.KIND_INTERMEDIATE)) \
+            | (kinds == core.KIND_WIN)
+    return bits.astype(np.uint8)
 
 
 def episode_ground_truth_arrays(family, obs, rewards, kinds) -> np.ndarray:
-    """Per-episode bits: agent i gets 1 iff its per-timestep oracle fired
-    at any positively-rewarded step.  obs[t] is the observation before
-    action t; rewards[t] and kinds[t] describe what that action caused."""
-    obs = np.asarray(obs)
-    n = obs.shape[1]
-    bits = np.zeros(n, dtype=np.uint8)
-    for t in range(len(rewards)):
-        if rewards[t] <= 0.0:
-            continue
-        step = oracle_bits_for_step(family, obs[t], float(rewards[t]),
-                                    int(kinds[t]))
-        bits |= step
-    return bits
+    """Per-episode bits (N,): agent i gets 1 iff its per-step oracle fired
+    at any positively-rewarded step."""
+    pos = np.asarray(rewards) > 0.0
+    bits = oracle_bits(family, np.asarray(obs)[pos], np.asarray(rewards)[pos],
+                       np.asarray(kinds)[pos])
+    return bits.any(axis=0).astype(np.uint8)

@@ -46,16 +46,12 @@ class PredatorPrey:
         self.agent_pos = core.apply_moves(self.agent_pos, a, self.alive,
                                           spec.grid, core.MOVES)
 
-        captures = []
         live = np.flatnonzero(self.prey_alive)
         near = (np.abs(self.agent_pos[None, :, :]
                        - self.prey_pos[live, None, :]).sum(axis=2) <= 1)
-        for j in np.flatnonzero(near.sum(axis=1) >= 2):
-            m = int(live[j])
-            self.prey_alive[m] = False
-            captures.append({"prey": m,
-                             "pos": [int(self.prey_pos[m, 0]), int(self.prey_pos[m, 1])],
-                             "agents": [int(i) for i in np.flatnonzero(near[j])]})
+        caught = near.sum(axis=1) >= 2
+        self.prey_alive[live[caught]] = False
+        events = near[caught].sum(axis=0, dtype=np.int64)
 
         # survivors move uniformly at random over their valid moves
         for m in range(spec.n_preys):
@@ -66,14 +62,10 @@ class PredatorPrey:
             k = ks[self.rng.integers(ks.size)]
             self.prey_pos[m] += core.MOVES[k]
 
-        reward = 5.0 * len(captures) - 0.01
+        reward = 5.0 * int(caught.sum()) - 0.01
         self.t += 1
         win = bool(not self.prey_alive.any())
         self.done = bool(win or self.t >= spec.episode_len)
-        info = {
-            "captures": captures,
-            "n_events": len(captures),
-            "kind": core.KIND_INTERMEDIATE if captures else core.KIND_NONE,
-            "win": win,
-        }
-        return core.StepResult(self._obs(), reward, self.done, info)
+        kind = core.KIND_INTERMEDIATE if caught.any() else core.KIND_NONE
+        return core.StepResult(self._obs(), reward, self.done, kind, win,
+                               events)

@@ -66,17 +66,16 @@ class Skirmish:
         self.agent_pos = core.apply_moves(self.agent_pos, move_a, alive,
                                           spec.grid, core.MOVES)
 
-        damage = 0
-        shots = []
+        events = np.zeros(spec.n_agents, dtype=np.int64)
         for i in range(spec.n_agents):
             if a[i] != core.A_ATTACK or self.agent_hp[i] <= 0:
                 continue
             m, d = _nearest_in(self.enemy_pos, self.enemy_hp, self.agent_pos[i])
             if m >= 0 and d <= spec.sight_k:
                 self.enemy_hp[m] -= 1
-                damage += 1
-                shots.append(int(i))
+                events[i] = 1
 
+        damage = int(events.sum())
         reward = damage / self.total_enemy_hp
         win = bool((self.enemy_hp <= 0).all())
         if win:
@@ -109,12 +108,5 @@ class Skirmish:
             kind = core.KIND_INTERMEDIATE
         else:
             kind = core.KIND_NONE
-        info = {
-            "damage": damage,
-            "shots": shots,
-            "n_events": damage,
-            "kind": kind,
-            "win": win,
-            "total_enemy_hp": self.total_enemy_hp,
-        }
-        return core.StepResult(self._obs(), reward, self.done, info)
+        return core.StepResult(self._obs(), reward, self.done, kind, win,
+                               events)

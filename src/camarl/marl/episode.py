@@ -5,7 +5,7 @@ through :func:`collect_episode`; they differ only in the joint-action
 callable they pass and in what they read off the record.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,8 @@ class EpisodeRecord:
     obs[t] is the joint observation the agents acted on at step t;
     rewards[t] is the team reward produced by actions[t].  bits holds
     the per-agent causality mask decided at collection time so replayed
-    targets never move.
+    targets never move; events counts the rewarded events each agent
+    took part in over the episode.
     """
 
     env_id: str
@@ -30,7 +31,7 @@ class EpisodeRecord:
     kinds: np.ndarray      # (L,) int64 reward-kind tags
     bits: np.ndarray       # (L, N) uint8 causality bits
     win: bool
-    infos: list = field(default_factory=list)
+    events: np.ndarray     # (N,) int64 event participations
 
     @property
     def length(self) -> int:
@@ -48,7 +49,8 @@ class EpisodeRecord:
         if L == 0:
             raise ConfigurationError("empty episode")
         for name, shape in (("actions", (L, n)), ("rewards", (L,)),
-                            ("kinds", (L,)), ("bits", (L, n))):
+                            ("kinds", (L,)), ("bits", (L, n)),
+                            ("events", (n,))):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ConfigurationError(
@@ -67,15 +69,16 @@ def collect_episode(env, act) -> EpisodeRecord:
     Causality bits are left at one for the caller to decide.
     """
     obs = env._obs()
-    obs_l, act_l, rew_l, kind_l, infos = [], [], [], [], []
+    obs_l, act_l, rew_l, kind_l = [], [], [], []
+    events = np.zeros(obs.shape[0], dtype=np.int64)
     while True:
         acts = act(obs)
         res = env.step(acts)
         obs_l.append(obs)
         act_l.append(acts)
         rew_l.append(res.reward)
-        kind_l.append(res.info["kind"])
-        infos.append(res.info)
+        kind_l.append(res.kind)
+        events += res.events
         obs = res.obs
         if res.done:
             break
@@ -84,5 +87,4 @@ def collect_episode(env, act) -> EpisodeRecord:
         env_id=env.spec.env_id, seed=-1,
         obs=np.array(obs_l), actions=np.array(act_l),
         rewards=np.asarray(rew_l), kinds=np.asarray(kind_l, dtype=np.int64),
-        bits=np.ones((L, n), dtype=np.uint8), win=bool(res.info["win"]),
-        infos=infos)
+        bits=np.ones((L, n), dtype=np.uint8), win=res.win, events=events)

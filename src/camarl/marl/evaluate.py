@@ -20,23 +20,6 @@ class EvalSummary:
     returns: np.ndarray
 
 
-def event_counts(info: dict, family: str, n_agents: int) -> np.ndarray:
-    """Per-agent participation counts for one step's events."""
-    counts = np.zeros(n_agents)
-    if family == "pp":
-        for c in info["captures"]:
-            for i in c["agents"]:
-                counts[i] += 1
-    elif family == "lj":
-        for c in info["cuts"]:
-            for i in c["agents"]:
-                counts[i] += 1
-    else:
-        for i in info["shots"]:
-            counts[i] += 1
-    return counts
-
-
 def return_ci95(returns) -> float:
     """Half-width of the t-based 95% confidence interval; 0 for n < 2."""
     r = np.asarray(returns, dtype=np.float64)
@@ -65,8 +48,7 @@ def evaluate(learners, env_id: str, n_episodes: int, seed: int) -> EvalSummary:
         # left to right: ndarray.sum() is pairwise and rounds differently
         returns[k] = np.cumsum(ep.rewards)[-1]
         wins += ep.win
-        for info in ep.infos:
-            events += event_counts(info, spec.family, spec.n_agents)
+        events += ep.events
     return EvalSummary(mean_return=float(returns.mean()),
                        ci95=return_ci95(returns),
                        win_rate=wins / n_episodes,

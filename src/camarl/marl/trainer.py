@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import camarl
-from camarl.envs import env_spec, make_env, oracle_bits_for_step
+from camarl.envs import env_spec, make_env, oracle_bits
 from camarl.errors import ConfigurationError
 from camarl.marl.agent import AgentLearner, team_policy
 from camarl.marl.episode import EpisodeRecord, collect_episode
@@ -81,15 +81,8 @@ class TrainResult:
 
 def oracle_episode_bits(episode: EpisodeRecord) -> np.ndarray:
     """Per-timestep ground-truth bits, (L, N) uint8."""
-    family = env_spec(episode.env_id).family
-    L, n = episode.actions.shape
-    bits = np.zeros((L, n), dtype=np.uint8)
-    obs64 = episode.obs.astype(np.float64)
-    for t in range(L):
-        bits[t] = oracle_bits_for_step(family, obs64[t],
-                                       float(episode.rewards[t]),
-                                       int(episode.kinds[t]))
-    return bits
+    return oracle_bits(env_spec(episode.env_id).family, episode.obs,
+                       episode.rewards, episode.kinds)
 
 
 def build_batch(episodes, agent_index, n_actions, obs_dim, strict_mask):
@@ -194,8 +187,6 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
         ep.obs = ep.obs.astype(np.float32)
         ep.bits = _episode_bits(config.trainer, ep, bits_fn)
         ep.validate()
-        # training reads no step infos; keeping them costs ~26 kB per lj episode
-        ep.infos = []
         buffer.push(ep)
         step += ep.length
         episode_idx += 1
@@ -280,7 +271,7 @@ def save_run(out_dir: Path, config: TrainConfig, result: TrainResult):
         f.write("\n")
 
 
-def load_learners(run_dir, config: TrainConfig = None):
+def load_learners(run_dir):
     """Rebuild learners from a saved run directory."""
     from camarl.nn.checkpoint import load_checkpoint
 
@@ -288,11 +279,11 @@ def load_learners(run_dir, config: TrainConfig = None):
     with open(run_dir / "run.json") as f:
         meta = json.load(f)
     spec = env_spec(meta["env_id"])
-    n_hidden = config.n_hidden if config is not None else meta.get("n_hidden", 64)
     learners = []
     for i, name in enumerate(meta["agents"]):
         arrays, _ = load_checkpoint(run_dir / name)
-        ln = AgentLearner(spec.obs_dim, spec.n_actions, n_hidden, seed=i)
+        ln = AgentLearner(spec.obs_dim, spec.n_actions, meta["n_hidden"],
+                          seed=i)
         ln.load_state(arrays)
         learners.append(ln)
     return learners, meta

@@ -46,16 +46,26 @@ def save_checkpoint(path, arrays, meta=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint, returning (arrays, meta)."""
+    """Read a checkpoint, returning (arrays, meta).
+
+    A file cut short anywhere, or carrying bytes after its payload,
+    raises ConfigurationError.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != _MAGIC:
         raise ConfigurationError(f"{path} is not a checkpoint file")
-    (version,) = struct.unpack("<I", raw[4:8])
+    if len(raw) < 16:
+        raise ConfigurationError(f"{path} is truncated")
+    version, hlen = struct.unpack("<IQ", raw[4:16])
     if version != _VERSION:
         raise ConfigurationError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16:16 + hlen].decode("utf-8"))
+    try:
+        # a header cut short is never a complete JSON object
+        header = json.loads(raw[16:16 + hlen].decode("utf-8"))
+    except ValueError as e:
+        raise ConfigurationError(
+            f"{path} has a torn or corrupt header: {e}") from None
     arrays = {}
     off = 16 + hlen
     for spec in header["tensors"]:
@@ -67,4 +77,7 @@ def load_checkpoint(path):
         arrays[spec["name"]] = np.frombuffer(
             raw[off:end], dtype="<f8").astype(np.float64).reshape(shape)
         off = end
+    if off != len(raw):
+        raise ConfigurationError(
+            f"{path} has {len(raw) - off} bytes after its payload")
     return arrays, header.get("meta", {})

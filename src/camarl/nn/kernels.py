@@ -17,7 +17,6 @@ from camarl.accel import jit
 ACT_IDENTITY = 0
 ACT_TANH = 1
 ACT_RELU = 2
-ACT_SIGMOID = 3
 
 
 @jit
@@ -33,10 +32,8 @@ def apply_act(pre, act):
         return pre.copy()
     elif act == ACT_TANH:
         return np.tanh(pre)
-    elif act == ACT_RELU:
-        return np.maximum(pre, 0.0)
     else:
-        return sigmoid_stable(pre)
+        return np.maximum(pre, 0.0)
 
 
 @jit
@@ -46,10 +43,8 @@ def act_grad_from_out(y, act):
         return np.ones_like(y)
     elif act == ACT_TANH:
         return 1.0 - y * y
-    elif act == ACT_RELU:
-        return np.where(y > 0.0, 1.0, 0.0)
     else:
-        return y * (1.0 - y)
+        return np.where(y > 0.0, 1.0, 0.0)
 
 
 @jit

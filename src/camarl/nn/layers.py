@@ -31,10 +31,6 @@ class ParamSet:
     def __getitem__(self, name):
         return self._params[name]
 
-    def zero_grad(self):
-        for t in self._params.values():
-            t.zero_grad()
-
     def state_arrays(self):
         return {name: t.data for name, t in self._params.items()}
 

@@ -8,6 +8,9 @@ import numpy as np
 
 from camarl.nn import kernels as K
 
+RHO = 0.99
+EPS = 1e-8
+
 
 class RmspropState:
     def __init__(self, params):
@@ -39,12 +42,11 @@ def clip_global_norm(params, max_norm):
     return norm
 
 
-def rmsprop_update(params, state: RmspropState, lr: float, rho: float = 0.99,
-                   eps: float = 1e-8, max_norm=None):
+def rmsprop_update(params, state: RmspropState, lr: float, max_norm=None):
     """Apply one RMSprop step in place and zero the gradients after.
 
-    Update rule per element: v <- rho v + (1 - rho) g^2,
-    p <- p - lr g / (sqrt(v) + eps).
+    Update rule per element: v <- RHO v + (1 - RHO) g^2,
+    p <- p - lr g / (sqrt(v) + EPS).
     """
     norm = None
     if max_norm is not None:
@@ -53,6 +55,6 @@ def rmsprop_update(params, state: RmspropState, lr: float, rho: float = 0.99,
         if t.grad is None:
             continue
         K.rmsprop_step(t.data.reshape(-1), t.grad.reshape(-1), state.v[name],
-                       lr, rho, eps)
+                       lr, RHO, EPS)
         t.grad.fill(0.0)
     return norm

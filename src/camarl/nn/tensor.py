@@ -32,10 +32,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad.fill(0.0)
-
     def item(self):
         return float(self.data)
 

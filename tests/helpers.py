@@ -33,7 +33,7 @@ def gradcheck(make_loss, tensors, h=1e-5, tol=1e-4):
     every call.  Returns the worst relative error seen.
     """
     for t in tensors:
-        t.zero_grad()
+        t.grad.fill(0.0)
     loss = make_loss()
     T.backward(loss)
     worst = 0.0

@@ -1,0 +1,43 @@
+"""The benchmark's trace spans still find their targets in the library.
+
+``perfbench/spans.py`` wraps library names by module and attribute path.
+Loading it here makes a refactor that renames or moves one of those names
+fail in tier-1, not only in a traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        del sys.modules[spec.name]
+    return mod
+
+
+def _lookup(module_path, attr_path):
+    owner = importlib.import_module(module_path)
+    for part in attr_path.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_span_targets_patch_and_restore():
+    spans = _load_spans()
+    targets = [t for layer in spans.LAYERS for t in layer.targets]
+    assert targets
+    before = {t: _lookup(*t) for t in targets}
+    with spans.patched(spans.Tracer()):
+        for t in targets:
+            assert _lookup(*t) is not before[t], t
+    for t in targets:
+        assert _lookup(*t) is before[t], t

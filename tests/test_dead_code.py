@@ -1,9 +1,11 @@
 """Every function, class and method in ``src/camarl`` has a use in ``src/``.
 
 A definition counts as used when its name appears as an ``ast.Name`` or
-as the attribute of an ``ast.Attribute`` anywhere in the package.
-Import statements and ``__all__`` strings are not such nodes, so
-re-exporting a name does not keep it alive.  Checked definitions are
+as the attribute of an ``ast.Attribute`` somewhere in the package outside
+the definition's own body, so recursion or a method that only calls a
+same-named method of another object does not keep it alive.  Import
+statements and ``__all__`` strings are not such nodes, so re-exporting a
+name does not keep it alive.  Checked definitions are
 top-level functions and classes, and non-dunder methods of top-level
 classes.
 
@@ -14,6 +16,7 @@ variable passes.  A tape op ``tanh`` would pass on ``np.tanh``, and an
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "camarl"
@@ -33,39 +36,38 @@ def _trees():
 
 
 def _definitions(tree):
+    """(label, name, node) of every checked definition."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node.name
+            yield node.name, node.name, node
         elif isinstance(node, ast.ClassDef):
-            yield node.name, node.name
+            yield node.name, node.name, node
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not (item.name.startswith("__")
                                  and item.name.endswith("__"))):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item.name, item
 
 
-def _used_names(trees):
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+def _name_uses(node):
+    uses = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            uses[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            uses[n.attr] += 1
+    return uses
 
 
 def test_no_definition_without_a_use_in_src():
     trees = _trees()
-    used = _used_names(trees)
-    defined = {(path, label): name for path, tree in trees.items()
-               for label, name in _definitions(tree)}
-    unused = sorted(f"{path.relative_to(PACKAGE)}: {label}"
-                    for (path, label), name in defined.items()
-                    if name not in used and label not in ALLOWED)
-    assert not unused, "defined but never used in src/:\n" + "\n".join(unused)
+    uses = sum((_name_uses(tree) for tree in trees.values()), Counter())
+    unused = {(path, label) for path, tree in trees.items()
+              for label, name, node in _definitions(tree)
+              if uses[name] == _name_uses(node)[name]}
+    report = sorted(f"{path.relative_to(PACKAGE)}: {label}"
+                    for path, label in unused if label not in ALLOWED)
+    assert not report, "defined but never used in src/:\n" + "\n".join(report)
     # an allowlist entry that is gone or has gained a use is stale
-    stale = sorted(set(ALLOWED) - {label for (_, label), name in defined.items()
-                                   if name not in used})
+    stale = sorted(set(ALLOWED) - {label for _, label in unused})
     assert not stale, f"stale ALLOWED entries: {stale}"

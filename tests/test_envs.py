@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from camarl.envs import (
     ENV_IDS, OBS_DIM, PredatorPrey, Lumberjacks, Skirmish,
-    causal_oracle_lj, causal_oracle_pp, causal_oracle_sk, env_spec, make_env,
-    KIND_NONE, KIND_INTERMEDIATE, KIND_WIN,
+    env_spec, make_env, oracle_bits, KIND_NONE, KIND_INTERMEDIATE, KIND_WIN,
 )
 from camarl.envs.core import TARGET_OFF, AGENT_OFF, STATUS_OFF
 from camarl.envs.oracles import episode_ground_truth_arrays
@@ -21,21 +20,17 @@ from camarl.errors import ConfigurationError, UsageError
 
 
 def rollout_random(env_id, seed, check=None):
-    """One random-action episode; returns (rewards, infos, step_count)."""
+    """One random-action episode, each step passed to check."""
     env = make_env(env_id, seed)
     rng = np.random.default_rng(seed + 1)
     n_act = env.spec.n_actions
-    rewards, infos = [], []
     done = False
     while not done:
         pre = snapshot(env)
         res = env.step(rng.integers(0, n_act, size=env.spec.n_agents))
         if check is not None:
             check(env, pre, res)
-        rewards.append(res.reward)
-        infos.append(res.info)
         done = res.done
-    return rewards, infos
 
 
 def snapshot(env):
@@ -45,6 +40,8 @@ def snapshot(env):
         s["prey_alive"] = env.prey_alive.copy()
     elif isinstance(env, Lumberjacks):
         s["tree_alive"] = env.tree_alive.copy()
+        s["tree_pos"] = env.tree_pos.copy()
+        s["tree_level"] = env.tree_level.copy()
     elif isinstance(env, Skirmish):
         s["enemy_hp"] = env.enemy_hp.copy()
         s["agent_hp"] = env.agent_hp.copy()
@@ -54,42 +51,38 @@ def snapshot(env):
 # brute-force invariant checkers shared with the acceptance suite
 
 def check_pp(env, pre, res):
-    # every reported capture had >= 2 agents in the 4-neighborhood, and
-    # no surviving prey met the capture condition (post-move positions)
-    caught = {c["prey"] for c in res.info["captures"]}
-    for c in res.info["captures"]:
-        d = np.abs(env.agent_pos - np.array(c["pos"])).sum(axis=1)
-        assert (d <= 1).sum() >= 2
-        assert sorted(c["agents"]) == sorted(np.flatnonzero(d <= 1).tolist())
-    for m in np.flatnonzero(pre["prey_alive"]):
-        if m in caught:
-            continue
-        # prey moved after the check; recheck against its pre-move cell
-        d = np.abs(env.agent_pos - pre["prey_pos"][m]).sum(axis=1)
-        assert (d <= 1).sum() < 2
+    # the caught preys are those alive before the step and dead after it;
+    # each had >= 2 agents within 1 cell of its pre-step cell, and no
+    # survivor met the capture condition (post-move agent positions)
+    caught = np.flatnonzero(pre["prey_alive"] & ~env.prey_alive)
+    near = np.abs(env.agent_pos[None, :, :]
+                  - pre["prey_pos"][:, None, :]).sum(axis=2) <= 1
+    assert (near[caught].sum(axis=1) >= 2).all()
+    # each agent's events are the caught preys within 1 cell of it
+    np.testing.assert_array_equal(res.events, near[caught].sum(axis=0))
+    for m in np.flatnonzero(pre["prey_alive"] & env.prey_alive):
+        assert near[m].sum() < 2
     assert round(res.reward * 100) == 500 * len(caught) - 1
 
 
 def check_lj(env, pre, res):
-    cut = {c["tree"] for c in res.info["cuts"]}
-    for c in res.info["cuts"]:
-        on = np.flatnonzero((env.agent_pos == np.array(c["pos"])).all(axis=1))
-        assert on.size >= c["level"]
-        assert sorted(c["agents"]) == sorted(on.tolist())
-    for m in np.flatnonzero(pre["tree_alive"]):
-        if m in cut:
-            continue
-        on = (env.agent_pos == env.tree_pos[m]).all(axis=1).sum()
-        assert on < env.tree_level[m]
+    cut = np.flatnonzero(pre["tree_alive"] & ~env.tree_alive)
+    on = (env.agent_pos[None, :, :]
+          == pre["tree_pos"][:, None, :]).all(axis=2)
+    assert (on[cut].sum(axis=1) >= pre["tree_level"][cut]).all()
+    # each agent's events are the felled trees it stands on
+    np.testing.assert_array_equal(res.events, on[cut].sum(axis=0))
+    for m in np.flatnonzero(pre["tree_alive"] & env.tree_alive):
+        assert on[m].sum() < pre["tree_level"][m]
     assert round(res.reward * 10) == 50 * len(cut) - 1
 
 
 def check_sk(env, pre, res):
     dealt = int(pre["enemy_hp"].sum() - env.enemy_hp.sum())
-    assert dealt == res.info["damage"] == len(res.info["shots"])
+    assert dealt == res.events.sum() and res.events.max() <= 1
     assert (env.enemy_hp >= 0).all() and (env.agent_hp >= 0).all()
     base = dealt / env.total_enemy_hp
-    if res.info["win"]:
+    if res.win:
         assert abs(res.reward - (base + 10.0)) < 1e-12
     else:
         assert abs(res.reward - base) < 1e-12
@@ -198,7 +191,7 @@ def test_pp_no_capture_step_penalty():
     env.prey_pos = np.array([[7, 7], [6, 6]])
     res = env.step([4, 4, 4, 4])
     assert res.reward == -0.01
-    assert res.info["captures"] == []
+    assert not res.events.any()
 
 
 def test_pp_capture_needs_two_agents():
@@ -206,7 +199,7 @@ def test_pp_capture_needs_two_agents():
     env.agent_pos = np.array([[7, 7], [0, 0], [13, 13], [13, 0]])
     env.prey_pos = np.array([[7, 7], [0, 13]])
     res = env.step([4, 4, 4, 4])  # one agent on the prey: nothing happens
-    assert res.info["captures"] == []
+    assert not res.events.any()
     assert env.prey_alive.all()
 
 
@@ -216,8 +209,8 @@ def test_pp_capture_reward_and_removal():
     env.prey_pos = np.array([[7, 7], [0, 13]])
     res = env.step([4, 4, 4, 4])
     assert abs(res.reward - 4.99) < 1e-12
-    assert len(res.info["captures"]) == 1
-    assert sorted(res.info["captures"][0]["agents"]) == [0, 1]
+    assert res.kind == KIND_INTERMEDIATE
+    assert res.events.tolist() == [1, 1, 0, 0]
     assert not env.prey_alive[0] and env.prey_alive[1]
     assert not res.done
 
@@ -226,7 +219,7 @@ def test_pp_done_when_all_captured():
     env = make_env("pp-sp", 2)
     env.agent_pos[:2] = env.prey_pos[0]
     res = env.step([4] * 5)
-    assert res.done and res.info["win"]
+    assert res.done and res.win
 
 
 def test_pp_prey_moves_stay_in_grid():
@@ -248,13 +241,13 @@ def test_lj_cut_requires_level_agents():
     env.tree_alive[0] = True
     env.agent_pos = np.array([[4, 4], [4, 4], [0, 0], [7, 7]])
     res = env.step([4, 4, 4, 4])  # only 2 of required 3
-    assert res.info["cuts"] == [] and res.reward == -0.1
+    assert not res.events.any() and res.reward == -0.1
     env.agent_pos[2] = [4, 4]
     res = env.step([4, 4, 4, 4])
-    assert len(res.info["cuts"]) == 1
+    assert res.kind == KIND_INTERMEDIATE
     assert abs(res.reward - 4.9) < 1e-12
-    assert sorted(res.info["cuts"][0]["agents"]) == [0, 1, 2]
-    assert res.done and res.info["win"]
+    assert res.events.tolist() == [1, 1, 1, 0]
+    assert res.done and res.win
 
 
 def test_lj_levels_in_range():
@@ -270,7 +263,7 @@ def test_sk_attack_out_of_range_noop():
     env.agent_pos = np.array([[0, 0], [0, 1], [1, 0]])
     env.enemy_pos = np.array([[9, 9], [9, 8], [8, 9]])
     res = env.step([5, 5, 5])
-    assert res.info["damage"] == 0 and res.reward == 0.0
+    assert not res.events.any() and res.reward == 0.0
 
 
 def test_sk_damage_reward_fraction():
@@ -278,9 +271,9 @@ def test_sk_damage_reward_fraction():
     env.agent_pos = np.array([[5, 5], [0, 0], [0, 9]])
     env.enemy_pos = np.array([[5, 6], [9, 0], [9, 9]])
     res = env.step([5, 4, 4])
-    assert res.info["damage"] == 1
+    assert res.events.sum() == 1
     assert abs(res.reward - 1.0 / 9.0) < 1e-15
-    assert res.info["shots"] == [0]
+    assert res.events.tolist() == [1, 0, 0]
 
 
 def test_sk_win_bonus_and_overkill_cap():
@@ -289,9 +282,9 @@ def test_sk_win_bonus_and_overkill_cap():
     env.enemy_hp[0] = 2
     env.agent_pos = np.array([[5, 4], [5, 6], [4, 5]])
     res = env.step([5, 5, 5])  # three attackers, 2 HP left
-    assert res.info["damage"] == 2  # capped at remaining HP
-    assert len(res.info["shots"]) == 2
-    assert res.done and res.info["win"]
+    assert res.events.sum() == 2  # capped at remaining HP
+    assert res.events.tolist() == [1, 1, 0]
+    assert res.done and res.win
     assert abs(res.reward - (2 / 3 + 10.0)) < 1e-12
 
 
@@ -303,9 +296,9 @@ def test_sk_won_episode_intermediate_sums_to_one():
         total, won = 0.0, False
         while True:
             res = env.step(pol.act(env))
-            total += res.reward - (10.0 if res.info["win"] else 0.0)
+            total += res.reward - (10.0 if res.win else 0.0)
             if res.done:
-                won = res.info["win"]
+                won = res.win
                 break
         if won:
             assert abs(total - 1.0) < 1e-9
@@ -349,7 +342,7 @@ def test_sk_timeout_done():
         # keep the teams apart so nobody dies
         env.agent_pos[:] = [[0, 0], [0, 1], [1, 0]]
         env.enemy_pos[:] = [[9, 9], [9, 8], [8, 9]]
-    assert steps <= 60 and not res.info["win"]
+    assert steps <= 60 and not res.win
 
 
 # ------------------------------------------------------------ observations
@@ -407,41 +400,48 @@ def _obs_with(target_cells=(), agent_share=0.0):
     return o
 
 
+def _bit(family, o, reward, kind=KIND_NONE):
+    """oracle_bits on a one-step episode of the single observation o."""
+    bits = oracle_bits(family, o[None, None], [reward], [kind])
+    assert bits.shape == (1, 1) and bits.dtype == np.uint8
+    return int(bits[0, 0])
+
+
 def test_oracle_pp_cases():
     seen = _obs_with([(7, 1.0)])
-    assert causal_oracle_pp(seen, 4.99) == 1
-    assert causal_oracle_pp(seen, -0.01) == 0
-    assert causal_oracle_pp(_obs_with(), 4.99) == 0
+    assert _bit("pp", seen, 4.99) == 1
+    assert _bit("pp", seen, -0.01) == 0
+    assert _bit("pp", _obs_with(), 4.99) == 0
 
 
 def test_oracle_lj_cases():
     # tree level 2 of 4 visible, 2 agents visible
     o = _obs_with([(3, 0.5)], agent_share=0.5)
-    assert causal_oracle_lj(o, 4.9) == 1
+    assert _bit("lj", o, 4.9) == 1
     # level 3 visible, only 2 agents seen
     o = _obs_with([(3, 0.75)], agent_share=0.5)
-    assert causal_oracle_lj(o, 4.9) == 0
-    assert causal_oracle_lj(_obs_with(agent_share=1.0), 4.9) == 0
-    assert causal_oracle_lj(_obs_with([(3, 0.5)], 0.5), -0.1) == 0
+    assert _bit("lj", o, 4.9) == 0
+    assert _bit("lj", _obs_with(agent_share=1.0), 4.9) == 0
+    assert _bit("lj", _obs_with([(3, 0.5)], 0.5), -0.1) == 0
 
 
 def test_oracle_sk_cases():
     seen = _obs_with([(12, 0.75)])
     unseen = _obs_with()
-    assert causal_oracle_sk(seen, KIND_INTERMEDIATE, 1 / 9) == 1
-    assert causal_oracle_sk(unseen, KIND_INTERMEDIATE, 1 / 9) == 0
+    assert _bit("sk", seen, 1 / 9, KIND_INTERMEDIATE) == 1
+    assert _bit("sk", unseen, 1 / 9, KIND_INTERMEDIATE) == 0
     # the win bonus credits everyone, even an all-zero (dead) observer
-    assert causal_oracle_sk(unseen, KIND_WIN, 10.0) == 1
-    assert causal_oracle_sk(seen, KIND_NONE, 0.0) == 0
+    assert _bit("sk", unseen, 10.0, KIND_WIN) == 1
+    assert _bit("sk", seen, 0.0, KIND_NONE) == 0
 
 
 @given(st.floats(max_value=0.0, allow_nan=False, allow_infinity=False))
 @settings(max_examples=30, deadline=None)
 def test_oracle_zero_for_nonpositive_reward(r):
     o = _obs_with([(0, 1.0)], agent_share=1.0)
-    assert causal_oracle_pp(o, r) == 0
-    assert causal_oracle_lj(o, r) == 0
-    assert causal_oracle_sk(o, KIND_INTERMEDIATE, r) == 0
+    assert _bit("pp", o, r) == 0
+    assert _bit("lj", o, r) == 0
+    assert _bit("sk", o, r, KIND_INTERMEDIATE) == 0
 
 
 def test_episode_ground_truth_existential():
@@ -479,6 +479,6 @@ def test_scripted_policy_wins():
         while True:
             res = env.step(pol.act(env))
             if res.done:
-                wins += res.info["win"]
+                wins += res.win
                 break
     assert wins >= 18

@@ -244,6 +244,19 @@ def test_cli_acd_eval_confusion_closure(cli_runs, cli_acd, tmp_path, capsys):
     assert "accuracy:" in capsys.readouterr().out
 
 
+def test_cli_acd_eval_torn_model_is_configuration_error(cli_runs, cli_acd,
+                                                        tmp_path, capsys):
+    raw = (cli_acd / "fit" / "encoder.ckpt").read_bytes()
+    for cut in (4, 12, 30):
+        torn = tmp_path / f"torn_{cut}.ckpt"
+        torn.write_bytes(raw[:cut])
+        rc = main(["acd", "eval", "--model", str(torn),
+                   "--data", str(cli_runs / "ds" / "dataset.ckpt"),
+                   "--out", str(tmp_path / f"ev_{cut}")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_report(cli_runs, tmp_path, capsys):
     out = tmp_path / "rep"
     runs = [str(cli_runs / t / f"seed_{s}")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from camarl.envs import OBS_DIM, env_spec, make_env, oracle_bits_for_step
+from camarl.envs import OBS_DIM, env_spec, make_env, oracle_bits
 from camarl.envs.scripted import ScriptedPolicy
 from camarl.errors import ConfigurationError, UsageError
 from camarl.marl import (
@@ -65,7 +65,8 @@ def _stub_episode(tag):
                          obs=np.zeros((L, n, OBS_DIM), dtype=np.float32),
                          actions=np.zeros((L, n), dtype=np.int64),
                          rewards=np.zeros(L), kinds=np.zeros(L, dtype=np.int64),
-                         bits=np.ones((L, n), dtype=np.uint8), win=False)
+                         bits=np.ones((L, n), dtype=np.uint8), win=False,
+                         events=np.zeros(n, dtype=np.int64))
 
 
 def test_replay_fifo_eviction():
@@ -104,6 +105,8 @@ def test_episode_record_validation():
                       ("bits", np.ones((3, 3), dtype=np.uint8)),
                       ("actions", np.zeros((3, 1), dtype=np.int64)),
                       ("rewards", np.zeros((3, 2))),
+                      ("events", np.zeros(3, dtype=np.int64)),
+                      ("events", np.zeros((3, 2), dtype=np.int64)),
                       ("obs", np.zeros((3, OBS_DIM)))):
         bad = _stub_episode(4)
         setattr(bad, name, arr)
@@ -179,7 +182,8 @@ def test_td_loss_terminal_exact_target():
     X, a, r, v, term = _manual_batch(ln, [5.0], 1)
     loss = ln.td_loss_and_grads(X, a, r, v, term, gamma=0.99)
     assert loss == 0.0
-    ln.params.zero_grad()
+    for _, t in ln.params.named():
+        t.grad.fill(0.0)
 
 
 def test_td_loss_masked_terminal_zero_target():
@@ -188,7 +192,8 @@ def test_td_loss_masked_terminal_zero_target():
     X, a, r, v, term = _manual_batch(ln, [masked_reward(5.0, 0)], 1)
     loss = ln.td_loss_and_grads(X, a, r, v, term, gamma=0.99)
     assert loss == 0.0
-    ln.params.zero_grad()
+    for _, t in ln.params.named():
+        t.grad.fill(0.0)
 
 
 def test_td_loss_bootstrap_value():
@@ -202,7 +207,8 @@ def test_td_loss_bootstrap_value():
     X, a, r, v, term = _manual_batch(ln, [0.0, 0.0], 2)
     loss = ln.td_loss_and_grads(X, a, r, v, term, gamma=0.99)
     assert abs(loss - 0.9801 / 2) < 1e-12
-    ln.params.zero_grad()
+    for _, t in ln.params.named():
+        t.grad.fill(0.0)
 
 
 def test_td_loss_empty_batch_raises():
@@ -217,7 +223,8 @@ def test_td_loss_ignores_padding():
     X, a, r, v, term = _manual_batch(ln, [1.0, 0.5], 2)
     loss_short = ln.td_loss_and_grads(X, a, r, v, term, 0.99)
     g_short = {k: t.grad.copy() for k, t in ln.params.named()}
-    ln.params.zero_grad()
+    for _, t in ln.params.named():
+        t.grad.fill(0.0)
     # same episode padded by two junk steps that are masked out
     X2 = np.concatenate([X, np.ones((2, 1, ln.n_in)) * 9.0])
     a2 = np.concatenate([a, np.ones((2, 1), dtype=np.int64)])
@@ -228,7 +235,8 @@ def test_td_loss_ignores_padding():
     assert abs(loss_short - loss_pad) < 1e-12
     for k, t in ln.params.named():
         np.testing.assert_allclose(t.grad, g_short[k], rtol=1e-12, atol=1e-14)
-    ln.params.zero_grad()
+    for _, t in ln.params.named():
+        t.grad.fill(0.0)
 
 
 def test_target_constant_between_syncs():
@@ -294,19 +302,28 @@ def test_collect_episode_shapes_and_flags():
     assert ep.obs.shape == (ep.length, spec.n_agents, OBS_DIM)
     assert ep.obs.dtype == np.float64 and ep.actions.dtype == np.int64
     assert ep.length <= spec.episode_len
-    assert len(ep.infos) == ep.length
-    assert ep.infos[-1]["win"] == ep.win
+    assert ep.events.shape == (spec.n_agents,)
+    assert ep.events.dtype == np.int64
+    # replaying the actions gives the summed step events and the last win
+    env = make_env("lj-sp", 3)
+    events = np.zeros(spec.n_agents, dtype=np.int64)
+    for a in ep.actions:
+        res = env.step(a)
+        events += res.events
+    assert res.done
+    np.testing.assert_array_equal(ep.events, events)
+    assert res.win == ep.win
 
 
 def test_oracle_episode_bits_match_stepwise():
     spec, _, ep = _collect("pp", seed=5)
     bits = oracle_episode_bits(ep)
-    obs64 = ep.obs.astype(np.float64)
+    assert bits.shape == (ep.length, spec.n_agents)
     for t in range(ep.length):
+        step = slice(t, t + 1)
         np.testing.assert_array_equal(
-            bits[t], oracle_bits_for_step("pp", obs64[t],
-                                          float(ep.rewards[t]),
-                                          int(ep.kinds[t])))
+            bits[t], oracle_bits("pp", ep.obs[step], ep.rewards[step],
+                                 ep.kinds[step])[0])
     assert bits.dtype == np.uint8
 
 
@@ -333,7 +350,7 @@ def _truncated(ep, L):
     return EpisodeRecord(env_id=ep.env_id, seed=ep.seed, obs=ep.obs[:L],
                          actions=ep.actions[:L], rewards=ep.rewards[:L],
                          kinds=ep.kinds[:L], bits=ep.bits[:L], win=False,
-                         infos=ep.infos[:L])
+                         events=ep.events)
 
 
 def test_build_batch_padding():
@@ -372,7 +389,7 @@ def test_train_smoke_writes_logs_and_checkpoints(tmp_path):
     run = tmp_path / "run"
     assert (run / "train_log.csv").exists()
     assert (run / "run.json").exists()
-    learners, meta = load_learners(run, cfg)
+    learners, meta = load_learners(run)
     assert meta["trainer"] == "idql" and len(learners) == 4
     obs = np.zeros(OBS_DIM)
     for ln, trained in zip(learners, res.learners):
@@ -407,28 +424,6 @@ def test_train_icl_rejects_malformed_bits():
                   lambda ep: (ep.length, ep.n_agents + 1)):
         with pytest.raises(ConfigurationError, match="bits has shape"):
             train(cfg, bits_fn=lambda ep: np.ones(shape(ep), dtype=np.uint8))
-
-
-def test_train_pushes_records_without_infos(monkeypatch):
-    # bits are decided on the full record; replay keeps no per-step infos
-    pushed, seen = [], []
-    push = ReplayBuffer.push
-
-    def record(self, ep):
-        pushed.append(ep)
-        push(self, ep)
-
-    monkeypatch.setattr(ReplayBuffer, "push", record)
-
-    def bits(ep):
-        seen.append(len(ep.infos) == ep.length)
-        return oracle_episode_bits(ep)
-
-    cfg = TrainConfig(env_id="lj-sp", trainer="icl", seed=0, **DESK)
-    res = train(cfg, bits_fn=bits)
-    assert len(pushed) == res.episodes > 0
-    assert all(ep.infos == [] for ep in pushed)
-    assert seen == [True] * res.episodes
 
 
 def test_train_acd_requires_encoder():
@@ -519,4 +514,4 @@ def test_scripted_one_tree_level_one_positive_return():
         total += res.reward
         if res.done:
             break
-    assert total > 0.0 and res.info["win"]
+    assert total > 0.0 and res.win

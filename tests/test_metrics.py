@@ -10,41 +10,38 @@ from scipy import stats
 
 from camarl.envs import OBS_DIM, env_spec, make_env
 from camarl.errors import IncompatibleInputsError, UsageError
-from camarl.marl import AgentLearner, collect_episode, team_policy
-from camarl.marl.evaluate import event_counts
+from camarl.marl import AgentLearner, team_policy
 from camarl.marl.trainer import write_log
 from camarl.metrics import (
     CurvePoint, aggregate_curves, balance_index, bar_chart, line_chart,
     read_curve, read_log, save_svg, write_curve)
 
 
-def _credits(infos, env_id):
-    """Per-agent event credits summed over an episode's step infos."""
-    spec = env_spec(env_id)
-    counts = np.zeros(spec.n_agents)
-    for info in infos:
-        counts += event_counts(info, spec.family, spec.n_agents)
-    return counts
-
-
 # ------------------------------------------------------------ event credits
 
 def test_capture_credits_participants_only():
-    infos = [{"captures": []} for _ in range(10)]
-    infos[4] = {"captures": [{"prey": 0, "agents": [1, 2]}]}
-    np.testing.assert_array_equal(_credits(infos, "pp"), [0, 1, 1, 0])
+    # agents 1 and 2 catch prey 0; agent 0 stands two cells away and
+    # agent 3 is alone, so neither is credited
+    env = make_env("pp", 1)
+    env.prey_alive[:] = True
+    env.agent_pos = np.array([[7, 5], [7, 7], [7, 8], [0, 0]])
+    env.prey_pos = np.array([[7, 7], [0, 13]])
+    credits = np.zeros(4, dtype=np.int64)
+    for _ in range(10):
+        credits += env.step([4, 4, 4, 4]).events
+    np.testing.assert_array_equal(credits, [0, 1, 1, 0])
 
 
 def test_shots_counted_per_damaging_attack():
-    infos = [{"shots": [0, 2]} for _ in range(6)]
-    np.testing.assert_array_equal(_credits(infos, "sk3"), [6, 0, 6])
-
-
-def test_missing_annotations_raise():
-    # a step info without the family's event key fails, never counts zero
-    for env_id in ("pp", "lj", "sk3"):
-        with pytest.raises(KeyError):
-            _credits([{}], env_id)
+    # agents 0 and 2 hit enemy 0 every step; agent 1 attacks out of range
+    env = make_env("sk3", 6)
+    env.agent_hp[:] = env.enemy_hp[:] = 10 ** 6
+    credits = np.zeros(3, dtype=np.int64)
+    for _ in range(6):
+        env.agent_pos[:] = [[5, 4], [0, 9], [5, 6]]
+        env.enemy_pos[:] = [[5, 5], [9, 0], [9, 1]]
+        credits += env.step([5, 5, 5]).events
+    np.testing.assert_array_equal(credits, [6, 0, 6])
 
 
 def test_event_conservation_random_episodes():
@@ -52,16 +49,27 @@ def test_event_conservation_random_episodes():
     rng = np.random.default_rng(0)
     learners = [AgentLearner(OBS_DIM, spec.n_actions, n_hidden=8, seed=i)
                 for i in range(spec.n_agents)]
-    total_credits = 0.0
+    total_credits = 0
     total_participants = 0
     for k in range(5):
         env = make_env("lj", 100 + k)
-        ep = collect_episode(env, team_policy(learners, 1.0, rng))
-        credits = _credits(ep.infos, "lj")
+        act = team_policy(learners, 1.0, rng)
+        obs = env._obs()
+        credits = np.zeros(spec.n_agents, dtype=np.int64)
+        while True:
+            standing = env.tree_alive.copy()
+            res = env.step(act(obs))
+            felled = standing & ~env.tree_alive
+            # participants: agents on the cell of a tree felled this step
+            total_participants += int((env.agent_pos[None, :, :]
+                                       == env.tree_pos[felled][:, None, :])
+                                      .all(axis=2).sum())
+            credits += res.events
+            obs = res.obs
+            if res.done:
+                break
         assert credits.min() >= 0
-        total_credits += credits.sum()
-        total_participants += sum(len(c["agents"])
-                                  for info in ep.infos for c in info["cuts"])
+        total_credits += int(credits.sum())
     assert total_participants > 0
     assert total_credits == total_participants
 

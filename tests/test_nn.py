@@ -57,7 +57,7 @@ def test_explicit_numba_without_numba_raises():
 
 # ------------------------------------------------------------ dense layers
 
-@pytest.mark.parametrize("act", [K.ACT_IDENTITY, K.ACT_TANH, K.ACT_RELU, K.ACT_SIGMOID])
+@pytest.mark.parametrize("act", [K.ACT_IDENTITY, K.ACT_TANH, K.ACT_RELU])
 def test_dense_gradcheck(act):
     x = _param(4, 5)
     W = _param(5, 3)
@@ -342,7 +342,7 @@ def test_rmsprop_hand_value():
     p = ps.add("w", T.Parameter([1.0]))
     p.grad[:] = [2.0]
     state = RmspropState(ps)
-    rmsprop_update(ps, state, lr=5e-4, rho=0.99, eps=1e-8)
+    rmsprop_update(ps, state, lr=5e-4)
     v = 0.01 * 4.0
     expected = 1.0 - 5e-4 * 2.0 / (np.sqrt(v) + 1e-8)
     np.testing.assert_allclose(p.data, [expected], rtol=1e-12)
@@ -438,3 +438,24 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"not a checkpoint")
     with pytest.raises(ConfigurationError):
         load_checkpoint(p)
+
+
+def test_checkpoint_torn_or_padded_raises(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3)}, {"k": 1})
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    # every cut inside the fixed prefix and the header, a few in the payload
+    cuts = list(range(4, 16 + hlen + 1)) + [len(raw) - 8, len(raw) - 1]
+    for cut in cuts:
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ConfigurationError):
+            load_checkpoint(path)
+    path.write_bytes(raw + b"\0" * 8)
+    with pytest.raises(ConfigurationError, match="after its payload"):
+        load_checkpoint(path)
+    path.write_bytes(raw[:16] + b"\xff" + raw[17:])
+    with pytest.raises(ConfigurationError, match="corrupt header"):
+        load_checkpoint(path)
+    path.write_bytes(raw)
+    assert load_checkpoint(path)[1]["k"] == 1
