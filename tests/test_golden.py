@@ -4,7 +4,9 @@ The rerun tests compare two runs of the same code; these compare the
 code against digests recorded once, so a change that moves any rollout,
 mask, update or file layout shows here.  Every rollout caller is
 covered: scripted and greedy dataset collection, ACD training, the
-three trainers' run directories, and greedy evaluation.
+three trainers' run directories, and greedy evaluation.  One more
+``lj``/``icl`` run clips the gradient norm on every update, so the
+clipping kernels are pinned too.
 
 The digests were taken with numpy 2.4.6 linked against OpenBLAS
 0.3.31 (scipy-openblas build), Python 3.11.7, on the numpy kernel
@@ -37,6 +39,8 @@ GOLDEN = {
         "cab1a89eca8d7e80bef78406ed89d05e107b283504e48738b38bbbc383fbfb1a",
     "train_sk3_acd-marl":
         "bb70c78f76e291ef30dd1a0ad989e7fbbf0e2e5072b5f187b68a711466eb2a7f",
+    "train_lj_icl_clipped":
+        "5d38284a751ef8861ceeb13e830fbab0a93da9f63bd56822efaed861aadb0918",
     "eval_lj_icl":
         "2c033e8536b1625e45ae3726ceda19fff88386ec9470d461731e103d85ef0c09",
     "eval_lj_idql":
@@ -94,6 +98,13 @@ def digests(tmp_path_factory):
         out["eval_" + key] = _digest_eval(
             marl.evaluate(res.learners, env_id, 5, seed=3))
         learners[key] = res.learners
+
+    # every update of this run clips, which the runs above never do
+    cfg = marl.TrainConfig(env_id="lj", trainer="icl", seed=1,
+                           grad_clip=1e-3, **TRAIN)
+    marl.train(cfg, out_dir=root / "lj_icl_clipped")
+    out["train_lj_icl_clipped"] = _digest_files(
+        list((root / "lj_icl_clipped").iterdir()))
 
     # greedy collection: the sparse variants are the ones these barely
     # trained teams can win
