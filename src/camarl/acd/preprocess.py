@@ -6,6 +6,8 @@ window is truncated to the available samples and the fit order drops to
 window length minus one when the full order would be underdetermined.
 """
 
+import functools
+
 import numpy as np
 
 from camarl.errors import ConfigurationError
@@ -39,8 +41,14 @@ def _fit_weights(offsets, order):
     return np.linalg.pinv(v)[0]
 
 
+@functools.lru_cache(maxsize=32)
 def sg_weight_table(T: int):
-    """Per-position weight vectors (pos, lo, weights) for a length-T series."""
+    """Per-position (lo, hi, weights) for a length-T series.
+
+    Position t is smoothed as ``weights @ x[lo:hi]``.  The table is
+    built once per T and shared, so it is a tuple and every weight
+    array is read-only.
+    """
     delta = sg_window(T)
     half = delta // 2
     table = []
@@ -55,8 +63,9 @@ def sg_weight_table(T: int):
             w = center
         else:
             w = _fit_weights(np.arange(lo, hi) - t, order)
+        w.flags.writeable = False
         table.append((lo, hi, w))
-    return table
+    return tuple(table)
 
 
 def savgol_smooth(series: np.ndarray) -> np.ndarray:

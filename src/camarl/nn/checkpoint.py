@@ -8,6 +8,7 @@ identical bytes, which the rerun guarantees in the harness depend on.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -21,7 +22,9 @@ _VERSION = 1
 def save_checkpoint(path, arrays, meta=None):
     """Write named float64 arrays plus a JSON-serializable meta dict.
 
-    The substrate version is always recorded in the header.
+    The substrate version is always recorded in the header.  The bytes
+    go to a sibling temp file that replaces ``path`` only once complete,
+    so a failed save leaves any earlier file at ``path`` intact.
     """
     from camarl import SUBSTRATE_VERSION
 
@@ -35,21 +38,39 @@ def save_checkpoint(path, arrays, meta=None):
                     for n in names],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for n in names:
-            a = np.ascontiguousarray(np.asarray(arrays[n], dtype="<f8"))
-            f.write(a.tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<I", _VERSION))
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for n in names:
+                a = np.ascontiguousarray(np.asarray(arrays[n], dtype="<f8"))
+                f.write(a.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _well_formed(header):
+    """True when a parsed header has the structure save_checkpoint writes."""
+    if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
+            and isinstance(header.get("meta", {}), dict)):
+        return False
+    return all(isinstance(spec, dict) and isinstance(spec.get("name"), str)
+               and isinstance(spec.get("shape"), list)
+               and all(type(d) is int and d >= 0 for d in spec["shape"])
+               for spec in header["tensors"])
 
 
 def load_checkpoint(path):
     """Read a checkpoint, returning (arrays, meta).
 
-    A file cut short anywhere, or carrying bytes after its payload,
-    raises ConfigurationError.
+    A file cut short anywhere, carrying bytes after its payload, or
+    whose header lacks the structure save_checkpoint writes raises
+    ConfigurationError.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -66,6 +87,8 @@ def load_checkpoint(path):
     except ValueError as e:
         raise ConfigurationError(
             f"{path} has a torn or corrupt header: {e}") from None
+    if not _well_formed(header):
+        raise ConfigurationError(f"{path} has a malformed header")
     arrays = {}
     off = 16 + hlen
     for spec in header["tensors"]:

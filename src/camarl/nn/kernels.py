@@ -182,23 +182,21 @@ def qnet_step(x, h, Wx, Wh, bx, bh, Wq, bq):
 
 @jit
 def rmsprop_step(p, g, v, lr, rho, eps):
-    """In-place RMSprop on flat float64 views."""
-    n = p.shape[0]
-    for i in range(n):
-        gi = g[i]
-        v[i] = rho * v[i] + (1.0 - rho) * gi * gi
-        p[i] -= lr * gi / (np.sqrt(v[i]) + eps)
+    """In-place RMSprop on flat float64 views, rounding as a scalar loop."""
+    v *= rho
+    v += (1.0 - rho) * g * g
+    p -= lr * g / (np.sqrt(v) + eps)
 
 
 @jit
 def sumsq(a):
-    s = 0.0
-    for i in range(a.shape[0]):
-        s += a[i] * a[i]
-    return s
+    # summed left to right: np.dot and np.sum add in blocked or pairwise
+    # order, which moves the clip norm by about 1e-14
+    if a.shape[0] == 0:
+        return 0.0
+    return np.cumsum(a * a)[-1]
 
 
 @jit
 def scale_inplace(a, s):
-    for i in range(a.shape[0]):
-        a[i] *= s
+    a *= s

@@ -11,6 +11,7 @@ from camarl.acd import (
     sigma_for, split_dataset, train_acd,
 )
 from camarl.acd.inference import adjacency
+from camarl.acd.preprocess import POLY_ORDER, _fit_weights, sg_weight_table
 from camarl.acd.training import load_acd, save_acd
 from camarl.envs import OBS_DIM, env_spec
 from camarl.errors import (
@@ -72,6 +73,35 @@ def test_savgol_multichannel():
     for c in range(4):
         np.testing.assert_allclose(out[:, c], savgol_smooth(y[:, c]),
                                    atol=1e-12)
+
+
+def test_sg_weight_table_cached_and_read_only():
+    table = sg_weight_table(100)
+    assert sg_weight_table(100) is table
+    assert isinstance(table, tuple) and len(table) == 100
+    for lo, hi, w in table:
+        assert w.shape == (hi - lo,)
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+
+def _savgol_uncached(x):
+    T = x.shape[0]
+    half = sg_window(T) // 2
+    out = np.empty_like(x)
+    for t in range(T):
+        lo, hi = max(0, t - half), min(T, t + half + 1)
+        w = _fit_weights(np.arange(lo, hi) - t, min(POLY_ORDER, hi - lo - 1))
+        out[t] = w @ x[lo:hi]
+    return out
+
+
+@pytest.mark.parametrize("T", [24, 25, 100])
+def test_savgol_matches_uncached_reference(T):
+    rng = np.random.default_rng(T)
+    for x in (rng.normal(size=T), rng.normal(size=(T, 3))):
+        for _ in range(2):  # the second call reads the cached table
+            assert savgol_smooth(x).tobytes() == _savgol_uncached(x).tobytes()
 
 
 def test_minmax_normalize():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,20 @@ def test_cli_acd_eval_torn_model_is_configuration_error(cli_runs, cli_acd,
         rc = main(["acd", "eval", "--model", str(torn),
                    "--data", str(cli_runs / "ds" / "dataset.ckpt"),
                    "--out", str(tmp_path / f"ev_{cut}")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_acd_eval_malformed_header_is_configuration_error(
+        cli_runs, tmp_path, capsys):
+    for i, header in enumerate([[], {"tensors": "x"}, {},
+                                {"tensors": [{"name": "w"}]}]):
+        blob = json.dumps(header).encode("utf-8")
+        bad = tmp_path / f"bad_{i}.ckpt"
+        bad.write_bytes(b"CMCK" + struct.pack("<IQ", 1, len(blob)) + blob)
+        rc = main(["acd", "eval", "--model", str(bad),
+                   "--data", str(cli_runs / "ds" / "dataset.ckpt"),
+                   "--out", str(tmp_path / f"ev_{i}")])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error:")
 

@@ -1,7 +1,9 @@
 """Autodiff substrate tests: gradient oracles, tape semantics, optimizer."""
 
 import importlib.util
+import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,8 @@ from camarl.nn import tensor as T
 from camarl.nn import functional as F
 from camarl.nn import kernels as K
 from camarl.nn.layers import ParamSet, Dense, GruCell
-from camarl.nn.optim import RmspropState, rmsprop_update, clip_global_norm
+from camarl.nn.optim import (
+    EPS, RHO, RmspropState, rmsprop_update, clip_global_norm)
 from camarl.nn.checkpoint import save_checkpoint, load_checkpoint
 
 RNG = np.random.default_rng(1234)
@@ -378,6 +381,90 @@ def test_clip_global_norm():
     np.testing.assert_allclose(a.grad, [0.3])
 
 
+def _ref_rmsprop_step(p, g, v, lr, rho, eps):
+    for i in range(p.shape[0]):
+        gi = g[i]
+        v[i] = rho * v[i] + (1.0 - rho) * gi * gi
+        p[i] -= lr * gi / (np.sqrt(v[i]) + eps)
+
+
+def _ref_sumsq(a):
+    s = 0.0
+    for i in range(a.shape[0]):
+        s += a[i] * a[i]
+    return s
+
+
+def _ref_scale_inplace(a, s):
+    for i in range(a.shape[0]):
+        a[i] *= s
+
+
+def _wide_floats(rng, n):
+    """Random signs, magnitudes log-uniform over 1e-8 .. 1e3."""
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 3, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 10_007])
+def test_optimizer_kernels_match_scalar_loops(n):
+    rng = np.random.default_rng(n)
+    p, g = _wide_floats(rng, n), _wide_floats(rng, n)
+    v = np.abs(_wide_floats(rng, n))
+    p_ref, v_ref = p.copy(), v.copy()
+    K.rmsprop_step(p, g, v, 5e-4, 0.99, 1e-8)
+    _ref_rmsprop_step(p_ref, g, v_ref, 5e-4, 0.99, 1e-8)
+    assert p.tobytes() == p_ref.tobytes()
+    assert v.tobytes() == v_ref.tobytes()
+
+    total = K.sumsq(g)
+    assert np.float64(total).tobytes() == np.float64(_ref_sumsq(g)).tobytes()
+
+    a, a_ref = g.copy(), g.copy()
+    K.scale_inplace(a, 0.37)
+    _ref_scale_inplace(a_ref, 0.37)
+    assert a.tobytes() == a_ref.tobytes()
+
+
+def test_clipped_rmsprop_update_matches_scalar_path():
+    rng = np.random.default_rng(5)
+    shapes = {"W": (40, 25), "b": (25,), "q": (7,)}
+    sets = []
+    for _ in range(2):
+        ps = ParamSet()
+        for name, shape in shapes.items():
+            ps.add(name, T.Parameter(np.zeros(shape)))
+        sets.append(ps)
+    states = [RmspropState(ps) for ps in sets]
+    for name, shape in shapes.items():
+        n = int(np.prod(shape))
+        data, grad = _wide_floats(rng, n), _wide_floats(rng, n)
+        v = np.abs(_wide_floats(rng, n))
+        for ps, state in zip(sets, states):
+            ps[name].data[...] = data.reshape(shape)
+            ps[name].grad[...] = grad.reshape(shape)
+            state.v[name][...] = v
+
+    norm = rmsprop_update(sets[0], states[0], lr=5e-4, max_norm=1e-3)
+
+    ps, state = sets[1], states[1]
+    total = 0.0
+    for _, t in ps.named():
+        total += _ref_sumsq(t.grad.reshape(-1))
+    ref_norm = float(np.sqrt(total))
+    assert ref_norm > 1e-3  # the update clips
+    for _, t in ps.named():
+        _ref_scale_inplace(t.grad.reshape(-1), 1e-3 / ref_norm)
+    for name, t in ps.named():
+        _ref_rmsprop_step(t.data.reshape(-1), t.grad.reshape(-1),
+                          state.v[name], 5e-4, RHO, EPS)
+
+    assert norm == ref_norm
+    for (name, t), (_, t_ref) in zip(sets[0].named(), ps.named()):
+        assert t.data.tobytes() == t_ref.data.tobytes(), name
+        assert states[0].v[name].tobytes() == state.v[name].tobytes(), name
+        assert not t.grad.any()
+
+
 # --------------------------------------------------------------- containers
 
 def test_paramset_duplicate_name_raises():
@@ -459,3 +546,42 @@ def test_checkpoint_torn_or_padded_raises(tmp_path):
         load_checkpoint(path)
     path.write_bytes(raw)
     assert load_checkpoint(path)[1]["k"] == 1
+
+
+def _checkpoint_with_header(path, header):
+    """A complete checkpoint file around a hand-written JSON header."""
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(b"CMCK" + struct.pack("<IQ", 1, len(blob)) + blob)
+
+
+MALFORMED_HEADERS = {
+    "list": [],
+    "tensors-not-list": {"tensors": "x"},
+    "no-tensors": {},
+    "no-shape": {"tensors": [{"name": "w"}]},
+    "no-name": {"tensors": [{"shape": [2]}]},
+    "negative-dim": {"tensors": [{"name": "w", "shape": [-1]}]},
+    "meta-not-dict": {"tensors": [], "meta": 5},
+}
+
+
+@pytest.mark.parametrize("header", MALFORMED_HEADERS.values(),
+                         ids=MALFORMED_HEADERS.keys())
+def test_checkpoint_malformed_header_raises(tmp_path, header):
+    path = tmp_path / "ck.bin"
+    _checkpoint_with_header(path, header)
+    with pytest.raises(ConfigurationError, match="malformed header"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, {"w": np.arange(4.0)}, {"k": 1})
+    good = path.read_bytes()
+    # the header is written before "bad" fails to convert to float64
+    with pytest.raises(ValueError):
+        save_checkpoint(path, {"w": np.ones(4), "bad": np.array(["x"])})
+    assert path.read_bytes() == good
+    arrays, meta = load_checkpoint(path)
+    assert arrays["w"].tolist() == [0.0, 1.0, 2.0, 3.0] and meta["k"] == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
