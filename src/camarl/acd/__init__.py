@@ -1,6 +1,6 @@
 from camarl.acd.dataset import (
     SeriesSample, collect_dataset, episode_to_sample, load_dataset,
-    preprocess, save_dataset, split_dataset)
+    save_dataset, split_dataset)
 from camarl.acd.inference import (
     adjacency, evaluate_accuracy, make_bits_fn, predict_c)
 from camarl.acd.loss import ElboTerms, elbo_loss
@@ -15,7 +15,7 @@ __all__ = [
     "adjacency", "collect_dataset", "elbo_loss", "episode_to_sample",
     "evaluate_accuracy", "load_acd", "load_dataset", "make_bits_fn",
     "minmax_normalize", "save_dataset",
-    "ordered_pairs", "predict_c", "preprocess", "preprocess_series",
+    "ordered_pairs", "predict_c", "preprocess_series",
     "save_acd", "savgol_smooth", "sg_window", "sigma_for", "split_dataset",
     "train_acd",
 ]

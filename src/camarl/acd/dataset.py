@@ -87,7 +87,7 @@ def collect_dataset(env_id: str, n_episodes: int, seed: int = 0, *,
             ep = collect_episode(env, team_policy(learners))
         else:
             policy.begin_episode(env)
-            ep = collect_episode(env, lambda obs: policy.act(env))
+            ep = collect_episode(env, lambda obs: policy.act(env)[None])
         if not ep.win:
             continue
         ep.seed = int(ep_seed)

@@ -1,5 +1,6 @@
 from camarl.marl.agent import AgentLearner, team_policy
-from camarl.marl.episode import EpisodeRecord, collect_episode
+from camarl.marl.episode import (
+    EpisodeRecord, collect_episode, collect_episodes)
 from camarl.marl.evaluate import EvalSummary, evaluate, return_ci95
 from camarl.marl.masking import (
     MODE_ALWAYS_ONE, MODE_PER_EPISODE, MODE_PER_TIMESTEP, masked_reward,
@@ -14,7 +15,8 @@ __all__ = [
     "AgentLearner", "EpisodeRecord", "EvalSummary",
     "MODE_ALWAYS_ONE", "MODE_PER_EPISODE", "MODE_PER_TIMESTEP",
     "ReplayBuffer", "TRAINERS", "TrainConfig", "TrainResult", "build_batch",
-    "collect_episode", "epsilon_at", "evaluate", "load_learners",
-    "masked_reward", "masked_rewards", "oracle_episode_bits", "return_ci95",
+    "collect_episode", "collect_episodes", "epsilon_at", "evaluate",
+    "load_learners", "masked_reward", "masked_rewards",
+    "oracle_episode_bits", "return_ci95",
     "team_policy", "train", "write_log",
 ]

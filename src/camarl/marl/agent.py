@@ -41,17 +41,20 @@ class AgentLearner:
         self.target = {k: v.copy() for k, v in p.state_arrays().items()}
         self.opt = RmspropState(p)
         self.last_loss = None
+        # row a is the one-hot of action a; the last row, picked by -1
+        # (no previous action), is all zeros
+        self._prev_onehot = np.vstack([np.eye(n_actions),
+                                       np.zeros((1, n_actions))])
 
     # -- acting ------------------------------------------------------------
 
-    def initial_hidden(self):
-        return np.zeros((1, self.n_hidden))
+    def initial_hidden(self, n_rows: int = 1):
+        return np.zeros((n_rows, 1, self.n_hidden))
 
-    def _input(self, obs, prev_action: int):
-        x = np.zeros((1, self.n_in))
-        x[0, :self.obs_dim] = obs
-        if prev_action >= 0:
-            x[0, self.obs_dim + prev_action] = 1.0
+    def _input(self, obs, prev_action):
+        x = np.empty((obs.shape[0], 1, self.n_in))
+        x[:, 0, :self.obs_dim] = obs
+        x[:, 0, self.obs_dim:] = self._prev_onehot.take(prev_action, axis=0)
         return x
 
     def _weights(self):
@@ -59,22 +62,39 @@ class AgentLearner:
         return tuple(p[name].data for name in PARAM_NAMES)
 
     def q_values(self, obs, prev_action, hidden):
-        """One greedy-policy step: (q, new hidden); hidden rows are (1, H)."""
+        """One greedy-policy step for E independent rows: (q, new hidden).
+
+        obs is (E, obs_dim), prev_action (E,) with -1 for none, hidden
+        (E, 1, H); q comes back (E, n_actions).  Each row is its own
+        single-row product, so stacking rows moves no bits.
+        """
+        rows = np.shape(obs)[:1]
+        if (np.shape(obs) != rows + (self.obs_dim,)
+                or np.shape(prev_action) != rows
+                or np.shape(hidden) != rows + (1, self.n_hidden)):
+            raise UsageError(
+                f"acting takes obs (E, {self.obs_dim}), prev_action (E,) "
+                f"and hidden (E, 1, {self.n_hidden}); got "
+                f"{np.shape(obs)}, {np.shape(prev_action)} and "
+                f"{np.shape(hidden)}")
         q, h_new = kernels.qnet_step(self._input(obs, prev_action), hidden,
                                      *self._weights())
-        return q[0], h_new
+        return q[:, 0], h_new
 
     def act(self, obs, prev_action, hidden, epsilon, rng: np.random.Generator):
-        """Epsilon-greedy action; ties resolve to the lowest index.
+        """Epsilon-greedy (E,) actions; ties resolve to the lowest index.
 
         The uniform draw happens before any Q computation is consulted
         so the random-number stream depends only on epsilon, never on
-        network outputs.
+        network outputs.  Exploration takes a single row.
         """
         q, h_new = self.q_values(obs, prev_action, hidden)
-        if epsilon > 0 and rng.random() < epsilon:
-            return int(rng.integers(self.n_actions)), h_new
-        return int(np.argmax(q)), h_new
+        if epsilon > 0:
+            if q.shape[0] != 1:
+                raise UsageError("exploration acts on one row at a time")
+            if rng.random() < epsilon:
+                return np.array([rng.integers(self.n_actions)]), h_new
+        return q.argmax(axis=1), h_new
 
     # -- training ----------------------------------------------------------
 
@@ -150,24 +170,28 @@ class AgentLearner:
         self.opt.load_arrays(arrays)
 
 
-def team_policy(learners, epsilon: float = 0.0, rng=None):
-    """Joint-action callable for one episode of collect_episode.
+def team_policy(learners, epsilon: float = 0.0, rng=None, n_envs: int = 1):
+    """Joint-action callable for one lockstep rollout of n_envs episodes.
 
-    Each learner acts on its own observation row through
-    AgentLearner.act, carrying its hidden state and previous action
-    across the episode's steps; build a fresh one per episode.  At
-    epsilon 0 nothing is drawn from rng and every agent takes its argmax.
+    act(obs) maps the (E, N, D) observations to (E, N) actions.  Each
+    learner acts on its (E, obs_dim) column through AgentLearner.act,
+    carrying its (E, 1, H) hidden state and previous actions across the
+    steps; build a fresh one per rollout.  At epsilon 0 nothing is drawn
+    from rng and every agent takes its argmax.  Exploration draws in
+    agent order and needs n_envs == 1.
     """
-    n = len(learners)
-    hidden = [ln.initial_hidden() for ln in learners]
-    prev = np.full(n, -1)
+    if epsilon > 0 and n_envs != 1:
+        raise UsageError("exploration needs n_envs == 1; lockstep "
+                         "rollouts are greedy")
+    hidden = [ln.initial_hidden(n_envs) for ln in learners]
+    prev = np.full((n_envs, len(learners)), -1)
 
     def act(obs):
         nonlocal prev
-        acts = np.empty(n, dtype=np.int64)
+        acts = np.empty_like(prev)
         for i, ln in enumerate(learners):
-            acts[i], hidden[i] = ln.act(obs[i], prev[i], hidden[i], epsilon,
-                                        rng)
+            acts[:, i], hidden[i] = ln.act(obs[:, i], prev[:, i], hidden[i],
+                                           epsilon, rng)
         prev = acts
         return acts
 

@@ -1,8 +1,9 @@
 """The episode record and the one rollout loop that fills it.
 
 Training, greedy evaluation and dataset collection all roll episodes
-through :func:`collect_episode`; they differ only in the joint-action
-callable they pass and in what they read off the record.
+through :func:`collect_episodes`; they differ only in the joint-action
+callable they pass, in how many environments step in lockstep, and in
+what they read off the records.
 """
 
 from dataclasses import dataclass
@@ -62,29 +63,46 @@ class EpisodeRecord:
         return self
 
 
-def collect_episode(env, act) -> EpisodeRecord:
-    """Roll env to the end of its episode; act(obs) gives the (N,) actions.
+def collect_episodes(envs, act) -> list:
+    """Roll every env to the end of its episode in lockstep.
 
-    obs is the (N, D) observation the environment built for the step.
-    Causality bits are left at one for the caller to decide.
+    act(obs) maps the (E, N, D) observations, one row per env, to (E, N)
+    actions.  Only envs still running step; a finished env's row stays
+    frozen and the actions act gives for it are discarded.  Returns one
+    record per env, in env order, with causality bits left at one for
+    the caller to decide.
     """
-    obs = env._obs()
-    obs_l, act_l, rew_l, kind_l = [], [], [], []
-    events = np.zeros(obs.shape[0], dtype=np.int64)
-    while True:
+    cur = [env._obs() for env in envs]
+    obs = np.stack(cur)
+    trails = [[] for _ in envs]
+    running = range(len(envs))
+    while running:
         acts = act(obs)
-        res = env.step(acts)
-        obs_l.append(obs)
-        act_l.append(acts)
-        rew_l.append(res.reward)
-        kind_l.append(res.kind)
-        events += res.events
-        obs = res.obs
-        if res.done:
-            break
-    L, n = len(obs_l), obs.shape[0]
+        still = []
+        for k in running:
+            a = acts[k]
+            res = envs[k].step(a)
+            trails[k].append((cur[k], a, res))
+            if not res.done:
+                cur[k] = res.obs
+                obs[k] = res.obs
+                still.append(k)
+        running = still
+    return [_record(env, trail) for env, trail in zip(envs, trails)]
+
+
+def _record(env, trail):
+    obs, acts, results = zip(*trail)
     return EpisodeRecord(
         env_id=env.spec.env_id, seed=-1,
-        obs=np.array(obs_l), actions=np.array(act_l),
-        rewards=np.asarray(rew_l), kinds=np.asarray(kind_l, dtype=np.int64),
-        bits=np.ones((L, n), dtype=np.uint8), win=res.win, events=events)
+        obs=np.array(obs), actions=np.array(acts),
+        rewards=np.array([r.reward for r in results]),
+        kinds=np.array([r.kind for r in results], dtype=np.int64),
+        bits=np.ones((len(trail), len(obs[0])), dtype=np.uint8),
+        win=results[-1].win,
+        events=np.sum([r.events for r in results], axis=0, dtype=np.int64))
+
+
+def collect_episode(env, act) -> EpisodeRecord:
+    """One episode: collect_episodes([env], act), so act sees (1, N, D)."""
+    return collect_episodes([env], act)[0]

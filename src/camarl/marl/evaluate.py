@@ -7,7 +7,7 @@ from scipy import stats
 
 from camarl.envs import env_spec, make_env
 from camarl.marl.agent import team_policy
-from camarl.marl.episode import collect_episode
+from camarl.marl.episode import collect_episodes
 
 
 @dataclass
@@ -33,18 +33,20 @@ def return_ci95(returns) -> float:
 
 
 def evaluate(learners, env_id: str, n_episodes: int, seed: int) -> EvalSummary:
-    """Greedy rollouts over n_episodes fresh environments.
+    """Greedy rollouts over n_episodes fresh environments, in lockstep.
 
-    Deterministic given the seed and the learner parameters.
+    Deterministic given the seed and the learner parameters, and
+    bit-identical to rolling the episodes one after another.
     """
     spec = env_spec(env_id)
     seeds = np.random.SeedSequence(seed).generate_state(n_episodes)
+    envs = [make_env(env_id, int(s)) for s in seeds]
+    episodes = collect_episodes(envs, team_policy(learners,
+                                                  n_envs=n_episodes))
     returns = np.empty(n_episodes)
     wins = 0
     events = np.zeros(spec.n_agents)
-    for k in range(n_episodes):
-        env = make_env(env_id, int(seeds[k]))
-        ep = collect_episode(env, team_policy(learners))
+    for k, ep in enumerate(episodes):
         # left to right: ndarray.sum() is pairwise and rounds differently
         returns[k] = np.cumsum(ep.rewards)[-1]
         wins += ep.win

@@ -8,6 +8,15 @@ numpy's vectorized transcendentals and libm's scalar ones round
 differently; ``benchmarks/bench_kernels.py`` measures the gap along
 with the timings.  Activation functions are selected by integer code
 so the fused kernels stay monomorphic.
+
+The acting kernels ``gru_fwd`` and ``qnet_step`` take a ``(B, n)``
+batch or an ``(E, 1, n)`` stack of single rows.  They multiply with
+``@`` (``np.matmul``), which rounds each row of a stack as its own
+``(1, n)`` product, so a stacked step is bit-identical to E separate
+single-row steps.  ``np.dot`` on a 3-D stack would fold the rows into
+one GEMM and round differently.  numba documents ``np.dot``/``@`` for
+1-D and 2-D arrays only, so the stacked call is numpy-only; it has not
+been run under numba.
 """
 
 import numpy as np
@@ -72,13 +81,16 @@ def gru_fwd(x, h, Wx, Wh, bx, bh):
     (h_new, r, z, n, ghn) where ghn is the hidden-side candidate
     pre-activation that gets gated by r.
     """
-    H = h.shape[1]
-    pre_x = np.dot(x, Wx) + bx
-    pre_h = np.dot(h, Wh) + bh
-    r = sigmoid_stable(pre_x[:, :H] + pre_h[:, :H])
-    z = sigmoid_stable(pre_x[:, H:2 * H] + pre_h[:, H:2 * H])
-    ghn = pre_h[:, 2 * H:].copy()
-    n = np.tanh(pre_x[:, 2 * H:] + r * ghn)
+    H = h.shape[-1]
+    pre_x = x @ Wx + bx
+    pre_h = h @ Wh + bh
+    # one sigmoid over both gates: elementwise, so the bits are those of
+    # two separate calls
+    rz = sigmoid_stable(pre_x[..., :2 * H] + pre_h[..., :2 * H])
+    r = rz[..., :H]
+    z = rz[..., H:]
+    ghn = pre_h[..., 2 * H:].copy()
+    n = np.tanh(pre_x[..., 2 * H:] + r * ghn)
     h_new = z * h + (1.0 - z) * n
     return h_new, r, z, n, ghn
 
@@ -176,7 +188,7 @@ def qnet_unroll_bwd(X, h0, Hs, R, Z, Nc, GHN, Wx, Wh, Wq, dQ):
 def qnet_step(x, h, Wx, Wh, bx, bh, Wq, bq):
     """Single acting step: returns (q, h_new) without storing intermediates."""
     h_new, r, z, n, ghn = gru_fwd(x, h, Wx, Wh, bx, bh)
-    q = np.dot(h_new, Wq) + bq
+    q = h_new @ Wq + bq
     return q, h_new
 
 

@@ -7,9 +7,10 @@ from scipy.signal import savgol_filter
 from camarl.acd import (
     AcdModel, SeriesSample, collect_dataset, elbo_loss, episode_to_sample,
     evaluate_accuracy, make_bits_fn, minmax_normalize, ordered_pairs,
-    predict_c, preprocess, preprocess_series, savgol_smooth, sg_window,
+    predict_c, preprocess_series, savgol_smooth, sg_window,
     sigma_for, split_dataset, train_acd,
 )
+from camarl.acd.dataset import preprocess
 from camarl.acd.inference import adjacency
 from camarl.acd.preprocess import POLY_ORDER, _fit_weights, sg_weight_table
 from camarl.acd.training import load_acd, save_acd
@@ -83,6 +84,17 @@ def test_sg_weight_table_cached_and_read_only():
         assert w.shape == (hi - lo,)
         with pytest.raises(ValueError):
             w[0] = 1.0
+
+
+def test_preprocess_submodule_is_not_shadowed():
+    # a package attribute named like the submodule would shadow it, and
+    # the dotted import would bind that attribute instead
+    import camarl.acd
+    import camarl.acd.preprocess as m
+
+    assert m.sg_weight_table is sg_weight_table
+    assert camarl.acd.preprocess is m
+    assert "preprocess" not in camarl.acd.__all__
 
 
 def _savgol_uncached(x):

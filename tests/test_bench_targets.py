@@ -41,3 +41,23 @@ def test_span_targets_patch_and_restore():
             assert _lookup(*t) is not before[t], t
     for t in targets:
         assert _lookup(*t) is before[t], t
+
+
+def test_acting_and_rollout_spans_are_called():
+    # a span that patches a name nothing calls any more records zero
+    # calls; check the rollout and acting spans on a tiny run
+    from camarl import marl
+
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    cfg = marl.TrainConfig(env_id="lj", trainer="icl", seed=0,
+                           total_steps=200, eval_interval=100,
+                           eval_episodes=2, epsilon_anneal_episodes=5,
+                           batch_size=2, n_hidden=8)
+    with spans.patched(tracer):
+        result = marl.train(cfg)
+        marl.evaluate(result.learners, "lj", 3, seed=0)
+    calls = {name: tracer.names.count(name)
+             for name in ("marl.act", "nn.qnet_step", "marl.collect_episode",
+                          "envs.make_env", "marl.evaluate")}
+    assert min(calls.values()) >= 1, calls

@@ -10,8 +10,9 @@ from camarl.envs.scripted import ScriptedPolicy
 from camarl.errors import ConfigurationError, UsageError
 from camarl.marl import (
     AgentLearner, EpisodeRecord, ReplayBuffer, TrainConfig, build_batch,
-    collect_episode, epsilon_at, evaluate, load_learners, masked_reward,
-    masked_rewards, oracle_episode_bits, team_policy, train, write_log,
+    collect_episode, collect_episodes, epsilon_at, evaluate, load_learners,
+    masked_reward, masked_rewards, oracle_episode_bits, team_policy, train,
+    write_log,
 )
 
 
@@ -126,15 +127,19 @@ def _zero_params(ln):
     ln.sync_target()
 
 
+NO_PREV = np.array([-1])
+
+
 def test_select_action_uniform_at_full_epsilon():
     ln = _learner()
     rng = np.random.default_rng(7)
     h = ln.initial_hidden()
-    obs = np.zeros(6)
+    obs = np.zeros((1, 6))
     counts = np.zeros(4)
     for _ in range(10_000):
-        a, _ = ln.act(obs, -1, h, 1.0, rng)
-        counts[a] += 1
+        a, _ = ln.act(obs, NO_PREV, h, 1.0, rng)
+        counts[a[0]] += 1
+    assert a.shape == (1,)
     assert stats.chisquare(counts).pvalue > 1e-3
 
 
@@ -143,23 +148,83 @@ def test_select_action_greedy_and_tiebreak():
     _zero_params(ln)
     ln.params["head.b"].data[...] = [0.0, 0.0, 1.0, 0.0]
     rng = np.random.default_rng(0)
-    a, h = ln.act(np.ones(6), -1, ln.initial_hidden(), 0.0, rng)
-    assert a == 2
-    assert h.shape == (1, 8)
+    a, h = ln.act(np.ones((1, 6)), NO_PREV, ln.initial_hidden(), 0.0, rng)
+    np.testing.assert_array_equal(a, [2])
+    assert h.shape == (1, 1, 8)
     # all-equal Q values resolve to the lowest action index
     ln.params["head.b"].data[...] = 0.0
-    a, _ = ln.act(np.ones(6), -1, ln.initial_hidden(), 0.0, rng)
-    assert a == 0
+    a, _ = ln.act(np.ones((1, 6)), NO_PREV, ln.initial_hidden(), 0.0, rng)
+    np.testing.assert_array_equal(a, [0])
+    # every row of a stack takes its own argmax
+    a, h = ln.act(np.ones((3, 6)), np.full(3, -1), ln.initial_hidden(3), 0.0,
+                  rng)
+    np.testing.assert_array_equal(a, [0, 0, 0])
+    assert h.shape == (3, 1, 8)
 
 
 def test_no_parameter_sharing():
     a, b = _learner(seed=1), _learner(seed=2)
-    obs = np.ones(6)
-    q_before, _ = b.q_values(obs, -1, b.initial_hidden())
+    obs = np.ones((1, 6))
+    q_before, _ = b.q_values(obs, NO_PREV, b.initial_hidden())
     for _, t in a.params.named():
         t.data += 123.0
-    q_after, _ = b.q_values(obs, -1, b.initial_hidden())
+    q_after, _ = b.q_values(obs, NO_PREV, b.initial_hidden())
     np.testing.assert_array_equal(q_before, q_after)
+
+
+def test_q_values_rows_match_unroll_with_prev_one_hot():
+    # each stacked row equals a one-step unroll of its own input, whose
+    # previous-action one-hot is built by hand (none for -1)
+    from camarl.nn import kernels
+
+    ln = _learner(seed=5)
+    rng = np.random.default_rng(5)
+    prev = np.array([-1, 0, 1, 2, 3])
+    obs = rng.random((5, 6))
+    hidden = rng.standard_normal((5, 1, 8))
+    q, h = ln.q_values(obs, prev, hidden)
+    assert q.shape == (5, 4) and h.shape == (5, 1, 8)
+    for e in range(5):
+        x = np.zeros((1, 1, ln.n_in))
+        x[0, 0, :6] = obs[e]
+        if prev[e] >= 0:
+            x[0, 0, 6 + prev[e]] = 1.0
+        Q, Hs, *_ = kernels.qnet_unroll_fwd(x, hidden[e], *ln._weights())
+        assert Q[0, 0].tobytes() == q[e].tobytes()
+        assert Hs[0].tobytes() == h[e].tobytes()
+
+
+@pytest.mark.parametrize("obs, prev, hidden", [
+    (np.zeros(6), NO_PREV, (1, 1, 8)),        # one observation, not a row
+    (np.zeros((1, 5)), NO_PREV, (1, 1, 8)),
+    (np.zeros((1, 6)), -1, (1, 1, 8)),        # scalar previous action
+    (np.zeros((1, 6)), np.array([-1, -1]), (1, 1, 8)),
+    (np.zeros((1, 6)), NO_PREV, (1, 8)),      # hidden without its row axis
+    (np.zeros((1, 6)), NO_PREV, (2, 1, 8)),
+    (np.zeros((1, 6)), NO_PREV, (1, 1, 7)),
+    (np.zeros((2, 1, 6)), np.full(2, -1), (2, 1, 8)),
+], ids=["obs-1d", "obs-width", "prev-scalar", "prev-rows", "hidden-2d",
+        "hidden-rows", "hidden-width", "obs-3d"])
+def test_acting_rejects_misshapen_rows(obs, prev, hidden):
+    ln = _learner()
+    rng = np.random.default_rng(0)
+    with pytest.raises(UsageError):
+        ln.q_values(obs, prev, np.zeros(hidden))
+    with pytest.raises(UsageError):
+        ln.act(obs, prev, np.zeros(hidden), 0.0, rng)
+
+
+def test_exploration_takes_one_row():
+    ln = _learner()
+    rng = np.random.default_rng(0)
+    with pytest.raises(UsageError):
+        ln.act(np.zeros((2, 6)), np.full(2, -1), ln.initial_hidden(2), 0.5,
+               rng)
+    with pytest.raises(UsageError):
+        team_policy([ln, _learner(seed=1)], 0.5, rng, n_envs=2)
+    # greedy lockstep and single-env exploration are both allowed
+    team_policy([ln], 0.0, n_envs=2)
+    team_policy([ln], 0.5, rng, n_envs=1)
 
 
 def _manual_batch(ln, rewards, n_steps, action=0):
@@ -278,9 +343,9 @@ def test_learner_state_roundtrip():
     other.load_state(state)
     for k, arr in other.state_arrays().items():
         np.testing.assert_array_equal(arr, state[k])
-    obs = np.ones(6)
-    qa, _ = ln.q_values(obs, 2, ln.initial_hidden())
-    qb, _ = other.q_values(obs, 2, other.initial_hidden())
+    obs = np.ones((1, 6))
+    qa, _ = ln.q_values(obs, np.array([2]), ln.initial_hidden())
+    qb, _ = other.q_values(obs, np.array([2]), other.initial_hidden())
     np.testing.assert_array_equal(qa, qb)
 
 
@@ -294,6 +359,32 @@ def _collect(env_id="lj-sp", seed=3, epsilon=1.0):
     rng = np.random.default_rng(seed)
     ep = collect_episode(env, team_policy(learners, epsilon, rng))
     return spec, learners, ep
+
+
+RECORD_FIELDS = ("obs", "actions", "rewards", "kinds", "bits", "events")
+
+
+@pytest.mark.parametrize("env_id", ["lj", "pp", "sk3"])
+@pytest.mark.parametrize("E", [1, 5, 20])
+def test_lockstep_matches_sequential_episodes(env_id, E):
+    spec = env_spec(env_id)
+    learners = [AgentLearner(spec.obs_dim, spec.n_actions, seed=i)
+                for i in range(spec.n_agents)]
+    seeds = [700 + k for k in range(E)]
+    lockstep = collect_episodes([make_env(env_id, s) for s in seeds],
+                                team_policy(learners, n_envs=E))
+    assert len(lockstep) == E
+    for s, got in zip(seeds, lockstep):
+        want = collect_episode(make_env(env_id, s), team_policy(learners))
+        assert (got.env_id, got.seed, got.win) == (want.env_id, want.seed,
+                                                   want.win)
+        for name in RECORD_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+    if env_id == "sk3" and E > 1:
+        # finished envs sat out while others kept stepping
+        assert len({ep.length for ep in lockstep}) > 1
 
 
 def test_collect_episode_shapes_and_flags():
@@ -391,10 +482,10 @@ def test_train_smoke_writes_logs_and_checkpoints(tmp_path):
     assert (run / "run.json").exists()
     learners, meta = load_learners(run)
     assert meta["trainer"] == "idql" and len(learners) == 4
-    obs = np.zeros(OBS_DIM)
+    obs = np.zeros((1, OBS_DIM))
     for ln, trained in zip(learners, res.learners):
-        qa, _ = ln.q_values(obs, -1, ln.initial_hidden())
-        qb, _ = trained.q_values(obs, -1, trained.initial_hidden())
+        qa, _ = ln.q_values(obs, NO_PREV, ln.initial_hidden())
+        qb, _ = trained.q_values(obs, NO_PREV, trained.initial_hidden())
         np.testing.assert_array_equal(qa, qb)
 
 

@@ -58,7 +58,7 @@ def test_event_conservation_random_episodes():
         credits = np.zeros(spec.n_agents, dtype=np.int64)
         while True:
             standing = env.tree_alive.copy()
-            res = env.step(act(obs))
+            res = env.step(act(obs[None])[0])
             felled = standing & ~env.tree_alive
             # participants: agents on the cell of a tree felled this step
             total_participants += int((env.agent_pos[None, :, :]

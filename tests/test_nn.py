@@ -212,6 +212,57 @@ def test_qnet_step_agrees_with_unroll():
         np.testing.assert_allclose(q, Q[t], rtol=1e-12)
 
 
+def _gru_weights(rng, n_in, H):
+    return (rng.uniform(-0.3, 0.3, (n_in, 3 * H)),
+            rng.uniform(-0.3, 0.3, (H, 3 * H)),
+            rng.uniform(-0.1, 0.1, 3 * H), rng.uniform(-0.1, 0.1, 3 * H))
+
+
+@pytest.mark.parametrize("n_in", [58, 59], ids=["lj", "sk3"])
+@pytest.mark.parametrize("E", [1, 2, 12, 60])
+def test_stacked_acting_kernels_match_single_rows(E, n_in):
+    # an (E, 1, .) stack rounds each row as its own (1, .) product
+    H, A = 64, n_in - 53
+    rng = np.random.default_rng(E * 100 + n_in)
+    Wx, Wh, bx, bh = _gru_weights(rng, n_in, H)
+    Wq, bq = rng.uniform(-0.3, 0.3, (H, A)), rng.uniform(-0.1, 0.1, A)
+    x = rng.random((E, 1, n_in))
+    h = rng.uniform(-1.0, 1.0, (E, 1, H))
+    stacked_gru = K.gru_fwd(x, h, Wx, Wh, bx, bh)
+    q, h_new = K.qnet_step(x, h, Wx, Wh, bx, bh, Wq, bq)
+    assert q.shape == (E, 1, A) and h_new.shape == (E, 1, H)
+    for e in range(E):
+        row_gru = K.gru_fwd(x[e], h[e], Wx, Wh, bx, bh)
+        for a, b in zip(stacked_gru, row_gru):
+            assert a[e].tobytes() == b.tobytes()
+        q_e, h_e = K.qnet_step(x[e], h[e], Wx, Wh, bx, bh, Wq, bq)
+        assert q[e].tobytes() == q_e.tobytes()
+        assert h_new[e].tobytes() == h_e.tobytes()
+
+
+def _gru_fwd_dot(x, h, Wx, Wh, bx, bh):
+    # reference: the 2-D np.dot form, which a 2-D batch must match
+    H = h.shape[1]
+    pre_x = np.dot(x, Wx) + bx
+    pre_h = np.dot(h, Wh) + bh
+    r = K.sigmoid_stable(pre_x[:, :H] + pre_h[:, :H])
+    z = K.sigmoid_stable(pre_x[:, H:2 * H] + pre_h[:, H:2 * H])
+    ghn = pre_h[:, 2 * H:].copy()
+    n = np.tanh(pre_x[:, 2 * H:] + r * ghn)
+    return z * h + (1.0 - z) * n, r, z, n, ghn
+
+
+@pytest.mark.parametrize("B, n_in, H", [(1, 58, 64), (8, 58, 64),
+                                        (32, 59, 64), (5, 14, 8)])
+def test_batched_gru_fwd_matches_dot_form(B, n_in, H):
+    rng = np.random.default_rng(B + n_in + H)
+    w = _gru_weights(rng, n_in, H)
+    x = rng.random((B, n_in))
+    h = rng.uniform(-1.0, 1.0, (B, H))
+    for a, b in zip(K.gru_fwd(x, h, *w), _gru_fwd_dot(x, h, *w)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # ------------------------------------------------------------ distributions
 
 def test_softmax_gradcheck():
