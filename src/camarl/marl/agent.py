@@ -170,24 +170,25 @@ class AgentLearner:
         self.opt.load_arrays(arrays)
 
 
-def team_policy(learners, epsilon: float = 0.0, rng=None, n_envs: int = 1):
-    """Joint-action callable for one lockstep rollout of n_envs episodes.
+def team_policy(learners, epsilon: float = 0.0, rng=None):
+    """Joint-action callable for one lockstep rollout of E episodes.
 
-    act(obs) maps the (E, N, D) observations to (E, N) actions.  Each
-    learner acts on its (E, obs_dim) column through AgentLearner.act,
-    carrying its (E, 1, H) hidden state and previous actions across the
-    steps; build a fresh one per rollout.  At epsilon 0 nothing is drawn
-    from rng and every agent takes its argmax.  Exploration draws in
-    agent order and needs n_envs == 1.
+    act(obs) maps the (E, N, D) observations to (E, N) actions; E is
+    read off the first call.  Each learner acts on its (E, obs_dim)
+    column through AgentLearner.act, carrying its (E, 1, H) hidden state
+    and previous actions across the steps; build a fresh one per
+    rollout.  At epsilon 0 nothing is drawn from rng and every agent
+    takes its argmax.  Exploration draws in agent order and, like
+    AgentLearner.act, takes a single env.
     """
-    if epsilon > 0 and n_envs != 1:
-        raise UsageError("exploration needs n_envs == 1; lockstep "
-                         "rollouts are greedy")
-    hidden = [ln.initial_hidden(n_envs) for ln in learners]
-    prev = np.full((n_envs, len(learners)), -1)
+    hidden = None
+    prev = None
 
     def act(obs):
-        nonlocal prev
+        nonlocal hidden, prev
+        if prev is None:
+            hidden = [ln.initial_hidden(obs.shape[0]) for ln in learners]
+            prev = np.full(obs.shape[:2], -1)
         acts = np.empty_like(prev)
         for i, ln in enumerate(learners):
             acts[:, i], hidden[i] = ln.act(obs[:, i], prev[:, i], hidden[i],

@@ -41,8 +41,7 @@ def evaluate(learners, env_id: str, n_episodes: int, seed: int) -> EvalSummary:
     spec = env_spec(env_id)
     seeds = np.random.SeedSequence(seed).generate_state(n_episodes)
     envs = [make_env(env_id, int(s)) for s in seeds]
-    episodes = collect_episodes(envs, team_policy(learners,
-                                                  n_envs=n_episodes))
+    episodes = collect_episodes(envs, team_policy(learners))
     returns = np.empty(n_episodes)
     wins = 0
     events = np.zeros(spec.n_agents)

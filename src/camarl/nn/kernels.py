@@ -15,12 +15,14 @@ batch or an ``(E, 1, n)`` stack of single rows.  They multiply with
 ``(1, n)`` product, so a stacked step is bit-identical to E separate
 single-row steps.  ``np.dot`` on a 3-D stack would fold the rows into
 one GEMM and round differently.  numba documents ``np.dot``/``@`` for
-1-D and 2-D arrays only, so the stacked call is numpy-only; it has not
-been run under numba.
+1-D and 2-D arrays only, so ``qnet_step`` is a plain-Python dispatcher
+that, under numba, hands a stack to the compiled kernel one ``(1, n)``
+row at a time; that path has not been run under numba.
 """
 
 import numpy as np
 
+from camarl import accel
 from camarl.accel import jit
 
 ACT_IDENTITY = 0
@@ -84,11 +86,8 @@ def gru_fwd(x, h, Wx, Wh, bx, bh):
     H = h.shape[-1]
     pre_x = x @ Wx + bx
     pre_h = h @ Wh + bh
-    # one sigmoid over both gates: elementwise, so the bits are those of
-    # two separate calls
-    rz = sigmoid_stable(pre_x[..., :2 * H] + pre_h[..., :2 * H])
-    r = rz[..., :H]
-    z = rz[..., H:]
+    r = sigmoid_stable(pre_x[..., :H] + pre_h[..., :H])
+    z = sigmoid_stable(pre_x[..., H:2 * H] + pre_h[..., H:2 * H])
     ghn = pre_h[..., 2 * H:].copy()
     n = np.tanh(pre_x[..., 2 * H:] + r * ghn)
     h_new = z * h + (1.0 - z) * n
@@ -185,11 +184,26 @@ def qnet_unroll_bwd(X, h0, Hs, R, Z, Nc, GHN, Wx, Wh, Wq, dQ):
 
 
 @jit
-def qnet_step(x, h, Wx, Wh, bx, bh, Wq, bq):
-    """Single acting step: returns (q, h_new) without storing intermediates."""
+def _qnet_step_2d(x, h, Wx, Wh, bx, bh, Wq, bq):
     h_new, r, z, n, ghn = gru_fwd(x, h, Wx, Wh, bx, bh)
     q = h_new @ Wq + bq
     return q, h_new
+
+
+def qnet_step(x, h, Wx, Wh, bx, bh, Wq, bq):
+    """Single acting step: returns (q, h_new) without storing intermediates.
+
+    x and h are a (B, .) batch or an (E, 1, .) stack of single rows.
+    Compiled kernels see 2-D operands only, so under numba a stack steps
+    row by row; the bits are those of the stacked numpy call.
+    """
+    if x.ndim == 3 and accel.BACKEND == "numba":
+        q = np.empty(x.shape[:2] + (Wq.shape[1],))
+        h_new = np.empty_like(h)
+        for e in range(x.shape[0]):
+            q[e], h_new[e] = _qnet_step_2d(x[e], h[e], Wx, Wh, bx, bh, Wq, bq)
+        return q, h_new
+    return _qnet_step_2d(x, h, Wx, Wh, bx, bh, Wq, bq)
 
 
 @jit

@@ -220,11 +220,13 @@ def test_exploration_takes_one_row():
     with pytest.raises(UsageError):
         ln.act(np.zeros((2, 6)), np.full(2, -1), ln.initial_hidden(2), 0.5,
                rng)
+    obs = np.zeros((2, 2, 6))
     with pytest.raises(UsageError):
-        team_policy([ln, _learner(seed=1)], 0.5, rng, n_envs=2)
+        team_policy([ln, _learner(seed=1)], 0.5, rng)(obs)
     # greedy lockstep and single-env exploration are both allowed
-    team_policy([ln], 0.0, n_envs=2)
-    team_policy([ln], 0.5, rng, n_envs=1)
+    assert team_policy([ln, _learner(seed=1)])(obs).shape == (2, 2)
+    assert team_policy([ln, _learner(seed=1)], 0.5, rng)(obs[:1]).shape \
+        == (1, 2)
 
 
 def _manual_batch(ln, rewards, n_steps, action=0):
@@ -372,7 +374,7 @@ def test_lockstep_matches_sequential_episodes(env_id, E):
                 for i in range(spec.n_agents)]
     seeds = [700 + k for k in range(E)]
     lockstep = collect_episodes([make_env(env_id, s) for s in seeds],
-                                team_policy(learners, n_envs=E))
+                                team_policy(learners))
     assert len(lockstep) == E
     for s, got in zip(seeds, lockstep):
         want = collect_episode(make_env(env_id, s), team_policy(learners))

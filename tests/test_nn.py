@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import gradcheck, relative_error
+from camarl import accel
 from camarl.errors import ConfigurationError, UsageError
 from camarl.nn import tensor as T
 from camarl.nn import functional as F
@@ -238,6 +239,34 @@ def test_stacked_acting_kernels_match_single_rows(E, n_in):
         q_e, h_e = K.qnet_step(x[e], h[e], Wx, Wh, bx, bh, Wq, bq)
         assert q[e].tobytes() == q_e.tobytes()
         assert h_new[e].tobytes() == h_e.tobytes()
+
+
+def test_numba_dispatch_steps_a_stack_as_2d_rows(monkeypatch):
+    # numba's @ takes 2-D operands only, so under that backend qnet_step
+    # must feed the compiled kernel (1, n) rows and keep the stacked bits
+    H, n_in, A, E = 16, 14, 5, 4
+    rng = np.random.default_rng(3)
+    Wx, Wh, bx, bh = _gru_weights(rng, n_in, H)
+    Wq, bq = rng.uniform(-0.3, 0.3, (H, A)), rng.uniform(-0.1, 0.1, A)
+    x = rng.random((E, 1, n_in))
+    h = rng.uniform(-1.0, 1.0, (E, 1, H))
+    want_q, want_h = K.qnet_step(x, h, Wx, Wh, bx, bh, Wq, bq)
+
+    compiled = K._qnet_step_2d
+    seen = []
+
+    def kernel(*args):
+        seen.append(tuple(a.ndim for a in args[:2]))
+        return compiled(*args)
+
+    monkeypatch.setattr(accel, "BACKEND", "numba")
+    monkeypatch.setattr(K, "_qnet_step_2d", kernel)
+    q, h_new = K.qnet_step(x, h, Wx, Wh, bx, bh, Wq, bq)
+    assert seen == [(2, 2)] * E
+    assert q.tobytes() == want_q.tobytes()
+    assert h_new.tobytes() == want_h.tobytes()
+    K.qnet_step(x[0], h[0], Wx, Wh, bx, bh, Wq, bq)
+    assert seen[-1] == (2, 2) and len(seen) == E + 1
 
 
 def _gru_fwd_dot(x, h, Wx, Wh, bx, bh):
