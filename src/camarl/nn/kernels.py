@@ -195,7 +195,7 @@ def qnet_step(x, h, Wx, Wh, bx, bh, Wq, bq):
 
     x and h are a (B, .) batch or an (E, 1, .) stack of single rows.
     Compiled kernels see 2-D operands only, so under numba a stack steps
-    row by row; the bits are those of the stacked numpy call.
+    row by row; either way each row rounds as a single-row call.
     """
     if x.ndim == 3 and accel.BACKEND == "numba":
         q = np.empty(x.shape[:2] + (Wq.shape[1],))
