@@ -1,7 +1,8 @@
 """Causality-masked multi-agent Q-learning laboratory.
 
 Subpackages:
-    nn       minimal reverse-mode tensor substrate (dense, GRU, RMSprop)
+    nn       float64 array substrate: parameters, fused forward and
+             backward kernels (dense, GRU), RMSprop, checkpoints
     envs     seeded cooperative gridworlds and their causality oracles
     marl     independent recurrent Q-learners (IDQL / ICL / ACD-MARL)
     acd      amortized causal discovery over episode time series

@@ -23,8 +23,8 @@ def predict_c(model: AcdModel, sample: SeriesSample) -> np.ndarray:
     whether the model found an edge from observation node i into the
     reward node.
     """
-    logits = model.encode(sample.x[None]).data[0]
-    a = adjacency(model, model.hard_edges(logits))
+    logits, _ = model.encode(sample.x[None])
+    a = adjacency(model, model.hard_edges(logits[0]))
     return a[:-1, -1].copy()
 
 

@@ -2,27 +2,44 @@
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from camarl.errors import ConfigurationError
-from camarl.nn.functional import kl_categorical_uniform
 
 
 @dataclass
 class ElboTerms:
-    nll: object    # scalar tensors; total = nll + kl is what training minimizes
-    kl: object
-    total: object
+    nll: float     # total = nll + kl is what training minimizes
+    kl: float
+    total: float
+    g_pred: np.ndarray    # d(total)/d(pred)
+    g_logits: np.ndarray  # d(kl)/d(logits); the edge sample adds its own
 
 
 def elbo_loss(pred, target, logits, sigma: float) -> ElboTerms:
-    """Per-sample-averaged ELBO terms.
+    """Per-sample-averaged ELBO terms and their closed-form gradients.
 
     nll = sum((pred - target)^2) / (2 sigma) with sigma the decoder's
-    output variance; kl compares the edge posterior against the uniform
-    prior over the two edge types.  Both are averaged over the batch.
+    output variance; kl compares the edge posterior softmax(logits)
+    against the uniform prior over the two edge types.  Both are
+    averaged over the batch.  The KL gradient is the log-softmax term
+    plus the softmax term, in that order.
     """
     if sigma <= 0:
         raise ConfigurationError(f"variance must be positive, got {sigma}")
-    batch = pred.data.shape[0]
-    nll = (pred - target).square().sum() * (1.0 / (2.0 * sigma * batch))
-    kl = kl_categorical_uniform(logits, axis=-1).sum() * (1.0 / batch)
-    return ElboTerms(nll=nll, kl=kl, total=nll + kl)
+    batch = pred.shape[0]
+    diff = pred - target
+    c = 1.0 / (2.0 * sigma * batch)
+    nll = (diff * diff).sum() * c
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    q = e / e.sum(axis=-1, keepdims=True)
+    lq = shifted - np.log(e.sum(axis=-1, keepdims=True))
+    kl = ((q * lq).sum(axis=-1) + float(np.log(logits.shape[-1]))).sum()
+    kl = kl * (1.0 / batch)
+    g_q = (1.0 / batch) * lq
+    g_lq = (1.0 / batch) * q
+    g_logits = g_lq - np.exp(lq) * g_lq.sum(axis=-1, keepdims=True)
+    g_logits += q * (g_q - (g_q * q).sum(axis=-1, keepdims=True))
+    return ElboTerms(nll=float(nll), kl=float(kl), total=float(nll + kl),
+                     g_pred=(2.0 * c) * diff, g_logits=g_logits)

@@ -9,11 +9,10 @@ import numpy as np
 import camarl
 from camarl.envs import env_spec
 from camarl.errors import ConfigurationError, UsageError
-from camarl.nn.tensor import backward
 from camarl.nn.optim import RmspropState, rmsprop_update
 from camarl.acd.dataset import preprocess
 from camarl.acd.loss import elbo_loss
-from camarl.acd.model import AcdModel
+from camarl.acd.model import AcdModel, gumbel_softmax_bwd
 
 TEMPERATURE = 0.5
 
@@ -21,6 +20,18 @@ TEMPERATURE = 0.5
 def sigma_for(env_id: str) -> float:
     """Decoder output variance: larger for the noisier combat rewards."""
     return 5e-3 if env_spec(env_id).family == "sk" else 5e-4
+
+
+def backward(model: AcdModel, terms, enc, dec, soft):
+    """Add the gradient of the ELBO into every parameter's ``.grad``.
+
+    enc and dec are the caches of the batch's encode and decode, soft
+    the edge sample drawn at TEMPERATURE.  The logits take the KL
+    gradient first and the edge sample's second.
+    """
+    g_weight = model.decode_bwd(dec, terms.g_pred)
+    model.encode_bwd(enc, terms.g_logits
+                     + gumbel_softmax_bwd(soft, TEMPERATURE, g_weight))
 
 
 @dataclass
@@ -77,15 +88,15 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
         for lo in range(0, M, batch_size):
             idx = order[lo:lo + batch_size]
             xb = data[idx]
-            logits = model.encode(xb)
-            w = model.sample_edges(logits, TEMPERATURE, rng=rng_noise)
-            pred = model.decode(xb, w)
+            logits, enc = model.encode(xb)
+            w, soft = model.sample_edges(logits, TEMPERATURE, rng=rng_noise)
+            pred, dec = model.decode(xb, w)
             terms = elbo_loss(pred, xb[:, :, 1:, :], logits, sigma)
-            backward(terms.total)
+            backward(model, terms, enc, dec, soft)
             rmsprop_update(model.params, opt, lr=lr)
             b = len(idx)
-            nll_sum += float(terms.nll.data) * b
-            kl_sum += float(terms.kl.data) * b
+            nll_sum += terms.nll * b
+            kl_sum += terms.kl * b
             n_seen += b
         row = {"epoch": epoch, "nll": nll_sum / n_seen, "kl": kl_sum / n_seen,
                "total": (nll_sum + kl_sum) / n_seen}
@@ -98,7 +109,7 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
 
 
 def save_acd(out_dir: Path, model: AcdModel, result: AcdResult):
-    from camarl.nn.checkpoint import save_checkpoint
+    from camarl.nn.checkpoint import atomic_open, save_checkpoint
 
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = dict(model.meta())
@@ -107,7 +118,7 @@ def save_acd(out_dir: Path, model: AcdModel, result: AcdResult):
                  "substrate_version": camarl.SUBSTRATE_VERSION})
     save_checkpoint(out_dir / "encoder.ckpt", model.params.state_arrays(),
                     meta)
-    with open(out_dir / "acd_log.csv", "w", newline="") as f:
+    with atomic_open(out_dir / "acd_log.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["epoch", "nll", "kl", "total"])
         for row in result.rows:

@@ -204,7 +204,9 @@ def _exec_acd_eval(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
 def _write_accuracy(path, acc):
     import csv
 
-    with open(path, "w", newline="") as f:
+    from camarl.nn.checkpoint import atomic_open
+
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["correct", "false_positive", "false_negative", "n_pairs"])
         w.writerow([repr(acc["correct"]), repr(acc["false_positive"]),

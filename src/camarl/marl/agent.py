@@ -12,7 +12,6 @@ from camarl.errors import UsageError
 from camarl.nn import kernels
 from camarl.nn.layers import ParamSet, _uniform_init
 from camarl.nn.optim import RmspropState, rmsprop_update
-from camarl.nn.tensor import Parameter
 
 PARAM_NAMES = ("gru.Wx", "gru.Wh", "gru.bx", "gru.bh", "head.W", "head.b")
 
@@ -28,15 +27,13 @@ class AgentLearner:
         self.grad_clip = grad_clip
         rng = np.random.default_rng(seed)
         p = ParamSet()
-        p.add("gru.Wx", Parameter(
-            _uniform_init(rng, self.n_in, (self.n_in, 3 * n_hidden))))
-        p.add("gru.Wh", Parameter(
-            _uniform_init(rng, n_hidden, (n_hidden, 3 * n_hidden))))
-        p.add("gru.bx", Parameter(np.zeros(3 * n_hidden)))
-        p.add("gru.bh", Parameter(np.zeros(3 * n_hidden)))
-        p.add("head.W", Parameter(
-            _uniform_init(rng, n_hidden, (n_hidden, n_actions))))
-        p.add("head.b", Parameter(np.zeros(n_actions)))
+        p.add("gru.Wx",
+              _uniform_init(rng, self.n_in, (self.n_in, 3 * n_hidden)))
+        p.add("gru.Wh", _uniform_init(rng, n_hidden, (n_hidden, 3 * n_hidden)))
+        p.add("gru.bx", np.zeros(3 * n_hidden))
+        p.add("gru.bh", np.zeros(3 * n_hidden))
+        p.add("head.W", _uniform_init(rng, n_hidden, (n_hidden, n_actions)))
+        p.add("head.b", np.zeros(n_actions))
         self.params = p
         self.target = {k: v.copy() for k, v in p.state_arrays().items()}
         self.opt = RmspropState(p)

@@ -6,6 +6,7 @@ import numpy as np
 from scipy import stats
 
 from camarl.envs import env_spec, make_env
+from camarl.errors import UsageError
 from camarl.marl.agent import team_policy
 from camarl.marl.episode import collect_episodes
 
@@ -38,6 +39,9 @@ def evaluate(learners, env_id: str, n_episodes: int, seed: int) -> EvalSummary:
     Deterministic given the seed and the learner parameters, and
     bit-identical to rolling the episodes one after another.
     """
+    if n_episodes < 1:
+        raise UsageError(
+            f"need at least one evaluation episode, got {n_episodes}")
     spec = env_spec(env_id)
     seeds = np.random.SeedSequence(seed).generate_state(n_episodes)
     envs = [make_env(env_id, int(s)) for s in seeds]

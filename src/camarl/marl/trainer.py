@@ -232,9 +232,11 @@ CSV_FIELDS = ("step", "episode", "eval_return_mean", "eval_return_ci95",
 
 
 def write_log(path, rows, n_agents):
+    from camarl.nn.checkpoint import atomic_open
+
     fields = list(CSV_FIELDS) + [f"event_count_agent_{i}"
                                  for i in range(n_agents)]
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(fields)
         for row in rows:
@@ -243,7 +245,7 @@ def write_log(path, rows, n_agents):
 
 
 def save_run(out_dir: Path, config: TrainConfig, result: TrainResult):
-    from camarl.nn.checkpoint import save_checkpoint
+    from camarl.nn.checkpoint import atomic_open, save_checkpoint
 
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = env_spec(config.env_id)
@@ -266,7 +268,7 @@ def save_run(out_dir: Path, config: TrainConfig, result: TrainResult):
             "n_hidden": config.n_hidden,
             "mask_mode": mask_mode(config.trainer),
             "substrate_version": camarl.SUBSTRATE_VERSION}
-    with open(out_dir / "run.json", "w") as f:
+    with atomic_open(out_dir / "run.json", "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
 

@@ -1,26 +1,23 @@
-"""Reverse-mode autodiff substrate with fused recurrent kernels.
+"""Array substrate: parameters, fused kernels, RMSprop and checkpoints.
 
-Everything trains in float64 on the CPU.  Hot paths (dense layers, GRU
-steps, whole-episode Q-network unrolls) are implemented once in
-numba-compatible numpy and compiled or not depending on the selected
-backend, see ``camarl.accel``.
+Everything trains in float64 on the CPU.  There is no autodiff: each
+model pairs explicit forward and backward array passes (dense layers,
+GRU steps, whole-episode Q-network unrolls) built on the kernels of
+``camarl.nn.kernels``, written once in numba-compatible numpy and
+compiled or not depending on the selected backend, see
+``camarl.accel``.  Backward passes add into each ``Parameter``'s
+``.grad``, which the optimizer zeroes after its step.
 """
 
-from camarl.nn.tensor import Tensor, Parameter, constant, backward
-from camarl.nn.layers import Dense, GruCell, ParamSet
-from camarl.nn import functional
+from camarl.nn.layers import Dense, GruCell, Parameter, ParamSet
 from camarl.nn.optim import RmspropState, rmsprop_update, clip_global_norm
 from camarl.nn.checkpoint import save_checkpoint, load_checkpoint
 
 __all__ = [
-    "Tensor",
-    "Parameter",
-    "constant",
-    "backward",
     "Dense",
     "GruCell",
+    "Parameter",
     "ParamSet",
-    "functional",
     "RmspropState",
     "rmsprop_update",
     "clip_global_norm",

@@ -5,8 +5,10 @@ length, a canonical-JSON header (sorted keys, fixed separators), then the
 raw little-endian float64 tensor payloads in header order.  Unlike zip
 containers there are no timestamps, so saving identical state twice gives
 identical bytes, which the rerun guarantees in the harness depend on.
+Checkpoints and the run logs are all written through ``atomic_open``.
 """
 
+import contextlib
 import json
 import os
 import struct
@@ -19,12 +21,32 @@ _MAGIC = b"CMCK"
 _VERSION = 1
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode, **kwargs):
+    """``open(path, mode)`` through a sibling temp file.
+
+    The temp file replaces ``path`` only once the block completes, so a
+    block that raises leaves any earlier file at ``path`` intact and no
+    temp file behind.  There is no ``fsync``: a crash of this process
+    cannot tear the file, but a power loss before the operating system
+    writes its cache back can.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def save_checkpoint(path, arrays, meta=None):
     """Write named float64 arrays plus a JSON-serializable meta dict.
 
-    The substrate version is always recorded in the header.  The bytes
-    go to a sibling temp file that replaces ``path`` only once complete,
-    so a failed save leaves any earlier file at ``path`` intact.
+    The substrate version is always recorded in the header.  The file is
+    written through ``atomic_open``, so a failed save leaves any earlier
+    file at ``path`` intact.
     """
     from camarl import SUBSTRATE_VERSION
 
@@ -38,20 +60,14 @@ def save_checkpoint(path, arrays, meta=None):
                     for n in names],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(_MAGIC)
-            f.write(struct.pack("<I", _VERSION))
-            f.write(struct.pack("<Q", len(blob)))
-            f.write(blob)
-            for n in names:
-                a = np.ascontiguousarray(np.asarray(arrays[n], dtype="<f8"))
-                f.write(a.tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    with atomic_open(path, "wb") as f:
+        f.write(_MAGIC)
+        f.write(struct.pack("<I", _VERSION))
+        f.write(struct.pack("<Q", len(blob)))
+        f.write(blob)
+        for n in names:
+            a = np.ascontiguousarray(np.asarray(arrays[n], dtype="<f8"))
+            f.write(a.tobytes())
 
 
 def _well_formed(header):

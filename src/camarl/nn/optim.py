@@ -14,7 +14,7 @@ EPS = 1e-8
 
 class RmspropState:
     def __init__(self, params):
-        self.v = {name: np.zeros(t.data.size) for name, t in params.named()}
+        self.v = {name: np.zeros(p.data.size) for name, p in params.named()}
 
     def arrays(self):
         return {"opt." + name: v for name, v in self.v.items()}
@@ -30,15 +30,13 @@ def clip_global_norm(params, max_norm):
     Returns the pre-clip norm.
     """
     total = 0.0
-    for _, t in params.named():
-        if t.grad is not None:
-            total += K.sumsq(t.grad.reshape(-1))
+    for _, p in params.named():
+        total += K.sumsq(p.grad.reshape(-1))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         s = max_norm / norm
-        for _, t in params.named():
-            if t.grad is not None:
-                K.scale_inplace(t.grad.reshape(-1), s)
+        for _, p in params.named():
+            K.scale_inplace(p.grad.reshape(-1), s)
     return norm
 
 
@@ -51,10 +49,8 @@ def rmsprop_update(params, state: RmspropState, lr: float, max_norm=None):
     norm = None
     if max_norm is not None:
         norm = clip_global_norm(params, max_norm)
-    for name, t in params.named():
-        if t.grad is None:
-            continue
-        K.rmsprop_step(t.data.reshape(-1), t.grad.reshape(-1), state.v[name],
+    for name, p in params.named():
+        K.rmsprop_step(p.data.reshape(-1), p.grad.reshape(-1), state.v[name],
                        lr, RHO, EPS)
-        t.grad.fill(0.0)
+        p.grad.fill(0.0)
     return norm

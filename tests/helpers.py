@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from camarl.nn import tensor as T
+import tape as T
 
 
 def relative_error(a, n):

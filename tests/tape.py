@@ -1,19 +1,23 @@
-"""Small reverse-mode tape over float64 ndarrays.
+"""Reference reverse-mode tape over float64 ndarrays.
+
+The package computes gradients with explicit forward and backward array
+passes.  This tape is the independent reference they are checked
+against: the Q-network unroll and the edge model's ELBO are rebuilt
+here from small ops, and their losses and gradients compared with the
+fused passes, the edge model's byte for byte.
 
 Nodes record a backward closure; ``backward`` walks the graph with an
 iterative topological sort (episode unrolls can be thousands of nodes
 deep, which would blow the recursion limit).  Gradients accumulate into
 leaf ``.grad`` buffers and are never zeroed implicitly: calling
 ``backward`` twice doubles them, mirroring the usual deep-learning
-contract.
-
-Only the operations the package actually needs exist.  The dense layer
-forward/backward goes through the fused kernels in ``camarl.nn.kernels``
-so it benefits from the compiled backend.
+contract.  The dense layer and GRU step go through the package's fused
+kernels.
 """
 
 import numpy as np
 
+from camarl.acd.model import EDGE_TYPES
 from camarl.errors import ConfigurationError, UsageError
 from camarl.nn import kernels as K
 
@@ -346,3 +350,98 @@ def log_softmax(x, axis=-1):
 
     return _node(data, (x,), bwd)
 
+
+
+# ----------------------------------------------------- composite functions
+
+def gumbel_softmax(logits, temperature, noise):
+    """Concrete relaxation of a categorical over the last axis.
+
+    ``noise`` is a precomputed Gumbel array matching ``logits``.
+    """
+    logits = _wrap(logits)
+    if np.asarray(noise).shape != logits.data.shape:
+        raise UsageError("gumbel noise shape must match logits")
+    if temperature <= 0.0:
+        raise ConfigurationError("gumbel temperature must be positive")
+    return softmax((logits + constant(noise)) * (1.0 / temperature), axis=-1)
+
+
+def kl_categorical_uniform(logits, axis=-1):
+    """KL(softmax(logits) || uniform) taken over ``axis``, other axes kept."""
+    k = _wrap(logits).data.shape[axis]
+    q = softmax(logits, axis=axis)
+    lq = log_softmax(logits, axis=axis)
+    return (q * lq).sum(axis=axis) + float(np.log(k))
+
+
+# ------------------------------------------------------- the ACD edge model
+
+class TapeAcd:
+    """An ``AcdModel``'s ELBO on the tape.
+
+    The leaves share the model's parameter arrays and carry their own
+    gradients, so a fused backward on the model and ``backward`` here
+    can be compared parameter by parameter.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.leaves = {name: Tensor(p.data, requires_grad=True)
+                       for name, p in model.params.named()}
+
+    def _dense(self, name, x):
+        act = getattr(self.model, name.split(".")[1]).act
+        return dense(x, self.leaves[name + ".W"], self.leaves[name + ".b"], act)
+
+    def encode(self, x):
+        m = self.model
+        B, n, e = x.shape[0], m.n_nodes, m.enc_hidden
+        flat = constant(x.reshape(B * n, -1))
+        h = self._dense("enc.emb2", self._dense("enc.emb1", flat))
+        h = h.reshape((B, n, e))
+        pair = concat([take(h, m.src, axis=1), take(h, m.dst, axis=1)],
+                      axis=2).reshape((B * m.n_pairs, 2 * e))
+        msg = self._dense("enc.fe1b", self._dense("enc.fe1a", pair))
+        msg = msg.reshape((B, m.n_pairs, e))
+        pooled = mix_axis1(msg, m.agg).reshape((B * n, e))
+        h2 = self._dense("enc.fvb", self._dense("enc.fva", pooled))
+        h2 = h2.reshape((B, n, e))
+        pair2 = concat([take(h2, m.src, axis=1), take(h2, m.dst, axis=1)],
+                       axis=2).reshape((B * m.n_pairs, 2 * e))
+        out = self._dense("enc.head", self._dense(
+            "enc.fe2b", self._dense("enc.fe2a", pair2)))
+        return out.reshape((B, m.n_pairs, EDGE_TYPES))
+
+    def sample_edges(self, logits, temperature, noise):
+        sample = gumbel_softmax(logits, temperature, noise)
+        picked = take(sample, np.array([1]), axis=2)
+        return picked.reshape(logits.data.shape[:2])
+
+    def decode(self, x, edge_weight):
+        m = self.model
+        B, n, Tlen, D = x.shape
+        d = m.dec_hidden
+        L = self.leaves
+        w = edge_weight.reshape((B, m.n_pairs, 1))
+        h = constant(np.zeros((B * n, d)))
+        preds = []
+        for t in range(Tlen - 1):
+            xt = x[:, :, t, :]
+            msg = self._dense("dec.msg", constant(xt.reshape(B * n, D)))
+            gated = take(msg.reshape((B, n, d)), m.src, axis=1) * w
+            pooled = mix_axis1(gated, m.agg)
+            gin = concat([constant(xt), pooled], axis=2)
+            h = gru_step(gin.reshape((B * n, D + d)), h, L["dec.gru.Wx"],
+                         L["dec.gru.Wh"], L["dec.gru.bx"], L["dec.gru.bh"])
+            delta = self._dense("dec.out", h).reshape((B, n, 1, D))
+            preds.append(constant(xt.reshape(B, n, 1, D)) + delta)
+        return concat(preds, axis=2)
+
+
+def elbo_loss(pred, target, logits, sigma):
+    """(nll, kl, total) tensors of the per-sample-averaged ELBO."""
+    batch = pred.data.shape[0]
+    nll = (pred - target).square().sum() * (1.0 / (2.0 * sigma * batch))
+    kl = kl_categorical_uniform(logits, axis=-1).sum() * (1.0 / batch)
+    return nll, kl, nll + kl

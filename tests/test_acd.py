@@ -18,8 +18,9 @@ from camarl.envs import OBS_DIM, env_spec
 from camarl.errors import (
     CollectionError, ConfigurationError, UsageError)
 from camarl.marl import EpisodeRecord
-from camarl.nn.functional import sample_gumbel
-from camarl.nn.tensor import backward
+from camarl.acd.model import sample_gumbel
+from camarl.acd.training import TEMPERATURE, backward
+from camarl.nn.optim import RmspropState, rmsprop_update
 
 from helpers import relative_error
 
@@ -217,8 +218,8 @@ def test_ordered_pairs_count():
 def test_encoder_logit_shape_and_determinism():
     m = _toy_model()
     x = _toy_batch()
-    a = m.encode(x).data
-    b = m.encode(x).data
+    a = m.encode(x)[0]
+    b = m.encode(x)[0]
     assert a.shape == (2, 12, 2)
     np.testing.assert_array_equal(a, b)
 
@@ -234,11 +235,11 @@ def test_encoder_input_validation():
 def test_encoder_permutation_equivariance():
     m = _toy_model()
     x = _toy_batch(B=1)
-    logits = m.encode(x).data[0]
+    logits = m.encode(x)[0][0]
     # swap observation nodes 0 and 2
     perm = np.array([2, 1, 0, 3])
     xp = x[:, perm]
-    logits_p = m.encode(xp).data[0]
+    logits_p = m.encode(xp)[0][0]
     src, dst = m.src, m.dst
     pair_index = {(i, j): p for p, (i, j) in enumerate(zip(src, dst))}
     inv = np.argsort(perm)
@@ -251,19 +252,18 @@ def test_zeroed_head_gives_uniform_logits():
     m = _toy_model()
     m.params["enc.head.W"].data[...] = 0.0
     m.params["enc.head.b"].data[...] = 0.0
-    logits = m.encode(_toy_batch()).data
+    logits = m.encode(_toy_batch())[0]
     np.testing.assert_array_equal(logits, 0.0)
 
 
 def test_decoder_no_edge_blocks_information():
     m = _toy_model()
     x = _toy_batch(B=1, seed=5)
-    from camarl.nn.tensor import constant
-    w = constant(np.zeros((1, m.n_pairs)))
-    base = m.decode(x, w).data
+    w = np.zeros((1, m.n_pairs))
+    base = m.decode(x, w)[0]
     x2 = x.copy()
     x2[0, 0] += 3.21  # perturb node 0's whole series
-    pert = m.decode(x2, w).data
+    pert = m.decode(x2, w)[0]
     # all other nodes' predictions are exactly unchanged
     np.testing.assert_array_equal(base[0, 1:], pert[0, 1:])
     assert np.abs(base[0, 0] - pert[0, 0]).max() > 0
@@ -272,15 +272,14 @@ def test_decoder_no_edge_blocks_information():
 def test_decoder_edge_carries_information():
     m = _toy_model()
     x = _toy_batch(B=1, seed=6)
-    from camarl.nn.tensor import constant
     w_data = np.zeros((1, m.n_pairs))
     pair = [p for p, (i, j) in enumerate(zip(m.src, m.dst))
             if i == 0 and j == 1][0]
     w_data[0, pair] = 1.0
-    base = m.decode(x, constant(w_data)).data
+    base = m.decode(x, w_data)[0]
     x2 = x.copy()
     x2[0, 0] += 3.21
-    pert = m.decode(x2, constant(w_data)).data
+    pert = m.decode(x2, w_data)[0]
     assert np.abs(base[0, 1] - pert[0, 1]).max() > 0
     # nodes without an incoming edge from node 0 stay put
     np.testing.assert_array_equal(base[0, 2:], pert[0, 2:])
@@ -302,51 +301,82 @@ def test_adjacency_can_be_asymmetric():
 def test_elbo_zero_cases():
     m = _toy_model()
     x = _toy_batch(B=2, seed=7)
-    logits = m.encode(x)
+    logits, _ = m.encode(x)
     rng = np.random.default_rng(0)
-    w = m.sample_edges(logits, 0.5, rng=rng)
-    pred = m.decode(x, w)
-    terms = elbo_loss(pred, pred.data.copy(), logits, sigma=5e-4)
-    assert terms.nll.data == 0.0
-    assert terms.kl.data >= 0.0
+    w, _ = m.sample_edges(logits, 0.5, rng=rng)
+    pred, _ = m.decode(x, w)
+    terms = elbo_loss(pred, pred.copy(), logits, sigma=5e-4)
+    assert terms.nll == 0.0
+    assert terms.kl >= 0.0
     # uniform posterior -> zero KL
     m.params["enc.head.W"].data[...] = 0.0
     m.params["enc.head.b"].data[...] = 0.0
-    logits_u = m.encode(x)
-    terms_u = elbo_loss(pred, pred.data.copy(), logits_u, sigma=5e-4)
-    assert abs(float(terms_u.kl.data)) < 1e-12
+    logits_u, _ = m.encode(x)
+    terms_u = elbo_loss(pred, pred.copy(), logits_u, sigma=5e-4)
+    assert abs(terms_u.kl) < 1e-12
 
 
 def test_elbo_hand_value():
     # single scalar error of 0.1 at sigma 5e-3: 0.01 / (2 * 0.005) = 1.0
-    from camarl.nn.tensor import constant
-    pred = constant(np.full((1, 1, 1, 1), 0.1))
+    pred = np.full((1, 1, 1, 1), 0.1)
     target = np.zeros((1, 1, 1, 1))
-    logits = constant(np.zeros((1, 1, 2)))
+    logits = np.zeros((1, 1, 2))
     terms = elbo_loss(pred, target, logits, sigma=5e-3)
-    assert abs(float(terms.nll.data) - 1.0) < 1e-12
-    assert abs(float(terms.total.data) - 1.0) < 1e-12
+    assert abs(terms.nll - 1.0) < 1e-12
+    assert abs(terms.total - 1.0) < 1e-12
+    # d nll / d pred = (pred - target) / (sigma * batch) = 20
+    assert abs(terms.g_pred.item() - 20.0) < 1e-12
+    np.testing.assert_array_equal(terms.g_logits, 0.0)
 
 
 def test_elbo_sigma_validation():
-    from camarl.nn.tensor import constant
-    pred = constant(np.zeros((1, 1, 1, 1)))
+    pred = np.zeros((1, 1, 1, 1))
     with pytest.raises(ConfigurationError):
-        elbo_loss(pred, pred.data, constant(np.zeros((1, 1, 2))), sigma=0.0)
+        elbo_loss(pred, pred, np.zeros((1, 1, 2)), sigma=0.0)
 
 
 def test_elbo_gradient_flows_through_encoder():
     m = _toy_model(n_nodes=3, T=12, D=2)
     x = _toy_batch(n=3, T=12, D=2, B=2, seed=8)
     rng = np.random.default_rng(1)
-    logits = m.encode(x)
-    noise = sample_gumbel(rng, logits.data.shape)
-    w = m.sample_edges(logits, 0.5, noise=noise)
-    pred = m.decode(x, w)
+    logits, enc = m.encode(x)
+    noise = sample_gumbel(rng, logits.shape)
+    w, soft = m.sample_edges(logits, TEMPERATURE, noise=noise)
+    pred, dec = m.decode(x, w)
     terms = elbo_loss(pred, x[:, :, 1:, :], logits, sigma=5e-4)
-    backward(terms.total)
+    backward(m, terms, enc, dec, soft)
     g = m.params["enc.emb1.W"].grad
     assert np.abs(g).max() > 0
+
+
+def _fused_loss(m, x, noise, sigma):
+    """The training loop's forward for one batch: (terms, enc, dec, soft)."""
+    logits, enc = m.encode(x)
+    w, soft = m.sample_edges(logits, TEMPERATURE, noise=noise)
+    pred, dec = m.decode(x, w)
+    return elbo_loss(pred, x[:, :, 1:, :], logits, sigma), enc, dec, soft
+
+
+def _check_fused_gradients(m, x, noise, sigma, names, n_entries):
+    """Central differences of the ELBO against the fused backward."""
+    terms, *caches = _fused_loss(m, x, noise, sigma)
+    backward(m, terms, *caches)
+    h = 1e-6
+    for name in names:
+        t = m.params[name]
+        flat = t.data.reshape(-1)
+        gflat = t.grad.reshape(-1)
+        for k in np.linspace(0, flat.size - 1, n_entries, dtype=int):
+            keep = flat[k]
+            flat[k] = keep + h
+            up = _fused_loss(m, x, noise, sigma)[0].total
+            flat[k] = keep - h
+            dn = _fused_loss(m, x, noise, sigma)[0].total
+            flat[k] = keep
+            num = (up - dn) / (2 * h)
+            assert relative_error(gflat[k], num) < 1e-3, (name, k)
+    for _, t in m.params.named():
+        t.grad.fill(0.0)
 
 
 def test_elbo_encoder_gradcheck():
@@ -354,35 +384,60 @@ def test_elbo_encoder_gradcheck():
     # Gumbel noise held fixed
     m = _toy_model(n_nodes=3, T=12, D=2, seed=3)
     x = _toy_batch(n=3, T=12, D=2, B=1, seed=9)
-    rng = np.random.default_rng(2)
-    probe_logits = m.encode(x)
-    noise = sample_gumbel(rng, probe_logits.data.shape)
+    noise = sample_gumbel(np.random.default_rng(2), (1, m.n_pairs, 2))
+    _check_fused_gradients(m, x, noise, 5e-2, ("enc.head.W", "enc.emb1.b",
+                                               "enc.fe2a.W", "dec.msg.W"), 5)
 
-    def loss_value():
-        logits = m.encode(x)
-        w = m.sample_edges(logits, 0.5, noise=noise)
-        pred = m.decode(x, w)
-        return elbo_loss(pred, x[:, :, 1:, :], logits, sigma=5e-2)
 
-    terms = loss_value()
-    backward(terms.total)
-    for name in ("enc.head.W", "enc.emb1.b", "enc.fe2a.W", "dec.msg.W"):
-        t = m.params[name]
-        flat = t.data.reshape(-1)
-        gflat = t.grad.reshape(-1)
-        idx = np.linspace(0, flat.size - 1, 5, dtype=int)
-        h = 1e-6
-        for k in idx:
-            keep = flat[k]
-            flat[k] = keep + h
-            up = float(loss_value().total.data)
-            flat[k] = keep - h
-            dn = float(loss_value().total.data)
-            flat[k] = keep
-            num = (up - dn) / (2 * h)
-            assert relative_error(gflat[k], num) < 1e-3, (name, k)
-    for _, t in m.params.named():
-        t.grad.fill(0.0)
+def test_fused_elbo_gradcheck_every_parameter():
+    m = AcdModel(3, 6, 2, seed=4, enc_hidden=5, dec_hidden=4)
+    x = _toy_batch(n=3, T=6, D=2, B=2, seed=10)
+    noise = sample_gumbel(np.random.default_rng(3), (2, m.n_pairs, 2))
+    names = [name for name, _ in m.params.named()]
+    assert len(names) == 26
+    _check_fused_gradients(m, x, noise, 5e-2, names, 3)
+
+
+def _preprocessed(env_id, n):
+    return np.stack([preprocess(s).x
+                     for s in collect_dataset(env_id, n, seed=0)])
+
+
+@pytest.mark.parametrize("env_id, enc_hidden, dec_hidden",
+                         [("pp", 128, 64), ("sk3", 16, 16)],
+                         ids=["pp-benchmark-width", "sk3-golden-width"])
+def test_fused_elbo_matches_tape_byte_for_byte(env_id, enc_hidden,
+                                               dec_hidden):
+    # two batches of 19 with an RMSprop step between them, so the second
+    # batch runs on updated weights
+    import tape as T
+
+    data = _preprocessed(env_id, 19)
+    M, n, T_len, D = data.shape
+    m = AcdModel(n, T_len, D, seed=0, enc_hidden=enc_hidden,
+                 dec_hidden=dec_hidden)
+    ref = T.TapeAcd(m)
+    opt = RmspropState(m.params)
+    sigma = sigma_for(env_id)
+    rng = np.random.default_rng(1)
+    for _ in range(2):
+        x = data[rng.permutation(M)]
+        noise = sample_gumbel(rng, (M, m.n_pairs, 2))
+        terms, *caches = _fused_loss(m, x, noise, sigma)
+        backward(m, terms, *caches)
+
+        logits = ref.encode(x)
+        pred = ref.decode(x, ref.sample_edges(logits, TEMPERATURE, noise))
+        nll, kl, total = T.elbo_loss(pred, x[:, :, 1:, :], logits, sigma)
+        T.backward(total)
+
+        assert np.float64(terms.nll).tobytes() == nll.data.tobytes()
+        assert np.float64(terms.kl).tobytes() == kl.data.tobytes()
+        for name, p in m.params.named():
+            assert p.grad.tobytes() == ref.leaves[name].grad.tobytes(), name
+        rmsprop_update(m.params, opt, lr=5e-4)
+        for leaf in ref.leaves.values():
+            leaf.grad.fill(0.0)
 
 
 # ----------------------------------------------------------------- training
@@ -416,8 +471,7 @@ def test_train_acd_loss_decreases_and_deterministic(tmp_path):
     assert meta["env_id"] == "sk3-sp"
     assert meta["sigma"] == sigma_for("sk3-sp") == 5e-3
     x = np.stack([preprocess(s).x for s in data[:2]])
-    np.testing.assert_array_equal(model.encode(x).data,
-                                  res.model.encode(x).data)
+    np.testing.assert_array_equal(model.encode(x)[0], res.model.encode(x)[0])
 
 
 def test_train_acd_overfits_single_sample():

@@ -61,3 +61,28 @@ def test_acting_and_rollout_spans_are_called():
              for name in ("marl.act", "nn.qnet_step", "marl.collect_episode",
                           "envs.make_env", "marl.evaluate")}
     assert min(calls.values()) >= 1, calls
+
+
+def test_acd_spans_are_called():
+    # the ACD spans patch the training loop's module globals and the
+    # model's methods; a refactor that stops calling one of them shows
+    # here as a span with zero calls
+    from camarl import acd, marl
+
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    samples = acd.collect_dataset("sk3", 4, seed=0)
+    cfg = marl.TrainConfig(env_id="sk3", trainer="acd-marl", seed=0,
+                           total_steps=40, eval_interval=20,
+                           eval_episodes=1, epsilon_anneal_episodes=5,
+                           batch_size=2, n_hidden=8)
+    with spans.patched(tracer):
+        fit = acd.train_acd(samples, epochs=1, batch_size=2, seed=0,
+                            enc_hidden=8, dec_hidden=8)
+        acd.evaluate_accuracy(fit.model, samples)
+        marl.train(cfg, bits_fn=acd.make_bits_fn(fit.model, "sk3"))
+    calls = {name: tracer.names.count(name)
+             for name in ("acd.encode", "acd.decode", "acd.elbo_loss",
+                          "nn.tape_backward", "nn.rmsprop_update",
+                          "acd.preprocess", "acd.predict_c")}
+    assert min(calls.values()) >= 1, calls

@@ -11,8 +11,8 @@ classes.
 
 Blind spot: the check matches bare names, not what they resolve to, so
 a definition whose name is also read elsewhere as an attribute or a
-variable passes.  A tape op ``tanh`` would pass on ``np.tanh``, and an
-``exp`` on ``np.exp``.
+variable passes.  A function ``exp`` would pass on ``np.exp``, and a
+method ``sum`` on ``ndarray.sum``.
 """
 
 import ast
@@ -25,7 +25,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "camarl"
 ALLOWED = {
     "masked_reward": "scalar reference that test_masked_rewards_matches_scalar "
                      "checks the vectorised mask against",
-    "Tensor.item": "the gradcheck helper reads scalar losses through it",
     "read_curve": "reads back the CSV that write_curve writes",
 }
 

@@ -6,7 +6,10 @@ mask, update or file layout shows here.  Every rollout caller is
 covered: scripted and greedy dataset collection, ACD training, the
 three trainers' run directories, and greedy evaluation.  One more
 ``lj``/``icl`` run clips the gradient norm on every update, so the
-clipping kernels are pinned too.
+clipping kernels are pinned too.  ``acd_pp`` fits the edge model at the
+benchmark width (869k parameters), and ``qvalues_lj_icl`` hashes the
+acting Q-values and hidden states themselves, which a last-bit change
+that flips no argmax would leave the other digests blind to.
 
 The digests were taken with numpy 2.4.6 linked against OpenBLAS
 0.3.31 (scipy-openblas build), Python 3.11.7, on the numpy kernel
@@ -20,6 +23,7 @@ import numpy as np
 import pytest
 
 from camarl import acd, marl
+from camarl.envs import make_env
 
 TRAIN = dict(total_steps=300, eval_interval=150, eval_episodes=2,
              epsilon_anneal_episodes=20, target_sync=2, batch_size=4,
@@ -31,6 +35,10 @@ GOLDEN = {
         "c5b36bea72136e192a0e2a8449bac814c81cc40ba999069bd5b88c7dd6d8f906",
     "dataset_scripted_sk3":
         "37ea320ebf7a34c244ef7598c9a3de95c740b048920c4096088d5786a5d1f33c",
+    "acd_pp":
+        "2fab38f50a025c256050701ba8d54351ce6749b6fd520b7292ca82f68ecd17bb",
+    "qvalues_lj_icl":
+        "656d69cc25b2cb6a29b22e52ea5d36d0780929882af7ca903f745fbbbbafc9d7",
     "acd_sk3":
         "bea8aa1e9861645f0b345132af83e3c45ecb11c94cddbec0cad33f38b03920e2",
     "train_lj_icl":
@@ -70,18 +78,55 @@ def _digest_eval(s):
     return h.hexdigest()
 
 
+def _digest_qvalues(learners, env_id, n_envs=5, n_steps=20):
+    """Q-values and hidden states of the first steps of a greedy rollout.
+
+    The n_envs episodes roll in lockstep; every learner's (E, A)
+    Q-values and (E, 1, H) hidden states of the first n_steps steps are
+    hashed in step and agent order.
+    """
+    h = hashlib.sha256()
+    seeds = np.random.SeedSequence(7).generate_state(n_envs)
+    envs = [make_env(env_id, int(s)) for s in seeds]
+    hidden = [ln.initial_hidden(n_envs) for ln in learners]
+    prev = np.full((n_envs, len(learners)), -1)
+    steps = 0
+
+    def act(obs):
+        nonlocal prev, steps
+        acts = np.empty_like(prev)
+        for i, ln in enumerate(learners):
+            q, hidden[i] = ln.q_values(obs[:, i], prev[:, i], hidden[i])
+            acts[:, i] = q.argmax(axis=1)
+            if steps < n_steps:
+                h.update(q.tobytes())
+                h.update(hidden[i].tobytes())
+        prev = acts
+        steps += 1
+        return acts
+
+    marl.collect_episodes(envs, act)
+    return h.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     out = {}
 
+    scripted = {}
     for env_id, n in (("pp", 2), ("sk3", 4)):
-        samples = acd.collect_dataset(env_id, n, seed=0)
+        scripted[env_id] = samples = acd.collect_dataset(env_id, n, seed=0)
         path = root / f"scripted_{env_id}.ckpt"
         acd.save_dataset(path, samples)
         out[f"dataset_scripted_{env_id}"] = _digest_files([path])
 
-    fit = acd.train_acd(samples, epochs=2, batch_size=4, seed=0,
+    # the benchmark's edge model: 5 nodes, T = 100, D = 53, enc 128/dec 64
+    acd.train_acd(scripted["pp"], epochs=2, batch_size=2, seed=0,
+                  enc_hidden=128, dec_hidden=64, out_dir=root / "acd_pp")
+    out["acd_pp"] = _digest_files(list((root / "acd_pp").iterdir()))
+
+    fit = acd.train_acd(scripted["sk3"], epochs=2, batch_size=4, seed=0,
                         enc_hidden=16, dec_hidden=16, out_dir=root / "acd")
     out["acd_sk3"] = _digest_files(list((root / "acd").iterdir()))
 
@@ -98,6 +143,7 @@ def digests(tmp_path_factory):
         out["eval_" + key] = _digest_eval(
             marl.evaluate(res.learners, env_id, 5, seed=3))
         learners[key] = res.learners
+    out["qvalues_lj_icl"] = _digest_qvalues(learners["lj_icl"], "lj")
 
     # every update of this run clips, which the runs above never do
     cfg = marl.TrainConfig(env_id="lj", trainer="icl", seed=1,

@@ -1,5 +1,7 @@
 """Q-learning stack: schedules, masks, replay, learners, training loop."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -583,6 +585,20 @@ def test_evaluate_untrained_near_step_penalty_baseline():
     s = evaluate(learners, "lj", n_episodes=50, seed=0)
     assert -10.01 <= s.mean_return <= -5.0
     assert s.n_episodes == 50
+
+
+@pytest.mark.parametrize("n_episodes", [0, -1])
+def test_evaluate_rejects_fewer_than_one_episode(monkeypatch, n_episodes):
+    # the package's evaluate function shadows the submodule's name
+    ev = importlib.import_module("camarl.marl.evaluate")
+    spec = env_spec("sk3")
+    learners = [AgentLearner(spec.obs_dim, spec.n_actions, 8, seed=i)
+                for i in range(spec.n_agents)]
+    made = []
+    monkeypatch.setattr(ev, "make_env", lambda *a: made.append(a))
+    with pytest.raises(UsageError, match="at least one evaluation episode"):
+        evaluate(learners, "sk3", n_episodes, seed=0)
+    assert made == []
 
 
 def test_evaluate_deterministic():

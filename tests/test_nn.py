@@ -1,4 +1,4 @@
-"""Autodiff substrate tests: gradient oracles, tape semantics, optimizer."""
+"""Substrate tests: kernels, the reference tape, optimizer, checkpoints."""
 
 import importlib.util
 import json
@@ -12,16 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tape as T
 from helpers import gradcheck, relative_error
 from camarl import accel
+from camarl.acd.model import sample_gumbel
 from camarl.errors import ConfigurationError, UsageError
-from camarl.nn import tensor as T
-from camarl.nn import functional as F
 from camarl.nn import kernels as K
 from camarl.nn.layers import ParamSet, Dense, GruCell
 from camarl.nn.optim import (
     EPS, RHO, RmspropState, rmsprop_update, clip_global_norm)
-from camarl.nn.checkpoint import save_checkpoint, load_checkpoint
+from camarl.nn.checkpoint import atomic_open, save_checkpoint, load_checkpoint
 
 RNG = np.random.default_rng(1234)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -315,20 +315,20 @@ def test_log_softmax_is_log_of_softmax():
 
 def test_gumbel_softmax_soft_gradcheck():
     logits = _param(3, 4)
-    noise = F.sample_gumbel(np.random.default_rng(5), (3, 4))
+    noise = sample_gumbel(np.random.default_rng(5), (3, 4))
     s = T.constant(RNG.normal(size=(3, 4)))
-    gradcheck(lambda: (F.gumbel_softmax(logits, 0.5, noise) * s).sum(), [logits])
+    gradcheck(lambda: (T.gumbel_softmax(logits, 0.5, noise) * s).sum(), [logits])
 
 
 def test_kl_categorical_uniform():
     logits = _param(5, 4)
-    gradcheck(lambda: F.kl_categorical_uniform(logits).sum(), [logits])
+    gradcheck(lambda: T.kl_categorical_uniform(logits).sum(), [logits])
     # uniform logits give zero KL
     z = T.constant(np.zeros((2, 6)))
-    np.testing.assert_allclose(F.kl_categorical_uniform(z).data, 0.0, atol=1e-12)
+    np.testing.assert_allclose(T.kl_categorical_uniform(z).data, 0.0, atol=1e-12)
     # a point mass on one of k outcomes approaches log k
     p = T.constant(np.array([[50.0, 0.0, 0.0, 0.0]]))
-    np.testing.assert_allclose(F.kl_categorical_uniform(p).data, np.log(4.0),
+    np.testing.assert_allclose(T.kl_categorical_uniform(p).data, np.log(4.0),
                                rtol=1e-6)
 
 
@@ -404,7 +404,7 @@ def test_shape_mismatch_raises():
         T.gru_step(_param(2, 3), _param(2, 4), _param(3, 9), _param(3, 9),
                    _param(9), _param(9))
     with pytest.raises(ConfigurationError):
-        F.gumbel_softmax(_param(2, 2), 0.0, np.zeros((2, 2)))
+        T.gumbel_softmax(_param(2, 2), 0.0, np.zeros((2, 2)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -422,7 +422,7 @@ def test_add_broadcast_property(rows, cols, flip):
 
 def test_rmsprop_hand_value():
     ps = ParamSet()
-    p = ps.add("w", T.Parameter([1.0]))
+    p = ps.add("w", [1.0])
     p.grad[:] = [2.0]
     state = RmspropState(ps)
     rmsprop_update(ps, state, lr=5e-4)
@@ -435,19 +435,18 @@ def test_rmsprop_hand_value():
 
 def test_rmsprop_shrinks_quadratic():
     ps = ParamSet()
-    p = ps.add("w", T.Parameter(np.array([3.0, -2.0])))
+    p = ps.add("w", np.array([3.0, -2.0]))
     state = RmspropState(ps)
     for _ in range(400):
-        loss = T.square(p).sum()
-        T.backward(loss)
+        p.grad += 2.0 * p.data  # d/dw sum(w^2)
         rmsprop_update(ps, state, lr=0.01)
     assert np.all(np.abs(p.data) < 0.1)
 
 
 def test_clip_global_norm():
     ps = ParamSet()
-    a = ps.add("a", T.Parameter([3.0]))
-    b = ps.add("b", T.Parameter([4.0]))
+    a = ps.add("a", [3.0])
+    b = ps.add("b", [4.0])
     a.grad[:] = [3.0]
     b.grad[:] = [4.0]
     norm = clip_global_norm(ps, 1.0)
@@ -512,7 +511,7 @@ def test_clipped_rmsprop_update_matches_scalar_path():
     for _ in range(2):
         ps = ParamSet()
         for name, shape in shapes.items():
-            ps.add(name, T.Parameter(np.zeros(shape)))
+            ps.add(name, np.zeros(shape))
         sets.append(ps)
     states = [RmspropState(ps) for ps in sets]
     for name, shape in shapes.items():
@@ -549,14 +548,14 @@ def test_clipped_rmsprop_update_matches_scalar_path():
 
 def test_paramset_duplicate_name_raises():
     ps = ParamSet()
-    ps.add("x", T.Parameter([1.0]))
+    ps.add("x", [1.0])
     with pytest.raises(UsageError):
-        ps.add("x", T.Parameter([2.0]))
+        ps.add("x", [2.0])
 
 
 def test_paramset_load_shape_mismatch_raises():
     ps = ParamSet()
-    ps.add("x", T.Parameter(np.zeros((2, 2))))
+    ps.add("x", np.zeros((2, 2)))
     with pytest.raises(ConfigurationError):
         ps.load_arrays({"x": np.zeros(3)})
     with pytest.raises(ConfigurationError):
@@ -665,3 +664,34 @@ def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
     arrays, meta = load_checkpoint(path)
     assert arrays["w"].tolist() == [0.0, 1.0, 2.0, 3.0] and meta["k"] == 1
     assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+
+
+def _bad_log_rows():
+    # the header and the first row go out before the second row fails
+    row = {"step": 0, "episode": 1, "eval_return_mean": 0.5,
+           "eval_return_ci95": 0.0, "win_rate": 0.0, "epsilon": 1.0,
+           "event_count_agent_0": 0}
+    return [row, {"step": 1}]
+
+
+def test_atomic_writers_that_raise_keep_previous_file(tmp_path):
+    from camarl.harness.cli import _write_accuracy
+    from camarl.marl import write_log
+
+    path = tmp_path / "out.csv"
+    path.write_text("earlier\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path, "w") as f:
+            f.write("partial")
+            f.flush()
+            raise RuntimeError("writer failed mid-write")
+    with pytest.raises(KeyError):
+        write_log(path, _bad_log_rows(), n_agents=1)
+    with pytest.raises(KeyError):
+        _write_accuracy(path, {"correct": 1.0})
+    assert path.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    with atomic_open(path, "w") as f:
+        f.write("replaced\n")
+    assert path.read_text() == "replaced\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
