@@ -1,38 +1,33 @@
-"""Time the numba kernel backend against the pure-numpy fallback.
+"""Time the fused numpy kernels at the shapes the trainers use.
 
-Run with no arguments to benchmark every backend that imports (each in
-its own subprocess, since the backend is fixed at import time) and print
-a comparison table.  numba is an optional extra; without it only the
-numpy timings are printed, the comparison is reported as skipped and
-the exit status is 0.  The harness also saves every kernel's outputs and
-reports the largest cross-backend difference, so a speedup can never
-hide a numerical divergence: linear algebra must agree exactly, and
-kernels that evaluate transcendentals are allowed a few ULP of
-rounding slack between numpy's vectorized tanh/exp and libm's scalar
-ones.
+Prints ``{"backend": ..., "times": {case: best seconds}}`` as JSON, the
+best of ``--repeats`` calls per case after two warm-up calls.  With
+``--out-npz`` it also saves every case's outputs there.
 
-    python3 benchmarks/bench_kernels.py
-    python3 benchmarks/bench_kernels.py --repeats 50
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py --repeats 50
 
-Pass --backend to run a single backend in-process; the top-level
-invocation uses that mode internally.
+``perfbench/kernel_layer.py`` runs this script as
+``--backend numpy --repeats N --out-npz P`` for the benchmark's kernel
+layer.
 """
 
 import argparse
-import importlib.util
 import json
-import os
-import subprocess
 import sys
-import tempfile
 import time
 
-CROSS_BACKEND_ATOL = 1e-12
-BACKENDS = ("numpy", "numba")
+# camarl first: it pins the BLAS thread pools before numpy loads BLAS
+from camarl import accel
+from camarl.nn import kernels as K
+
+import numpy as np
+
+CROSS_BACKEND_ATOL = 1e-12  # perfbench/kernel_layer.py reads this
 
 
-def build_cases(np, K):
-    """Kernel workloads at the shapes the trainers actually use."""
+def build_cases():
+    """(name, call) of every kernel workload; each call returns arrays."""
     rng = np.random.default_rng(7)
     B, T, D, H, A = 8, 100, 58, 64, 6
     X = rng.standard_normal((T, B, D))
@@ -66,6 +61,7 @@ def build_cases(np, K):
         K.rmsprop_step(pc, g, vc, 5e-4, 0.99, 1e-8)
         return (pc, vc)
 
+    # perfbench keys each case by the first word of its name
     return [
         ("affine_fwd 128x256x256",
          lambda: (K.affine_act_fwd(x2, W2, b2, K.ACT_TANH),)),
@@ -82,92 +78,33 @@ def build_cases(np, K):
     ]
 
 
-def run_backend(repeats, out_npz):
-    import numpy as np
-
-    from camarl import accel
-    from camarl.nn import kernels as K
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # perfbench/kernel_layer.py passes this; numpy is the only backend
+    ap.add_argument("--backend", choices=[accel.BACKEND])
+    ap.add_argument("--repeats", type=int, default=20)
+    ap.add_argument("--out-npz", help="save every case's outputs here "
+                    "(perfbench/kernel_layer.py loads them)")
+    args = ap.parse_args(argv)
 
     times = {}
     arrays = {}
-    for idx, (name, fn) in enumerate(build_cases(np, K)):
-        out = fn()  # warmup, and for numba the compile pass
+    for idx, (name, fn) in enumerate(build_cases()):
+        out = fn()
         fn()
         best = float("inf")
-        for _ in range(repeats):
+        for _ in range(args.repeats):
             t0 = time.perf_counter()
             fn()
             best = min(best, time.perf_counter() - t0)
         times[name] = best
         for j, a in enumerate(out):
             arrays[f"{idx}_{j}::{name}"] = np.asarray(a)
-    np.savez(out_npz, **arrays)
-    return {"backend": accel.BACKEND, "times": times}
-
-
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--backend", choices=["numba", "numpy"])
-    ap.add_argument("--repeats", type=int, default=20)
-    ap.add_argument("--out-npz", help="where worker mode dumps kernel outputs")
-    args = ap.parse_args(argv)
-
-    if args.backend:
-        os.environ["CAMARL_KERNELS"] = args.backend
-        out = args.out_npz or os.path.join(tempfile.gettempdir(),
-                                           f"bench_{args.backend}.npz")
-        json.dump(run_backend(args.repeats, out), sys.stdout)
-        return 0
-
-    import numpy as np
-
-    backends = [b for b in BACKENDS
-                if b == "numpy" or importlib.util.find_spec(b) is not None]
-    reports = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for backend in backends:
-            npz = os.path.join(tmp, f"{backend}.npz")
-            proc = subprocess.run(
-                [sys.executable, os.path.abspath(__file__),
-                 "--backend", backend, "--repeats", str(args.repeats),
-                 "--out-npz", npz],
-                capture_output=True, text=True,
-                env=dict(os.environ, CAMARL_KERNELS=backend))
-            if proc.returncode != 0:
-                sys.stderr.write(proc.stderr)
-                return 1
-            reports[backend] = json.loads(proc.stdout)
-            reports[backend]["arrays"] = np.load(npz)
-            reports[backend]["arrays"] = dict(reports[backend]["arrays"])
-
-    times_np = reports["numpy"]["times"]
-    width = max(len(n) for n in times_np)
-    if "numba" not in reports:
-        print(f"{'kernel':<{width}}  {'numpy':>10}")
-        for name, t_np in times_np.items():
-            print(f"{name:<{width}}  {t_np * 1e3:>8.3f}ms")
-        print("\ncross-backend comparison skipped: numba is not installed")
-        return 0
-
-    diffs = {name: 0.0 for name in times_np}
-    for key, a in reports["numpy"]["arrays"].items():
-        name = key.split("::", 1)[1]
-        b = reports["numba"]["arrays"][key]
-        diffs[name] = max(diffs[name], float(np.abs(a - b).max()))
-
-    print(f"{'kernel':<{width}}  {'numpy':>10}  {'numba':>10}"
-          f"  {'speedup':>8}  {'max |diff|':>10}")
-    worst = 0.0
-    for name, t_np in times_np.items():
-        t_nb = reports["numba"]["times"][name]
-        print(f"{name:<{width}}  {t_np * 1e3:>8.3f}ms  {t_nb * 1e3:>8.3f}ms"
-              f"  {t_np / t_nb:>7.1f}x  {diffs[name]:>10.2e}")
-        worst = max(worst, diffs[name])
-    if worst > CROSS_BACKEND_ATOL:
-        print(f"\nbackends disagree beyond {CROSS_BACKEND_ATOL:g}")
-        return 1
-    print(f"\nbackends agree within {CROSS_BACKEND_ATOL:g}"
-          " (linear algebra exact, transcendentals a few ULP)")
+    if args.out_npz:
+        np.savez(args.out_npz, **arrays)
+    json.dump({"backend": accel.BACKEND, "times": times}, sys.stdout,
+              indent=1)
+    print()
     return 0
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from camarl.accel import jit
 from camarl.errors import ConfigurationError, UsageError
 
 OBS_DIM = 53
@@ -145,7 +144,6 @@ def valid_moves(r, c, grid):
     return ks
 
 
-@jit
 def apply_moves(pos, actions, alive, grid, moves):
     """Move each living agent; off-grid moves keep the agent in place."""
     out = pos.copy()
@@ -163,7 +161,6 @@ def apply_moves(pos, actions, alive, grid, moves):
     return out
 
 
-@jit
 def build_obs_window(agent_pos, alive, target_pos, target_val, target_alive,
                      grid, n_norm, out):
     """5x5 literal-window observations for the gridworld tasks.
@@ -197,7 +194,6 @@ def build_obs_window(agent_pos, alive, target_pos, target_val, target_alive,
                 out[i, AGENT_OFF + (dr + 2) * 5 + (dc + 2)] += 1.0 / n_norm
 
 
-@jit
 def build_obs_skirmish(agent_pos, agent_hp, enemy_pos, enemy_hp, grid, k_range,
                        max_hp, out):
     """Sight-range observations: range K binned onto the 5x5 mask.

@@ -27,6 +27,7 @@ from camarl.marl import TRAINERS, TrainConfig, load_learners, train
 from camarl.metrics import (
     aggregate_curves, balance_index, bar_chart, line_chart, read_log,
     save_svg, write_curve)
+from camarl.nn.checkpoint import atomic_open
 
 TRAIN_KEYS = tuple(TrainConfig.__dataclass_fields__)
 
@@ -204,8 +205,6 @@ def _exec_acd_eval(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
 def _write_accuracy(path, acc):
     import csv
 
-    from camarl.nn.checkpoint import atomic_open
-
     with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["correct", "false_positive", "false_negative", "n_pairs"])
@@ -271,13 +270,13 @@ def _exec_report(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
                        ylabel="events per evaluation episode"))
     import csv
 
-    with open(out_dir / "behaviour.csv", "w", newline="") as f:
+    with atomic_open(out_dir / "behaviour.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["trainer"] + [f"event_count_agent_{i}"
                                   for i in range(n_agents)])
         for label, _ in balance_rows:
             w.writerow([label] + [repr(v) for v in bars[label]])
-    with open(out_dir / "balance.csv", "w", newline="") as f:
+    with atomic_open(out_dir / "balance.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["trainer", "balance_index"])
         for label, idx in balance_rows:

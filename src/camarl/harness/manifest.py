@@ -15,6 +15,7 @@ from pathlib import Path
 
 import camarl
 from camarl.errors import ConfigurationError, UsageError
+from camarl.nn.checkpoint import atomic_open
 
 MANIFEST_NAME = "manifest.json"
 KINDS = ("train", "collect", "acd-train", "acd-eval", "report")
@@ -63,7 +64,7 @@ def write_manifest(out_dir, manifest: ExperimentManifest,
             f"{out_dir} already holds an experiment manifest; "
             f"pick a fresh output directory")
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
+    with atomic_open(path, "w") as f:
         json.dump(asdict(manifest.validate()), f, indent=2, sort_keys=True)
         f.write("\n")
     return path

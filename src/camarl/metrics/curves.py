@@ -8,6 +8,7 @@ import numpy as np
 from scipy import stats
 
 from camarl.errors import IncompatibleInputsError, UsageError
+from camarl.nn.checkpoint import atomic_open
 
 
 @dataclass
@@ -65,7 +66,7 @@ def aggregate_curves(logs, metric: str = "eval_return_mean"):
 
 def write_curve(path, points):
     """One CSV row per curve point; floats kept at full precision."""
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(("step", "mean", "ci95"))
         for p in points:

@@ -10,6 +10,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from camarl.errors import UsageError
+from camarl.nn.checkpoint import atomic_open
 
 WIDTH, HEIGHT = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 20, 40, 48
@@ -191,5 +192,5 @@ def bar_chart(groups: dict, title: str = "", ylabel: str = "",
 
 
 def save_svg(path, markup: str):
-    with open(path, "w") as f:
+    with atomic_open(path, "w") as f:
         f.write(markup)

@@ -3,9 +3,7 @@
 Everything trains in float64 on the CPU.  There is no autodiff: each
 model pairs explicit forward and backward array passes (dense layers,
 GRU steps, whole-episode Q-network unrolls) built on the kernels of
-``camarl.nn.kernels``, written once in numba-compatible numpy and
-compiled or not depending on the selected backend, see
-``camarl.accel``.  Backward passes add into each ``Parameter``'s
+``camarl.nn.kernels``.  Backward passes add into each ``Parameter``'s
 ``.grad``, which the optimizer zeroes after its step.
 """
 

@@ -5,7 +5,8 @@ length, a canonical-JSON header (sorted keys, fixed separators), then the
 raw little-endian float64 tensor payloads in header order.  Unlike zip
 containers there are no timestamps, so saving identical state twice gives
 identical bytes, which the rerun guarantees in the harness depend on.
-Checkpoints and the run logs are all written through ``atomic_open``.
+Checkpoints, logs, manifests, curves and charts are all written through
+``atomic_open``.
 """
 
 import contextlib

@@ -1,43 +1,30 @@
-"""Hot numeric kernels, written once and optionally numba-compiled.
+"""Hot numeric kernels on plain float64 numpy arrays.
 
 Every function here takes and returns plain float64 ndarrays, draws no
-randomness, and holds no state.  Within a backend results are exactly
-reproducible.  Across backends the linear algebra agrees bit for bit,
-while kernels that evaluate tanh/exp can differ by a couple ULP because
-numpy's vectorized transcendentals and libm's scalar ones round
-differently; ``benchmarks/bench_kernels.py`` measures the gap along
-with the timings.  Activation functions are selected by integer code
-so the fused kernels stay monomorphic.
+randomness, and holds no state, so results are exactly reproducible.
+Activation functions are selected by integer code.
 
 The acting kernels ``gru_fwd`` and ``qnet_step`` take a ``(B, n)``
 batch or an ``(E, 1, n)`` stack of single rows.  They multiply with
 ``@`` (``np.matmul``), which rounds each row of a stack as its own
 ``(1, n)`` product, so a stacked step is bit-identical to E separate
 single-row steps.  ``np.dot`` on a 3-D stack would fold the rows into
-one GEMM and round differently.  numba documents ``np.dot``/``@`` for
-1-D and 2-D arrays only, so ``qnet_step`` is a plain-Python dispatcher
-that, under numba, hands a stack to the compiled kernel one ``(1, n)``
-row at a time; that path has not been run under numba.
+one GEMM and round differently.
 """
 
 import numpy as np
-
-from camarl import accel
-from camarl.accel import jit
 
 ACT_IDENTITY = 0
 ACT_TANH = 1
 ACT_RELU = 2
 
 
-@jit
 def sigmoid_stable(x):
     # two-sided form, never exponentiates a positive argument
     e = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-@jit
 def apply_act(pre, act):
     if act == ACT_IDENTITY:
         return pre.copy()
@@ -47,7 +34,6 @@ def apply_act(pre, act):
         return np.maximum(pre, 0.0)
 
 
-@jit
 def act_grad_from_out(y, act):
     # derivative expressed through the activation output
     if act == ACT_IDENTITY:
@@ -58,14 +44,12 @@ def act_grad_from_out(y, act):
         return np.where(y > 0.0, 1.0, 0.0)
 
 
-@jit
 def affine_act_fwd(x, W, b, act):
     """y = act(x @ W + b) for a 2D batch x."""
     pre = np.dot(x, W) + b
     return apply_act(pre, act)
 
 
-@jit
 def affine_act_bwd(x, W, y, act, gy):
     """Gradients of act(x @ W + b) given upstream gy and stored output y."""
     gpre = gy * act_grad_from_out(y, act)
@@ -75,7 +59,6 @@ def affine_act_bwd(x, W, y, act, gy):
     return gx, gW, gb
 
 
-@jit
 def gru_fwd(x, h, Wx, Wh, bx, bh):
     """One GRU step, gate order [r|z|n] in the packed weight columns.
 
@@ -94,7 +77,6 @@ def gru_fwd(x, h, Wx, Wh, bx, bh):
     return h_new, r, z, n, ghn
 
 
-@jit
 def gru_bwd(x, h, Wx, Wh, r, z, n, ghn, gh_new):
     """Backward of one GRU step.  Returns (gx, gh, gWx, gWh, gbx, gbh)."""
     B = x.shape[0]
@@ -126,7 +108,6 @@ def gru_bwd(x, h, Wx, Wh, r, z, n, ghn, gh_new):
     return gx, gh, gWx, gWh, gbx, gbh
 
 
-@jit
 def qnet_unroll_fwd(X, h0, Wx, Wh, bx, bh, Wq, bq):
     """Whole-episode recurrent Q-network forward.
 
@@ -156,7 +137,6 @@ def qnet_unroll_fwd(X, h0, Wx, Wh, bx, bh, Wq, bq):
     return Q, Hs, R, Z, Nc, GHN
 
 
-@jit
 def qnet_unroll_bwd(X, h0, Hs, R, Z, Nc, GHN, Wx, Wh, Wq, dQ):
     """Backward through the whole unroll given per-step head gradients dQ."""
     T = X.shape[0]
@@ -183,30 +163,17 @@ def qnet_unroll_bwd(X, h0, Hs, R, Z, Nc, GHN, Wx, Wh, Wq, dQ):
     return gWx, gWh, gbx, gbh, gWq, gbq
 
 
-@jit
-def _qnet_step_2d(x, h, Wx, Wh, bx, bh, Wq, bq):
+def qnet_step(x, h, Wx, Wh, bx, bh, Wq, bq):
+    """Single acting step: returns (q, h_new) without storing intermediates.
+
+    x and h are a (B, .) batch or an (E, 1, .) stack of single rows; each
+    row of a stack rounds as a single-row call.
+    """
     h_new, r, z, n, ghn = gru_fwd(x, h, Wx, Wh, bx, bh)
     q = h_new @ Wq + bq
     return q, h_new
 
 
-def qnet_step(x, h, Wx, Wh, bx, bh, Wq, bq):
-    """Single acting step: returns (q, h_new) without storing intermediates.
-
-    x and h are a (B, .) batch or an (E, 1, .) stack of single rows.
-    Compiled kernels see 2-D operands only, so under numba a stack steps
-    row by row; either way each row rounds as a single-row call.
-    """
-    if x.ndim == 3 and accel.BACKEND == "numba":
-        q = np.empty(x.shape[:2] + (Wq.shape[1],))
-        h_new = np.empty_like(h)
-        for e in range(x.shape[0]):
-            q[e], h_new[e] = _qnet_step_2d(x[e], h[e], Wx, Wh, bx, bh, Wq, bq)
-        return q, h_new
-    return _qnet_step_2d(x, h, Wx, Wh, bx, bh, Wq, bq)
-
-
-@jit
 def rmsprop_step(p, g, v, lr, rho, eps):
     """In-place RMSprop on flat float64 views, rounding as a scalar loop."""
     v *= rho
@@ -214,7 +181,6 @@ def rmsprop_step(p, g, v, lr, rho, eps):
     p -= lr * g / (np.sqrt(v) + eps)
 
 
-@jit
 def sumsq(a):
     # summed left to right: np.dot and np.sum add in blocked or pairwise
     # order, which moves the clip norm by about 1e-14
@@ -223,6 +189,5 @@ def sumsq(a):
     return np.cumsum(a * a)[-1]
 
 
-@jit
 def scale_inplace(a, s):
     a *= s

@@ -1,20 +1,23 @@
-"""The benchmark's trace spans still find their targets in the library.
+"""The benchmark's trace spans and kernel layer still find the library.
 
-``perfbench/spans.py`` wraps library names by module and attribute path.
-Loading it here makes a refactor that renames or moves one of those names
-fail in tier-1, not only in a traced benchmark run.
+``perfbench/spans.py`` wraps library names by module and attribute path,
+and ``perfbench/kernel_layer.py`` runs ``benchmarks/bench_kernels.py``.
+Loading them here makes a refactor that renames or moves one of those
+names fail in tier-1, not only in a traced benchmark run.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod
     try:
@@ -32,7 +35,7 @@ def _lookup(module_path, attr_path):
 
 
 def test_span_targets_patch_and_restore():
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     targets = [t for layer in spans.LAYERS for t in layer.targets]
     assert targets
     before = {t: _lookup(*t) for t in targets}
@@ -48,7 +51,7 @@ def test_acting_and_rollout_spans_are_called():
     # calls; check the rollout and acting spans on a tiny run
     from camarl import marl
 
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     tracer = spans.Tracer()
     cfg = marl.TrainConfig(env_id="lj", trainer="icl", seed=0,
                            total_steps=200, eval_interval=100,
@@ -69,7 +72,7 @@ def test_acd_spans_are_called():
     # here as a span with zero calls
     from camarl import acd, marl
 
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     tracer = spans.Tracer()
     samples = acd.collect_dataset("sk3", 4, seed=0)
     cfg = marl.TrainConfig(env_id="sk3", trainer="acd-marl", seed=0,
@@ -86,3 +89,17 @@ def test_acd_spans_are_called():
                           "nn.tape_backward", "nn.rmsprop_update",
                           "acd.preprocess", "acd.predict_c")}
     assert min(calls.values()) >= 1, calls
+
+
+def test_kernel_layer_times_every_declared_kernel(tmp_path):
+    from camarl import accel
+
+    kernel_layer = _load_perfbench("kernel_layer")
+    times, status = kernel_layer.run(tmp_path)
+    assert not status.startswith("failed"), status
+    declared = {m["name"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["per_layer"]
+        if m["name"].startswith("kernel.")}
+    assert {f"kernel.{kernel_layer.kernel_key(case)}.ms"
+            for case in times["numpy"]} == declared
+    assert accel.BACKEND == "numpy"

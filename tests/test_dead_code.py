@@ -1,4 +1,8 @@
-"""Every function, class and method in ``src/camarl`` has a use in ``src/``.
+"""Every module, function, class and method in ``src/camarl`` has a use.
+
+A module counts as used when another module in the package imports it,
+or imports a module inside it (a package is used through its
+submodules).
 
 A definition counts as used when its name appears as an ``ast.Name`` or
 as the attribute of an ``ast.Attribute`` somewhere in the package outside
@@ -26,6 +30,11 @@ ALLOWED = {
     "masked_reward": "scalar reference that test_masked_rewards_matches_scalar "
                      "checks the vectorised mask against",
     "read_curve": "reads back the CSV that write_curve writes",
+}
+
+# modules kept without an importer in src/, each for a stated reason
+ALLOWED_MODULES = {
+    "camarl.accel": "perfbench/run.py reads BACKEND",
 }
 
 
@@ -70,3 +79,35 @@ def test_no_definition_without_a_use_in_src():
     # an allowlist entry that is gone or has gained a use is stale
     stale = sorted(set(ALLOWED) - {label for _, label in unused})
     assert not stale, f"stale ALLOWED entries: {stale}"
+
+
+def _module_name(path):
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imported_names(tree, modules):
+    """Modules that an ``import`` or ``from ... import`` in tree names."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            names.update(alias.name for alias in n.names)
+        elif isinstance(n, ast.ImportFrom):
+            names.add(n.module)
+            names.update(f"{n.module}.{alias.name}" for alias in n.names
+                         if f"{n.module}.{alias.name}" in modules)
+    return names
+
+
+def test_no_module_without_an_importer_in_src():
+    trees = {_module_name(p): tree for p, tree in _trees().items()}
+    imported = set()
+    for name, tree in trees.items():
+        imported |= _imported_names(tree, trees) - {name}
+    unused = {name for name in trees
+              if not any(m == name or m.startswith(name + ".")
+                         for m in imported)}
+    report = sorted(unused - set(ALLOWED_MODULES))
+    assert not report, "never imported in src/:\n" + "\n".join(report)
+    stale = sorted(set(ALLOWED_MODULES) - unused)
+    assert not stale, f"stale ALLOWED_MODULES entries: {stale}"

@@ -12,9 +12,8 @@ acting Q-values and hidden states themselves, which a last-bit change
 that flips no argmax would leave the other digests blind to.
 
 The digests were taken with numpy 2.4.6 linked against OpenBLAS
-0.3.31 (scipy-openblas build), Python 3.11.7, on the numpy kernel
-backend.  Another numpy, BLAS or the numba backend may round
-differently; a mismatch there says nothing about this code.
+0.3.31 (scipy-openblas build) and Python 3.11.7.  Another numpy or BLAS
+may round differently; a mismatch there says nothing about this code.
 """
 
 import hashlib

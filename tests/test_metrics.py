@@ -230,3 +230,23 @@ def test_save_svg(tmp_path):
     save_svg(path, bar_chart({"x": [1.0, 2.0]}))
     assert path.read_text().startswith("<svg")
     ET.fromstring(path.read_text())
+
+
+class _UnprintableFloat(float):
+    def __repr__(self):
+        raise RuntimeError("repr failed")
+
+
+@pytest.mark.parametrize("write", [
+    # the header and the first row go out before the second row fails
+    lambda p: write_curve(p, [CurvePoint(0, 1.0, 0.0),
+                              CurvePoint(5, _UnprintableFloat(2.0), 0.0)]),
+    lambda p: save_svg(p, b"<svg/>"),
+], ids=["write_curve", "save_svg"])
+def test_output_writers_that_raise_keep_previous_file(tmp_path, write):
+    path = tmp_path / "out"
+    path.write_text("earlier\n")
+    with pytest.raises((RuntimeError, TypeError)):
+        write(path)
+    assert path.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]

@@ -1,6 +1,5 @@
 """Substrate tests: kernels, the reference tape, optimizer, checkpoints."""
 
-import importlib.util
 import json
 import os
 import struct
@@ -14,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 import tape as T
 from helpers import gradcheck, relative_error
-from camarl import accel
 from camarl.acd.model import sample_gumbel
 from camarl.errors import ConfigurationError, UsageError
 from camarl.nn import kernels as K
@@ -31,32 +29,43 @@ def _param(*shape):
     return T.Parameter(RNG.uniform(-0.8, 0.8, size=shape))
 
 
-# --------------------------------------------------------- kernel backend
+# ------------------------------------------------------------- import time
 
-def _import_camarl(kernels=None):
-    # the CLI module imports every subpackage, so accel picks a backend
-    env = {k: v for k, v in os.environ.items() if k != "CAMARL_KERNELS"}
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _import_camarl(code="import camarl.harness.cli", preset=()):
+    # a fresh interpreter with only the preset BLAS variables in its
+    # environment; every warning is an error
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(dict.fromkeys(preset, "1"))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    if kernels is not None:
-        env["CAMARL_KERNELS"] = kernels
-    cmd = [sys.executable, "-W", "error::UserWarning",
-           "-c", "import camarl.harness.cli"]
-    return subprocess.run(cmd, env=env, capture_output=True, text=True,
-                          timeout=60)
+    return subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
 
 
 def test_default_backend_imports_silently():
+    # the CLI module imports every subpackage
     res = _import_camarl()
     assert res.returncode == 0, res.stderr
 
 
-@pytest.mark.skipif(importlib.util.find_spec("numba") is not None,
-                    reason="numba is installed")
-def test_explicit_numba_without_numba_raises():
-    res = _import_camarl("numba")
+@pytest.mark.parametrize("preset, named", [
+    ((), BLAS_VARS), (BLAS_VARS[:1], BLAS_VARS[1:]), (BLAS_VARS, ())])
+def test_blas_pin_warns_when_numpy_came_first(preset, named):
+    # the pin is an environment variable that BLAS reads when numpy loads
+    # it, so camarl imported after numpy must name the pins it missed; the
+    # other order is test_default_backend_imports_silently
+    res = _import_camarl("import numpy; import camarl", preset)
+    if not named:
+        assert res.returncode == 0, res.stderr
+        return
     assert res.returncode != 0
-    assert "No module named 'numba'" in res.stderr
+    line = res.stderr.strip().splitlines()[-1]
+    assert line.startswith("RuntimeWarning: numpy was imported before camarl")
+    for var in BLAS_VARS:
+        assert (var in line) == (var in named), var
 
 
 # ------------------------------------------------------------ dense layers
@@ -239,34 +248,6 @@ def test_stacked_acting_kernels_match_single_rows(E, n_in):
         q_e, h_e = K.qnet_step(x[e], h[e], Wx, Wh, bx, bh, Wq, bq)
         assert q[e].tobytes() == q_e.tobytes()
         assert h_new[e].tobytes() == h_e.tobytes()
-
-
-def test_numba_dispatch_steps_a_stack_as_2d_rows(monkeypatch):
-    # numba's @ takes 2-D operands only, so under that backend qnet_step
-    # must feed the compiled kernel (1, n) rows and keep the stacked bits
-    H, n_in, A, E = 16, 14, 5, 4
-    rng = np.random.default_rng(3)
-    Wx, Wh, bx, bh = _gru_weights(rng, n_in, H)
-    Wq, bq = rng.uniform(-0.3, 0.3, (H, A)), rng.uniform(-0.1, 0.1, A)
-    x = rng.random((E, 1, n_in))
-    h = rng.uniform(-1.0, 1.0, (E, 1, H))
-    want_q, want_h = K.qnet_step(x, h, Wx, Wh, bx, bh, Wq, bq)
-
-    compiled = K._qnet_step_2d
-    seen = []
-
-    def kernel(*args):
-        seen.append(tuple(a.ndim for a in args[:2]))
-        return compiled(*args)
-
-    monkeypatch.setattr(accel, "BACKEND", "numba")
-    monkeypatch.setattr(K, "_qnet_step_2d", kernel)
-    q, h_new = K.qnet_step(x, h, Wx, Wh, bx, bh, Wq, bq)
-    assert seen == [(2, 2)] * E
-    assert q.tobytes() == want_q.tobytes()
-    assert h_new.tobytes() == want_h.tobytes()
-    K.qnet_step(x[0], h[0], Wx, Wh, bx, bh, Wq, bq)
-    assert seen[-1] == (2, 2) and len(seen) == E + 1
 
 
 def _gru_fwd_dot(x, h, Wx, Wh, bx, bh):
