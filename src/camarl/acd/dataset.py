@@ -142,9 +142,11 @@ def load_dataset(path):
 
 
 def split_dataset(samples, train_frac: float = 0.8, seed: int = 0):
-    """Shuffled train/held-out split by episode."""
-    if not samples:
-        raise UsageError("cannot split an empty dataset")
+    """Shuffled train/held-out split by episode; each side gets at least
+    one sample."""
+    if len(samples) < 2:
+        raise UsageError(f"cannot split {len(samples)} samples into train "
+                         f"and held-out sets; need at least 2")
     if not 0.0 < train_frac < 1.0:
         raise ConfigurationError("train fraction must lie in (0, 1)")
     order = np.random.default_rng(seed).permutation(len(samples))

@@ -1,4 +1,5 @@
-"""Shared environment machinery: specs, observation layout, placement.
+"""Shared environment machinery: specs, the env base class, placement,
+moves and the one observation builder.
 
 Observation vector, width 53 for every environment:
 
@@ -8,7 +9,10 @@ Observation vector, width 53 for every environment:
   [27:52)  5x5 agent-count mask including self, count over N
   [52]     status scalar (health fraction in skirmish, 0 elsewhere)
 
-Dead or removed agents observe all zeros.  Every entry lies in [0, 1].
+Both masks are one range-k mask.  pp and lj use the literal 5x5 window
+(k = 2); sk uses its sight range (k = 3), binned onto the 5x5 cells,
+with the target value fading with distance.  Dead agents observe all
+zeros.  Every entry lies in [0, 1].
 
 A step returns a StepResult: the next observation, the team reward, the
 done flag, the reward kind (KIND_NONE, KIND_INTERMEDIATE or KIND_WIN),
@@ -17,6 +21,7 @@ rewarded events each agent took part in on this step (captures in pp,
 cutdowns in lj, damaging attacks in sk).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +35,7 @@ STATUS_OFF = 52
 
 # moves shared by all environments; skirmish appends attack as action 5
 MOVES = np.array([[-1, 0], [1, 0], [0, -1], [0, 1], [0, 0]], dtype=np.int64)
+_MOVE_LIST = MOVES.tolist()
 A_STAY = 4
 A_ATTACK = 5
 
@@ -144,91 +150,124 @@ def valid_moves(r, c, grid):
     return ks
 
 
-def apply_moves(pos, actions, alive, grid, moves):
-    """Move each living agent; off-grid moves keep the agent in place."""
-    out = pos.copy()
-    for i in range(pos.shape[0]):
-        if not alive[i]:
-            continue
-        a = actions[i]
-        if a >= moves.shape[0]:
-            continue
-        r = pos[i, 0] + moves[a, 0]
-        c = pos[i, 1] + moves[a, 1]
-        if 0 <= r < grid and 0 <= c < grid:
-            out[i, 0] = r
-            out[i, 1] = c
-    return out
+def apply_moves(pos, actions, alive, grid):
+    """Move each living agent; off-grid moves and non-move actions (attack)
+    keep the agent in place."""
+    out = pos.tolist()
+    for p, a, live in zip(out, actions.tolist(), alive.tolist()):
+        if live and a < len(_MOVE_LIST):
+            r = p[0] + _MOVE_LIST[a][0]
+            c = p[1] + _MOVE_LIST[a][1]
+            if 0 <= r < grid and 0 <= c < grid:
+                p[0] = r
+                p[1] = c
+    return np.array(out, dtype=np.int64)
 
 
-def build_obs_window(agent_pos, alive, target_pos, target_val, target_alive,
-                     grid, n_norm, out):
-    """5x5 literal-window observations for the gridworld tasks.
+@functools.cache
+def _mask_cells(sight_k):
+    """{(dr, dc): (5x5 cell, fade)} for every offset within range k.
 
-    target_val carries the mask value to write (1.0 for preys, level/N for
-    trees).  out must be a zeroed (N, OBS_DIM) buffer.
+    Without a sight range the mask is the literal 5x5 window (k = 2, the
+    binning is the identity, no fade).  A sight range K bins offsets
+    onto the 5x5 cells and fades a target at Chebyshev distance d to
+    (K+1-d)/(K+1).
     """
-    n = agent_pos.shape[0]
-    for i in range(n):
-        if not alive[i]:
-            continue
-        r0 = agent_pos[i, 0]
-        c0 = agent_pos[i, 1]
-        out[i, 0] = r0 / (grid - 1.0)
-        out[i, 1] = c0 / (grid - 1.0)
-        for m in range(target_pos.shape[0]):
-            if not target_alive[m]:
-                continue
-            dr = target_pos[m, 0] - r0
-            dc = target_pos[m, 1] - c0
-            if -2 <= dr <= 2 and -2 <= dc <= 2:
-                k = TARGET_OFF + (dr + 2) * 5 + (dc + 2)
-                if target_val[m] > out[i, k]:
-                    out[i, k] = target_val[m]
-        for j in range(n):
-            if not alive[j]:
-                continue
-            dr = agent_pos[j, 0] - r0
-            dc = agent_pos[j, 1] - c0
-            if -2 <= dr <= 2 and -2 <= dc <= 2:
-                out[i, AGENT_OFF + (dr + 2) * 5 + (dc + 2)] += 1.0 / n_norm
+    k = sight_k or 2
+    span = range(-k, k + 1)
+    bins = {d: int(np.floor(d * 2.0 / k + 0.5)) + 2 for d in span}
+    return {(dr, dc): (bins[dr] * 5 + bins[dc],
+                       (k + 1.0 - max(abs(dr), abs(dc))) / (k + 1.0)
+                       if sight_k else 1.0)
+            for dr in span for dc in span}
 
 
-def build_obs_skirmish(agent_pos, agent_hp, enemy_pos, enemy_hp, grid, k_range,
-                       max_hp, out):
-    """Sight-range observations: range K binned onto the 5x5 mask.
+class GridEnv:
+    """Seeding, placement, moves, clock and done shared by every family.
 
-    Enemy cells carry (K+1-d)/(K+1) closeness with d the Chebyshev
-    distance; the agent mask counts allies (self included) over N.
+    A family places its targets in ``_place`` (after the agents, from the
+    same draw), gives their positions and mask values in ``_targets``,
+    and writes ``step`` as ``_begin_step``, its own rules, then
+    ``_end_step``; ``step`` stays on each family class, where
+    ``perfbench/spans.py`` patches it.  Agents that are not alive
+    (``_alive``) neither move nor observe; ``_status`` fills the status
+    scalar.
     """
-    n = agent_pos.shape[0]
-    for i in range(n):
-        if agent_hp[i] <= 0:
-            continue
-        r0 = agent_pos[i, 0]
-        c0 = agent_pos[i, 1]
-        out[i, 0] = r0 / (grid - 1.0)
-        out[i, 1] = c0 / (grid - 1.0)
-        for m in range(enemy_pos.shape[0]):
-            if enemy_hp[m] <= 0:
+
+    def __init__(self, spec: EnvSpec, seed: int):
+        self.spec = spec
+        self.reset(seed)
+
+    def reset(self, seed):
+        self.rng = np.random.default_rng(seed)
+        spec = self.spec
+        n_targets = spec.n_preys + spec.n_trees + spec.n_enemies
+        pos = place_entities(self.rng, spec.grid, spec.n_agents + n_targets)
+        self.agent_pos = pos[:spec.n_agents]
+        self._place(pos[spec.n_agents:])
+        self.t = 0
+        self.done = False
+        return self._obs()
+
+    def _alive(self):
+        return np.ones(self.spec.n_agents, dtype=np.bool_)
+
+    def _status(self):
+        return np.zeros(self.spec.n_agents)
+
+    def _obs(self):
+        """Observations of all agents, (N, OBS_DIM).
+
+        A target's mask value (from ``_targets``) is 0 once it is gone;
+        a cell keeps the largest faded value that lands on it.  The
+        agent mask counts living agents, self included, over N.  The
+        loops run on Python scalars, several times faster than indexing
+        numpy arrays element by element.
+        """
+        spec = self.spec
+        cells = _mask_cells(spec.sight_k)
+        scale = spec.grid - 1.0
+        share = 1.0 / spec.n_agents
+        target_pos, target_val = self._targets()
+        targets = [(p, v) for p, v in zip(target_pos.tolist(),
+                                          target_val.tolist()) if v > 0]
+        agents = self.agent_pos.tolist()
+        alive = self._alive().tolist()
+        allies = [p for p, live in zip(agents, alive) if live]
+        rows = []
+        for (r0, c0), live, st in zip(agents, alive, self._status().tolist()):
+            row = [0.0] * OBS_DIM
+            rows.append(row)
+            if not live:
                 continue
-            dr = enemy_pos[m, 0] - r0
-            dc = enemy_pos[m, 1] - c0
-            cheb = max(abs(dr), abs(dc))
-            if cheb <= k_range:
-                br = int(np.floor(dr * 2.0 / k_range + 0.5)) + 2
-                bc = int(np.floor(dc * 2.0 / k_range + 0.5)) + 2
-                val = (k_range + 1.0 - cheb) / (k_range + 1.0)
-                k = TARGET_OFF + br * 5 + bc
-                if val > out[i, k]:
-                    out[i, k] = val
-        for j in range(n):
-            if agent_hp[j] <= 0:
-                continue
-            dr = agent_pos[j, 0] - r0
-            dc = agent_pos[j, 1] - c0
-            if max(abs(dr), abs(dc)) <= k_range:
-                br = int(np.floor(dr * 2.0 / k_range + 0.5)) + 2
-                bc = int(np.floor(dc * 2.0 / k_range + 0.5)) + 2
-                out[i, AGENT_OFF + br * 5 + bc] += 1.0 / n
-        out[i, STATUS_OFF] = agent_hp[i] / max_hp
+            row[0] = r0 / scale
+            row[1] = c0 / scale
+            for (r, c), v in targets:
+                hit = cells.get((r - r0, c - c0))
+                if hit is not None:
+                    v *= hit[1]
+                    if v > row[TARGET_OFF + hit[0]]:
+                        row[TARGET_OFF + hit[0]] = v
+            for r, c in allies:
+                hit = cells.get((r - r0, c - c0))
+                if hit is not None:
+                    row[AGENT_OFF + hit[0]] += share
+            row[STATUS_OFF] = st
+        return np.array(rows)
+
+    def _begin_step(self, actions):
+        """Check and apply the agents' moves; returns the actions."""
+        if self.done:
+            raise UsageError("episode is done; call reset")
+        a = validate_actions(actions, self.spec.n_agents, self.spec.n_actions)
+        self.agent_pos = apply_moves(self.agent_pos, a, self._alive(),
+                                     self.spec.grid)
+        return a
+
+    def _end_step(self, reward, kind, win, events) -> StepResult:
+        """Advance the clock; done on a win, with no agent alive, or at the
+        nominal episode length."""
+        self.t += 1
+        self.done = bool(win or not self._alive().any()
+                         or self.t >= self.spec.episode_len)
+        return StepResult(self._obs(), reward, self.done, kind, win, events)

@@ -8,43 +8,22 @@ worth +5 to the team and every step costs 0.1.
 import numpy as np
 
 from camarl.envs import core
-from camarl.errors import UsageError
 
 
-class Lumberjacks:
-    def __init__(self, spec: core.EnvSpec, seed: int):
-        self.spec = spec
-        self.reset(seed)
-
-    def reset(self, seed):
-        self.rng = np.random.default_rng(seed)
+class Lumberjacks(core.GridEnv):
+    def _place(self, pos):
         spec = self.spec
-        pos = core.place_entities(self.rng, spec.grid, spec.n_agents + spec.n_trees)
-        self.agent_pos = pos[:spec.n_agents]
-        self.tree_pos = pos[spec.n_agents:]
+        self.tree_pos = pos
         self.tree_level = self.rng.integers(1, spec.n_agents + 1,
                                             size=spec.n_trees).astype(np.int64)
         self.tree_alive = np.ones(spec.n_trees, dtype=np.bool_)
-        self.alive = np.ones(spec.n_agents, dtype=np.bool_)
-        self.t = 0
-        self.done = False
-        return self._obs()
 
-    def _obs(self):
-        out = np.zeros((self.spec.n_agents, core.OBS_DIM))
-        core.build_obs_window(self.agent_pos, self.alive, self.tree_pos,
-                              self.tree_level / self.spec.n_agents,
-                              self.tree_alive, self.spec.grid,
-                              float(self.spec.n_agents), out)
-        return out
+    def _targets(self):
+        level = self.tree_alive * self.tree_level
+        return self.tree_pos, level / self.spec.n_agents
 
     def step(self, actions) -> core.StepResult:
-        if self.done:
-            raise UsageError("episode is done; call reset")
-        spec = self.spec
-        a = core.validate_actions(actions, spec.n_agents, spec.n_actions)
-        self.agent_pos = core.apply_moves(self.agent_pos, a, self.alive,
-                                          spec.grid, core.MOVES)
+        self._begin_step(actions)
 
         live = np.flatnonzero(self.tree_alive)
         on_cell = (self.agent_pos[None, :, :]
@@ -54,9 +33,6 @@ class Lumberjacks:
         events = on_cell[felled].sum(axis=0, dtype=np.int64)
 
         reward = 5.0 * int(felled.sum()) - 0.1
-        self.t += 1
-        win = bool(not self.tree_alive.any())
-        self.done = bool(win or self.t >= spec.episode_len)
         kind = core.KIND_INTERMEDIATE if felled.any() else core.KIND_NONE
-        return core.StepResult(self._obs(), reward, self.done, kind, win,
-                               events)
+        return self._end_step(reward, kind, bool(not self.tree_alive.any()),
+                              events)

@@ -12,7 +12,6 @@ overkill never counts.
 import numpy as np
 
 from camarl.envs import core
-from camarl.errors import UsageError
 
 
 def _nearest_in(pos, hp, from_pos):
@@ -29,42 +28,26 @@ def _nearest_in(pos, hp, from_pos):
     return best, best_d
 
 
-class Skirmish:
-    def __init__(self, spec: core.EnvSpec, seed: int):
-        self.spec = spec
-        self.reset(seed)
-
-    def reset(self, seed):
-        self.rng = np.random.default_rng(seed)
+class Skirmish(core.GridEnv):
+    def _place(self, pos):
         spec = self.spec
-        pos = core.place_entities(self.rng, spec.grid,
-                                  spec.n_agents + spec.n_enemies)
-        self.agent_pos = pos[:spec.n_agents]
-        self.enemy_pos = pos[spec.n_agents:]
+        self.enemy_pos = pos
         self.agent_hp = np.full(spec.n_agents, spec.unit_hp, dtype=np.int64)
         self.enemy_hp = np.full(spec.n_enemies, spec.unit_hp, dtype=np.int64)
         self.total_enemy_hp = spec.unit_hp * spec.n_enemies
-        self.t = 0
-        self.done = False
-        return self._obs()
 
-    def _obs(self):
-        out = np.zeros((self.spec.n_agents, core.OBS_DIM))
-        core.build_obs_skirmish(self.agent_pos, self.agent_hp, self.enemy_pos,
-                                self.enemy_hp, self.spec.grid,
-                                self.spec.sight_k, float(self.spec.unit_hp), out)
-        return out
+    def _alive(self):
+        return self.agent_hp > 0
+
+    def _status(self):
+        return self.agent_hp / self.spec.unit_hp
+
+    def _targets(self):
+        return self.enemy_pos, (self.enemy_hp > 0).astype(np.float64)
 
     def step(self, actions) -> core.StepResult:
-        if self.done:
-            raise UsageError("episode is done; call reset")
+        a = self._begin_step(actions)
         spec = self.spec
-        a = core.validate_actions(actions, spec.n_agents, spec.n_actions)
-
-        alive = self.agent_hp > 0
-        move_a = np.where(a < core.A_ATTACK, a, core.A_STAY)
-        self.agent_pos = core.apply_moves(self.agent_pos, move_a, alive,
-                                          spec.grid, core.MOVES)
 
         events = np.zeros(spec.n_agents, dtype=np.int64)
         for i in range(spec.n_agents):
@@ -80,8 +63,9 @@ class Skirmish:
         win = bool((self.enemy_hp <= 0).all())
         if win:
             reward += 10.0
-            self.done = True
+            kind = core.KIND_WIN
         else:
+            kind = core.KIND_INTERMEDIATE if damage > 0 else core.KIND_NONE
             for m in range(spec.n_enemies):
                 if self.enemy_hp[m] <= 0:
                     continue
@@ -98,15 +82,4 @@ class Skirmish:
                     else:
                         self.enemy_pos[m, 1] += np.sign(dc)
 
-        self.t += 1
-        if not self.done:
-            self.done = bool((self.agent_hp <= 0).all()
-                             or self.t >= spec.episode_len)
-        if win:
-            kind = core.KIND_WIN
-        elif damage > 0:
-            kind = core.KIND_INTERMEDIATE
-        else:
-            kind = core.KIND_NONE
-        return core.StepResult(self._obs(), reward, self.done, kind, win,
-                               events)
+        return self._end_step(reward, kind, win, events)

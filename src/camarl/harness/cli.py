@@ -32,11 +32,22 @@ from camarl.nn.checkpoint import atomic_open
 TRAIN_KEYS = tuple(TrainConfig.__dataclass_fields__)
 
 
+def _check_seed(seed: int) -> int:
+    if seed < 0:
+        raise UsageError(f"seeds cannot be negative: {seed}")
+    return seed
+
+
 def _parse_seeds(text: str):
     try:
-        return [int(s) for s in text.split(",") if s != ""]
+        seeds = [int(s) for s in text.split(",") if s != ""]
     except ValueError:
         raise UsageError(f"seeds must be comma-separated integers: {text!r}")
+    if not seeds:
+        raise UsageError("--seeds needs at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise UsageError(f"--seeds repeats a seed: {text!r}")
+    return [_check_seed(s) for s in seeds]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,13 +339,14 @@ def _manifest_from_args(args) -> ExperimentManifest:
         policy = args.policy if args.policy == "scripted" \
             else _abs(args.policy)
         config = dict(env_id=args.env, policy=policy,
-                      episodes=args.episodes, seed=args.seed,
+                      episodes=args.episodes, seed=_check_seed(args.seed),
                       lazy_prob=args.lazy_prob)
         return new_manifest(f"collect-{args.env}", "collect", config, [])
     if args.command == "acd":
         if args.acd_command == "train":
             config = dict(data=_abs(args.data), epochs=args.epochs,
-                          batch=args.batch, sigma=args.sigma, seed=args.seed,
+                          batch=args.batch, sigma=args.sigma,
+                          seed=_check_seed(args.seed),
                           train_frac=args.train_frac)
             return new_manifest("acd-train", "acd-train", config, [])
         config = dict(model=_abs(args.model), data=_abs(args.data))

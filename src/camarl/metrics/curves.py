@@ -5,9 +5,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from camarl.errors import IncompatibleInputsError, UsageError
+from camarl.marl.evaluate import return_ci95
 from camarl.nn.checkpoint import atomic_open
 
 
@@ -47,20 +47,13 @@ def aggregate_curves(logs, metric: str = "eval_return_mean"):
         raise IncompatibleInputsError(
             "evaluation steps differ across logs; re-run with a shared "
             "evaluation interval")
-    n = len(logs)
-    if n == 1:
+    if len(logs) == 1:
         warnings.warn("aggregating a single seed: confidence intervals are 0")
     points = []
     for j, step in enumerate(steps[0]):
         vals = np.array([log[j][metric] for log in logs], dtype=np.float64)
-        mean = float(vals.mean())
-        if n < 2:
-            half = 0.0
-        else:
-            sd = float(vals.std(ddof=1))
-            half = 0.0 if sd == 0.0 else float(
-                stats.t.ppf(0.975, n - 1) * sd / np.sqrt(n))
-        points.append(CurvePoint(step=int(step), mean=mean, ci95=half))
+        points.append(CurvePoint(step=int(step), mean=float(vals.mean()),
+                                 ci95=return_ci95(vals)))
     return points
 
 

@@ -187,7 +187,3 @@ def sumsq(a):
     if a.shape[0] == 0:
         return 0.0
     return np.cumsum(a * a)[-1]
-
-
-def scale_inplace(a, s):
-    a *= s

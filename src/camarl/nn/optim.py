@@ -36,7 +36,7 @@ def clip_global_norm(params, max_norm):
     if norm > max_norm and norm > 0.0:
         s = max_norm / norm
         for _, p in params.named():
-            K.scale_inplace(p.grad.reshape(-1), s)
+            p.grad *= s
     return norm
 
 

@@ -195,8 +195,9 @@ def test_split_dataset():
     train, held = split_dataset(samples, 0.8, seed=1)
     assert len(train) == 8 and len(held) == 2
     assert {s.seed for s in train} | {s.seed for s in held} == set(range(10))
-    with pytest.raises(UsageError):
-        split_dataset([], 0.8)
+    for few in ([], samples[:1]):
+        with pytest.raises(UsageError):
+            split_dataset(few, 0.8)
 
 
 # -------------------------------------------------------------------- model

@@ -10,6 +10,8 @@ clipping kernels are pinned too.  ``acd_pp`` fits the edge model at the
 benchmark width (869k parameters), and ``qvalues_lj_icl`` hashes the
 acting Q-values and hidden states themselves, which a last-bit change
 that flips no argmax would leave the other digests blind to.
+``GOLDEN_ENVS`` pins random-action rollouts of every env id on its own:
+observations, rewards, reward kinds, wins, events and episode lengths.
 
 The digests were taken with numpy 2.4.6 linked against OpenBLAS
 0.3.31 (scipy-openblas build) and Python 3.11.7.  Another numpy or BLAS
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 from camarl import acd, marl
-from camarl.envs import make_env
+from camarl.envs import ENV_IDS, make_env
 
 TRAIN = dict(total_steps=300, eval_interval=150, eval_episodes=2,
              epsilon_anneal_episodes=20, target_sync=2, batch_size=4,
@@ -59,6 +61,26 @@ GOLDEN = {
     "dataset_greedy_sk3-sp":
         "3aa498bfd714a480e1c7537eb814643f371cd1e8fcc853a3dcc2e54b21288a61",
 }
+
+GOLDEN_ENVS = {
+    "pp":
+        "a73c40f56b54e1bcfc14f81babedfd58a110948df43c00178c7a40bb5a02fc76",
+    "pp-sp":
+        "d67ed2680fcfb562d6c96c96b04959385e9e2bb853e9befbe6d2f26c5653f2b8",
+    "lj":
+        "bf9539a248b2133761e3d2d9f245655d9a16d26f9adb11dab832f16f45901429",
+    "lj-sp":
+        "222880681879fe381ba0ead858faab1cd1f4ea0e15e4d23521b922296a08d580",
+    "sk3":
+        "a4fcef10acfbaa11cc663fbfc49a51cdeef5250f25547b5b6497552370309b5c",
+    "sk3-sp":
+        "49f591a6ed1b8a7bc759fb145890af2e4f1512b44bb24fbc8f1998139acffb57",
+    "sk5":
+        "c85493734c098e86b29f3843d442b38fd70114c9fd7a3d5dd4def9473a087b0b",
+    "sk5-sp":
+        "bf63c15661876d51a401d1881f38e292d8ebd1d74304b4bef9cc4b7e00c4c571",
+}
+ENV_SEEDS = tuple(range(8))
 
 
 def _digest_files(paths):
@@ -106,6 +128,33 @@ def _digest_qvalues(learners, env_id, n_envs=5, n_steps=20):
 
     marl.collect_episodes(envs, act)
     return h.hexdigest()
+
+
+def _digest_env(env_id):
+    """Random-action episodes of one env id, every step hashed."""
+    h = hashlib.sha256()
+    for seed in ENV_SEEDS:
+        env = make_env(env_id, seed)
+        rng = np.random.default_rng(seed + 100)
+        h.update(env.reset(seed).tobytes())
+        length, done = 0, False
+        while not done:
+            res = env.step(rng.integers(0, env.spec.n_actions,
+                                        size=env.spec.n_agents))
+            h.update(res.obs.tobytes())
+            h.update(np.float64(res.reward).tobytes())
+            h.update(np.asarray(res.events, dtype=np.int64).tobytes())
+            h.update(repr((int(res.kind), bool(res.win))).encode())
+            length += 1
+            done = res.done
+        h.update(repr(length).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_env_rollout_digest(env_id):
+    assert _digest_env(env_id) == GOLDEN_ENVS[env_id], (
+        f"{env_id} rollouts moved")
 
 
 @pytest.fixture(scope="module")

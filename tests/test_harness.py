@@ -212,6 +212,36 @@ def test_cli_collect_error_exit_code(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+SK_IDQL = ["train", "--env", "sk3-sp", "--trainer", "idql", *TINY]
+
+
+@pytest.mark.parametrize("argv", [
+    [*SK_IDQL, "--seeds=-1"],
+    [*SK_IDQL, "--seeds", ""],
+    [*SK_IDQL, "--seeds", "1,1"],
+    ["collect", "--env", "sk3-sp", "--episodes", "1", "--seed", "-1"],
+    ["acd", "train", "--data", "DATA", "--epochs", "1", "--seed", "-1"],
+], ids=["train-negative", "train-empty", "train-repeated", "collect-negative",
+        "acd-train-negative"])
+def test_cli_bad_seeds_are_usage_errors(cli_runs, tmp_path, capsys, argv):
+    data = str(cli_runs / "ds" / "dataset.ckpt")
+    out = tmp_path / "out"
+    argv = [data if a == "DATA" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_acd_train_one_sample_writes_nothing(tmp_path, capsys):
+    data = tmp_path / "one.ckpt"
+    save_dataset(data, collect_dataset("sk3-sp", 1, seed=3))
+    out = tmp_path / "fit"
+    assert main(["acd", "train", "--data", str(data), "--epochs", "1",
+                 "--out", str(out)]) == 2
+    assert "need at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def cli_acd(cli_runs, tmp_path_factory):
     root = tmp_path_factory.mktemp("acd")

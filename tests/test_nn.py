@@ -479,11 +479,6 @@ def test_optimizer_kernels_match_scalar_loops(n):
     total = K.sumsq(g)
     assert np.float64(total).tobytes() == np.float64(_ref_sumsq(g)).tobytes()
 
-    a, a_ref = g.copy(), g.copy()
-    K.scale_inplace(a, 0.37)
-    _ref_scale_inplace(a_ref, 0.37)
-    assert a.tobytes() == a_ref.tobytes()
-
 
 def test_clipped_rmsprop_update_matches_scalar_path():
     rng = np.random.default_rng(5)
