@@ -29,7 +29,9 @@ terms are summed (a sum of two cannot depend on its order):
 - The gradient of a pair gather ``h.take(idx, axis=1)`` is n - 1
   slice-adds into zeros, the pairs of each node in ascending order, as
   ``np.add.at`` adds them.
-- The incoming-edge pooling is an ``einsum`` both ways.
+- The incoming-edge mean scales the messages by 1 / (n - 1), then sums
+  each node's pairs in ascending order (``_gather_bwd``); its gradient
+  is the scaled node gradient taken at each pair's destination.
 - Every per-step product stays per step: hoisting the message layer
   over all T steps would change the GEMM's row count, and with it the
   rounding.
@@ -120,10 +122,6 @@ class AcdModel:
             [np.flatnonzero(self.src == v) for v in range(n_nodes)])
         self._dst_slots = np.stack(
             [np.flatnonzero(self.dst == v) for v in range(n_nodes)])
-        # incoming-edge aggregation, mean over the n-1 sources per node
-        agg = np.zeros((self.n_pairs, n_nodes))
-        agg[np.arange(self.n_pairs), self.dst] = 1.0 / (n_nodes - 1)
-        self.agg = agg
 
         rng = np.random.default_rng(seed)
         p = ParamSet()
@@ -171,10 +169,10 @@ class AcdModel:
 
     def _pool(self, msg):
         """Mean of each node's incoming (B, n_pairs, F) messages: (B, n, F)."""
-        return np.einsum("bpf,pn->bnf", msg, self.agg)
+        return _gather_bwd(msg * (1.0 / (self.n_nodes - 1)), self._dst_slots)
 
     def _pool_bwd(self, g):
-        return np.einsum("bnf,pn->bpf", g, self.agg)
+        return np.take(g, self.dst, axis=1) * (1.0 / (self.n_nodes - 1))
 
     def encode(self, x: np.ndarray):
         """Edge logits (batch, n_pairs, 2) for smoothed, normalized series.

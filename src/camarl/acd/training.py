@@ -1,6 +1,5 @@
 """Causal-discovery training loop."""
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -109,7 +108,7 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
 
 
 def save_acd(out_dir: Path, model: AcdModel, result: AcdResult):
-    from camarl.nn.checkpoint import atomic_open, save_checkpoint
+    from camarl.nn.checkpoint import save_checkpoint, write_csv
 
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = dict(model.meta())
@@ -118,12 +117,9 @@ def save_acd(out_dir: Path, model: AcdModel, result: AcdResult):
                  "substrate_version": camarl.SUBSTRATE_VERSION})
     save_checkpoint(out_dir / "encoder.ckpt", model.params.state_arrays(),
                     meta)
-    with atomic_open(out_dir / "acd_log.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "nll", "kl", "total"])
-        for row in result.rows:
-            w.writerow([row["epoch"], repr(row["nll"]), repr(row["kl"]),
-                        repr(row["total"])])
+    fields = ("epoch", "nll", "kl", "total")
+    write_csv(out_dir / "acd_log.csv", fields,
+              ([row[k] for k in fields] for row in result.rows))
 
 
 def load_acd(path) -> tuple:
@@ -131,6 +127,10 @@ def load_acd(path) -> tuple:
     from camarl.nn.checkpoint import load_checkpoint
 
     arrays, meta = load_checkpoint(path)
-    model = AcdModel.from_meta(meta)
+    try:
+        model = AcdModel.from_meta(meta)
+    except KeyError as err:
+        raise ConfigurationError(
+            f"{path} is not an edge-model checkpoint: no {err}") from None
     model.params.load_arrays(arrays)
     return model, meta

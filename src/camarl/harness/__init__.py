@@ -1,12 +1,13 @@
-"""Experiment orchestration: manifests, scale presets, and the CLI."""
+"""Experiment orchestration: manifests and scale presets.
+
+``camarl.harness.cli`` is not imported here, so ``python -m`` runs it once.
+"""
 
 from camarl.harness.defaults import DESK, PAPER, config_dict, default_config
 from camarl.harness.manifest import (
     ExperimentManifest, new_manifest, read_manifest, write_manifest)
-from camarl.harness.cli import build_parser, execute, main
 
 __all__ = [
-    "DESK", "PAPER", "ExperimentManifest", "build_parser", "config_dict",
-    "default_config", "execute", "main", "new_manifest", "read_manifest",
-    "write_manifest",
+    "DESK", "PAPER", "ExperimentManifest", "config_dict", "default_config",
+    "new_manifest", "read_manifest", "write_manifest",
 ]

@@ -8,7 +8,6 @@ with a single-line reason on stderr.
 """
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,9 +26,10 @@ from camarl.marl import TRAINERS, TrainConfig, load_learners, train
 from camarl.metrics import (
     aggregate_curves, balance_index, bar_chart, line_chart, read_log,
     save_svg, write_curve)
-from camarl.nn.checkpoint import atomic_open
+from camarl.nn.checkpoint import read_json, write_csv
 
 TRAIN_KEYS = tuple(TrainConfig.__dataclass_fields__)
+ACCURACY_FIELDS = ("correct", "false_positive", "false_negative", "n_pairs")
 
 
 def _check_seed(seed: int) -> int:
@@ -214,26 +214,12 @@ def _exec_acd_eval(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
 
 
 def _write_accuracy(path, acc):
-    import csv
-
-    with atomic_open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["correct", "false_positive", "false_negative", "n_pairs"])
-        w.writerow([repr(acc["correct"]), repr(acc["false_positive"]),
-                    repr(acc["false_negative"]), acc["n_pairs"]])
+    write_csv(path, ACCURACY_FIELDS, [[acc[k] for k in ACCURACY_FIELDS]])
 
 
 def _exec_report(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
     cfg = manifest.config
-    runs = []
-    for run_dir in cfg["runs"]:
-        run_dir = Path(run_dir)
-        try:
-            with open(run_dir / "run.json") as f:
-                meta = json.load(f)
-        except FileNotFoundError:
-            raise UsageError(f"{run_dir} is not a finished run directory")
-        runs.append((run_dir, meta))
+    runs = [(Path(d), read_json(Path(d) / "run.json")) for d in cfg["runs"]]
     env_ids = sorted({m["env_id"] for _, m in runs})
     if len(env_ids) > 1:
         raise IncompatibleInputsError(
@@ -279,19 +265,11 @@ def _exec_report(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
     save_svg(out_dir / "events_per_agent.svg",
              bar_chart(bars, title=f"{env_ids[0]} final event counts",
                        ylabel="events per evaluation episode"))
-    import csv
-
-    with atomic_open(out_dir / "behaviour.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["trainer"] + [f"event_count_agent_{i}"
-                                  for i in range(n_agents)])
-        for label, _ in balance_rows:
-            w.writerow([label] + [repr(v) for v in bars[label]])
-    with atomic_open(out_dir / "balance.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["trainer", "balance_index"])
-        for label, idx in balance_rows:
-            w.writerow([label, repr(idx)])
+    header = ["trainer"] + [f"event_count_agent_{i}" for i in range(n_agents)]
+    write_csv(out_dir / "behaviour.csv", header,
+              ([label] + bars[label] for label, _ in balance_rows))
+    write_csv(out_dir / "balance.csv", ["trainer", "balance_index"],
+              balance_rows)
     if not quiet:
         for label, idx in balance_rows:
             print(f"{label}: balance index {idx:.3f}")

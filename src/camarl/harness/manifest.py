@@ -8,14 +8,13 @@ from the manifest alone.  The created-at stamp documents provenance and
 is the one field excluded from byte-identity guarantees.
 """
 
-import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import camarl
 from camarl.errors import ConfigurationError, UsageError
-from camarl.nn.checkpoint import atomic_open
+from camarl.nn.checkpoint import read_json, write_json
 
 MANIFEST_NAME = "manifest.json"
 KINDS = ("train", "collect", "acd-train", "acd-eval", "report")
@@ -64,9 +63,7 @@ def write_manifest(out_dir, manifest: ExperimentManifest,
             f"{out_dir} already holds an experiment manifest; "
             f"pick a fresh output directory")
     out_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_open(path, "w") as f:
-        json.dump(asdict(manifest.validate()), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, asdict(manifest.validate()))
     return path
 
 
@@ -74,13 +71,7 @@ def read_manifest(path) -> ExperimentManifest:
     path = Path(path)
     if path.is_dir():
         path = path / MANIFEST_NAME
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except FileNotFoundError:
-        raise UsageError(f"no manifest at {path}")
-    except json.JSONDecodeError as err:
-        raise ConfigurationError(f"{path} is not a valid manifest: {err}")
+    raw = read_json(path)
     fields = {k: raw[k] for k in
               ("name", "kind", "config", "seeds", "created_at",
                "substrate_version") if k in raw}

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from camarl.envs import env_spec, make_env
 from camarl.errors import UsageError
@@ -29,7 +29,7 @@ def return_ci95(returns) -> float:
     sd = r.std(ddof=1)
     if sd == 0.0:
         return 0.0
-    q = stats.t.ppf(0.975, r.size - 1)
+    q = stdtrit(r.size - 1, 0.975)   # the t quantile, t.ppf(0.975, n - 1)
     return float(q * sd / np.sqrt(r.size))
 
 

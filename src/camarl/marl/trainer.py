@@ -9,8 +9,6 @@ evaluations all draw from seed streams spawned off one root seed, so a
 run is reproducible bit for bit.
 """
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -232,20 +230,15 @@ CSV_FIELDS = ("step", "episode", "eval_return_mean", "eval_return_ci95",
 
 
 def write_log(path, rows, n_agents):
-    from camarl.nn.checkpoint import atomic_open
+    from camarl.nn.checkpoint import write_csv
 
     fields = list(CSV_FIELDS) + [f"event_count_agent_{i}"
                                  for i in range(n_agents)]
-    with atomic_open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(fields)
-        for row in rows:
-            w.writerow([repr(row[k]) if isinstance(row[k], float) else row[k]
-                        for k in fields])
+    write_csv(path, fields, ([row[k] for k in fields] for row in rows))
 
 
 def save_run(out_dir: Path, config: TrainConfig, result: TrainResult):
-    from camarl.nn.checkpoint import atomic_open, save_checkpoint
+    from camarl.nn.checkpoint import save_checkpoint, write_json
 
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = env_spec(config.env_id)
@@ -268,18 +261,15 @@ def save_run(out_dir: Path, config: TrainConfig, result: TrainResult):
             "n_hidden": config.n_hidden,
             "mask_mode": mask_mode(config.trainer),
             "substrate_version": camarl.SUBSTRATE_VERSION}
-    with atomic_open(out_dir / "run.json", "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out_dir / "run.json", meta)
 
 
 def load_learners(run_dir):
     """Rebuild learners from a saved run directory."""
-    from camarl.nn.checkpoint import load_checkpoint
+    from camarl.nn.checkpoint import load_checkpoint, read_json
 
     run_dir = Path(run_dir)
-    with open(run_dir / "run.json") as f:
-        meta = json.load(f)
+    meta = read_json(run_dir / "run.json")
     spec = env_spec(meta["env_id"])
     learners = []
     for i, name in enumerate(meta["agents"]):

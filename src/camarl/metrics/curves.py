@@ -8,7 +8,7 @@ import numpy as np
 
 from camarl.errors import IncompatibleInputsError, UsageError
 from camarl.marl.evaluate import return_ci95
-from camarl.nn.checkpoint import atomic_open
+from camarl.nn.checkpoint import write_csv
 
 
 @dataclass
@@ -59,11 +59,8 @@ def aggregate_curves(logs, metric: str = "eval_return_mean"):
 
 def write_curve(path, points):
     """One CSV row per curve point; floats kept at full precision."""
-    with atomic_open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(("step", "mean", "ci95"))
-        for p in points:
-            w.writerow((p.step, repr(p.mean), repr(p.ci95)))
+    write_csv(path, ("step", "mean", "ci95"),
+              ((p.step, p.mean, p.ci95) for p in points))
 
 
 def read_curve(path):

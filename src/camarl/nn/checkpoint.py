@@ -1,22 +1,29 @@
-"""Deterministic binary checkpoints.
-
-Layout: magic ``CMCK``, a little-endian u32 format version, a u64 header
-length, a canonical-JSON header (sorted keys, fixed separators), then the
-raw little-endian float64 tensor payloads in header order.  Unlike zip
-containers there are no timestamps, so saving identical state twice gives
-identical bytes, which the rerun guarantees in the harness depend on.
-Checkpoints, logs, manifests, curves and charts are all written through
+"""The file layer: every artifact is written and read here, through
 ``atomic_open``.
+
+Checkpoints: magic ``CMCK``, a little-endian u32 format version, a u64
+header length, a canonical-JSON header (sorted keys, fixed separators),
+then the raw little-endian float64 tensor payloads in header order.
+Unlike zip containers there are no timestamps, so saving identical state
+twice gives identical bytes, which the rerun guarantees in the harness
+depend on.  CSV (``write_csv``) writes floats, numpy float64 included,
+as the ``repr`` of the Python float, which reads back to the same bits;
+JSON (``write_json``) is indented by 2 with sorted keys.
+
+Inputs: a file that cannot be opened raises ``UsageError`` (exit 2), and
+one that is torn, malformed or not a JSON object raises
+``ConfigurationError`` (exit 3).
 """
 
 import contextlib
+import csv
 import json
 import os
 import struct
 
 import numpy as np
 
-from camarl.errors import ConfigurationError
+from camarl.errors import ConfigurationError, UsageError
 
 _MAGIC = b"CMCK"
 _VERSION = 1
@@ -40,6 +47,41 @@ def atomic_open(path, mode, **kwargs):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def write_csv(path, header, rows):
+    """Write a header row, then one line per row of values."""
+    with atomic_open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_json(path, obj):
+    """Write obj as JSON, indented by 2 with sorted keys."""
+    with atomic_open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _read_bytes(path):
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as err:
+        raise UsageError(f"cannot read {path}: {err.strerror}") from None
+
+
+def read_json(path):
+    """Read the JSON object in a file written by write_json."""
+    raw = _read_bytes(path)
+    try:
+        obj = json.loads(raw)
+    except ValueError as err:
+        raise ConfigurationError(f"{path} is not valid JSON: {err}") from None
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{path} does not hold a JSON object")
+    return obj
 
 
 def save_checkpoint(path, arrays, meta=None):
@@ -85,12 +127,11 @@ def _well_formed(header):
 def load_checkpoint(path):
     """Read a checkpoint, returning (arrays, meta).
 
-    A file cut short anywhere, carrying bytes after its payload, or
-    whose header lacks the structure save_checkpoint writes raises
-    ConfigurationError.
+    A file that cannot be opened raises UsageError.  A file cut short
+    anywhere, carrying bytes after its payload, or whose header lacks
+    the structure save_checkpoint writes raises ConfigurationError.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
+    raw = _read_bytes(path)
     if raw[:4] != _MAGIC:
         raise ConfigurationError(f"{path} is not a checkpoint file")
     if len(raw) < 16:

@@ -389,6 +389,10 @@ class TapeAcd:
         self.model = model
         self.leaves = {name: Tensor(p.data, requires_grad=True)
                        for name, p in model.params.named()}
+        # incoming-edge mean as a dense (n_pairs, n) matrix for mix_axis1
+        n = model.n_nodes
+        self.agg = np.zeros((model.n_pairs, n))
+        self.agg[np.arange(model.n_pairs), model.dst] = 1.0 / (n - 1)
 
     def _dense(self, name, x):
         act = getattr(self.model, name.split(".")[1]).act
@@ -404,7 +408,7 @@ class TapeAcd:
                       axis=2).reshape((B * m.n_pairs, 2 * e))
         msg = self._dense("enc.fe1b", self._dense("enc.fe1a", pair))
         msg = msg.reshape((B, m.n_pairs, e))
-        pooled = mix_axis1(msg, m.agg).reshape((B * n, e))
+        pooled = mix_axis1(msg, self.agg).reshape((B * n, e))
         h2 = self._dense("enc.fvb", self._dense("enc.fva", pooled))
         h2 = h2.reshape((B, n, e))
         pair2 = concat([take(h2, m.src, axis=1), take(h2, m.dst, axis=1)],
@@ -430,7 +434,7 @@ class TapeAcd:
             xt = x[:, :, t, :]
             msg = self._dense("dec.msg", constant(xt.reshape(B * n, D)))
             gated = take(msg.reshape((B, n, d)), m.src, axis=1) * w
-            pooled = mix_axis1(gated, m.agg)
+            pooled = mix_axis1(gated, self.agg)
             gin = concat([constant(xt), pooled], axis=2)
             h = gru_step(gin.reshape((B * n, D + d)), h, L["dec.gru.Wx"],
                          L["dec.gru.Wh"], L["dec.gru.bx"], L["dec.gru.bh"])

@@ -35,6 +35,8 @@ ALLOWED = {
 # modules kept without an importer in src/, each for a stated reason
 ALLOWED_MODULES = {
     "camarl.accel": "perfbench/run.py reads BACKEND",
+    "camarl.harness.cli": "the camarl console script in pyproject.toml "
+                          "imports it",
 }
 
 

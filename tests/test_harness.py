@@ -1,6 +1,7 @@
 """Manifest discipline, scale presets, and the CLI surface."""
 
 import csv
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -242,6 +243,43 @@ def test_cli_acd_train_one_sample_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+SK_ACD_MARL = ["train", "--env", "sk3-sp", "--trainer", "acd-marl", *TINY]
+COLLECT_ONE = ["collect", "--env", "sk3-sp", "--episodes", "1"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["acd", "train", "--data", "MISSING"], 2),
+    (["acd", "eval", "--model", "MISSING", "--data", "DATA"], 2),
+    ([*SK_ACD_MARL, "--encoder", "MISSING"], 2),
+    ([*COLLECT_ONE, "--policy", "EMPTY"], 2),
+    (["report", "--runs", "EMPTY"], 2),
+    (["acd", "eval", "--model", "DATA", "--data", "DATA"], 3),
+    ([*SK_ACD_MARL, "--encoder", "DATA"], 3),
+    ([*COLLECT_ONE, "--policy", "TORN"], 3),
+    (["report", "--runs", "TORN"], 3),
+], ids=["acd-train-missing-data", "acd-eval-missing-model",
+        "train-missing-encoder", "collect-policy-without-run",
+        "report-without-run", "acd-eval-dataset-as-model",
+        "train-dataset-as-encoder", "collect-policy-torn-run",
+        "report-torn-run"])
+def test_cli_unreadable_inputs_exit_typed(cli_runs, tmp_path, capsys, argv,
+                                          code):
+    # 2 for a file that cannot be opened, 3 for one of the wrong kind;
+    # either way before the output directory is made
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "torn").mkdir()
+    (tmp_path / "torn" / "run.json").write_text('{"env_id": "sk')
+    paths = {"MISSING": tmp_path / "missing.ckpt",
+             "DATA": cli_runs / "ds" / "dataset.ckpt",
+             "EMPTY": tmp_path / "empty", "TORN": tmp_path / "torn"}
+    out = tmp_path / "out"
+    argv = [str(paths[a]) if a in paths else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def cli_acd(cli_runs, tmp_path_factory):
     root = tmp_path_factory.mktemp("acd")
@@ -300,6 +338,52 @@ def test_cli_acd_eval_malformed_header_is_configuration_error(
                    "--out", str(tmp_path / f"ev_{i}")])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error:")
+
+
+# SHA-256 over the relative path and bytes of every file the CLI wrote
+# for the fixtures above, one report and one acd eval; manifest.json
+# carries a creation stamp and is left out.  Taken like test_golden.py's
+# digests, with numpy 2.4.6, OpenBLAS 0.3.31 and Python 3.11.7.
+CLI_ARTIFACTS = {
+    "acd_eval":
+        "96b7db51b51749b26add7b413772e765ebf17366cf6cf6abdfe8cdf5536dc6d6",
+    "acd_train":
+        "8a40380ae073af61b573e8da9503e450cf28a2054129c6d57c6e62280d97de85",
+    "collect":
+        "15c0144a8d57f7ca440e1487370cd8538cc47387e4973546a466cf0b3ec879ce",
+    "report":
+        "4228bc6b4ebc6043a05fcd8a3752a23886704b310e5cf706af4bf4d75eceea47",
+    "train_icl":
+        "e4fd7716f723306f3204ac9e2706fec15ab074cf76528e59a343bf26b757f28d",
+    "train_idql":
+        "74de6fd530593e7cd24453c81c361ace08d354f37963308661668cd838a84f57",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_artifacts(cli_runs, cli_acd, tmp_path_factory):
+    root = tmp_path_factory.mktemp("artifacts")
+    runs = [str(cli_runs / t / f"seed_{s}")
+            for t in ("idql", "icl") for s in (0, 1)]
+    assert main(["report", "--runs", *runs, "--out", str(root / "rep")]) == 0
+    assert main(["acd", "eval", "--model",
+                 str(cli_acd / "fit" / "encoder.ckpt"), "--data",
+                 str(cli_runs / "ds" / "dataset.ckpt"),
+                 "--out", str(root / "ev")]) == 0
+    return {"acd_eval": root / "ev", "acd_train": cli_acd / "fit",
+            "collect": cli_runs / "ds", "report": root / "rep",
+            "train_icl": cli_runs / "icl", "train_idql": cli_runs / "idql"}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_ARTIFACTS))
+def test_cli_artifact_digest(cli_artifacts, name):
+    out = cli_artifacts[name]
+    h = hashlib.sha256()
+    for p in sorted(p for p in out.rglob("*")
+                    if p.is_file() and p.name != "manifest.json"):
+        h.update(p.relative_to(out).as_posix().encode() + b"\0"
+                 + p.read_bytes() + b"\0")
+    assert h.hexdigest() == CLI_ARTIFACTS[name], f"{name} files moved"
 
 
 def test_cli_report(cli_runs, tmp_path, capsys):

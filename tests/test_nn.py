@@ -19,7 +19,9 @@ from camarl.nn import kernels as K
 from camarl.nn.layers import ParamSet, Dense, GruCell
 from camarl.nn.optim import (
     EPS, RHO, RmspropState, rmsprop_update, clip_global_norm)
-from camarl.nn.checkpoint import atomic_open, save_checkpoint, load_checkpoint
+from camarl.nn.checkpoint import (
+    atomic_open, load_checkpoint, read_json, save_checkpoint, write_csv,
+    write_json)
 
 RNG = np.random.default_rng(1234)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -640,6 +642,31 @@ def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
     arrays, meta = load_checkpoint(path)
     assert arrays["w"].tolist() == [0.0, 1.0, 2.0, 3.0] and meta["k"] == 1
     assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+
+
+def test_csv_writes_numpy_scalars_as_python_floats(tmp_path):
+    # repr(np.float64(x)) reads "np.float64(x)" under numpy 2
+    path = tmp_path / "t.csv"
+    x = np.float64(0.1) + np.float64(0.2)
+    write_csv(path, ("a", "b", "c"), [(x, float(x), np.int64(3))])
+    assert path.read_bytes() == (b"a,b,c\r\n0.30000000000000004,"
+                                 b"0.30000000000000004,3\r\n")
+
+
+def test_json_roundtrip_and_input_errors(tmp_path):
+    path = tmp_path / "r.json"
+    write_json(path, {"b": [1, 0.5], "a": None})
+    assert path.read_text() == ('{\n  "a": null,\n  "b": [\n    1,\n'
+                                '    0.5\n  ]\n}\n')
+    assert read_json(path) == {"a": None, "b": [1, 0.5]}
+    with pytest.raises(UsageError):
+        read_json(tmp_path / "missing.json")
+    with pytest.raises(UsageError):
+        load_checkpoint(tmp_path)
+    for text in ("{torn", "[]", "\xff"):
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ConfigurationError):
+            read_json(path)
 
 
 def _bad_log_rows():
