@@ -15,15 +15,15 @@ Forward and backward are explicit array passes, like the Q-network's
 output plus a cache of the activations that ``encode_bwd`` and
 ``decode_bwd`` read; ``sample_edges`` returns the edge weights plus the
 soft sample that ``gumbel_softmax_bwd`` reads.  The backward passes add
-into each parameter's ``.grad``.  They round exactly as the
-reverse-mode tape they replace, which the tests keep as the reference,
-because they keep its order of accumulation wherever more than two
-terms are summed (a sum of two cannot depend on its order):
+into the gradient views of the model's ``ParamSet``.  They round exactly
+as the reverse-mode tape they replace, which the tests keep as the
+reference, because they keep its order of accumulation wherever more
+than two terms are summed (a sum of two cannot depend on its order):
 
 - A decoder weight is shared by the T - 1 steps, and so are the edge
   weights.  Their gradients sum the steps from t = T - 2 down to 0,
   starting from the first term; a parameter's sum is then added into
-  its zeroed ``.grad``.
+  its zeroed gradient.
 - The logits gradient is the KL's log-softmax term, plus its softmax
   term, plus the edge sample's term, in that order.
 - The gradient of a pair gather ``h.take(idx, axis=1)`` is n - 1
@@ -44,11 +44,12 @@ import numpy as np
 from camarl.errors import ConfigurationError, UsageError
 from camarl.nn import kernels as K
 from camarl.nn.kernels import ACT_IDENTITY, ACT_RELU
-from camarl.nn.layers import Dense, GruCell, ParamSet
+from camarl.nn.layers import Dense, ParamSet, _uniform_init, dense_init
 
 ENC_HIDDEN = 128
 DEC_HIDDEN = 64
 EDGE_TYPES = 2
+GRU_KEYS = ("Wx", "Wh", "bx", "bh")   # the gru_fwd argument order
 
 
 def ordered_pairs(n_nodes: int):
@@ -77,14 +78,14 @@ def gumbel_softmax_bwd(soft, temperature, g_weight):
 
 
 def _dense(layer, x):
-    return K.affine_act_fwd(x, layer.W.data, layer.b.data, layer.act)
+    return K.affine_act_fwd(x, layer.W, layer.b, layer.act)
 
 
 def _dense_bwd(layer, x, y, gy):
-    """Input gradient of y = _dense(layer, x); adds gW and gb to .grad."""
-    gx, gW, gb = K.affine_act_bwd(x, layer.W.data, y, layer.act, gy)
-    layer.W.grad += gW
-    layer.b.grad += gb
+    """Input gradient of y = _dense(layer, x); adds into gW and gb."""
+    gx, gW, gb = K.affine_act_bwd(x, layer.W, y, layer.act, gy)
+    layer.gW += gW
+    layer.gb += gb
     return gx
 
 
@@ -124,21 +125,31 @@ class AcdModel:
             [np.flatnonzero(self.dst == v) for v in range(n_nodes)])
 
         rng = np.random.default_rng(seed)
-        p = ParamSet()
-        e, d = enc_hidden, dec_hidden
-        self.emb1 = Dense(p, "enc.emb1", series_len * feat_dim, e, ACT_RELU, rng)
-        self.emb2 = Dense(p, "enc.emb2", e, e, ACT_IDENTITY, rng)
-        self.fe1a = Dense(p, "enc.fe1a", 2 * e, e, ACT_RELU, rng)
-        self.fe1b = Dense(p, "enc.fe1b", e, e, ACT_IDENTITY, rng)
-        self.fva = Dense(p, "enc.fva", e, e, ACT_RELU, rng)
-        self.fvb = Dense(p, "enc.fvb", e, e, ACT_IDENTITY, rng)
-        self.fe2a = Dense(p, "enc.fe2a", 2 * e, e, ACT_RELU, rng)
-        self.fe2b = Dense(p, "enc.fe2b", e, e, ACT_IDENTITY, rng)
-        self.head = Dense(p, "enc.head", e, EDGE_TYPES, ACT_IDENTITY, rng)
-        self.msg = Dense(p, "dec.msg", feat_dim, d, ACT_RELU, rng)
-        self.gru = GruCell(p, "dec.gru", feat_dim + d, d, rng)
-        self.out = Dense(p, "dec.out", d, feat_dim, ACT_IDENTITY, rng)
-        self.params = p
+        e, d, D = enc_hidden, dec_hidden, feat_dim
+        dense = (("enc.emb1", series_len * D, e, ACT_RELU),
+                 ("enc.emb2", e, e, ACT_IDENTITY),
+                 ("enc.fe1a", 2 * e, e, ACT_RELU),
+                 ("enc.fe1b", e, e, ACT_IDENTITY),
+                 ("enc.fva", e, e, ACT_RELU),
+                 ("enc.fvb", e, e, ACT_IDENTITY),
+                 ("enc.fe2a", 2 * e, e, ACT_RELU),
+                 ("enc.fe2b", e, e, ACT_IDENTITY),
+                 ("enc.head", e, EDGE_TYPES, ACT_IDENTITY),
+                 ("dec.msg", D, d, ACT_RELU),
+                 ("dec.out", d, D, ACT_IDENTITY))
+        # draw order: the dense layers as listed, the GRU before dec.out
+        inits = [pair for name, n_in, n_out, _ in dense[:-1]
+                 for pair in dense_init(rng, name, n_in, n_out)]
+        inits += [("dec.gru.Wx", _uniform_init(rng, D + d, (D + d, 3 * d))),
+                  ("dec.gru.Wh", _uniform_init(rng, d, (d, 3 * d))),
+                  ("dec.gru.bx", _uniform_init(rng, D + d, (3 * d,))),
+                  ("dec.gru.bh", _uniform_init(rng, d, (3 * d,)))]
+        inits += dense_init(rng, "dec.out", d, D)
+        self.params = p = ParamSet(inits)
+        (self.emb1, self.emb2, self.fe1a, self.fe1b, self.fva, self.fvb,
+         self.fe2a, self.fe2b, self.head, self.msg, self.out) = (
+            Dense(p, name, act) for name, _, _, act in dense)
+        self.gru = tuple(p["dec.gru." + k] for k in GRU_KEYS)
 
     def _check_input(self, x):
         if x.ndim != 4 or x.shape[1] != self.n_nodes:
@@ -216,8 +227,8 @@ class AcdModel:
         g = _dense_bwd(self.fe1a, pair, m1, g)
         g = _dense_bwd(self.emb2, a1, h, self._pairs_bwd(g))
         gW, gb = _weight_grads(self.emb1, flat, a1, g)
-        self.emb1.W.grad += gW
-        self.emb1.b.grad += gb
+        self.emb1.gW += gW
+        self.emb1.gb += gb
 
     # -- decoder -------------------------------------------------------------
 
@@ -232,7 +243,6 @@ class AcdModel:
         self._check_input(x)
         B, n, Tlen, D = x.shape
         d = self.dec_hidden
-        gru = self.gru
         w = edge_weight.reshape(B, self.n_pairs, 1)
         h = np.zeros((B * n, d))
         pred = np.empty((B, n, Tlen - 1, D))
@@ -244,8 +254,7 @@ class AcdModel:
             gated = np.take(m.reshape(B, n, d), self.src, axis=1) * w
             gin = np.concatenate([xt, self._pool(gated)], axis=2)
             gin = gin.reshape(B * n, D + d)
-            h_new, r, z, nc, ghn = K.gru_fwd(gin, h, gru.Wx.data, gru.Wh.data,
-                                             gru.bx.data, gru.bh.data)
+            h_new, r, z, nc, ghn = K.gru_fwd(gin, h, *self.gru)
             delta = _dense(self.out, h_new)
             pred[:, :, t, :] = xt + delta.reshape(B, n, D)
             steps.append((xin, m, gin, h, r, z, nc, ghn, h_new, delta))
@@ -257,18 +266,16 @@ class AcdModel:
         w, steps = cache
         B, P = w.shape[:2]
         n, d, D = self.n_nodes, self.dec_hidden, self.feat_dim
-        gru = self.gru
-        params = (self.out.W, self.out.b, gru.Wx, gru.Wh, gru.bx, gru.bh,
-                  self.msg.W, self.msg.b)
+        Wx, Wh = self.gru[:2]
         sums = g_w = dh = None   # summed from t = T-2 down
         for t in range(len(steps) - 1, -1, -1):
             xin, m, gin, h, r, z, nc, ghn, h_new, delta = steps[t]
             gy = np.ascontiguousarray(g_pred[:, :, t, :]).reshape(B * n, D)
-            gx, gWo, gbo = K.affine_act_bwd(h_new, self.out.W.data, delta,
+            gx, gWo, gbo = K.affine_act_bwd(h_new, self.out.W, delta,
                                             ACT_IDENTITY, gy)
             dh = gx if dh is None else dh + gx
             g_gin, dh, gWx, gWh, gbx, gbh = K.gru_bwd(
-                gin, h, gru.Wx.data, gru.Wh.data, r, z, nc, ghn, dh)
+                gin, h, Wx, Wh, r, z, nc, ghn, dh)
             g_pool = np.ascontiguousarray(g_gin.reshape(B, n, D + d)[:, :, D:])
             g_gated = self._pool_bwd(g_pool)
             taken = np.take(m.reshape(B, n, d), self.src, axis=1)
@@ -282,8 +289,11 @@ class AcdModel:
             else:
                 for s, grad in zip(sums, grads):
                     s += grad
-        for p, s in zip(params, sums):
-            p.grad += s
+        g = self.params.grads
+        for acc, s in zip((self.out.gW, self.out.gb,
+                           *(g["dec.gru." + k] for k in GRU_KEYS),
+                           self.msg.gW, self.msg.gb), sums):
+            acc += s
         return g_w.reshape(B, P)
 
     # -- sampling ------------------------------------------------------------

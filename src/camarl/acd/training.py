@@ -8,7 +8,7 @@ import numpy as np
 import camarl
 from camarl.envs import env_spec
 from camarl.errors import ConfigurationError, UsageError
-from camarl.nn.optim import RmspropState, rmsprop_update
+from camarl.nn.optim import rmsprop_update
 from camarl.acd.dataset import preprocess
 from camarl.acd.loss import elbo_loss
 from camarl.acd.model import AcdModel, gumbel_softmax_bwd
@@ -22,7 +22,7 @@ def sigma_for(env_id: str) -> float:
 
 
 def backward(model: AcdModel, terms, enc, dec, soft):
-    """Add the gradient of the ELBO into every parameter's ``.grad``.
+    """Add the gradient of the ELBO into the model's gradient buffer.
 
     enc and dec are the caches of the batch's encode and decode, soft
     the edge sample drawn at TEMPERATURE.  The logits take the KL
@@ -75,7 +75,6 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
     ss_init, ss_shuffle, ss_noise = root.spawn(3)
     model = AcdModel(n_nodes, T, D, seed=ss_init, enc_hidden=enc_hidden,
                      dec_hidden=dec_hidden)
-    opt = RmspropState(model.params)
     rng_shuffle = np.random.default_rng(ss_shuffle)
     rng_noise = np.random.default_rng(ss_noise)
 
@@ -92,7 +91,7 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
             pred, dec = model.decode(xb, w)
             terms = elbo_loss(pred, xb[:, :, 1:, :], logits, sigma)
             backward(model, terms, enc, dec, soft)
-            rmsprop_update(model.params, opt, lr=lr)
+            rmsprop_update(model.params, lr=lr)
             b = len(idx)
             nll_sum += terms.nll * b
             kl_sum += terms.kl * b

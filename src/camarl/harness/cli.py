@@ -22,11 +22,11 @@ from camarl.errors import (
 from camarl.harness.defaults import config_dict, default_config
 from camarl.harness.manifest import (
     ExperimentManifest, new_manifest, read_manifest, write_manifest)
-from camarl.marl import TRAINERS, TrainConfig, load_learners, train
+from camarl.marl import TRAINERS, TrainConfig, load_learners, read_run, train
 from camarl.metrics import (
     aggregate_curves, balance_index, bar_chart, line_chart, read_log,
     save_svg, write_curve)
-from camarl.nn.checkpoint import read_json, write_csv
+from camarl.nn.checkpoint import write_csv
 
 TRAIN_KEYS = tuple(TrainConfig.__dataclass_fields__)
 ACCURACY_FIELDS = ("correct", "false_positive", "false_negative", "n_pairs")
@@ -219,7 +219,7 @@ def _write_accuracy(path, acc):
 
 def _exec_report(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
     cfg = manifest.config
-    runs = [(Path(d), read_json(Path(d) / "run.json")) for d in cfg["runs"]]
+    runs = [(Path(d), read_run(d)) for d in cfg["runs"]]
     env_ids = sorted({m["env_id"] for _, m in runs})
     if len(env_ids) > 1:
         raise IncompatibleInputsError(

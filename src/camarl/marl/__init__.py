@@ -3,20 +3,19 @@ from camarl.marl.episode import (
     EpisodeRecord, collect_episode, collect_episodes)
 from camarl.marl.evaluate import EvalSummary, evaluate, return_ci95
 from camarl.marl.masking import (
-    MODE_ALWAYS_ONE, MODE_PER_EPISODE, MODE_PER_TIMESTEP, masked_reward,
-    masked_rewards)
+    MODE_ALWAYS_ONE, MODE_PER_EPISODE, MODE_PER_TIMESTEP, masked_rewards)
 from camarl.marl.replay import ReplayBuffer
 from camarl.marl.schedule import epsilon_at
 from camarl.marl.trainer import (
     TRAINERS, TrainConfig, TrainResult, build_batch, load_learners,
-    oracle_episode_bits, train, write_log)
+    oracle_episode_bits, read_run, train, write_log)
 
 __all__ = [
     "AgentLearner", "EpisodeRecord", "EvalSummary",
     "MODE_ALWAYS_ONE", "MODE_PER_EPISODE", "MODE_PER_TIMESTEP",
     "ReplayBuffer", "TRAINERS", "TrainConfig", "TrainResult", "build_batch",
     "collect_episode", "collect_episodes", "epsilon_at", "evaluate",
-    "load_learners", "masked_reward", "masked_rewards",
-    "oracle_episode_bits", "return_ci95",
+    "load_learners", "masked_rewards",
+    "oracle_episode_bits", "read_run", "return_ci95",
     "team_policy", "train", "write_log",
 ]

@@ -10,8 +10,8 @@ import numpy as np
 
 from camarl.errors import UsageError
 from camarl.nn import kernels
-from camarl.nn.layers import ParamSet, _uniform_init
-from camarl.nn.optim import RmspropState, rmsprop_update
+from camarl.nn.layers import ParamSet, _uniform_init, load_views
+from camarl.nn.optim import rmsprop_update
 
 PARAM_NAMES = ("gru.Wx", "gru.Wh", "gru.bx", "gru.bh", "head.W", "head.b")
 
@@ -26,17 +26,18 @@ class AgentLearner:
         self.lr = lr
         self.grad_clip = grad_clip
         rng = np.random.default_rng(seed)
-        p = ParamSet()
-        p.add("gru.Wx",
-              _uniform_init(rng, self.n_in, (self.n_in, 3 * n_hidden)))
-        p.add("gru.Wh", _uniform_init(rng, n_hidden, (n_hidden, 3 * n_hidden)))
-        p.add("gru.bx", np.zeros(3 * n_hidden))
-        p.add("gru.bh", np.zeros(3 * n_hidden))
-        p.add("head.W", _uniform_init(rng, n_hidden, (n_hidden, n_actions)))
-        p.add("head.b", np.zeros(n_actions))
-        self.params = p
-        self.target = {k: v.copy() for k, v in p.state_arrays().items()}
-        self.opt = RmspropState(p)
+        n_in, H = self.n_in, n_hidden
+        self.params = p = ParamSet([
+            ("gru.Wx", _uniform_init(rng, n_in, (n_in, 3 * H))),
+            ("gru.Wh", _uniform_init(rng, H, (H, 3 * H))),
+            ("gru.bx", np.zeros(3 * H)),
+            ("gru.bh", np.zeros(3 * H)),
+            ("head.W", _uniform_init(rng, H, (H, n_actions))),
+            ("head.b", np.zeros(n_actions)),
+        ])
+        # the target network: one flat copy in the same layout
+        self.target_data = p.data.copy()
+        self.target = p.views(self.target_data)
         self.last_loss = None
         # row a is the one-hot of action a; the last row, picked by -1
         # (no previous action), is all zeros
@@ -56,7 +57,7 @@ class AgentLearner:
 
     def _weights(self):
         p = self.params
-        return tuple(p[name].data for name in PARAM_NAMES)
+        return tuple(p[name] for name in PARAM_NAMES)
 
     def q_values(self, obs, prev_action, hidden):
         """One greedy-policy step for E independent rows: (q, new hidden).
@@ -96,8 +97,7 @@ class AgentLearner:
     # -- training ----------------------------------------------------------
 
     def sync_target(self):
-        for k, v in self.params.state_arrays().items():
-            self.target[k][...] = v
+        self.target_data[...] = self.params.data
 
     def target_q(self, X, h0):
         t = self.target
@@ -137,34 +137,29 @@ class AgentLearner:
         grads = kernels.qnet_unroll_bwd(X, h0, Hs, R, Z, Nc, GHN, Wx, Wh, Wq,
                                         dQ)
         for name, grad in zip(PARAM_NAMES, grads):
-            self.params[name].grad += grad
+            self.params.grads[name] += grad
         return loss
 
     def train_step(self, X, actions, rewards, valid, terminal, gamma):
         """One gradient step on a batch; returns the TD loss."""
         loss = self.td_loss_and_grads(X, actions, rewards, valid, terminal,
                                       gamma)
-        rmsprop_update(self.params, self.opt, lr=self.lr,
-                       max_norm=self.grad_clip)
+        rmsprop_update(self.params, lr=self.lr, max_norm=self.grad_clip)
         self.last_loss = loss
         return loss
 
     # -- persistence ---------------------------------------------------------
 
     def state_arrays(self):
-        out = dict(self.params.state_arrays())
-        for k, v in self.target.items():
-            out["target." + k] = v
-        out.update(self.opt.arrays())
+        out = self.params.state_arrays()
+        out.update(("target." + k, v) for k, v in self.target.items())
+        out.update(("opt." + k, v) for k, v in self.params.vs.items())
         return out
 
     def load_state(self, arrays):
-        own = {k: v for k, v in arrays.items()
-               if not k.startswith(("target.", "opt."))}
-        self.params.load_arrays(own)
-        for k in self.target:
-            self.target[k][...] = arrays["target." + k]
-        self.opt.load_arrays(arrays)
+        self.params.load_arrays(arrays)
+        load_views(self.target, arrays, "target.")
+        load_views(self.params.vs, arrays, "opt.")
 
 
 def team_policy(learners, epsilon: float = 0.0, rng=None):

@@ -12,12 +12,6 @@ MODE_PER_TIMESTEP = "per_timestep"  # ICL, oracle bits at collection time
 MODE_PER_EPISODE = "per_episode"    # encoder bits, one per agent per episode
 
 
-def masked_reward(reward: float, c_bit: int, strict: bool = False) -> float:
-    if strict or reward > 0:
-        return c_bit * reward
-    return reward
-
-
 def masked_rewards(rewards, bits, strict: bool = False):
     """Vectorized mask: rewards (L,), bits (L, N) -> (L, N) float64."""
     r = np.asarray(rewards, dtype=np.float64)[:, None]

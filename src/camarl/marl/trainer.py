@@ -264,12 +264,27 @@ def save_run(out_dir: Path, config: TrainConfig, result: TrainResult):
     write_json(out_dir / "run.json", meta)
 
 
+RUN_KEYS = ("env_id", "trainer", "agents", "n_hidden")
+
+
+def read_run(run_dir):
+    """The run.json of a saved run, holding at least RUN_KEYS."""
+    from camarl.nn.checkpoint import read_json
+
+    path = Path(run_dir) / "run.json"
+    meta = read_json(path)
+    missing = [k for k in RUN_KEYS if k not in meta]
+    if missing:
+        raise ConfigurationError(f"{path} lacks {', '.join(missing)}")
+    return meta
+
+
 def load_learners(run_dir):
     """Rebuild learners from a saved run directory."""
-    from camarl.nn.checkpoint import load_checkpoint, read_json
+    from camarl.nn.checkpoint import load_checkpoint
 
     run_dir = Path(run_dir)
-    meta = read_json(run_dir / "run.json")
+    meta = read_run(run_dir)
     spec = env_spec(meta["env_id"])
     learners = []
     for i, name in enumerate(meta["agents"]):

@@ -1,14 +1,14 @@
 """Cross-seed learning-curve aggregation."""
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from camarl.errors import IncompatibleInputsError, UsageError
+from camarl.errors import (
+    ConfigurationError, IncompatibleInputsError, UsageError)
 from camarl.marl.evaluate import return_ci95
-from camarl.nn.checkpoint import write_csv
+from camarl.nn.checkpoint import read_csv, write_csv
 
 
 @dataclass
@@ -20,17 +20,15 @@ class CurvePoint:
 
 def read_log(path):
     """Parse a training log CSV back into typed row dicts."""
-    with open(path, newline="") as f:
-        raw = list(csv.DictReader(f))
+    raw = read_csv(path)
     if not raw:
         raise UsageError(f"log {path} is empty")
-    rows = []
-    for r in raw:
-        row = {}
-        for k, v in r.items():
-            row[k] = int(v) if k in ("step", "episode") else float(v)
-        rows.append(row)
-    return rows
+    try:
+        return [{k: int(v) if k in ("step", "episode") else float(v)
+                 for k, v in r.items()} for r in raw]
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(
+            f"log {path} has a non-numeric cell: {err}") from None
 
 
 def aggregate_curves(logs, metric: str = "eval_return_mean"):
@@ -61,10 +59,3 @@ def write_curve(path, points):
     """One CSV row per curve point; floats kept at full precision."""
     write_csv(path, ("step", "mean", "ci95"),
               ((p.step, p.mean, p.ci95) for p in points))
-
-
-def read_curve(path):
-    with open(path, newline="") as f:
-        raw = list(csv.DictReader(f))
-    return [CurvePoint(step=int(r["step"]), mean=float(r["mean"]),
-                       ci95=float(r["ci95"])) for r in raw]

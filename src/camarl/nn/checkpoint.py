@@ -11,12 +11,13 @@ as the ``repr`` of the Python float, which reads back to the same bits;
 JSON (``write_json``) is indented by 2 with sorted keys.
 
 Inputs: a file that cannot be opened raises ``UsageError`` (exit 2), and
-one that is torn, malformed or not a JSON object raises
+one that is torn, malformed, not CSV or not a JSON object raises
 ``ConfigurationError`` (exit 3).
 """
 
 import contextlib
 import csv
+import io
 import json
 import os
 import struct
@@ -70,6 +71,16 @@ def _read_bytes(path):
             return f.read()
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err.strerror}") from None
+
+
+def read_csv(path):
+    """Read a file written by write_csv: one {header: cell} dict per row."""
+    raw = _read_bytes(path)
+    try:
+        return list(csv.DictReader(io.StringIO(raw.decode("utf-8"),
+                                               newline="")))
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise ConfigurationError(f"{path} is not a CSV file: {err}") from None
 
 
 def read_json(path):

@@ -1,63 +1,68 @@
-"""Parameter containers and the two layer shapes the package uses."""
+"""The flat parameter store and the affine layer shape the package uses."""
 
 import numpy as np
 
 from camarl.errors import ConfigurationError, UsageError
 
 
-class Parameter:
-    """A trainable float64 array and the gradient buffer beside it.
-
-    Backward passes add into ``grad``; the optimizer zeroes it after
-    each step.
-    """
-
-    __slots__ = ("data", "grad")
-
-    def __init__(self, data):
-        self.data = np.array(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
-
-
 class ParamSet:
-    """Ordered, named collection of parameters.
+    """Named float64 tensors packed into three flat buffers.
 
-    Iteration order is insertion order, which fixes the layout the
-    optimizer and the checkpoint format both rely on.
+    ``data`` holds the values, ``grad`` the gradients that backward
+    passes add into (the optimizer zeroes it after each step) and ``v``
+    the RMSprop mean squares.  ``ps[name]`` and ``ps.grads[name]`` are
+    shaped views into ``data`` and ``grad``, ``ps.vs[name]`` a 1-D view
+    into ``v``.  Insertion order fixes the layout the optimizer and the
+    checkpoint format both rely on.  Loading copies into the views, so
+    a view taken once stays live.
     """
 
-    def __init__(self):
-        self._params = {}
+    def __init__(self, inits):
+        """inits: (name, initial array) pairs, in layout order."""
+        inits = [(name, np.asarray(a, dtype=np.float64)) for name, a in inits]
+        self._spans = {}
+        size = 0
+        for name, a in inits:
+            if name in self._spans:
+                raise UsageError(f"duplicate parameter name {name!r}")
+            self._spans[name] = (size, size + a.size, a.shape)
+            size += a.size
+        self.data, self.grad, self.v = (np.zeros(size) for _ in range(3))
+        self._values = self.views(self.data)
+        self.grads = self.views(self.grad)
+        self.vs = {name: self.v[lo:hi]
+                   for name, (lo, hi, _) in self._spans.items()}
+        for name, a in inits:
+            self._values[name][...] = a
 
-    def add(self, name, data):
-        if name in self._params:
-            raise UsageError(f"duplicate parameter name {name!r}")
-        p = self._params[name] = Parameter(data)
-        return p
-
-    def named(self):
-        return self._params.items()
-
-    def __len__(self):
-        return len(self._params)
+    def views(self, buf):
+        """Shaped views of every tensor into buf, a buffer of this layout."""
+        return {name: buf[lo:hi].reshape(shape)
+                for name, (lo, hi, shape) in self._spans.items()}
 
     def __getitem__(self, name):
-        return self._params[name]
+        return self._values[name]
 
     def state_arrays(self):
-        return {name: p.data for name, p in self._params.items()}
+        return dict(self._values)
 
     def load_arrays(self, arrays):
-        """Copy values in place, keeping every existing array identity."""
-        for name, p in self._params.items():
-            if name not in arrays:
-                raise ConfigurationError(f"checkpoint is missing parameter {name!r}")
-            src = np.asarray(arrays[name], dtype=np.float64)
-            if src.shape != p.data.shape:
-                raise ConfigurationError(
-                    f"parameter {name!r} has shape {p.data.shape}, "
-                    f"checkpoint has {src.shape}")
-            p.data[...] = src
+        load_views(self._values, arrays)
+
+
+def load_views(views, arrays, prefix=""):
+    """Copy arrays[prefix + name] into each view, keeping its identity."""
+    for name, view in views.items():
+        key = prefix + name
+        if key not in arrays:
+            raise ConfigurationError(
+                f"checkpoint is missing parameter {key!r}")
+        src = np.asarray(arrays[key], dtype=np.float64)
+        if src.shape != view.shape:
+            raise ConfigurationError(
+                f"parameter {key!r} has shape {view.shape}, "
+                f"checkpoint has {src.shape}")
+        view[...] = src
 
 
 def _uniform_init(rng, fan_in, shape):
@@ -65,22 +70,17 @@ def _uniform_init(rng, fan_in, shape):
     return rng.uniform(-s, s, size=shape)
 
 
+def dense_init(rng, prefix, n_in, n_out):
+    """Initial (name, array) pairs of an affine layer; W is drawn first."""
+    return [(prefix + ".W", _uniform_init(rng, n_in, (n_in, n_out))),
+            (prefix + ".b", _uniform_init(rng, n_in, (n_out,)))]
+
+
 class Dense:
-    """Parameters of an affine layer with a fused activation, act(x @ W + b)."""
+    """Views of an affine layer act(x @ W + b) and its gradients."""
 
-    def __init__(self, params: ParamSet, prefix: str, n_in: int, n_out: int,
-                 act: int, rng: np.random.Generator):
+    def __init__(self, params: ParamSet, prefix: str, act: int):
         self.act = act
-        self.W = params.add(prefix + ".W", _uniform_init(rng, n_in, (n_in, n_out)))
-        self.b = params.add(prefix + ".b", _uniform_init(rng, n_in, (n_out,)))
-
-
-class GruCell:
-    """Parameters of a GRU cell, packed gate columns [r|z|n]."""
-
-    def __init__(self, params: ParamSet, prefix: str, n_in: int, n_hidden: int,
-                 rng: np.random.Generator):
-        self.Wx = params.add(prefix + ".Wx", _uniform_init(rng, n_in, (n_in, 3 * n_hidden)))
-        self.Wh = params.add(prefix + ".Wh", _uniform_init(rng, n_hidden, (n_hidden, 3 * n_hidden)))
-        self.bx = params.add(prefix + ".bx", _uniform_init(rng, n_in, (3 * n_hidden,)))
-        self.bh = params.add(prefix + ".bh", _uniform_init(rng, n_hidden, (3 * n_hidden,)))
+        W, b = prefix + ".W", prefix + ".b"
+        self.W, self.b = params[W], params[b]
+        self.gW, self.gb = params.grads[W], params.grads[b]

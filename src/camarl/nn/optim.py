@@ -1,7 +1,7 @@
-"""RMSprop with optional global-norm clipping.
+"""RMSprop with optional global-norm clipping over a ParamSet's flat buffers.
 
-State lives in flat float64 buffers keyed by parameter name so it can be
-checkpointed alongside the weights.
+The optimizer state is the set's ``v`` buffer, which is checkpointed
+alongside the weights as the ``opt.*`` arrays.
 """
 
 import numpy as np
@@ -12,35 +12,22 @@ RHO = 0.99
 EPS = 1e-8
 
 
-class RmspropState:
-    def __init__(self, params):
-        self.v = {name: np.zeros(p.data.size) for name, p in params.named()}
-
-    def arrays(self):
-        return {"opt." + name: v for name, v in self.v.items()}
-
-    def load_arrays(self, arrays):
-        for name, v in self.v.items():
-            v[...] = arrays["opt." + name]
-
-
 def clip_global_norm(params, max_norm):
     """Scale all gradients so their joint L2 norm is at most max_norm.
 
-    Returns the pre-clip norm.
+    The squares are summed per tensor, in layout order.  Returns the
+    pre-clip norm.
     """
     total = 0.0
-    for _, p in params.named():
-        total += K.sumsq(p.grad.reshape(-1))
+    for g in params.grads.values():
+        total += K.sumsq(g.reshape(-1))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
-        s = max_norm / norm
-        for _, p in params.named():
-            p.grad *= s
+        params.grad *= max_norm / norm
     return norm
 
 
-def rmsprop_update(params, state: RmspropState, lr: float, max_norm=None):
+def rmsprop_update(params, lr: float, max_norm=None):
     """Apply one RMSprop step in place and zero the gradients after.
 
     Update rule per element: v <- RHO v + (1 - RHO) g^2,
@@ -49,8 +36,6 @@ def rmsprop_update(params, state: RmspropState, lr: float, max_norm=None):
     norm = None
     if max_norm is not None:
         norm = clip_global_norm(params, max_norm)
-    for name, p in params.named():
-        K.rmsprop_step(p.data.reshape(-1), p.grad.reshape(-1), state.v[name],
-                       lr, RHO, EPS)
-        p.grad.fill(0.0)
+    K.rmsprop_step(params.data, params.grad, params.v, lr, RHO, EPS)
+    params.grad.fill(0.0)
     return norm

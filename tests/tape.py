@@ -387,8 +387,8 @@ class TapeAcd:
 
     def __init__(self, model):
         self.model = model
-        self.leaves = {name: Tensor(p.data, requires_grad=True)
-                       for name, p in model.params.named()}
+        self.leaves = {name: Tensor(data, requires_grad=True)
+                       for name, data in model.params.state_arrays().items()}
         # incoming-edge mean as a dense (n_pairs, n) matrix for mix_axis1
         n = model.n_nodes
         self.agg = np.zeros((model.n_pairs, n))

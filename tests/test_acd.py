@@ -20,7 +20,7 @@ from camarl.errors import (
 from camarl.marl import EpisodeRecord
 from camarl.acd.model import sample_gumbel
 from camarl.acd.training import TEMPERATURE, backward
-from camarl.nn.optim import RmspropState, rmsprop_update
+from camarl.nn.optim import rmsprop_update
 
 from helpers import relative_error
 
@@ -180,8 +180,8 @@ def test_collect_dataset_never_wins():
     learners = []
     for i in range(spec.n_agents):
         ln = AgentLearner(OBS_DIM, spec.n_actions, n_hidden=8, seed=i)
-        ln.params["head.W"].data[...] = 0.0
-        ln.params["head.b"].data[...] = 0.0
+        ln.params["head.W"][...] = 0.0
+        ln.params["head.b"][...] = 0.0
         learners.append(ln)
     with pytest.raises(CollectionError):
         collect_dataset("sk3-sp", 2, seed=0, learners=learners,
@@ -251,8 +251,8 @@ def test_encoder_permutation_equivariance():
 
 def test_zeroed_head_gives_uniform_logits():
     m = _toy_model()
-    m.params["enc.head.W"].data[...] = 0.0
-    m.params["enc.head.b"].data[...] = 0.0
+    m.params["enc.head.W"][...] = 0.0
+    m.params["enc.head.b"][...] = 0.0
     logits = m.encode(_toy_batch())[0]
     np.testing.assert_array_equal(logits, 0.0)
 
@@ -310,8 +310,8 @@ def test_elbo_zero_cases():
     assert terms.nll == 0.0
     assert terms.kl >= 0.0
     # uniform posterior -> zero KL
-    m.params["enc.head.W"].data[...] = 0.0
-    m.params["enc.head.b"].data[...] = 0.0
+    m.params["enc.head.W"][...] = 0.0
+    m.params["enc.head.b"][...] = 0.0
     logits_u, _ = m.encode(x)
     terms_u = elbo_loss(pred, pred.copy(), logits_u, sigma=5e-4)
     assert abs(terms_u.kl) < 1e-12
@@ -346,7 +346,7 @@ def test_elbo_gradient_flows_through_encoder():
     pred, dec = m.decode(x, w)
     terms = elbo_loss(pred, x[:, :, 1:, :], logits, sigma=5e-4)
     backward(m, terms, enc, dec, soft)
-    g = m.params["enc.emb1.W"].grad
+    g = m.params.grads["enc.emb1.W"]
     assert np.abs(g).max() > 0
 
 
@@ -364,9 +364,8 @@ def _check_fused_gradients(m, x, noise, sigma, names, n_entries):
     backward(m, terms, *caches)
     h = 1e-6
     for name in names:
-        t = m.params[name]
-        flat = t.data.reshape(-1)
-        gflat = t.grad.reshape(-1)
+        flat = m.params[name].reshape(-1)
+        gflat = m.params.grads[name].reshape(-1)
         for k in np.linspace(0, flat.size - 1, n_entries, dtype=int):
             keep = flat[k]
             flat[k] = keep + h
@@ -376,8 +375,7 @@ def _check_fused_gradients(m, x, noise, sigma, names, n_entries):
             flat[k] = keep
             num = (up - dn) / (2 * h)
             assert relative_error(gflat[k], num) < 1e-3, (name, k)
-    for _, t in m.params.named():
-        t.grad.fill(0.0)
+    m.params.grad.fill(0.0)
 
 
 def test_elbo_encoder_gradcheck():
@@ -394,7 +392,7 @@ def test_fused_elbo_gradcheck_every_parameter():
     m = AcdModel(3, 6, 2, seed=4, enc_hidden=5, dec_hidden=4)
     x = _toy_batch(n=3, T=6, D=2, B=2, seed=10)
     noise = sample_gumbel(np.random.default_rng(3), (2, m.n_pairs, 2))
-    names = [name for name, _ in m.params.named()]
+    names = list(m.params.grads)
     assert len(names) == 26
     _check_fused_gradients(m, x, noise, 5e-2, names, 3)
 
@@ -418,7 +416,6 @@ def test_fused_elbo_matches_tape_byte_for_byte(env_id, enc_hidden,
     m = AcdModel(n, T_len, D, seed=0, enc_hidden=enc_hidden,
                  dec_hidden=dec_hidden)
     ref = T.TapeAcd(m)
-    opt = RmspropState(m.params)
     sigma = sigma_for(env_id)
     rng = np.random.default_rng(1)
     for _ in range(2):
@@ -434,9 +431,9 @@ def test_fused_elbo_matches_tape_byte_for_byte(env_id, enc_hidden,
 
         assert np.float64(terms.nll).tobytes() == nll.data.tobytes()
         assert np.float64(terms.kl).tobytes() == kl.data.tobytes()
-        for name, p in m.params.named():
-            assert p.grad.tobytes() == ref.leaves[name].grad.tobytes(), name
-        rmsprop_update(m.params, opt, lr=5e-4)
+        for name, g in m.params.grads.items():
+            assert g.tobytes() == ref.leaves[name].grad.tobytes(), name
+        rmsprop_update(m.params, lr=5e-4)
         for leaf in ref.leaves.values():
             leaf.grad.fill(0.0)
 
@@ -511,11 +508,11 @@ def test_predict_c_extraction_rules():
     sample = SeriesSample(x=np.random.default_rng(1).random((4, 24, 3)),
                           env_id="lj-sp", bits=np.zeros(3, dtype=np.uint8))
     # saturate the head so every pair decodes to no-edge -> all zeros
-    m.params["enc.head.W"].data[...] = 0.0
-    m.params["enc.head.b"].data[...] = [9.0, -9.0]
+    m.params["enc.head.W"][...] = 0.0
+    m.params["enc.head.b"][...] = [9.0, -9.0]
     np.testing.assert_array_equal(predict_c(m, sample), [0, 0, 0])
     # force edges everywhere: the reward column lights up
-    m.params["enc.head.b"].data[...] = [-9.0, 9.0]
+    m.params["enc.head.b"][...] = [-9.0, 9.0]
     np.testing.assert_array_equal(predict_c(m, sample), [1, 1, 1])
 
 
@@ -531,8 +528,8 @@ def test_evaluate_accuracy_oracle_and_closure():
 
 def test_evaluate_accuracy_all_ones_predictor():
     m = _toy_model(n_nodes=3, T=24, D=2)
-    m.params["enc.head.W"].data[...] = 0.0
-    m.params["enc.head.b"].data[...] = [-9.0, 9.0]
+    m.params["enc.head.W"][...] = 0.0
+    m.params["enc.head.b"][...] = [-9.0, 9.0]
     samples = _tiny_dataset(20, n=2, T=24, D=2, seed=4)
     density = np.mean([s.bits.mean() for s in samples])
     res = evaluate_accuracy(m, samples)

@@ -26,11 +26,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "camarl"
 
 # definitions kept without a caller in src/, each for a stated reason
-ALLOWED = {
-    "masked_reward": "scalar reference that test_masked_rewards_matches_scalar "
-                     "checks the vectorised mask against",
-    "read_curve": "reads back the CSV that write_curve writes",
-}
+ALLOWED = {}
 
 # modules kept without an importer in src/, each for a stated reason
 ALLOWED_MODULES = {

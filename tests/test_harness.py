@@ -257,11 +257,15 @@ COLLECT_ONE = ["collect", "--env", "sk3-sp", "--episodes", "1"]
     ([*SK_ACD_MARL, "--encoder", "DATA"], 3),
     ([*COLLECT_ONE, "--policy", "TORN"], 3),
     (["report", "--runs", "TORN"], 3),
+    (["report", "--runs", "KEYLESS"], 3),
+    ([*COLLECT_ONE, "--policy", "KEYLESS"], 3),
+    (["report", "--runs", "NOLOG"], 2),
 ], ids=["acd-train-missing-data", "acd-eval-missing-model",
         "train-missing-encoder", "collect-policy-without-run",
         "report-without-run", "acd-eval-dataset-as-model",
         "train-dataset-as-encoder", "collect-policy-torn-run",
-        "report-torn-run"])
+        "report-torn-run", "report-keyless-run", "collect-policy-keyless-run",
+        "report-run-without-log"])
 def test_cli_unreadable_inputs_exit_typed(cli_runs, tmp_path, capsys, argv,
                                           code):
     # 2 for a file that cannot be opened, 3 for one of the wrong kind;
@@ -269,9 +273,15 @@ def test_cli_unreadable_inputs_exit_typed(cli_runs, tmp_path, capsys, argv,
     (tmp_path / "empty").mkdir()
     (tmp_path / "torn").mkdir()
     (tmp_path / "torn" / "run.json").write_text('{"env_id": "sk')
+    (tmp_path / "keyless").mkdir()
+    (tmp_path / "keyless" / "run.json").write_text("{}")
+    (tmp_path / "nolog").mkdir()
+    (tmp_path / "nolog" / "run.json").write_bytes(
+        (cli_runs / "idql" / "seed_0" / "run.json").read_bytes())
     paths = {"MISSING": tmp_path / "missing.ckpt",
              "DATA": cli_runs / "ds" / "dataset.ckpt",
-             "EMPTY": tmp_path / "empty", "TORN": tmp_path / "torn"}
+             "EMPTY": tmp_path / "empty", "TORN": tmp_path / "torn",
+             "KEYLESS": tmp_path / "keyless", "NOLOG": tmp_path / "nolog"}
     out = tmp_path / "out"
     argv = [str(paths[a]) if a in paths else a for a in argv]
     assert main([*argv, "--out", str(out)]) == code

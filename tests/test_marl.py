@@ -13,7 +13,7 @@ from camarl.errors import ConfigurationError, UsageError
 from camarl.marl import (
     AgentLearner, EpisodeRecord, ReplayBuffer, TrainConfig, build_batch,
     collect_episode, collect_episodes, epsilon_at, evaluate, load_learners,
-    masked_reward, masked_rewards, oracle_episode_bits, team_policy, train,
+    masked_rewards, oracle_episode_bits, team_policy, train,
     write_log,
 )
 
@@ -36,6 +36,13 @@ def test_epsilon_schedule_custom_range():
 
 
 # ------------------------------------------------------------------- masking
+
+def masked_reward(reward: float, c_bit: int, strict: bool = False) -> float:
+    """Scalar reference of the mask that masked_rewards vectorises."""
+    if strict or reward > 0:
+        return c_bit * reward
+    return reward
+
 
 def test_masked_reward_policy():
     assert masked_reward(5.0, 0) == 0.0
@@ -124,8 +131,7 @@ def _learner(seed=0, obs_dim=6, n_actions=4, n_hidden=8):
 
 
 def _zero_params(ln):
-    for _, t in ln.params.named():
-        t.data[...] = 0.0
+    ln.params.data[...] = 0.0
     ln.sync_target()
 
 
@@ -148,13 +154,13 @@ def test_select_action_uniform_at_full_epsilon():
 def test_select_action_greedy_and_tiebreak():
     ln = _learner()
     _zero_params(ln)
-    ln.params["head.b"].data[...] = [0.0, 0.0, 1.0, 0.0]
+    ln.params["head.b"][...]= [0.0, 0.0, 1.0, 0.0]
     rng = np.random.default_rng(0)
     a, h = ln.act(np.ones((1, 6)), NO_PREV, ln.initial_hidden(), 0.0, rng)
     np.testing.assert_array_equal(a, [2])
     assert h.shape == (1, 1, 8)
     # all-equal Q values resolve to the lowest action index
-    ln.params["head.b"].data[...] = 0.0
+    ln.params["head.b"][...]= 0.0
     a, _ = ln.act(np.ones((1, 6)), NO_PREV, ln.initial_hidden(), 0.0, rng)
     np.testing.assert_array_equal(a, [0])
     # every row of a stack takes its own argmax
@@ -168,8 +174,7 @@ def test_no_parameter_sharing():
     a, b = _learner(seed=1), _learner(seed=2)
     obs = np.ones((1, 6))
     q_before, _ = b.q_values(obs, NO_PREV, b.initial_hidden())
-    for _, t in a.params.named():
-        t.data += 123.0
+    a.params.data += 123.0
     q_after, _ = b.q_values(obs, NO_PREV, b.initial_hidden())
     np.testing.assert_array_equal(q_before, q_after)
 
@@ -246,13 +251,12 @@ def _manual_batch(ln, rewards, n_steps, action=0):
 def test_td_loss_terminal_exact_target():
     ln = _learner()
     _zero_params(ln)
-    ln.params["head.b"].data[...] = [5.0, 0.0, 0.0, 0.0]
+    ln.params["head.b"][...]= [5.0, 0.0, 0.0, 0.0]
     ln.sync_target()
     X, a, r, v, term = _manual_batch(ln, [5.0], 1)
     loss = ln.td_loss_and_grads(X, a, r, v, term, gamma=0.99)
     assert loss == 0.0
-    for _, t in ln.params.named():
-        t.grad.fill(0.0)
+    ln.params.grad.fill(0.0)
 
 
 def test_td_loss_masked_terminal_zero_target():
@@ -261,8 +265,7 @@ def test_td_loss_masked_terminal_zero_target():
     X, a, r, v, term = _manual_batch(ln, [masked_reward(5.0, 0)], 1)
     loss = ln.td_loss_and_grads(X, a, r, v, term, gamma=0.99)
     assert loss == 0.0
-    for _, t in ln.params.named():
-        t.grad.fill(0.0)
+    ln.params.grad.fill(0.0)
 
 
 def test_td_loss_bootstrap_value():
@@ -276,8 +279,7 @@ def test_td_loss_bootstrap_value():
     X, a, r, v, term = _manual_batch(ln, [0.0, 0.0], 2)
     loss = ln.td_loss_and_grads(X, a, r, v, term, gamma=0.99)
     assert abs(loss - 0.9801 / 2) < 1e-12
-    for _, t in ln.params.named():
-        t.grad.fill(0.0)
+    ln.params.grad.fill(0.0)
 
 
 def test_td_loss_empty_batch_raises():
@@ -291,9 +293,8 @@ def test_td_loss_ignores_padding():
     ln = _learner(seed=5)
     X, a, r, v, term = _manual_batch(ln, [1.0, 0.5], 2)
     loss_short = ln.td_loss_and_grads(X, a, r, v, term, 0.99)
-    g_short = {k: t.grad.copy() for k, t in ln.params.named()}
-    for _, t in ln.params.named():
-        t.grad.fill(0.0)
+    g_short = {k: g.copy() for k, g in ln.params.grads.items()}
+    ln.params.grad.fill(0.0)
     # same episode padded by two junk steps that are masked out
     X2 = np.concatenate([X, np.ones((2, 1, ln.n_in)) * 9.0])
     a2 = np.concatenate([a, np.ones((2, 1), dtype=np.int64)])
@@ -302,10 +303,9 @@ def test_td_loss_ignores_padding():
     t2 = np.concatenate([term, np.zeros((2, 1))])
     loss_pad = ln.td_loss_and_grads(X2, a2, r2, v2, t2, 0.99)
     assert abs(loss_short - loss_pad) < 1e-12
-    for k, t in ln.params.named():
-        np.testing.assert_allclose(t.grad, g_short[k], rtol=1e-12, atol=1e-14)
-    for _, t in ln.params.named():
-        t.grad.fill(0.0)
+    for k, g in ln.params.grads.items():
+        np.testing.assert_allclose(g, g_short[k], rtol=1e-12, atol=1e-14)
+    ln.params.grad.fill(0.0)
 
 
 def test_target_constant_between_syncs():
@@ -500,9 +500,10 @@ def test_train_icl_constant_one_matches_idql():
     res_a = train(cfg_a)
     res_b = train(cfg_b, bits_fn=ones)
     for la, lb in zip(res_a.learners, res_b.learners):
-        for (ka, ta), (kb, tb) in zip(la.params.named(), lb.params.named()):
+        for (ka, ta), (kb, tb) in zip(la.params.state_arrays().items(),
+                                      lb.params.state_arrays().items()):
             assert ka == kb
-            np.testing.assert_array_equal(ta.data, tb.data)
+            np.testing.assert_array_equal(ta, tb)
 
 
 def test_train_icl_uses_oracle_bits():

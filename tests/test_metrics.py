@@ -9,12 +9,14 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from camarl.envs import OBS_DIM, env_spec, make_env
-from camarl.errors import IncompatibleInputsError, UsageError
+from camarl.errors import (
+    ConfigurationError, IncompatibleInputsError, UsageError)
 from camarl.marl import AgentLearner, team_policy
 from camarl.marl.trainer import write_log
 from camarl.metrics import (
     CurvePoint, aggregate_curves, balance_index, bar_chart, line_chart,
-    read_curve, read_log, save_svg, write_curve)
+    read_log, save_svg, write_curve)
+from camarl.nn.checkpoint import read_csv
 
 
 # ------------------------------------------------------------ event credits
@@ -171,6 +173,22 @@ def test_log_roundtrip(tmp_path):
     write_log(tmp_path / "empty.csv", [], 2)
     with pytest.raises(UsageError):
         read_log(tmp_path / "empty.csv")
+    with pytest.raises(UsageError):
+        read_log(tmp_path / "missing.csv")
+    # a cell that is not a number, and a row short of a cell
+    for body in ("step,episode,win_rate\n0,1,x\n", "step,episode\n0\n"):
+        (tmp_path / "bad.csv").write_text(body)
+        with pytest.raises(ConfigurationError):
+            read_log(tmp_path / "bad.csv")
+    (tmp_path / "bad.csv").write_bytes(b"step\n\xff\n")
+    with pytest.raises(ConfigurationError):
+        read_log(tmp_path / "bad.csv")
+
+
+def read_curve(path):
+    """Read back the CSV that write_curve writes."""
+    return [CurvePoint(step=int(r["step"]), mean=float(r["mean"]),
+                       ci95=float(r["ci95"])) for r in read_csv(path)]
 
 
 def test_curve_roundtrip(tmp_path):

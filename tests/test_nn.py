@@ -13,12 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 import tape as T
 from helpers import gradcheck, relative_error
-from camarl.acd.model import sample_gumbel
+from camarl.acd.loss import elbo_loss
+from camarl.acd.model import AcdModel, sample_gumbel
+from camarl.acd.training import TEMPERATURE, backward
 from camarl.errors import ConfigurationError, UsageError
 from camarl.nn import kernels as K
-from camarl.nn.layers import ParamSet, Dense, GruCell
-from camarl.nn.optim import (
-    EPS, RHO, RmspropState, rmsprop_update, clip_global_norm)
+from camarl.marl import AgentLearner
+from camarl.nn.layers import ParamSet, Dense, dense_init
+from camarl.nn.optim import EPS, RHO, rmsprop_update, clip_global_norm
 from camarl.nn.checkpoint import (
     atomic_open, load_checkpoint, read_json, save_checkpoint, write_csv,
     write_json)
@@ -404,43 +406,39 @@ def test_add_broadcast_property(rows, cols, flip):
 # ---------------------------------------------------------------- optimizer
 
 def test_rmsprop_hand_value():
-    ps = ParamSet()
-    p = ps.add("w", [1.0])
-    p.grad[:] = [2.0]
-    state = RmspropState(ps)
-    rmsprop_update(ps, state, lr=5e-4)
+    ps = ParamSet([("w", [1.0])])
+    ps.grads["w"][:] = [2.0]
+    rmsprop_update(ps, lr=5e-4)
     v = 0.01 * 4.0
     expected = 1.0 - 5e-4 * 2.0 / (np.sqrt(v) + 1e-8)
-    np.testing.assert_allclose(p.data, [expected], rtol=1e-12)
-    np.testing.assert_allclose(state.v["w"], [v], rtol=1e-12)
-    assert p.grad[0] == 0.0  # zeroed after the step
+    np.testing.assert_allclose(ps["w"], [expected], rtol=1e-12)
+    np.testing.assert_allclose(ps.vs["w"], [v], rtol=1e-12)
+    assert ps.grads["w"][0] == 0.0  # zeroed after the step
 
 
 def test_rmsprop_shrinks_quadratic():
-    ps = ParamSet()
-    p = ps.add("w", np.array([3.0, -2.0]))
-    state = RmspropState(ps)
+    ps = ParamSet([("w", np.array([3.0, -2.0]))])
+    w = ps["w"]
     for _ in range(400):
-        p.grad += 2.0 * p.data  # d/dw sum(w^2)
-        rmsprop_update(ps, state, lr=0.01)
-    assert np.all(np.abs(p.data) < 0.1)
+        ps.grads["w"] += 2.0 * w  # d/dw sum(w^2)
+        rmsprop_update(ps, lr=0.01)
+    assert np.all(np.abs(w) < 0.1)
 
 
 def test_clip_global_norm():
-    ps = ParamSet()
-    a = ps.add("a", [3.0])
-    b = ps.add("b", [4.0])
-    a.grad[:] = [3.0]
-    b.grad[:] = [4.0]
+    ps = ParamSet([("a", [3.0]), ("b", [4.0])])
+    a, b = ps.grads["a"], ps.grads["b"]
+    a[:] = [3.0]
+    b[:] = [4.0]
     norm = clip_global_norm(ps, 1.0)
     assert abs(norm - 5.0) < 1e-12
-    np.testing.assert_allclose(a.grad, [0.6])
-    np.testing.assert_allclose(b.grad, [0.8])
+    np.testing.assert_allclose(a, [0.6])
+    np.testing.assert_allclose(b, [0.8])
     # below the threshold nothing changes
-    a.grad[:] = [0.3]
-    b.grad[:] = [0.4]
+    a[:] = [0.3]
+    b[:] = [0.4]
     clip_global_norm(ps, 1.0)
-    np.testing.assert_allclose(a.grad, [0.3])
+    np.testing.assert_allclose(a, [0.3])
 
 
 def _ref_rmsprop_step(p, g, v, lr, rho, eps):
@@ -485,55 +483,68 @@ def test_optimizer_kernels_match_scalar_loops(n):
 def test_clipped_rmsprop_update_matches_scalar_path():
     rng = np.random.default_rng(5)
     shapes = {"W": (40, 25), "b": (25,), "q": (7,)}
-    sets = []
-    for _ in range(2):
-        ps = ParamSet()
-        for name, shape in shapes.items():
-            ps.add(name, np.zeros(shape))
-        sets.append(ps)
-    states = [RmspropState(ps) for ps in sets]
+    sets = [ParamSet((name, np.zeros(shape)) for name, shape in shapes.items())
+            for _ in range(2)]
     for name, shape in shapes.items():
         n = int(np.prod(shape))
         data, grad = _wide_floats(rng, n), _wide_floats(rng, n)
         v = np.abs(_wide_floats(rng, n))
-        for ps, state in zip(sets, states):
-            ps[name].data[...] = data.reshape(shape)
-            ps[name].grad[...] = grad.reshape(shape)
-            state.v[name][...] = v
+        for ps in sets:
+            ps[name][...] = data.reshape(shape)
+            ps.grads[name][...] = grad.reshape(shape)
+            ps.vs[name][...] = v
 
-    norm = rmsprop_update(sets[0], states[0], lr=5e-4, max_norm=1e-3)
+    norm = rmsprop_update(sets[0], lr=5e-4, max_norm=1e-3)
 
-    ps, state = sets[1], states[1]
+    # the reference steps each tensor on its own, as scalar loops
+    ps = sets[1]
     total = 0.0
-    for _, t in ps.named():
-        total += _ref_sumsq(t.grad.reshape(-1))
+    for g in ps.grads.values():
+        total += _ref_sumsq(g.reshape(-1))
     ref_norm = float(np.sqrt(total))
     assert ref_norm > 1e-3  # the update clips
-    for _, t in ps.named():
-        _ref_scale_inplace(t.grad.reshape(-1), 1e-3 / ref_norm)
-    for name, t in ps.named():
-        _ref_rmsprop_step(t.data.reshape(-1), t.grad.reshape(-1),
-                          state.v[name], 5e-4, RHO, EPS)
+    for g in ps.grads.values():
+        _ref_scale_inplace(g.reshape(-1), 1e-3 / ref_norm)
+    for name in shapes:
+        _ref_rmsprop_step(ps[name].reshape(-1), ps.grads[name].reshape(-1),
+                          ps.vs[name], 5e-4, RHO, EPS)
 
     assert norm == ref_norm
-    for (name, t), (_, t_ref) in zip(sets[0].named(), ps.named()):
-        assert t.data.tobytes() == t_ref.data.tobytes(), name
-        assert states[0].v[name].tobytes() == state.v[name].tobytes(), name
-        assert not t.grad.any()
+    for name in shapes:
+        assert sets[0][name].tobytes() == ps[name].tobytes(), name
+        assert sets[0].vs[name].tobytes() == ps.vs[name].tobytes(), name
+    assert not sets[0].grad.any()
 
 
 # --------------------------------------------------------------- containers
 
 def test_paramset_duplicate_name_raises():
-    ps = ParamSet()
-    ps.add("x", [1.0])
+    # the constructor, not a dict merge, sees every name
     with pytest.raises(UsageError):
-        ps.add("x", [2.0])
+        ParamSet([("x", [1.0]), ("y", [0.0]), ("x", [2.0])])
+
+
+def test_paramset_views_share_the_flat_buffers():
+    W, b = np.arange(6.0).reshape(2, 3), np.array([7.0, 8.0, 9.0])
+    ps = ParamSet([("W", W), ("b", b)])
+    # values are copied into the layout, in insertion order
+    np.testing.assert_array_equal(ps.data, np.r_[W.ravel(), b])
+    assert list(ps.state_arrays()) == ["W", "b"]
+    for name, shape in (("W", (2, 3)), ("b", (3,))):
+        for view, buf in ((ps[name], ps.data), (ps.grads[name], ps.grad)):
+            assert view.shape == shape and view.flags.c_contiguous
+            assert np.shares_memory(view, buf)
+        assert ps.vs[name].shape == (int(np.prod(shape)),)
+        assert np.shares_memory(ps.vs[name], ps.v)
+    # loading copies into the views rather than rebinding them
+    view = ps["W"]
+    ps.load_arrays({"W": np.ones((2, 3)), "b": np.zeros(3)})
+    assert view is ps["W"]
+    np.testing.assert_array_equal(ps.data, np.r_[np.ones(6), np.zeros(3)])
 
 
 def test_paramset_load_shape_mismatch_raises():
-    ps = ParamSet()
-    ps.add("x", np.zeros((2, 2)))
+    ps = ParamSet([("x", np.zeros((2, 2)))])
     with pytest.raises(ConfigurationError):
         ps.load_arrays({"x": np.zeros(3)})
     with pytest.raises(ConfigurationError):
@@ -541,15 +552,63 @@ def test_paramset_load_shape_mismatch_raises():
 
 
 def test_layers_init_scale():
-    ps = ParamSet()
     rng = np.random.default_rng(0)
-    d = Dense(ps, "d", 100, 50, K.ACT_IDENTITY, rng)
+    ps = ParamSet(dense_init(rng, "d", 100, 50))
+    d = Dense(ps, "d", K.ACT_IDENTITY)
     bound = 1.0 / np.sqrt(100)
-    assert np.abs(d.W.data).max() <= bound
-    g = GruCell(ps, "g", 100, 64, rng)
-    assert np.abs(g.Wx.data).max() <= bound
-    assert np.abs(g.Wh.data).max() <= 1.0 / np.sqrt(64)
-    assert len(ps) == 6
+    assert np.abs(d.W).max() <= bound
+    assert np.abs(d.b).max() <= bound
+    # the edge model's decoder GRU reads D + dec_hidden = 100 inputs
+    m = AcdModel(3, 4, 36, enc_hidden=8, dec_hidden=64)
+    Wx, Wh, bx, bh = m.gru
+    assert np.abs(Wx).max() <= bound and np.abs(bx).max() <= bound
+    assert np.abs(Wh).max() <= 1.0 / np.sqrt(64)
+    assert np.abs(bh).max() <= 1.0 / np.sqrt(64)
+    assert len(m.params.grads) == 26
+
+
+def _snapshot(arrays):
+    return {k: a.tobytes() for k, a in arrays.items()}
+
+
+def test_reloaded_models_train_on_byte_for_byte():
+    # a load that rebound the views instead of copying into them would
+    # leave the optimizer stepping the old buffers
+    rng = np.random.default_rng(8)
+    T_, B = 5, 3
+    ln = AgentLearner(6, 4, 8, seed=3)
+    X = rng.random((T_, B, ln.n_in))
+    a = rng.integers(0, 4, size=(T_, B))
+    r = rng.normal(size=(T_, B))
+    valid, term = np.ones((T_, B)), np.zeros((T_, B))
+    term[-1] = 1.0
+    ln.train_step(X, a, r, valid, term, 0.99)
+    ln.sync_target()
+    ln.train_step(X, a, r, valid, term, 0.99)
+    other = AgentLearner(6, 4, 8, seed=4)
+    other.load_state({k: v.copy() for k, v in ln.state_arrays().items()})
+    for learner in (ln, other):
+        learner.train_step(X, a, r, valid, term, 0.99)
+        learner.sync_target()
+    assert _snapshot(other.state_arrays()) == _snapshot(ln.state_arrays())
+
+    x = rng.normal(size=(4, 3, 5, 2))
+    noise = sample_gumbel(rng, (4, 6, 2))
+    m = AcdModel(3, 5, 2, seed=0, enc_hidden=8, dec_hidden=6)
+    twin = AcdModel(3, 5, 2, seed=1, enc_hidden=8, dec_hidden=6)
+    twin.params.load_arrays(
+        {k: v.copy() for k, v in m.params.state_arrays().items()})
+    for model in (m, twin):
+        for _ in range(2):
+            logits, enc = model.encode(x)
+            w, soft = model.sample_edges(logits, TEMPERATURE, noise=noise)
+            pred, dec = model.decode(x, w)
+            terms = elbo_loss(pred, x[:, :, 1:, :], logits, 5e-4)
+            backward(model, terms, enc, dec, soft)
+            rmsprop_update(model.params, lr=5e-4)
+    assert (_snapshot(twin.params.state_arrays())
+            == _snapshot(m.params.state_arrays()))
+    assert twin.params.v.tobytes() == m.params.v.tobytes()
 
 
 # -------------------------------------------------------------- checkpoints
