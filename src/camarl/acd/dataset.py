@@ -5,7 +5,7 @@ series as nodes [o_1, ..., o_N, r], reward padded to the common feature
 width, the whole series zero-padded to the environment's nominal length.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,9 +51,7 @@ def episode_to_sample(episode: EpisodeRecord, bits) -> SeriesSample:
 
 def preprocess(sample: SeriesSample) -> SeriesSample:
     """Smoothed observations, normalized reward; see preprocess_series."""
-    return SeriesSample(x=preprocess_series(sample.x), env_id=sample.env_id,
-                        bits=sample.bits, seed=sample.seed,
-                        length=sample.length)
+    return replace(sample, x=preprocess_series(sample.x))
 
 
 def collect_dataset(env_id: str, n_episodes: int, seed: int = 0, *,

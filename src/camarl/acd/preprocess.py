@@ -4,6 +4,10 @@ The smoother fits a polynomial of order 10 to a sliding window by least
 squares and keeps the window's center value.  Near the boundaries the
 window is truncated to the available samples and the fit order drops to
 window length minus one when the full order would be underdetermined.
+``preprocess_series`` smooths all observation nodes with one product per
+position: t of the (n_obs, T, D) stack is ``w @ x[:, lo:hi, :]``.  That
+rounds like a loop over the nodes, because ``@`` computes each item of a
+stack as its own (1, W) @ (W, D) product.
 """
 
 import functools
@@ -69,13 +73,13 @@ def sg_weight_table(T: int):
 
 
 def savgol_smooth(series: np.ndarray) -> np.ndarray:
-    """Smooth (T,) or (T, C) data along the first axis."""
+    """Smooth (..., T, C) data along axis -2; a (T,) series as one column."""
     x = np.asarray(series, dtype=np.float64)
-    T = x.shape[0]
-    out = np.empty_like(x)
-    for t, (lo, hi, w) in enumerate(sg_weight_table(T)):
-        out[t] = w @ x[lo:hi]
-    return out
+    cols = x[:, None] if x.ndim == 1 else x
+    out = np.empty_like(cols)
+    for t, (lo, hi, w) in enumerate(sg_weight_table(cols.shape[-2])):
+        out[..., t, :] = w @ cols[..., lo:hi, :]
+    return out.reshape(x.shape)
 
 
 def minmax_normalize(series: np.ndarray) -> np.ndarray:
@@ -93,8 +97,7 @@ def preprocess_series(x: np.ndarray) -> np.ndarray:
     x is (n_nodes, T, D) with the reward series in the last node's
     channel 0 (remaining channels zero padding).  Returns a new array.
     """
-    out = x.astype(np.float64).copy()
-    for i in range(x.shape[0] - 1):
-        out[i] = savgol_smooth(x[i])
+    out = x.astype(np.float64)
+    out[:-1] = savgol_smooth(out[:-1])
     out[-1, :, 0] = minmax_normalize(x[-1, :, 0])
     return out

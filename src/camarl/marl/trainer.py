@@ -264,18 +264,24 @@ def save_run(out_dir: Path, config: TrainConfig, result: TrainResult):
     write_json(out_dir / "run.json", meta)
 
 
-RUN_KEYS = ("env_id", "trainer", "agents", "n_hidden")
+RUN_FIELDS = {
+    "env_id": lambda v: type(v) is str,
+    "trainer": lambda v: type(v) is str,
+    "agents": lambda v: type(v) is list and all(type(a) is str for a in v),
+    "n_hidden": lambda v: type(v) is int and v > 0,
+}
 
 
 def read_run(run_dir):
-    """The run.json of a saved run, holding at least RUN_KEYS."""
+    """The run.json of a saved run; each of RUN_FIELDS must pass its check."""
     from camarl.nn.checkpoint import read_json
 
     path = Path(run_dir) / "run.json"
     meta = read_json(path)
-    missing = [k for k in RUN_KEYS if k not in meta]
-    if missing:
-        raise ConfigurationError(f"{path} lacks {', '.join(missing)}")
+    bad = [k for k, ok in RUN_FIELDS.items()
+           if k not in meta or not ok(meta[k])]
+    if bad:
+        raise ConfigurationError(f"{path} lacks a valid {', '.join(bad)}")
     return meta
 
 

@@ -17,6 +17,9 @@ import numpy as np
 ACT_IDENTITY = 0
 ACT_TANH = 1
 ACT_RELU = 2
+# rmsprop_step's slice length: the update is elementwise, so slicing moves
+# no bits; one slice holds a whole Q-learner (about 24k parameters)
+RMSPROP_BLOCK = 32768
 
 
 def sigmoid_stable(x):
@@ -79,8 +82,6 @@ def gru_fwd(x, h, Wx, Wh, bx, bh):
 
 def gru_bwd(x, h, Wx, Wh, r, z, n, ghn, gh_new):
     """Backward of one GRU step.  Returns (gx, gh, gWx, gWh, gbx, gbh)."""
-    B = x.shape[0]
-    H = h.shape[1]
     dz = gh_new * (h - n)
     dn = gh_new * (1.0 - z)
     dh = gh_new * z
@@ -90,14 +91,8 @@ def gru_bwd(x, h, Wx, Wh, r, z, n, ghn, gh_new):
     dr_pre = dr * r * (1.0 - r)
     dz_pre = dz * z * (1.0 - z)
 
-    gpre_x = np.empty((B, 3 * H))
-    gpre_x[:, :H] = dr_pre
-    gpre_x[:, H:2 * H] = dz_pre
-    gpre_x[:, 2 * H:] = dn_pre
-    gpre_h = np.empty((B, 3 * H))
-    gpre_h[:, :H] = dr_pre
-    gpre_h[:, H:2 * H] = dz_pre
-    gpre_h[:, 2 * H:] = dghn
+    gpre_x = np.concatenate((dr_pre, dz_pre, dn_pre), axis=1)
+    gpre_h = np.concatenate((dr_pre, dz_pre, dghn), axis=1)
 
     gx = np.dot(gpre_x, Wx.T)
     gh = dh + np.dot(gpre_h, Wh.T)
@@ -124,16 +119,11 @@ def qnet_unroll_fwd(X, h0, Wx, Wh, bx, bh, Wq, bq):
     Z = np.empty((T, B, H))
     Nc = np.empty((T, B, H))
     GHN = np.empty((T, B, H))
-    h = h0.copy()
+    h = h0
     for t in range(T):
-        h_new, r, z, n, ghn = gru_fwd(X[t], h, Wx, Wh, bx, bh)
-        Hs[t] = h_new
-        R[t] = r
-        Z[t] = z
-        Nc[t] = n
-        GHN[t] = ghn
-        Q[t] = np.dot(h_new, Wq) + bq
-        h = h_new
+        Hs[t], R[t], Z[t], Nc[t], GHN[t] = gru_fwd(X[t], h, Wx, Wh, bx, bh)
+        h = Hs[t]
+        Q[t] = np.dot(h, Wq) + bq
     return Q, Hs, R, Z, Nc, GHN
 
 
@@ -176,9 +166,12 @@ def qnet_step(x, h, Wx, Wh, bx, bh, Wq, bq):
 
 def rmsprop_step(p, g, v, lr, rho, eps):
     """In-place RMSprop on flat float64 views, rounding as a scalar loop."""
-    v *= rho
-    v += (1.0 - rho) * g * g
-    p -= lr * g / (np.sqrt(v) + eps)
+    for i in range(0, p.shape[0], RMSPROP_BLOCK):
+        j = i + RMSPROP_BLOCK
+        pb, gb, vb = p[i:j], g[i:j], v[i:j]
+        vb *= rho
+        vb += (1.0 - rho) * gb * gb
+        pb -= lr * gb / (np.sqrt(vb) + eps)
 
 
 def sumsq(a):

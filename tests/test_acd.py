@@ -124,6 +124,45 @@ def test_minmax_normalize():
                                   [0.0, 0.0, 0.0])
 
 
+def _smooth_node(series):
+    # the per-node smoother that the stacked savgol_smooth replaced: one
+    # (W,) @ (W, D) product per position of one node's (T, D) series
+    x = np.asarray(series, dtype=np.float64)
+    out = np.empty_like(x)
+    for t, (lo, hi, w) in enumerate(sg_weight_table(x.shape[0])):
+        out[t] = w @ x[lo:hi]
+    return out
+
+
+def _preprocess_per_node(x):
+    out = x.astype(np.float64).copy()
+    for i in range(x.shape[0] - 1):
+        out[i] = _smooth_node(x[i])
+    out[-1, :, 0] = minmax_normalize(x[-1, :, 0])
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("padded", [False, True], ids=["full", "padded"])
+@pytest.mark.parametrize("T", [24, 25, 100])
+@pytest.mark.parametrize("env_id", ["pp", "lj", "sk3", "sk5"])
+def test_preprocess_series_matches_per_node_reference(env_id, T, padded,
+                                                      dtype):
+    n = env_spec(env_id).n_agents + 1
+    rng = np.random.default_rng([n, T, padded])
+    L = T - T // 3 if padded else T
+    x = np.zeros((n, T, OBS_DIM))
+    x[:-1, :L] = (rng.normal(size=(n - 1, L, OBS_DIM))
+                  * 10.0 ** rng.uniform(-3, 3, (n - 1, L, OBS_DIM)))
+    x[-1, :L, 0] = rng.normal(size=L)
+    x = x.astype(dtype)
+    before = x.copy()
+    out = preprocess_series(x)
+    assert out.dtype == np.float64 and out.shape == x.shape
+    assert out.tobytes() == _preprocess_per_node(x).tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
 def test_preprocess_series_layout():
     rng = np.random.default_rng(3)
     x = np.zeros((3, 50, 5))

@@ -79,16 +79,25 @@ def test_acd_spans_are_called():
                            total_steps=40, eval_interval=20,
                            eval_episodes=1, epsilon_anneal_episodes=5,
                            batch_size=2, n_hidden=8)
+    # acd.preprocess patches two module globals; count each caller's
+    # calls so that inlining either one shows as a zero
+    preprocess_calls = [0]
     with spans.patched(tracer):
         fit = acd.train_acd(samples, epochs=1, batch_size=2, seed=0,
                             enc_hidden=8, dec_hidden=8)
+        preprocess_calls.append(tracer.names.count("acd.preprocess"))
         acd.evaluate_accuracy(fit.model, samples)
+        preprocess_calls.append(tracer.names.count("acd.preprocess"))
         marl.train(cfg, bits_fn=acd.make_bits_fn(fit.model, "sk3"))
+        preprocess_calls.append(tracer.names.count("acd.preprocess"))
     calls = {name: tracer.names.count(name)
              for name in ("acd.encode", "acd.decode", "acd.elbo_loss",
                           "nn.tape_backward", "nn.rmsprop_update",
                           "acd.preprocess", "acd.predict_c")}
     assert min(calls.values()) >= 1, calls
+    # under train_acd, evaluate_accuracy, and make_bits_fn in train
+    per_phase = [b - a for a, b in zip(preprocess_calls, preprocess_calls[1:])]
+    assert min(per_phase) >= 1, per_phase
 
 
 def test_kernel_layer_times_every_declared_kernel(tmp_path):

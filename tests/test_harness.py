@@ -290,6 +290,30 @@ def test_cli_unreadable_inputs_exit_typed(cli_runs, tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("env_id", 3), ("trainer", None), ("agents", 5), ("agents", ["a", 1]),
+    ("n_hidden", "64"), ("n_hidden", 0), ("n_hidden", True),
+], ids=["env-id-int", "trainer-null", "agents-int", "agents-mixed",
+        "n-hidden-str", "n-hidden-zero", "n-hidden-bool"])
+def test_cli_mistyped_run_json_exits_typed(cli_runs, tmp_path, capsys, field,
+                                           value):
+    # a run.json field of the wrong type is a wrong-kind input (exit 3),
+    # not a TypeError from the code that reads it
+    meta = json.loads((cli_runs / "idql" / "seed_0" / "run.json").read_text())
+    meta[field] = value
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "run.json").write_text(json.dumps(meta))
+    for name in meta["agents"] if field != "agents" else ():
+        (run / name).write_bytes(
+            (cli_runs / "idql" / "seed_0" / name).read_bytes())
+    out = tmp_path / "out"
+    assert main([*COLLECT_ONE, "--policy", str(run), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err, err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def cli_acd(cli_runs, tmp_path_factory):
     root = tmp_path_factory.mktemp("acd")

@@ -480,6 +480,28 @@ def test_optimizer_kernels_match_scalar_loops(n):
     assert np.float64(total).tobytes() == np.float64(_ref_sumsq(g)).tobytes()
 
 
+def _unblocked_rmsprop_step(p, g, v, lr, rho, eps):
+    # rmsprop_step before blocking: temporaries as long as the buffer
+    v *= rho
+    v += (1.0 - rho) * g * g
+    p -= lr * g / (np.sqrt(v) + eps)
+
+
+@pytest.mark.parametrize("n", [K.RMSPROP_BLOCK - 1, 2 * K.RMSPROP_BLOCK,
+                               3 * K.RMSPROP_BLOCK + 1,
+                               7 * K.RMSPROP_BLOCK - 5])
+def test_blocked_rmsprop_matches_unblocked(n):
+    rng = np.random.default_rng(n)
+    p, v = _wide_floats(rng, n), np.abs(_wide_floats(rng, n))
+    p_ref, v_ref = p.copy(), v.copy()
+    for _ in range(3):
+        g = _wide_floats(rng, n)
+        K.rmsprop_step(p, g, v, 5e-4, 0.99, 1e-8)
+        _unblocked_rmsprop_step(p_ref, g, v_ref, 5e-4, 0.99, 1e-8)
+    assert p.tobytes() == p_ref.tobytes()
+    assert v.tobytes() == v_ref.tobytes()
+
+
 def test_clipped_rmsprop_update_matches_scalar_path():
     rng = np.random.default_rng(5)
     shapes = {"W": (40, 25), "b": (25,), "q": (7,)}
