@@ -96,6 +96,8 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
             nll_sum += terms.nll * b
             kl_sum += terms.kl * b
             n_seen += b
+            # the next batch's forward must not run beside these caches
+            del logits, enc, w, soft, pred, dec, terms
         row = {"epoch": epoch, "nll": nll_sum / n_seen, "kl": kl_sum / n_seen,
                "total": (nll_sum + kl_sum) / n_seen}
         result.rows.append(row)

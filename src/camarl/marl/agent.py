@@ -1,10 +1,17 @@
-"""Per-agent recurrent Q-learner.
+"""Recurrent Q-learners: one agent, or a whole team as one object.
 
 Online and target networks share one architecture: a GRU over the
 observation concatenated with the previous-action one-hot, and a linear
 head of Q-values.  Training unrolls full episodes through the fused
-kernels; no parameters are shared across agents.
+kernels.  A team of N holds its parameters, gradients, RMSprop state and
+target network as (N, P) buffers with a leading agent axis on every
+view, and acts, unrolls and steps all agents in one kernel call each.
+No parameters are shared: the kernels multiply with ``@``, one product
+per agent, so each agent's numbers are its own, bit for bit.
+``team[i]`` is agent i as a single learner over row i of the buffers.
 """
+
+import copy
 
 import numpy as np
 
@@ -14,85 +21,121 @@ from camarl.nn.layers import ParamSet, _uniform_init, load_views
 from camarl.nn.optim import rmsprop_update
 
 PARAM_NAMES = ("gru.Wx", "gru.Wh", "gru.bx", "gru.bh", "head.W", "head.b")
+BIAS_NAMES = ("gru.bx", "gru.bh", "head.b")
 
 
 class AgentLearner:
     def __init__(self, obs_dim: int, n_actions: int, n_hidden: int = 64,
                  seed=0, lr: float = 5e-4, grad_clip: float = 10.0):
+        """One learner, or a team of len(seed) for a list of agent seeds."""
         self.obs_dim = obs_dim
         self.n_actions = n_actions
         self.n_hidden = n_hidden
         self.n_in = obs_dim + n_actions
         self.lr = lr
         self.grad_clip = grad_clip
-        rng = np.random.default_rng(seed)
-        n_in, H = self.n_in, n_hidden
-        self.params = p = ParamSet([
-            ("gru.Wx", _uniform_init(rng, n_in, (n_in, 3 * H))),
-            ("gru.Wh", _uniform_init(rng, H, (H, 3 * H))),
-            ("gru.bx", np.zeros(3 * H)),
-            ("gru.bh", np.zeros(3 * H)),
-            ("head.W", _uniform_init(rng, H, (H, n_actions))),
-            ("head.b", np.zeros(n_actions)),
-        ])
+        if isinstance(seed, list):
+            p = ParamSet.stack([ParamSet(self._inits(s)) for s in seed])
+        else:
+            p = ParamSet(self._inits(seed))
         # the target network: one flat copy in the same layout
-        self.target_data = p.data.copy()
-        self.target = p.views(self.target_data)
-        self.last_loss = None
+        self._bind(p, p.data.copy(), np.full(p.data.shape[:-1], np.nan))
         # row a is the one-hot of action a; the last row, picked by -1
         # (no previous action), is all zeros
         self._prev_onehot = np.vstack([np.eye(n_actions),
                                        np.zeros((1, n_actions))])
 
+    def _inits(self, seed):
+        rng = np.random.default_rng(seed)
+        n_in, H, A = self.n_in, self.n_hidden, self.n_actions
+        return [("gru.Wx", _uniform_init(rng, n_in, (n_in, 3 * H))),
+                ("gru.Wh", _uniform_init(rng, H, (H, 3 * H))),
+                ("gru.bx", np.zeros(3 * H)), ("gru.bh", np.zeros(3 * H)),
+                ("head.W", _uniform_init(rng, H, (H, A))),
+                ("head.b", np.zeros(A))]
+
+    def _bind(self, params, target_data, loss):
+        self.params = params
+        self.target_data = target_data
+        self.target = params.views(target_data)
+        # kernel arguments; views, so they follow every in-place update
+        self._online = self._weights()
+        self._target = self._weights(self.target)
+        self._loss = loss
+        self.lead = loss.shape   # () for one learner, (N,) for a team
+
+    def __len__(self):
+        return len(self._loss)
+
+    def __getitem__(self, i):
+        # row views; iteration stops at the IndexError past the last row
+        ln = copy.copy(self)
+        ln._bind(self.params.row(i), self.target_data[i], self._loss[i, ...])
+        return ln
+
+    @property
+    def last_loss(self):
+        """Latest TD loss, NaN before the first: a float, (N,) for a team."""
+        return float(self._loss) if self.lead == () else self._loss.copy()
+
     # -- acting ------------------------------------------------------------
 
     def initial_hidden(self, n_rows: int = 1):
-        return np.zeros((n_rows, 1, self.n_hidden))
+        return np.zeros((n_rows,) + self.lead + (1, self.n_hidden))
 
     def _input(self, obs, prev_action):
-        x = np.empty((obs.shape[0], 1, self.n_in))
-        x[:, 0, :self.obs_dim] = obs
-        x[:, 0, self.obs_dim:] = self._prev_onehot.take(prev_action, axis=0)
+        x = np.empty(obs.shape[:-1] + (1, self.n_in))
+        x[..., 0, :self.obs_dim] = obs
+        x[..., 0, self.obs_dim:] = self._prev_onehot.take(prev_action, axis=0)
         return x
 
-    def _weights(self):
-        p = self.params
-        return tuple(p[name] for name in PARAM_NAMES)
+    def _weights(self, views=None):
+        # biases broadcast as (..., 1, m) against a team's (N, B, m) rows
+        p = self.params if views is None else views
+        return tuple(p[name][..., None, :] if name in BIAS_NAMES else p[name]
+                     for name in PARAM_NAMES)
 
     def q_values(self, obs, prev_action, hidden):
         """One greedy-policy step for E independent rows: (q, new hidden).
 
         obs is (E, obs_dim), prev_action (E,) with -1 for none, hidden
-        (E, 1, H); q comes back (E, n_actions).  Each row is its own
-        single-row product, so stacking rows moves no bits.
+        (E, 1, H); q comes back (E, n_actions).  A team's arrays carry
+        the agent axis after E.  Each row of each agent is its own
+        single-row product, so stacking rows and agents moves no bits.
         """
-        rows = np.shape(obs)[:1]
+        rows = np.shape(obs)[:1] + self.lead
         if (np.shape(obs) != rows + (self.obs_dim,)
                 or np.shape(prev_action) != rows
                 or np.shape(hidden) != rows + (1, self.n_hidden)):
+            def dims(*tail):
+                return "({})".format(", ".join(
+                    map(str, ("E",) + self.lead + tail)))
             raise UsageError(
-                f"acting takes obs (E, {self.obs_dim}), prev_action (E,) "
-                f"and hidden (E, 1, {self.n_hidden}); got "
+                f"acting takes obs {dims(self.obs_dim)}, prev_action "
+                f"{dims()} and hidden {dims(1, self.n_hidden)}; got "
                 f"{np.shape(obs)}, {np.shape(prev_action)} and "
                 f"{np.shape(hidden)}")
         q, h_new = kernels.qnet_step(self._input(obs, prev_action), hidden,
-                                     *self._weights())
-        return q[:, 0], h_new
+                                     *self._online)
+        return q[..., 0, :], h_new
 
     def act(self, obs, prev_action, hidden, epsilon, rng: np.random.Generator):
-        """Epsilon-greedy (E,) actions; ties resolve to the lowest index.
+        """Epsilon-greedy actions shaped like prev_action; ties go low.
 
-        The uniform draw happens before any Q computation is consulted
-        so the random-number stream depends only on epsilon, never on
-        network outputs.  Exploration takes a single row.
+        Exploration takes a single row.  Each agent in turn draws a
+        uniform and, below epsilon, a random action; no draw depends on
+        the Q-values, so the stream depends only on epsilon.
         """
         q, h_new = self.q_values(obs, prev_action, hidden)
+        acts = q.argmax(axis=-1)
         if epsilon > 0:
             if q.shape[0] != 1:
                 raise UsageError("exploration acts on one row at a time")
-            if rng.random() < epsilon:
-                return np.array([rng.integers(self.n_actions)]), h_new
-        return q.argmax(axis=1), h_new
+            flat = acts.reshape(-1)
+            for i in range(flat.size):
+                if rng.random() < epsilon:
+                    flat[i] = rng.integers(self.n_actions)
+        return acts, h_new
 
     # -- training ----------------------------------------------------------
 
@@ -100,53 +143,52 @@ class AgentLearner:
         self.target_data[...] = self.params.data
 
     def target_q(self, X, h0):
-        t = self.target
-        Q, *_ = kernels.qnet_unroll_fwd(X, h0, t["gru.Wx"], t["gru.Wh"],
-                                        t["gru.bx"], t["gru.bh"],
-                                        t["head.W"], t["head.b"])
+        # the acting kernel stores no intermediates, which the target never
+        # needs; the bits are the unroll's
+        Q = np.empty(X.shape[:-1] + (self.n_actions,))
+        h = h0
+        for t in range(X.shape[-3]):
+            Q[..., t, :, :], h = kernels.qnet_step(X[..., t, :, :], h,
+                                                   *self._target)
         return Q
 
     def td_loss_and_grads(self, X, actions, rewards, valid, terminal, gamma):
         """Squared TD error, mean over valid timesteps.
 
         X: (T, B, n_in) inputs; actions: (T, B); rewards: (T, B) already
-        masked; valid/terminal: (T, B) 0/1.  Bootstraps from the target
+        masked; valid/terminal: (T, B) 0/1, shared by a team, whose other
+        arrays lead with the agent axis.  Bootstraps from the target
         network's next-step max; terminal steps use the reward alone.
-        Gradients land in self.params.
+        Gradients land in self.params.  Returns the loss, (N,) for a team.
         """
         n_valid = valid.sum()
         if n_valid == 0:
             raise UsageError("empty training batch")
-        T, B, _ = X.shape
-        h0 = np.zeros((B, self.n_hidden))
-        Wx, Wh, bx, bh, Wq, bq = self._weights()
-        Q, Hs, R, Z, Nc, GHN = kernels.qnet_unroll_fwd(X, h0, Wx, Wh, bx, bh,
-                                                       Wq, bq)
-        Qt = self.target_q(X, h0)
-        boot = np.zeros((T, B))
-        if T > 1:
-            boot[:-1] = Qt[1:].max(axis=2)
+        h0 = np.zeros(self.lead + (valid.shape[1], self.n_hidden))
+        w = self._online
+        Q, *cache = kernels.qnet_unroll_fwd(X, h0, *w)
+        boot = np.zeros(Q.shape[:-1])
+        boot[..., :-1, :] = self.target_q(X, h0)[..., 1:, :, :].max(axis=-1)
         y = rewards + gamma * boot * (1.0 - terminal)
-        ti = np.arange(T)[:, None]
-        bi = np.arange(B)[None, :]
-        qa = Q[ti, bi, actions]
+        qa = np.take_along_axis(Q, actions[..., None], axis=-1)[..., 0]
         diff = (qa - y) * valid
-        loss = float((diff ** 2).sum() / n_valid)
+        # each agent's squares summed as one contiguous (T B) row
+        loss = (diff ** 2).reshape(self.lead + (-1,)).sum(axis=-1) / n_valid
         dQ = np.zeros_like(Q)
-        dQ[ti, bi, actions] = 2.0 * diff / n_valid
-        grads = kernels.qnet_unroll_bwd(X, h0, Hs, R, Z, Nc, GHN, Wx, Wh, Wq,
-                                        dQ)
+        np.put_along_axis(dQ, actions[..., None],
+                          (2.0 * diff / n_valid)[..., None], axis=-1)
+        grads = kernels.qnet_unroll_bwd(X, h0, *cache, w[0], w[1], w[4], dQ)
         for name, grad in zip(PARAM_NAMES, grads):
             self.params.grads[name] += grad
-        return loss
+        return float(loss) if self.lead == () else loss
 
     def train_step(self, X, actions, rewards, valid, terminal, gamma):
-        """One gradient step on a batch; returns the TD loss."""
+        """One gradient step, each agent clipped on its own; the TD loss."""
         loss = self.td_loss_and_grads(X, actions, rewards, valid, terminal,
                                       gamma)
         rmsprop_update(self.params, lr=self.lr, max_norm=self.grad_clip)
-        self.last_loss = loss
-        return loss
+        self._loss[...] = loss
+        return self.last_loss
 
     # -- persistence ---------------------------------------------------------
 
@@ -162,30 +204,23 @@ class AgentLearner:
         load_views(self.params.vs, arrays, "opt.")
 
 
-def team_policy(learners, epsilon: float = 0.0, rng=None):
+def team_policy(team, epsilon: float = 0.0, rng=None):
     """Joint-action callable for one lockstep rollout of E episodes.
 
     act(obs) maps the (E, N, D) observations to (E, N) actions; E is
-    read off the first call.  Each learner acts on its (E, obs_dim)
-    column through AgentLearner.act, carrying its (E, 1, H) hidden state
-    and previous actions across the steps; build a fresh one per
-    rollout.  At epsilon 0 nothing is drawn from rng and every agent
-    takes its argmax.  Exploration draws in agent order and, like
-    AgentLearner.act, takes a single env.
+    read off the first call.  The team acts in one AgentLearner.act,
+    carrying the hidden state and previous actions across the steps;
+    build a fresh one per rollout.  At epsilon 0 nothing is drawn from
+    rng; exploration draws in agent order and takes a single env.
     """
-    hidden = None
-    prev = None
+    hidden = prev = None
 
     def act(obs):
         nonlocal hidden, prev
         if prev is None:
-            hidden = [ln.initial_hidden(obs.shape[0]) for ln in learners]
+            hidden = team.initial_hidden(obs.shape[0])
             prev = np.full(obs.shape[:2], -1)
-        acts = np.empty_like(prev)
-        for i, ln in enumerate(learners):
-            acts[:, i], hidden[i] = ln.act(obs[:, i], prev[:, i], hidden[i],
-                                           epsilon, rng)
-        prev = acts
-        return acts
+        prev, hidden = team.act(obs, prev, hidden, epsilon, rng)
+        return prev
 
     return act

@@ -71,7 +71,7 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     config: TrainConfig
-    learners: list
+    learners: AgentLearner   # the team; learners[i] is agent i
     rows: list = field(default_factory=list)
     episodes: int = 0
     steps: int = 0
@@ -83,28 +83,29 @@ def oracle_episode_bits(episode: EpisodeRecord) -> np.ndarray:
                        episode.rewards, episode.kinds)
 
 
-def build_batch(episodes, agent_index, n_actions, obs_dim, strict_mask):
-    """Per-agent training arrays from a list of episodes.
+def build_batch(episodes, n_actions, obs_dim, strict_mask):
+    """The team's training arrays from a list of episodes.
 
-    Returns X (T, B, obs+act), actions (T, B), masked rewards (T, B),
-    valid (T, B), terminal (T, B), padded to the longest episode.
+    Returns X (N, T, B, obs+act), actions (N, T, B), masked rewards
+    (N, T, B), valid (T, B), terminal (T, B), padded to the longest
+    episode.  Each episode's rewards are masked once, for all agents.
     """
     B = len(episodes)
     lengths = np.array([ep.length for ep in episodes])
     T = int(lengths.max())
-    n_in = obs_dim + n_actions
-    X = np.zeros((T, B, n_in))
-    actions = np.zeros((T, B), dtype=np.int64)
-    rewards = np.zeros((T, B))
+    n = episodes[0].n_agents
+    X = np.zeros((n, T, B, obs_dim + n_actions))
+    actions = np.zeros((n, T, B), dtype=np.int64)
+    rewards = np.zeros((n, T, B))
     valid = np.zeros((T, B))
+    agent = np.arange(n)[:, None]
     for b, ep in enumerate(episodes):
         L = ep.length
-        X[:L, b, :obs_dim] = ep.obs[:, agent_index]
-        a = ep.actions[:, agent_index]
-        X[np.arange(1, L), b, obs_dim + a[:-1]] = 1.0
-        actions[:L, b] = a
-        rewards[:L, b] = masked_rewards(ep.rewards, ep.bits, strict_mask)[
-            :, agent_index]
+        a = ep.actions.T
+        X[:, :L, b, :obs_dim] = ep.obs.swapaxes(0, 1)
+        X[agent, np.arange(1, L), b, obs_dim + a[:, :-1]] = 1.0
+        actions[:, :L, b] = a
+        rewards[:, :L, b] = masked_rewards(ep.rewards, ep.bits, strict_mask).T
         valid[:L, b] = 1.0
     terminal = np.zeros((T, B))
     terminal[lengths - 1, np.arange(B)] = 1.0
@@ -136,9 +137,9 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
     root = np.random.SeedSequence(config.seed)
     ss_agents, ss_env, ss_explore, ss_sample, ss_eval = root.spawn(5)
     agent_seeds = ss_agents.spawn(n)
-    learners = [AgentLearner(obs_dim, n_actions, config.n_hidden,
-                             seed=agent_seeds[i], lr=config.lr,
-                             grad_clip=config.grad_clip) for i in range(n)]
+    team = AgentLearner(obs_dim, n_actions, config.n_hidden,
+                        seed=agent_seeds, lr=config.lr,
+                        grad_clip=config.grad_clip)
     env_seed_rng = np.random.default_rng(ss_env)
     rng_explore = np.random.default_rng(ss_explore)
     rng_sample = np.random.default_rng(ss_sample)
@@ -146,7 +147,7 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
     eval_seeds = ss_eval.generate_state(max_evals)
 
     buffer = ReplayBuffer(config.buffer_capacity)
-    result = TrainResult(config=config, learners=learners)
+    result = TrainResult(config=config, learners=team)
     step = 0
     episode_idx = 0
     next_eval = 0
@@ -156,7 +157,7 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
         # rows carry the scheduled checkpoint, not the raw step count,
         # so different seeds log a shared evaluation grid
         nonlocal eval_idx
-        s = evaluate(learners, config.env_id, config.eval_episodes,
+        s = evaluate(team, config.env_id, config.eval_episodes,
                      int(eval_seeds[eval_idx]))
         eval_idx += 1
         eps_now = epsilon_at(episode_idx, config.epsilon_start,
@@ -180,7 +181,7 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
         eps = epsilon_at(episode_idx, config.epsilon_start,
                          config.epsilon_end, config.epsilon_anneal_episodes)
         env = make_env(config.env_id, int(env_seed_rng.integers(2 ** 63)))
-        ep = collect_episode(env, team_policy(learners, eps, rng_explore))
+        ep = collect_episode(env, team_policy(team, eps, rng_explore))
         # replay stores float32 observations; bits are computed from them
         ep.obs = ep.obs.astype(np.float32)
         ep.bits = _episode_bits(config.trainer, ep, bits_fn)
@@ -190,13 +191,10 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
         episode_idx += 1
 
         batch = buffer.sample(config.batch_size, rng_sample)
-        for i, ln in enumerate(learners):
-            X, acts, rews, valid, terminal = build_batch(
-                batch, i, n_actions, obs_dim, config.strict_mask)
-            ln.train_step(X, acts, rews, valid, terminal, config.gamma)
+        team.train_step(*build_batch(batch, n_actions, obs_dim,
+                                     config.strict_mask), config.gamma)
         if episode_idx % config.target_sync == 0:
-            for ln in learners:
-                ln.sync_target()
+            team.sync_target()
 
     run_eval(config.total_steps)
     result.episodes = episode_idx
@@ -267,7 +265,8 @@ def save_run(out_dir: Path, config: TrainConfig, result: TrainResult):
 RUN_FIELDS = {
     "env_id": lambda v: type(v) is str,
     "trainer": lambda v: type(v) is str,
-    "agents": lambda v: type(v) is list and all(type(a) is str for a in v),
+    "agents": lambda v: (type(v) is list and len(v) > 0
+                         and all(type(a) is str for a in v)),
     "n_hidden": lambda v: type(v) is int and v > 0,
 }
 
@@ -286,17 +285,15 @@ def read_run(run_dir):
 
 
 def load_learners(run_dir):
-    """Rebuild learners from a saved run directory."""
+    """Rebuild the team from a saved run directory."""
     from camarl.nn.checkpoint import load_checkpoint
 
     run_dir = Path(run_dir)
     meta = read_run(run_dir)
     spec = env_spec(meta["env_id"])
-    learners = []
-    for i, name in enumerate(meta["agents"]):
-        arrays, _ = load_checkpoint(run_dir / name)
-        ln = AgentLearner(spec.obs_dim, spec.n_actions, meta["n_hidden"],
-                          seed=i)
-        ln.load_state(arrays)
-        learners.append(ln)
-    return learners, meta
+    names = meta["agents"]
+    team = AgentLearner(spec.obs_dim, spec.n_actions, meta["n_hidden"],
+                        seed=list(range(len(names))))
+    for ln, name in zip(team, names):
+        ln.load_state(load_checkpoint(run_dir / name)[0])
+    return team, meta

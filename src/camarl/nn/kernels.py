@@ -4,12 +4,12 @@ Every function here takes and returns plain float64 ndarrays, draws no
 randomness, and holds no state, so results are exactly reproducible.
 Activation functions are selected by integer code.
 
-The acting kernels ``gru_fwd`` and ``qnet_step`` take a ``(B, n)``
-batch or an ``(E, 1, n)`` stack of single rows.  They multiply with
-``@`` (``np.matmul``), which rounds each row of a stack as its own
-``(1, n)`` product, so a stacked step is bit-identical to E separate
-single-row steps.  ``np.dot`` on a 3-D stack would fold the rows into
-one GEMM and round differently.
+The GRU and Q-network kernels take a ``(B, n)`` batch, an ``(E, 1, n)``
+stack of single rows, or a team's ``(N, ..., B, n)`` stack with
+``(N, n, m)`` weights and ``(N, 1, m)`` biases.  They multiply with
+``@`` (``np.matmul``), one product per stack item, so each agent and
+each row of a stack rounds exactly as its own 2-D call.  ``np.dot`` on
+a 3-D stack would fold the items into one GEMM and round differently.
 """
 
 import numpy as np
@@ -70,8 +70,11 @@ def gru_fwd(x, h, Wx, Wh, bx, bh):
     pre-activation that gets gated by r.
     """
     H = h.shape[-1]
-    pre_x = x @ Wx + bx
-    pre_h = h @ Wh + bh
+    # biases added in place: a team's large temporaries cost fresh pages
+    pre_x = x @ Wx
+    pre_x += bx
+    pre_h = h @ Wh
+    pre_h += bh
     r = sigmoid_stable(pre_x[..., :H] + pre_h[..., :H])
     z = sigmoid_stable(pre_x[..., H:2 * H] + pre_h[..., H:2 * H])
     ghn = pre_h[..., 2 * H:].copy()
@@ -80,8 +83,13 @@ def gru_fwd(x, h, Wx, Wh, bx, bh):
     return h_new, r, z, n, ghn
 
 
-def gru_bwd(x, h, Wx, Wh, r, z, n, ghn, gh_new):
-    """Backward of one GRU step.  Returns (gx, gh, gWx, gWh, gbx, gbh)."""
+def gru_bwd(x, h, Wx, Wh, r, z, n, ghn, gh_new, out=(None, None)):
+    """Backward of one GRU step.  Returns (gx, gh, gWx, gWh, gbx, gbh).
+
+    gx is None when Wx is.  out, arrays shaped like Wx and Wh, receives
+    gWx and gWh: fresh pages for a team's every step cost more than the
+    products.
+    """
     dz = gh_new * (h - n)
     dn = gh_new * (1.0 - z)
     dh = gh_new * z
@@ -91,60 +99,58 @@ def gru_bwd(x, h, Wx, Wh, r, z, n, ghn, gh_new):
     dr_pre = dr * r * (1.0 - r)
     dz_pre = dz * z * (1.0 - z)
 
-    gpre_x = np.concatenate((dr_pre, dz_pre, dn_pre), axis=1)
-    gpre_h = np.concatenate((dr_pre, dz_pre, dghn), axis=1)
+    gpre_x = np.concatenate((dr_pre, dz_pre, dn_pre), axis=-1)
+    gpre_h = np.concatenate((dr_pre, dz_pre, dghn), axis=-1)
 
-    gx = np.dot(gpre_x, Wx.T)
-    gh = dh + np.dot(gpre_h, Wh.T)
-    gWx = np.dot(x.T, gpre_x)
-    gWh = np.dot(h.T, gpre_h)
-    gbx = np.sum(gpre_x, axis=0)
-    gbh = np.sum(gpre_h, axis=0)
-    return gx, gh, gWx, gWh, gbx, gbh
+    gx = None if Wx is None else gpre_x @ Wx.swapaxes(-1, -2)
+    gh = dh + gpre_h @ Wh.swapaxes(-1, -2)
+    gWx = np.matmul(x.swapaxes(-1, -2), gpre_x, out=out[0])
+    gWh = np.matmul(h.swapaxes(-1, -2), gpre_h, out=out[1])
+    return gx, gh, gWx, gWh, gpre_x.sum(axis=-2), gpre_h.sum(axis=-2)
 
 
 def qnet_unroll_fwd(X, h0, Wx, Wh, bx, bh, Wq, bq):
     """Whole-episode recurrent Q-network forward.
 
-    X is (T, B, input); the net is GRU -> linear head.
+    X is (..., T, B, input) and h0 (..., B, H); the net is GRU -> linear
+    head.  The input product stays in the time loop: hoisted out as one
+    (T B, input) product it would round differently.
     Returns Q plus every intermediate needed by qnet_unroll_bwd.
     """
-    T = X.shape[0]
-    B = X.shape[1]
-    H = h0.shape[1]
-    A = Wq.shape[1]
-    Q = np.empty((T, B, A))
-    Hs = np.empty((T, B, H))
-    R = np.empty((T, B, H))
-    Z = np.empty((T, B, H))
-    Nc = np.empty((T, B, H))
-    GHN = np.empty((T, B, H))
+    T = X.shape[-3]
+    rows = X.shape[:-1]
+    H = h0.shape[-1]
+    Q = np.empty(rows + Wq.shape[-1:])
+    Hs, R, Z, Nc, GHN = (np.empty(rows + (H,)) for _ in range(5))
     h = h0
     for t in range(T):
-        Hs[t], R[t], Z[t], Nc[t], GHN[t] = gru_fwd(X[t], h, Wx, Wh, bx, bh)
-        h = Hs[t]
-        Q[t] = np.dot(h, Wq) + bq
+        at = (Ellipsis, t, slice(None), slice(None))
+        Hs[at], R[at], Z[at], Nc[at], GHN[at] = gru_fwd(X[at], h, Wx, Wh,
+                                                         bx, bh)
+        h = Hs[at]
+        Q[at] = h @ Wq + bq
     return Q, Hs, R, Z, Nc, GHN
 
 
 def qnet_unroll_bwd(X, h0, Hs, R, Z, Nc, GHN, Wx, Wh, Wq, dQ):
     """Backward through the whole unroll given per-step head gradients dQ."""
-    T = X.shape[0]
-    gWx = np.zeros_like(Wx)
-    gWh = np.zeros_like(Wh)
-    gbx = np.zeros(Wx.shape[1])
-    gbh = np.zeros(Wh.shape[1])
-    gWq = np.zeros_like(Wq)
-    gbq = np.zeros(Wq.shape[1])
+    T = X.shape[-3]
+    gWx, gWh, gWq = (np.zeros_like(W) for W in (Wx, Wh, Wq))
+    gbx, gbh, gbq = (np.zeros(W.shape[:-2] + W.shape[-1:])
+                     for W in (Wx, Wh, Wq))
+    WqT = Wq.swapaxes(-1, -2)
+    scratch = (np.empty_like(Wx), np.empty_like(Wh))
     dh = np.zeros_like(h0)
     for t in range(T - 1, -1, -1):
-        h_t = Hs[t]
-        gWq += np.dot(h_t.T, dQ[t])
-        gbq += np.sum(dQ[t], axis=0)
-        dh = dh + np.dot(dQ[t], Wq.T)
-        h_prev = h0 if t == 0 else Hs[t - 1]
+        at = (Ellipsis, t, slice(None), slice(None))
+        h_t, dQ_t = Hs[at], dQ[at]
+        gWq += h_t.swapaxes(-1, -2) @ dQ_t
+        gbq += np.sum(dQ_t, axis=-2)
+        dh = dh + dQ_t @ WqT
+        h_prev = h0 if t == 0 else Hs[..., t - 1, :, :]
         _, dh_prev, gWx_t, gWh_t, gbx_t, gbh_t = gru_bwd(
-            X[t], h_prev, Wx, Wh, R[t], Z[t], Nc[t], GHN[t], dh)
+            X[at], h_prev, None, Wh, R[at], Z[at], Nc[at], GHN[at], dh,
+            scratch)
         gWx += gWx_t
         gWh += gWh_t
         gbx += gbx_t
@@ -156,8 +162,8 @@ def qnet_unroll_bwd(X, h0, Hs, R, Z, Nc, GHN, Wx, Wh, Wq, dQ):
 def qnet_step(x, h, Wx, Wh, bx, bh, Wq, bq):
     """Single acting step: returns (q, h_new) without storing intermediates.
 
-    x and h are a (B, .) batch or an (E, 1, .) stack of single rows; each
-    row of a stack rounds as a single-row call.
+    x and h are a (B, .) batch or an (E, 1, .) stack of single rows, a
+    team's (E, N, 1, .); each row of a stack rounds as a single-row call.
     """
     h_new, r, z, n, ghn = gru_fwd(x, h, Wx, Wh, bx, bh)
     q = h_new @ Wq + bq
@@ -175,8 +181,9 @@ def rmsprop_step(p, g, v, lr, rho, eps):
 
 
 def sumsq(a):
-    # summed left to right: np.dot and np.sum add in blocked or pairwise
-    # order, which moves the clip norm by about 1e-14
-    if a.shape[0] == 0:
-        return 0.0
-    return np.cumsum(a * a)[-1]
+    # one sum of squares per row of the last axis, added left to right:
+    # np.dot and np.sum add in blocked or pairwise order, which moves the
+    # clip norm by about 1e-14
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1])
+    return np.cumsum(a * a, axis=-1)[..., -1]

@@ -14,30 +14,49 @@ class ParamSet:
     shaped views into ``data`` and ``grad``, ``ps.vs[name]`` a 1-D view
     into ``v``.  Insertion order fixes the layout the optimizer and the
     checkpoint format both rely on.  Loading copies into the views, so
-    a view taken once stays live.
+    a view taken once stays live.  A ``stack`` of N sets holds (N, P)
+    buffers and views with a leading N axis; ``row(i)`` is set i.
     """
 
     def __init__(self, inits):
         """inits: (name, initial array) pairs, in layout order."""
         inits = [(name, np.asarray(a, dtype=np.float64)) for name, a in inits]
-        self._spans = {}
+        spans = {}
         size = 0
         for name, a in inits:
-            if name in self._spans:
+            if name in spans:
                 raise UsageError(f"duplicate parameter name {name!r}")
-            self._spans[name] = (size, size + a.size, a.shape)
+            spans[name] = (size, size + a.size, a.shape)
             size += a.size
-        self.data, self.grad, self.v = (np.zeros(size) for _ in range(3))
-        self._values = self.views(self.data)
-        self.grads = self.views(self.grad)
-        self.vs = {name: self.v[lo:hi]
-                   for name, (lo, hi, _) in self._spans.items()}
+        self._bind(spans, *(np.zeros(size) for _ in range(3)))
         for name, a in inits:
             self._values[name][...] = a
 
+    def _bind(self, spans, data, grad, v):
+        self._spans = spans
+        self.data, self.grad, self.v = data, grad, v
+        self._values = self.views(data)
+        self.grads = self.views(grad)
+        self.vs = {name: v[..., lo:hi]
+                   for name, (lo, hi, _) in spans.items()}
+
+    @classmethod
+    def stack(cls, sets):
+        """One set of copies of the given sets, one layout, as its rows."""
+        ps = cls.__new__(cls)
+        ps._bind(sets[0]._spans, *(np.stack([getattr(s, k) for s in sets])
+                                   for k in ("data", "grad", "v")))
+        return ps
+
+    def row(self, i):
+        """The unstacked set over row i of the buffers, not a copy."""
+        ps = ParamSet.__new__(ParamSet)
+        ps._bind(self._spans, self.data[i], self.grad[i], self.v[i])
+        return ps
+
     def views(self, buf):
         """Shaped views of every tensor into buf, a buffer of this layout."""
-        return {name: buf[lo:hi].reshape(shape)
+        return {name: buf[..., lo:hi].reshape(buf.shape[:-1] + shape)
                 for name, (lo, hi, shape) in self._spans.items()}
 
     def __getitem__(self, name):

@@ -1,5 +1,7 @@
 """RMSprop with optional global-norm clipping over a ParamSet's flat buffers.
 
+A stacked set steps all its rows at once and clips each row on its own.
+
 The optimizer state is the set's ``v`` buffer, which is checkpointed
 alongside the weights as the ``opt.*`` arrays.
 """
@@ -13,18 +15,21 @@ EPS = 1e-8
 
 
 def clip_global_norm(params, max_norm):
-    """Scale all gradients so their joint L2 norm is at most max_norm.
+    """Scale each row's gradients so their joint L2 norm is at most max_norm.
 
-    The squares are summed per tensor, in layout order.  Returns the
-    pre-clip norm.
+    A stacked set clips every row on its own, and only the rows over the
+    bound are scaled.  The squares are summed per tensor, in layout
+    order.  Returns the pre-clip norm: a float for an unstacked set, an
+    (N,) array for a stack of N.
     """
+    rows = params.grad.reshape(-1, params.grad.shape[-1])
     total = 0.0
     for g in params.grads.values():
-        total += K.sumsq(g.reshape(-1))
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
-        params.grad *= max_norm / norm
-    return norm
+        total += K.sumsq(g.reshape(rows.shape[0], -1))
+    norm = np.sqrt(total)
+    over = (norm > max_norm) & (norm > 0.0)
+    rows[over] *= (max_norm / norm[over])[:, None]
+    return float(norm[0]) if params.grad.ndim == 1 else norm
 
 
 def rmsprop_update(params, lr: float, max_norm=None):
@@ -36,6 +41,7 @@ def rmsprop_update(params, lr: float, max_norm=None):
     norm = None
     if max_norm is not None:
         norm = clip_global_norm(params, max_norm)
-    K.rmsprop_step(params.data, params.grad, params.v, lr, RHO, EPS)
+    K.rmsprop_step(params.data.reshape(-1), params.grad.reshape(-1),
+                   params.v.reshape(-1), lr, RHO, EPS)
     params.grad.fill(0.0)
     return norm

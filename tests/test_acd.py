@@ -216,12 +216,10 @@ def test_collect_dataset_never_wins():
     # so no skirmish rollout can ever end in a win
     from camarl.marl import AgentLearner
     spec = env_spec("sk3-sp")
-    learners = []
-    for i in range(spec.n_agents):
-        ln = AgentLearner(OBS_DIM, spec.n_actions, n_hidden=8, seed=i)
-        ln.params["head.W"][...] = 0.0
-        ln.params["head.b"][...] = 0.0
-        learners.append(ln)
+    learners = AgentLearner(OBS_DIM, spec.n_actions, n_hidden=8,
+                            seed=list(range(spec.n_agents)))
+    learners.params["head.W"][...] = 0.0
+    learners.params["head.b"][...] = 0.0
     with pytest.raises(CollectionError):
         collect_dataset("sk3-sp", 2, seed=0, learners=learners,
                         attempt_factor=2)

@@ -6,7 +6,9 @@ mask, update or file layout shows here.  Every rollout caller is
 covered: scripted and greedy dataset collection, ACD training, the
 three trainers' run directories, and greedy evaluation.  One more
 ``lj``/``icl`` run clips the gradient norm on every update, so the
-clipping kernels are pinned too.  ``acd_pp`` fits the edge model at the
+clipping kernels are pinned too.  Two ``icl`` runs train at the
+benchmark's widths (``BENCH_RUNS``), where the other runs stay at
+``n_hidden=8``.  ``acd_pp`` fits the edge model at the
 benchmark width (869k parameters), and ``qvalues_lj_icl`` hashes the
 acting Q-values and hidden states themselves, which a last-bit change
 that flips no argmax would leave the other digests blind to.
@@ -30,6 +32,12 @@ TRAIN = dict(total_steps=300, eval_interval=150, eval_episodes=2,
              epsilon_anneal_episodes=20, target_sync=2, batch_size=4,
              n_hidden=8)
 RUNS = (("lj", "icl"), ("lj", "idql"), ("sk3", "acd-marl"))
+# runs at the benchmark's widths: the lj team at H = 64 and batch 8, and
+# the five-agent sk5 team at batch 32 with every reward masked
+BENCH_RUNS = {
+    "lj_icl_h64": dict(env_id="lj", n_hidden=64, batch_size=8),
+    "sk5_icl_strict": dict(env_id="sk5", strict_mask=True, batch_size=32),
+}
 
 GOLDEN = {
     "dataset_scripted_pp":
@@ -60,6 +68,10 @@ GOLDEN = {
         "325254f87537ef25d4e7dbdb6421e553f05b9062cf922293853a676f380987f6",
     "dataset_greedy_sk3-sp":
         "3aa498bfd714a480e1c7537eb814643f371cd1e8fcc853a3dcc2e54b21288a61",
+    "train_lj_icl_h64":
+        "979744ad29b8aa0035cafc20afa19e051fc47d0ee98813db879cdb55e70884c6",
+    "train_sk5_icl_strict":
+        "9013e9ed573e128c0436eb44471ddf318ddfb83242e7a2d817543293b3cf4cbb",
 }
 
 GOLDEN_ENVS = {
@@ -199,6 +211,11 @@ def digests(tmp_path_factory):
     marl.train(cfg, out_dir=root / "lj_icl_clipped")
     out["train_lj_icl_clipped"] = _digest_files(
         list((root / "lj_icl_clipped").iterdir()))
+
+    for key, over in BENCH_RUNS.items():
+        cfg = marl.TrainConfig(trainer="icl", seed=1, **{**TRAIN, **over})
+        marl.train(cfg, out_dir=root / key)
+        out["train_" + key] = _digest_files(list((root / key).iterdir()))
 
     # greedy collection: the sparse variants are the ones these barely
     # trained teams can win

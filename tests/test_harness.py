@@ -292,9 +292,9 @@ def test_cli_unreadable_inputs_exit_typed(cli_runs, tmp_path, capsys, argv,
 
 @pytest.mark.parametrize("field, value", [
     ("env_id", 3), ("trainer", None), ("agents", 5), ("agents", ["a", 1]),
-    ("n_hidden", "64"), ("n_hidden", 0), ("n_hidden", True),
+    ("agents", []), ("n_hidden", "64"), ("n_hidden", 0), ("n_hidden", True),
 ], ids=["env-id-int", "trainer-null", "agents-int", "agents-mixed",
-        "n-hidden-str", "n-hidden-zero", "n-hidden-bool"])
+        "agents-empty", "n-hidden-str", "n-hidden-zero", "n-hidden-bool"])
 def test_cli_mistyped_run_json_exits_typed(cli_runs, tmp_path, capsys, field,
                                            value):
     # a run.json field of the wrong type is a wrong-kind input (exit 3),

@@ -228,12 +228,95 @@ def test_exploration_takes_one_row():
         ln.act(np.zeros((2, 6)), np.full(2, -1), ln.initial_hidden(2), 0.5,
                rng)
     obs = np.zeros((2, 2, 6))
+    team = AgentLearner(6, 4, 8, seed=[0, 1])
     with pytest.raises(UsageError):
-        team_policy([ln, _learner(seed=1)], 0.5, rng)(obs)
+        team_policy(team, 0.5, rng)(obs)
     # greedy lockstep and single-env exploration are both allowed
-    assert team_policy([ln, _learner(seed=1)])(obs).shape == (2, 2)
-    assert team_policy([ln, _learner(seed=1)], 0.5, rng)(obs[:1]).shape \
-        == (1, 2)
+    assert team_policy(team)(obs).shape == (2, 2)
+    assert team_policy(team, 0.5, rng)(obs[:1]).shape == (1, 2)
+
+
+def _team_and_singles(n=3, **kw):
+    return (AgentLearner(6, 4, 8, seed=list(range(n)), **kw),
+            [AgentLearner(6, 4, 8, seed=i, **kw) for i in range(n)])
+
+
+def test_team_acting_matches_per_agent_acting():
+    team, singles = _team_and_singles()
+    rng = np.random.default_rng(3)
+    E = 5
+    obs = rng.random((E, 3, 6))
+    prev = rng.integers(-1, 4, size=(E, 3))
+    hidden = rng.standard_normal((E, 3, 1, 8))
+    q, h = team.q_values(obs, prev, hidden)
+    acts, _ = team.act(obs, prev, hidden, 0.0, rng)
+    assert q.shape == (E, 3, 4) and h.shape == (E, 3, 1, 8)
+    for i, ln in enumerate(singles):
+        q_i, h_i = ln.q_values(obs[:, i], prev[:, i], hidden[:, i])
+        assert q[:, i].tobytes() == q_i.tobytes()
+        assert h[:, i].tobytes() == h_i.tobytes()
+        a_i, _ = ln.act(obs[:, i], prev[:, i], hidden[:, i], 0.0, rng)
+        np.testing.assert_array_equal(acts[:, i], a_i)
+    # exploration draws in agent order, exactly as the agents one by one
+    rng_team, rng_each = np.random.default_rng(9), np.random.default_rng(9)
+    for t in range(40):
+        a, _ = team.act(obs[t % E:t % E + 1], prev[:1], hidden[:1], 0.5,
+                        rng_team)
+        for i, ln in enumerate(singles):
+            a_i, _ = ln.act(obs[t % E:t % E + 1, i], prev[:1, i],
+                            hidden[:1, i], 0.5, rng_each)
+            assert a[0, i] == a_i[0]
+        assert rng_team.bit_generator.state == rng_each.bit_generator.state
+    with pytest.raises(UsageError):
+        team.act(obs, prev, hidden, 0.5, rng)
+    with pytest.raises(UsageError):
+        team.q_values(obs[:, 0], prev[:, 0], hidden[:, 0])
+
+
+def test_team_train_steps_match_per_agent_steps():
+    # every third update clips some agents and not others
+    team, singles = _team_and_singles(grad_clip=0.05)
+    rng = np.random.default_rng(12)
+    for step in range(6):
+        T, B = 5, 3
+        X = np.zeros((3, T, B, 10))
+        X[..., :6] = rng.random((3, T, B, 6))
+        a = rng.integers(0, 4, size=(3, T, B))
+        r = rng.normal(size=(3, T, B)) * (10.0 if step % 3 == 0 else 0.01)
+        valid = np.ones((T, B))
+        valid[3:, 0] = 0.0
+        term = np.zeros((T, B))
+        term[2, 0] = term[-1, 1:] = 1.0
+        losses = team.train_step(X, a, r, valid, term, 0.99)
+        for i, ln in enumerate(singles):
+            loss = ln.train_step(X[i], a[i], r[i], valid, term, 0.99)
+            assert np.float64(loss).tobytes() == losses[i].tobytes()
+        if step % 2:
+            team.sync_target()
+            for ln in singles:
+                ln.sync_target()
+    assert len(team) == 3 and len(list(team)) == 3
+    for i, (view, ln) in enumerate(zip(team, singles)):
+        assert view.last_loss == ln.last_loss
+        assert type(view.last_loss) is float
+        assert np.shares_memory(view.params.data, team.params.data[i])
+        got, want = view.state_arrays(), ln.state_arrays()
+        assert list(got) == list(want)
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), (i, k)
+
+
+def test_team_row_views():
+    team, singles = _team_and_singles()
+    for view, ln in zip(team, singles):
+        assert view.params.data.tobytes() == ln.params.data.tobytes()
+        assert view.target_data.tobytes() == ln.target_data.tobytes()
+    assert np.isnan(team.last_loss).all() and np.isnan(team[0].last_loss)
+    # a view writes through to the team
+    team[2].params["head.b"][...] = 1.0
+    np.testing.assert_array_equal(team.params["head.b"][2], 1.0)
+    with pytest.raises(IndexError):
+        team[3]
 
 
 def _manual_batch(ln, rewards, n_steps, action=0):
@@ -357,8 +440,8 @@ def test_learner_state_roundtrip():
 
 def _collect(env_id="lj-sp", seed=3, epsilon=1.0):
     spec = env_spec(env_id)
-    learners = [AgentLearner(spec.obs_dim, spec.n_actions, 8, seed=i)
-                for i in range(spec.n_agents)]
+    learners = AgentLearner(spec.obs_dim, spec.n_actions, 8,
+                            seed=list(range(spec.n_agents)))
     env = make_env(env_id, seed)
     rng = np.random.default_rng(seed)
     ep = collect_episode(env, team_policy(learners, epsilon, rng))
@@ -372,8 +455,8 @@ RECORD_FIELDS = ("obs", "actions", "rewards", "kinds", "bits", "events")
 @pytest.mark.parametrize("E", [1, 5, 20])
 def test_lockstep_matches_sequential_episodes(env_id, E):
     spec = env_spec(env_id)
-    learners = [AgentLearner(spec.obs_dim, spec.n_actions, seed=i)
-                for i in range(spec.n_agents)]
+    learners = AgentLearner(spec.obs_dim, spec.n_actions,
+                            seed=list(range(spec.n_agents)))
     seeds = [700 + k for k in range(E)]
     lockstep = collect_episodes([make_env(env_id, s) for s in seeds],
                                 team_policy(learners))
@@ -424,8 +507,10 @@ def test_oracle_episode_bits_match_stepwise():
 
 def test_build_batch_layout():
     spec, _, ep = _collect(seed=8)
-    X, acts, rews, valid, term = build_batch([ep], 1, spec.n_actions,
+    X, acts, rews, valid, term = build_batch([ep], spec.n_actions,
                                              spec.obs_dim, False)
+    assert X.shape[0] == acts.shape[0] == rews.shape[0] == spec.n_agents
+    X, acts, rews = X[1], acts[1], rews[1]
     L = ep.length
     assert X.shape == (L, 1, spec.obs_dim + spec.n_actions)
     np.testing.assert_array_equal(X[0, 0, spec.obs_dim:], 0.0)
@@ -451,8 +536,9 @@ def _truncated(ep, L):
 def test_build_batch_padding():
     spec, _, ep1 = _collect(seed=8)
     ep2 = _truncated(ep1, ep1.length // 2)
-    X, acts, rews, valid, term = build_batch([ep1, ep2], 0, spec.n_actions,
+    X, acts, rews, valid, term = build_batch([ep1, ep2], spec.n_actions,
                                              spec.obs_dim, False)
+    X = X[0]
     T = max(ep1.length, ep2.length)
     assert X.shape[0] == T
     for b, ep in enumerate((ep1, ep2)):
@@ -581,8 +667,8 @@ def test_write_log_deterministic(tmp_path):
 
 def test_evaluate_untrained_near_step_penalty_baseline():
     spec = env_spec("lj")
-    learners = [AgentLearner(spec.obs_dim, spec.n_actions, 8, seed=i)
-                for i in range(spec.n_agents)]
+    learners = AgentLearner(spec.obs_dim, spec.n_actions, 8,
+                            seed=list(range(spec.n_agents)))
     s = evaluate(learners, "lj", n_episodes=50, seed=0)
     assert -10.01 <= s.mean_return <= -5.0
     assert s.n_episodes == 50
@@ -593,8 +679,8 @@ def test_evaluate_rejects_fewer_than_one_episode(monkeypatch, n_episodes):
     # the package's evaluate function shadows the submodule's name
     ev = importlib.import_module("camarl.marl.evaluate")
     spec = env_spec("sk3")
-    learners = [AgentLearner(spec.obs_dim, spec.n_actions, 8, seed=i)
-                for i in range(spec.n_agents)]
+    learners = AgentLearner(spec.obs_dim, spec.n_actions, 8,
+                            seed=list(range(spec.n_agents)))
     made = []
     monkeypatch.setattr(ev, "make_env", lambda *a: made.append(a))
     with pytest.raises(UsageError, match="at least one evaluation episode"):
@@ -604,8 +690,8 @@ def test_evaluate_rejects_fewer_than_one_episode(monkeypatch, n_episodes):
 
 def test_evaluate_deterministic():
     spec = env_spec("sk3-sp")
-    learners = [AgentLearner(spec.obs_dim, spec.n_actions, 8, seed=i)
-                for i in range(spec.n_agents)]
+    learners = AgentLearner(spec.obs_dim, spec.n_actions, 8,
+                            seed=list(range(spec.n_agents)))
     a = evaluate(learners, "sk3-sp", n_episodes=5, seed=42)
     b = evaluate(learners, "sk3-sp", n_episodes=5, seed=42)
     np.testing.assert_array_equal(a.returns, b.returns)

@@ -49,8 +49,8 @@ def test_shots_counted_per_damaging_attack():
 def test_event_conservation_random_episodes():
     spec = env_spec("lj")
     rng = np.random.default_rng(0)
-    learners = [AgentLearner(OBS_DIM, spec.n_actions, n_hidden=8, seed=i)
-                for i in range(spec.n_agents)]
+    learners = AgentLearner(OBS_DIM, spec.n_actions, n_hidden=8,
+                            seed=list(range(spec.n_agents)))
     total_credits = 0
     total_participants = 0
     for k in range(5):

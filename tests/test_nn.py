@@ -149,54 +149,70 @@ def test_gru_reference_formula():
 
 # --------------------------------------------------------- fused unroll
 
-def _unroll_setup(T_len=4, B=2, I=5, H=4, A=3, seed=99):
+def _unroll_setup(T_len=4, B=2, I=5, H=4, A=3, seed=99, lead=()):
+    # lead=(N,) stacks N independent nets along a leading agent axis
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(T_len, B, I))
-    h0 = np.zeros((B, H))
+    X = rng.normal(size=lead + (T_len, B, I))
+    h0 = np.zeros(lead + (B, H))
     p = {
-        "Wx": rng.uniform(-0.4, 0.4, (I, 3 * H)), "Wh": rng.uniform(-0.4, 0.4, (H, 3 * H)),
-        "bx": rng.uniform(-0.4, 0.4, 3 * H), "bh": rng.uniform(-0.4, 0.4, 3 * H),
-        "Wq": rng.uniform(-0.4, 0.4, (H, A)), "bq": rng.uniform(-0.4, 0.4, A),
+        "Wx": rng.uniform(-0.4, 0.4, lead + (I, 3 * H)),
+        "Wh": rng.uniform(-0.4, 0.4, lead + (H, 3 * H)),
+        "bx": rng.uniform(-0.4, 0.4, lead + (3 * H,)),
+        "bh": rng.uniform(-0.4, 0.4, lead + (3 * H,)),
+        "Wq": rng.uniform(-0.4, 0.4, lead + (H, A)),
+        "bq": rng.uniform(-0.4, 0.4, lead + (A,)),
     }
-    S = rng.normal(size=(T_len, B, A))
+    S = rng.normal(size=lead + (T_len, B, A))
     return X, h0, p, S
 
 
+def _unroll_args(p):
+    # the kernel arguments in order; a stack's biases broadcast as
+    # (N, 1, m) against its (N, B, m) rows
+    return [v[..., None, :] if k[0] == "b" and v.ndim == 2 else v
+            for k, v in p.items()]
+
+
 def _unroll_loss(X, h0, p, S):
-    Q = K.qnet_unroll_fwd(X, h0, p["Wx"], p["Wh"], p["bx"], p["bh"],
-                          p["Wq"], p["bq"])[0]
+    Q = K.qnet_unroll_fwd(X, h0, *_unroll_args(p))[0]
     return float((Q * S).sum())
 
 
-def test_qnet_unroll_matches_tape():
-    X, h0, p, S = _unroll_setup()
-    out = K.qnet_unroll_fwd(X, h0, p["Wx"], p["Wh"], p["bx"], p["bh"],
-                            p["Wq"], p["bq"])
-    Q, Hs, R, Z, Nc, GHN = out
+def _check_unroll_against_tape(lead):
+    X, h0, p, S = _unroll_setup(lead=lead)
+    Q, Hs, R, Z, Nc, GHN = K.qnet_unroll_fwd(X, h0, *_unroll_args(p))
     grads = K.qnet_unroll_bwd(X, h0, Hs, R, Z, Nc, GHN,
                               p["Wx"], p["Wh"], p["Wq"], S)
 
-    # same computation composed from tape ops
-    tp = {k: T.Parameter(v) for k, v in p.items()}
-    h = T.constant(h0)
-    loss = None
-    for t in range(X.shape[0]):
-        h = T.gru_step(T.constant(X[t]), h, tp["Wx"], tp["Wh"], tp["bx"], tp["bh"])
-        q = T.dense(h, tp["Wq"], tp["bq"], K.ACT_IDENTITY)
-        term = (q * T.constant(S[t])).sum()
-        loss = term if loss is None else loss + term
-    T.backward(loss)
-
+    # same computation composed from tape ops, one net at a time
     names = ["Wx", "Wh", "bx", "bh", "Wq", "bq"]
-    for name, g in zip(names, grads):
-        np.testing.assert_allclose(g, tp[name].grad, rtol=1e-9, atol=1e-11,
-                                   err_msg=name)
+    for i in np.ndindex(lead):
+        tp = {k: T.Parameter(v[i]) for k, v in p.items()}
+        h = T.constant(h0[i])
+        loss = None
+        for t in range(X.shape[-3]):
+            h = T.gru_step(T.constant(X[i][t]), h, tp["Wx"], tp["Wh"],
+                           tp["bx"], tp["bh"])
+            q = T.dense(h, tp["Wq"], tp["bq"], K.ACT_IDENTITY)
+            term = (q * T.constant(S[i][t])).sum()
+            loss = term if loss is None else loss + term
+        T.backward(loss)
+        for name, g in zip(names, grads):
+            np.testing.assert_allclose(g[i], tp[name].grad, rtol=1e-9,
+                                       atol=1e-11, err_msg=name)
 
 
-def test_qnet_unroll_finite_difference():
-    X, h0, p, S = _unroll_setup(seed=41)
-    out = K.qnet_unroll_fwd(X, h0, p["Wx"], p["Wh"], p["bx"], p["bh"],
-                            p["Wq"], p["bq"])
+def test_qnet_unroll_matches_tape():
+    _check_unroll_against_tape(())
+
+
+def test_stacked_qnet_unroll_matches_tape():
+    _check_unroll_against_tape((2,))
+
+
+def _check_unroll_finite_difference(lead):
+    X, h0, p, S = _unroll_setup(seed=41, lead=lead)
+    out = K.qnet_unroll_fwd(X, h0, *_unroll_args(p))
     grads = dict(zip(["Wx", "Wh", "bx", "bh", "Wq", "bq"],
                      K.qnet_unroll_bwd(X, h0, *out[1:], p["Wx"], p["Wh"],
                                        p["Wq"], S)))
@@ -213,6 +229,33 @@ def test_qnet_unroll_finite_difference():
             flat[i] = orig
             nf[i] = (fp - fm) / (2 * h)
         assert relative_error(grads[name], num) < 1e-4, name
+
+
+def test_qnet_unroll_finite_difference():
+    _check_unroll_finite_difference(())
+
+
+def test_stacked_qnet_unroll_finite_difference():
+    _check_unroll_finite_difference((2,))
+
+
+@pytest.mark.parametrize("T_len", [1, 6, 100])
+@pytest.mark.parametrize("B", [1, 5, 32])
+@pytest.mark.parametrize("N", [1, 3, 4])
+def test_stacked_unroll_matches_per_agent_calls(N, B, T_len):
+    # a team's (N, T, B, .) unroll rounds each agent as its own 2-D call,
+    # forward intermediates and gradients alike
+    X, h0, p, S = _unroll_setup(T_len, B, I=58, H=64, A=5, lead=(N,),
+                                seed=N * 1000 + B * 10 + T_len)
+    out = K.qnet_unroll_fwd(X, h0, *_unroll_args(p))
+    grads = K.qnet_unroll_bwd(X, h0, *out[1:], p["Wx"], p["Wh"], p["Wq"], S)
+    for i in range(N):
+        pi = {k: v[i] for k, v in p.items()}
+        out_i = K.qnet_unroll_fwd(X[i], h0[i], *_unroll_args(pi))
+        grads_i = K.qnet_unroll_bwd(X[i], h0[i], *out_i[1:], pi["Wx"],
+                                    pi["Wh"], pi["Wq"], S[i])
+        for k, (a, b) in enumerate(zip(out + grads, out_i + grads_i)):
+            assert a[i].shape == b.shape and a[i].tobytes() == b.tobytes(), k
 
 
 def test_qnet_step_agrees_with_unroll():
@@ -266,15 +309,41 @@ def _gru_fwd_dot(x, h, Wx, Wh, bx, bh):
     return z * h + (1.0 - z) * n, r, z, n, ghn
 
 
+def _gru_bwd_dot(x, h, Wx, Wh, r, z, n, ghn, gh_new):
+    # reference: the 2-D np.dot form the backward had before stacking
+    dz, dn, dh = gh_new * (h - n), gh_new * (1.0 - z), gh_new * z
+    dn_pre = dn * (1.0 - n * n)
+    dr, dghn = dn_pre * ghn, dn_pre * r
+    dr_pre, dz_pre = dr * r * (1.0 - r), dz * z * (1.0 - z)
+    gpre_x = np.concatenate((dr_pre, dz_pre, dn_pre), axis=1)
+    gpre_h = np.concatenate((dr_pre, dz_pre, dghn), axis=1)
+    return (np.dot(gpre_x, Wx.T), dh + np.dot(gpre_h, Wh.T),
+            np.dot(x.T, gpre_x), np.dot(h.T, gpre_h),
+            np.sum(gpre_x, axis=0), np.sum(gpre_h, axis=0))
+
+
 @pytest.mark.parametrize("B, n_in, H", [(1, 58, 64), (8, 58, 64),
                                         (32, 59, 64), (5, 14, 8)])
 def test_batched_gru_fwd_matches_dot_form(B, n_in, H):
+    # the backward, which the edge model shares in 2-D, is checked too
     rng = np.random.default_rng(B + n_in + H)
     w = _gru_weights(rng, n_in, H)
     x = rng.random((B, n_in))
     h = rng.uniform(-1.0, 1.0, (B, H))
-    for a, b in zip(K.gru_fwd(x, h, *w), _gru_fwd_dot(x, h, *w)):
+    fwd = K.gru_fwd(x, h, *w)
+    for a, b in zip(fwd, _gru_fwd_dot(x, h, *w)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    g = rng.normal(size=(B, H))
+    scratch = (np.empty_like(w[0]), np.empty_like(w[1]))
+    want = _gru_bwd_dot(x, h, w[0], w[1], *fwd[1:], g)
+    for out in ((None, None), scratch):
+        got = K.gru_bwd(x, h, w[0], w[1], *fwd[1:], g, out)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    got = K.gru_bwd(x, h, None, w[1], *fwd[1:], g)
+    assert got[0] is None
+    for a, b in zip(got[1:], want[1:]):
+        assert a.tobytes() == b.tobytes()
 
 
 # ------------------------------------------------------------ distributions
@@ -538,6 +607,42 @@ def test_clipped_rmsprop_update_matches_scalar_path():
     assert not sets[0].grad.any()
 
 
+def test_stacked_clip_norms_match_per_agent_reference():
+    # a stack clips each row on its own: rows 0 and 2 are over the bound,
+    # row 1 is not, and each must step exactly as its scalar reference
+    rng = np.random.default_rng(6)
+    shapes = {"W": (40, 25), "b": (25,), "q": (7,)}
+    sets = [ParamSet((name, _wide_floats(rng, int(np.prod(shape)))
+                      .reshape(shape)) for name, shape in shapes.items())
+            for _ in range(3)]
+    for k, ps in enumerate(sets):
+        ps.grad[...] = _wide_floats(rng, ps.grad.size) * (1e-9 if k == 1
+                                                          else 1.0)
+        ps.v[...] = np.abs(_wide_floats(rng, ps.v.size))
+    team = ParamSet.stack(sets)
+
+    norms = rmsprop_update(team, lr=5e-4, max_norm=1e-3)
+
+    assert norms.shape == (3,)
+    for k, ps in enumerate(sets):
+        total = 0.0
+        for g in ps.grads.values():
+            total += _ref_sumsq(g.reshape(-1))
+        ref_norm = float(np.sqrt(total))
+        assert (ref_norm > 1e-3) == (k != 1)
+        if ref_norm > 1e-3:
+            for g in ps.grads.values():
+                _ref_scale_inplace(g.reshape(-1), 1e-3 / ref_norm)
+        for name in shapes:
+            _ref_rmsprop_step(ps[name].reshape(-1),
+                              ps.grads[name].reshape(-1), ps.vs[name],
+                              5e-4, RHO, EPS)
+        assert norms[k] == ref_norm
+        assert team.data[k].tobytes() == ps.data.tobytes(), k
+        assert team.v[k].tobytes() == ps.v.tobytes(), k
+    assert not team.grad.any()
+
+
 # --------------------------------------------------------------- containers
 
 def test_paramset_duplicate_name_raises():
@@ -563,6 +668,25 @@ def test_paramset_views_share_the_flat_buffers():
     ps.load_arrays({"W": np.ones((2, 3)), "b": np.zeros(3)})
     assert view is ps["W"]
     np.testing.assert_array_equal(ps.data, np.r_[np.ones(6), np.zeros(3)])
+
+
+def test_stacked_paramset_rows_share_the_buffers():
+    sets = [ParamSet([("W", np.full((2, 3), k)), ("b", [k, -k])])
+            for k in (1.0, 2.0)]
+    team = ParamSet.stack(sets)
+    assert team.data.shape == team.grad.shape == team.v.shape == (2, 8)
+    assert team["W"].shape == team.grads["W"].shape == (2, 2, 3)
+    assert team.vs["b"].shape == (2, 2)
+    # the stack copies its sets; a row is a view of the stack
+    sets[0].data[...] = 0.0
+    np.testing.assert_array_equal(team["b"], [[1.0, -1.0], [2.0, -2.0]])
+    row = team.row(1)
+    for buf, stacked in ((row.data, team.data), (row.grad, team.grad),
+                         (row.v, team.v)):
+        assert buf.shape == (8,) and np.shares_memory(buf, stacked)
+    row["W"][...] = 7.0
+    np.testing.assert_array_equal(team["W"][1], np.full((2, 3), 7.0))
+    assert list(row.state_arrays()) == ["W", "b"]
 
 
 def test_paramset_load_shape_mismatch_raises():
