@@ -48,7 +48,7 @@ def test_span_targets_patch_and_restore():
 
 def test_acting_and_rollout_spans_are_called():
     # a span that patches a name nothing calls any more records zero
-    # calls; check the rollout and acting spans on a tiny run
+    # calls; check the rollout, acting and update spans on a tiny run
     from camarl import marl
 
     spans = _load_perfbench("spans")
@@ -62,7 +62,9 @@ def test_acting_and_rollout_spans_are_called():
         marl.evaluate(result.learners, "lj", 3, seed=0)
     calls = {name: tracer.names.count(name)
              for name in ("marl.act", "nn.qnet_step", "marl.collect_episode",
-                          "envs.make_env", "marl.evaluate")}
+                          "envs.make_env", "marl.evaluate",
+                          "marl.build_batch", "marl.replay_sample",
+                          "marl.train_step")}
     assert min(calls.values()) >= 1, calls
 
 

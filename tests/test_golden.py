@@ -8,7 +8,9 @@ three trainers' run directories, and greedy evaluation.  One more
 ``lj``/``icl`` run clips the gradient norm on every update, so the
 clipping kernels are pinned too.  Two ``icl`` runs train at the
 benchmark's widths (``BENCH_RUNS``), where the other runs stay at
-``n_hidden=8``.  ``acd_pp`` fits the edge model at the
+``n_hidden=8``.  Two more (``EVICT_RUNS``) hold so few episodes in
+replay that the buffer evicts on most pushes, which the other runs,
+far below their capacity, never do.  ``acd_pp`` fits the edge model at the
 benchmark width (869k parameters), and ``qvalues_lj_icl`` hashes the
 acting Q-values and hidden states themselves, which a last-bit change
 that flips no argmax would leave the other digests blind to.
@@ -37,6 +39,14 @@ RUNS = (("lj", "icl"), ("lj", "idql"), ("sk3", "acd-marl"))
 BENCH_RUNS = {
     "lj_icl_h64": dict(env_id="lj", n_hidden=64, batch_size=8),
     "sk5_icl_strict": dict(env_id="sk5", strict_mask=True, batch_size=32),
+}
+# runs whose replay buffer evicts: sk3 at capacity 3 drops about 45
+# episodes of mixed length, lj with every reward masked drops 5
+EVICT_RUNS = {
+    "sk3_icl_cap3": dict(env_id="sk3", buffer_capacity=3),
+    "lj_icl_strict_cap4": dict(env_id="lj", strict_mask=True,
+                               buffer_capacity=4, total_steps=900,
+                               eval_interval=450),
 }
 
 GOLDEN = {
@@ -72,6 +82,10 @@ GOLDEN = {
         "979744ad29b8aa0035cafc20afa19e051fc47d0ee98813db879cdb55e70884c6",
     "train_sk5_icl_strict":
         "9013e9ed573e128c0436eb44471ddf318ddfb83242e7a2d817543293b3cf4cbb",
+    "train_sk3_icl_cap3":
+        "1aabc856300f4bd85b66c73c2c4c2d7a87a4819e8b221975916a21c66252fd72",
+    "train_lj_icl_strict_cap4":
+        "8245fa7758368a98e3137ebe75d691f13560aa37066f7ccafe916452ff761c24",
 }
 
 GOLDEN_ENVS = {
@@ -212,7 +226,7 @@ def digests(tmp_path_factory):
     out["train_lj_icl_clipped"] = _digest_files(
         list((root / "lj_icl_clipped").iterdir()))
 
-    for key, over in BENCH_RUNS.items():
+    for key, over in {**BENCH_RUNS, **EVICT_RUNS}.items():
         cfg = marl.TrainConfig(trainer="icl", seed=1, **{**TRAIN, **over})
         marl.train(cfg, out_dir=root / key)
         out["train_" + key] = _digest_files(list((root / key).iterdir()))
