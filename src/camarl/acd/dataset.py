@@ -130,13 +130,15 @@ def load_dataset(path):
     arrays, meta = load_checkpoint(path)
     if meta.get("kind") != "dataset":
         raise ConfigurationError(f"{path} is not a dataset file")
-    out = []
-    for k in range(meta["n_samples"]):
-        out.append(SeriesSample(
+    try:
+        return [SeriesSample(
             x=arrays[f"x_{k}"], env_id=meta["env_id"],
             bits=arrays[f"bits_{k}"].astype(np.uint8),
-            seed=meta["seeds"][k], length=meta["lengths"][k]))
-    return out
+            seed=meta["seeds"][k], length=meta["lengths"][k])
+            for k in range(meta["n_samples"])]
+    except (KeyError, IndexError, TypeError) as err:
+        raise ConfigurationError(
+            f"{path} is a malformed dataset file: {err!r}") from None
 
 
 def split_dataset(samples, train_frac: float = 0.8, seed: int = 0):

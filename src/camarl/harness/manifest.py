@@ -17,7 +17,15 @@ from camarl.errors import ConfigurationError, UsageError
 from camarl.nn.checkpoint import read_json, write_json
 
 MANIFEST_NAME = "manifest.json"
-KINDS = ("train", "collect", "acd-train", "acd-eval", "report")
+# the config keys each kind's executor reads
+CONFIG_KEYS = {
+    "train": ("env_id", "trainer"),
+    "collect": ("env_id", "policy", "episodes", "seed", "lazy_prob"),
+    "acd-train": ("data", "epochs", "batch", "sigma", "seed", "train_frac"),
+    "acd-eval": ("model", "data"),
+    "report": ("runs",),
+}
+KINDS = tuple(CONFIG_KEYS)
 
 
 @dataclass
@@ -37,6 +45,12 @@ class ExperimentManifest:
             raise ConfigurationError("experiment name cannot be empty")
         if not isinstance(self.seeds, list):
             raise ConfigurationError("seeds must be a list")
+        if not isinstance(self.config, dict):
+            raise ConfigurationError("manifest config must be an object")
+        missing = [k for k in CONFIG_KEYS[self.kind] if k not in self.config]
+        if missing:
+            raise ConfigurationError(
+                f"{self.kind} manifest config lacks {', '.join(missing)}")
         return self
 
 

@@ -83,10 +83,11 @@ class AgentLearner:
     def initial_hidden(self, n_rows: int = 1):
         return np.zeros((n_rows,) + self.lead + (1, self.n_hidden))
 
-    def _input(self, obs, prev_action):
-        x = np.empty(obs.shape[:-1] + (1, self.n_in))
-        x[..., 0, :self.obs_dim] = obs
-        x[..., 0, self.obs_dim:] = self._prev_onehot.take(prev_action, axis=0)
+    def inputs(self, obs, prev_action):
+        """obs (..., obs_dim) beside prev_action's one-hot, zeros for -1."""
+        x = np.empty(obs.shape[:-1] + (self.n_in,))
+        x[..., :self.obs_dim] = obs
+        x[..., self.obs_dim:] = self._prev_onehot.take(prev_action, axis=0)
         return x
 
     def _weights(self, views=None):
@@ -115,8 +116,8 @@ class AgentLearner:
                 f"{dims()} and hidden {dims(1, self.n_hidden)}; got "
                 f"{np.shape(obs)}, {np.shape(prev_action)} and "
                 f"{np.shape(hidden)}")
-        q, h_new = kernels.qnet_step(self._input(obs, prev_action), hidden,
-                                     *self._online)
+        x = self.inputs(obs, prev_action)[..., None, :]
+        q, h_new = kernels.qnet_step(x, hidden, *self._online)
         return q[..., 0, :], h_new
 
     def act(self, obs, prev_action, hidden, epsilon, rng: np.random.Generator):

@@ -18,19 +18,17 @@ class EpisodeRecord:
     """One complete episode, so its last step is the terminal one.
 
     obs[t] is the joint observation the agents acted on at step t;
-    rewards[t] is the team reward produced by actions[t].  bits holds
-    the per-agent causality mask decided at collection time so replayed
-    targets never move; events counts the rewarded events each agent
-    took part in over the episode.
+    rewards[t] is the team reward produced by actions[t]; events counts
+    the rewarded events each agent took part in over the episode.  The
+    causality bits that mask the rewards are the trainer's to decide.
     """
 
     env_id: str
     seed: int
-    obs: np.ndarray        # (L, N, D) float64, float32 in the replay buffer
+    obs: np.ndarray        # (L, N, D) float64; training casts to float32
     actions: np.ndarray    # (L, N) int64
     rewards: np.ndarray    # (L,) float64
     kinds: np.ndarray      # (L,) int64 reward-kind tags
-    bits: np.ndarray       # (L, N) uint8 causality bits
     win: bool
     events: np.ndarray     # (N,) int64 event participations
 
@@ -50,16 +48,12 @@ class EpisodeRecord:
         if L == 0:
             raise ConfigurationError("empty episode")
         for name, shape in (("actions", (L, n)), ("rewards", (L,)),
-                            ("kinds", (L,)), ("bits", (L, n)),
-                            ("events", (n,))):
+                            ("kinds", (L,)), ("events", (n,))):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ConfigurationError(
                     f"episode field {name} has shape {arr.shape}, "
                     f"expected {shape}")
-        b = np.unique(self.bits)
-        if not np.isin(b, (0, 1)).all():
-            raise ConfigurationError(f"causality bits must be binary, got {b}")
         return self
 
 
@@ -69,8 +63,7 @@ def collect_episodes(envs, act) -> list:
     act(obs) maps the (E, N, D) observations, one row per env, to (E, N)
     actions.  Only envs still running step; a finished env's row stays
     frozen and the actions act gives for it are discarded.  Returns one
-    record per env, in env order, with causality bits left at one for
-    the caller to decide.
+    record per env, in env order.
     """
     cur = [env._obs() for env in envs]
     obs = np.stack(cur)
@@ -98,7 +91,6 @@ def _record(env, trail):
         obs=np.array(obs), actions=np.array(acts),
         rewards=np.array([r.reward for r in results]),
         kinds=np.array([r.kind for r in results], dtype=np.int64),
-        bits=np.ones((len(trail), len(obs[0])), dtype=np.uint8),
         win=results[-1].win,
         events=np.sum([r.events for r in results], axis=0, dtype=np.int64))
 

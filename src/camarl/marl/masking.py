@@ -13,7 +13,7 @@ MODE_PER_EPISODE = "per_episode"    # encoder bits, one per agent per episode
 
 
 def masked_rewards(rewards, bits, strict: bool = False):
-    """Vectorized mask: rewards (L,), bits (L, N) -> (L, N) float64."""
+    """rewards (L,) masked by bits (L, N) or (N,): (L, N) float64."""
     r = np.asarray(rewards, dtype=np.float64)[:, None]
     b = np.asarray(bits, dtype=np.float64)
     if strict:

@@ -1,4 +1,4 @@
-"""Episode replay buffer: FIFO ring, uniform batch sampling."""
+"""Episode replay buffer: FIFO eviction, uniform batch sampling."""
 
 from collections import deque
 

@@ -83,43 +83,41 @@ def oracle_episode_bits(episode: EpisodeRecord) -> np.ndarray:
                        episode.rewards, episode.kinds)
 
 
-def build_batch(episodes, n_actions, obs_dim, strict_mask):
-    """The team's training arrays from a list of episodes.
+def build_batch(episodes, team):
+    """The team's arrays from replayed (obs, actions, masked rewards).
 
-    Returns X (N, T, B, obs+act), actions (N, T, B), masked rewards
-    (N, T, B), valid (T, B), terminal (T, B), padded to the longest
-    episode.  Each episode's rewards are masked once, for all agents.
+    Returns X (N, T, B, obs+act) built by team.inputs, actions and
+    masked rewards (N, T, B), valid and terminal (T, B), zero-padded to
+    the longest episode.
     """
     B = len(episodes)
-    lengths = np.array([ep.length for ep in episodes])
+    lengths = np.array([len(a) for _, a, _ in episodes])
     T = int(lengths.max())
-    n = episodes[0].n_agents
-    X = np.zeros((n, T, B, obs_dim + n_actions))
+    n, D = episodes[0][0].shape[1:]
+    obs = np.zeros((n, T, B, D), dtype=np.float32)
+    prev = np.full((n, T, B), -1)
     actions = np.zeros((n, T, B), dtype=np.int64)
     rewards = np.zeros((n, T, B))
-    valid = np.zeros((T, B))
-    agent = np.arange(n)[:, None]
-    for b, ep in enumerate(episodes):
-        L = ep.length
-        a = ep.actions.T
-        X[:, :L, b, :obs_dim] = ep.obs.swapaxes(0, 1)
-        X[agent, np.arange(1, L), b, obs_dim + a[:, :-1]] = 1.0
-        actions[:, :L, b] = a
-        rewards[:, :L, b] = masked_rewards(ep.rewards, ep.bits, strict_mask).T
-        valid[:L, b] = 1.0
+    for b, (o, a, r) in enumerate(episodes):
+        L = len(a)
+        obs[:, :L, b] = o.swapaxes(0, 1)
+        actions[:, :L, b] = a.T
+        prev[:, 1:L, b] = a[:-1].T
+        rewards[:, :L, b] = r.T
+    valid = (np.arange(T)[:, None] < lengths).astype(np.float64)
     terminal = np.zeros((T, B))
     terminal[lengths - 1, np.arange(B)] = 1.0
-    return X, actions, rewards, valid, terminal
+    return team.inputs(obs, prev), actions, rewards, valid, terminal
 
 
 def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
           progress=None) -> TrainResult:
     """Run the full training loop for one seed.
 
-    bits_fn overrides the trainer's causality source: for icl it maps an
-    episode to per-timestep bits (L, N); for acd-marl it is required and
-    maps an episode to per-episode bits (N,) or (L, N).  Bits of any
-    other shape raise ConfigurationError.
+    bits_fn overrides icl's oracle: it maps an episode to per-timestep
+    bits (L, N).  acd-marl requires it and takes per-episode bits (N,)
+    or (L, N).  Bits of any other shape, or other than 0 and 1, raise
+    ConfigurationError; idql ignores bits_fn.
     """
     config.validate()
     spec = env_spec(config.env_id)
@@ -182,17 +180,18 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
                          config.epsilon_end, config.epsilon_anneal_episodes)
         env = make_env(config.env_id, int(env_seed_rng.integers(2 ** 63)))
         ep = collect_episode(env, team_policy(team, eps, rng_explore))
-        # replay stores float32 observations; bits are computed from them
+        # replay keeps what training reads: the float32 observations the
+        # bits are decided on, the actions, and the rewards masked once
         ep.obs = ep.obs.astype(np.float32)
-        ep.bits = _episode_bits(config.trainer, ep, bits_fn)
         ep.validate()
-        buffer.push(ep)
+        bits = _episode_bits(config.trainer, ep, bits_fn)
+        buffer.push((ep.obs, ep.actions,
+                     masked_rewards(ep.rewards, bits, config.strict_mask)))
         step += ep.length
         episode_idx += 1
 
         batch = buffer.sample(config.batch_size, rng_sample)
-        team.train_step(*build_batch(batch, n_actions, obs_dim,
-                                     config.strict_mask), config.gamma)
+        team.train_step(*build_batch(batch, team), config.gamma)
         if episode_idx % config.target_sync == 0:
             team.sync_target()
 
@@ -205,14 +204,19 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
 
 
 def _episode_bits(trainer, ep, bits_fn):
+    """The episode's checked causality bits, (L, N) or (N,); see train."""
+    shape = (ep.length, ep.n_agents)
     if trainer == "idql":
-        return np.ones((ep.length, ep.n_agents), dtype=np.uint8)
-    if trainer == "icl":
-        fn = bits_fn if bits_fn is not None else oracle_episode_bits
-        return np.asarray(fn(ep), dtype=np.uint8)
-    bits = np.asarray(bits_fn(ep), dtype=np.uint8)
-    if bits.ndim == 1:
-        bits = np.tile(bits, (ep.length, 1))
+        return np.ones(shape, dtype=np.uint8)
+    bits = np.asarray((bits_fn or oracle_episode_bits)(ep))
+    allowed = (shape, shape[1:]) if trainer == "acd-marl" else (shape,)
+    if bits.shape not in allowed:
+        raise ConfigurationError(
+            f"{trainer} bits has shape {bits.shape}, expected "
+            f"{' or '.join(map(str, allowed))}")
+    if not np.isin(bits, (0, 1)).all():
+        raise ConfigurationError(
+            f"causality bits must be 0 or 1, got {np.unique(bits)}")
     return bits
 
 

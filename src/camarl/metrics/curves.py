@@ -8,6 +8,7 @@ import numpy as np
 from camarl.errors import (
     ConfigurationError, IncompatibleInputsError, UsageError)
 from camarl.marl.evaluate import return_ci95
+from camarl.marl.trainer import CSV_FIELDS
 from camarl.nn.checkpoint import read_csv, write_csv
 
 
@@ -23,6 +24,10 @@ def read_log(path):
     raw = read_csv(path)
     if not raw:
         raise UsageError(f"log {path} is empty")
+    missing = [k for k in CSV_FIELDS + ("event_count_agent_0",)
+               if k not in raw[0]]
+    if missing:
+        raise ConfigurationError(f"log {path} lacks {', '.join(missing)}")
     try:
         return [{k: int(v) if k in ("step", "episode") else float(v)
                  for k, v in r.items()} for r in raw]

@@ -183,8 +183,7 @@ def test_episode_to_sample_layout_and_padding():
         obs=np.random.default_rng(0).random((30, 5, OBS_DIM)),
         actions=np.zeros((30, 5), dtype=np.int64),
         rewards=np.linspace(0, 1, 30), kinds=np.zeros(30, dtype=np.int64),
-        bits=np.ones((30, 5), dtype=np.uint8), win=True,
-        events=np.zeros(5, dtype=np.int64))
+        win=True, events=np.zeros(5, dtype=np.int64))
     s = episode_to_sample(ep, np.array([1, 0, 1, 0, 0], dtype=np.uint8))
     assert s.x.shape == (6, 100, OBS_DIM)
     assert s.length == 30 and s.n_nodes == 6 and s.seed == 4

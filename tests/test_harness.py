@@ -14,7 +14,8 @@ from camarl.acd import (
 from camarl.errors import (
     CollectionError, ConfigurationError, IncompatibleInputsError, UsageError)
 from camarl.harness import (
-    default_config, new_manifest, read_manifest, write_manifest)
+    ExperimentManifest, default_config, new_manifest, read_manifest,
+    write_manifest)
 from camarl.harness.cli import main
 from camarl.metrics import read_log
 
@@ -56,7 +57,8 @@ def test_default_config_overrides():
 # ---------------------------------------------------------------- manifests
 
 def test_manifest_roundtrip(tmp_path):
-    m = new_manifest("exp", "train", {"env_id": "pp"}, [0, 1])
+    m = new_manifest("exp", "train", {"env_id": "pp", "trainer": "idql"},
+                     [0, 1])
     assert m.created_at and m.substrate_version
     write_manifest(tmp_path / "exp", m)
     back = read_manifest(tmp_path / "exp")
@@ -70,10 +72,18 @@ def test_manifest_validation():
         new_manifest("x", "explode", {}, [])
     with pytest.raises(ConfigurationError):
         new_manifest("", "train", {}, [])
+    # the config holds every key its kind's executor reads
+    with pytest.raises(ConfigurationError, match="must be an object"):
+        ExperimentManifest("x", "report", ["runs"], []).validate()
+    with pytest.raises(ConfigurationError, match="lacks trainer"):
+        new_manifest("x", "train", {"env_id": "pp"}, [])
+    with pytest.raises(ConfigurationError, match="lacks policy, lazy_prob"):
+        new_manifest("x", "collect", {"env_id": "pp", "episodes": 1,
+                                      "seed": 0}, [])
 
 
 def test_manifest_refuses_reuse(tmp_path):
-    m = new_manifest("exp", "report", {}, [])
+    m = new_manifest("exp", "report", {"runs": []}, [])
     write_manifest(tmp_path / "d", m)
     with pytest.raises(UsageError):
         write_manifest(tmp_path / "d", m)
@@ -312,6 +322,64 @@ def test_cli_mistyped_run_json_exits_typed(cli_runs, tmp_path, capsys, field,
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err, err
     assert not out.exists()
+
+
+def _assert_exit_3_writes_nothing(argv, out, capsys, word):
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert word in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", [
+    "n_samples", "seeds", "lengths", "env_id", "x_0", "bits_5"])
+def test_cli_incomplete_dataset_exits_typed(cli_runs, tmp_path, capsys,
+                                            field):
+    # a dataset checkpoint that lacks a field or array load_dataset reads
+    from camarl.nn.checkpoint import load_checkpoint, save_checkpoint
+
+    arrays, meta = load_checkpoint(cli_runs / "ds" / "dataset.ckpt")
+    arrays.pop(field, None)
+    meta.pop(field, None)
+    data = tmp_path / "incomplete.ckpt"
+    save_checkpoint(data, arrays, meta)
+    _assert_exit_3_writes_nothing(
+        ["acd", "train", "--data", str(data), "--epochs", "1"],
+        tmp_path / "out", capsys, field)
+
+
+@pytest.mark.parametrize("experiment, edit, word", [
+    ("idql", lambda m: m.update(config=list(m["config"])), "object"),
+    ("idql", lambda m: m["config"].pop("trainer"), "trainer"),
+    ("ds", lambda m: m["config"].pop("policy"), "policy"),
+], ids=["config-list", "train-without-trainer", "collect-without-policy"])
+def test_cli_rerun_malformed_manifest_exits_typed(cli_runs, tmp_path, capsys,
+                                                  experiment, edit, word):
+    manifest = json.loads(
+        (cli_runs / experiment / "manifest.json").read_text())
+    edit(manifest)
+    (tmp_path / "exp").mkdir()
+    (tmp_path / "exp" / "manifest.json").write_text(json.dumps(manifest))
+    _assert_exit_3_writes_nothing(
+        ["rerun", "--manifest", str(tmp_path / "exp")], tmp_path / "out",
+        capsys, word)
+
+
+@pytest.mark.parametrize("column", ["step", "epsilon", "event_count_agent_0"])
+def test_cli_report_log_without_column_exits_typed(cli_runs, tmp_path, capsys,
+                                                   column):
+    src = cli_runs / "idql" / "seed_0"
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "run.json").write_bytes((src / "run.json").read_bytes())
+    with open(src / "train_log.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    keep = [j for j, name in enumerate(rows[0]) if name != column]
+    with open(run / "train_log.csv", "w", newline="") as f:
+        csv.writer(f).writerows([[r[j] for j in keep] for r in rows])
+    _assert_exit_3_writes_nothing(["report", "--runs", str(run)],
+                                  tmp_path / "out", capsys, column)
 
 
 @pytest.fixture(scope="module")

@@ -69,32 +69,35 @@ def test_masked_rewards_matches_scalar(rs, strict):
 
 # -------------------------------------------------------------------- replay
 
-def _stub_episode(tag):
+def _stub_item(tag):
+    # what train pushes: (obs, actions, masked rewards), tagged by obs
     L, n = 3, 2
-    return EpisodeRecord(env_id="lj-sp", seed=tag,
-                         obs=np.zeros((L, n, OBS_DIM), dtype=np.float32),
-                         actions=np.zeros((L, n), dtype=np.int64),
-                         rewards=np.zeros(L), kinds=np.zeros(L, dtype=np.int64),
-                         bits=np.ones((L, n), dtype=np.uint8), win=False,
-                         events=np.zeros(n, dtype=np.int64))
+    return (np.full((L, n, OBS_DIM), tag, dtype=np.float32),
+            np.zeros((L, n), dtype=np.int64), np.zeros((L, n)))
+
+
+def _tags(items):
+    return [int(obs[0, 0, 0]) for obs, _, _ in items]
 
 
 def test_replay_fifo_eviction():
     buf = ReplayBuffer(capacity=50)
     for k in range(60):
-        buf.push(_stub_episode(k))
+        buf.push(_stub_item(k))
     assert len(buf) == 50
-    seeds = {ep.seed for ep in buf._buf}
-    assert seeds == set(range(10, 60))
+    assert _tags(buf._buf) == list(range(10, 60))
 
 
 def test_replay_sample_without_replacement():
     buf = ReplayBuffer(capacity=10)
-    for k in range(10):
-        buf.push(_stub_episode(k))
+    items = [_stub_item(k) for k in range(10)]
+    for item in items:
+        buf.push(item)
     rng = np.random.default_rng(0)
     got = buf.sample(10, rng)
-    assert sorted(ep.seed for ep in got) == list(range(10))
+    assert sorted(_tags(got)) == list(range(10))
+    # the buffer hands back the pushed arrays themselves
+    assert all(any(g is item for item in items) for g in got)
     # batch larger than the buffer is capped
     assert len(buf.sample(99, rng)) == 10
 
@@ -104,20 +107,26 @@ def test_replay_empty_sample_raises():
         ReplayBuffer(5).sample(1, np.random.default_rng(0))
 
 
+def _stub_episode(tag):
+    L, n = 3, 2
+    return EpisodeRecord(env_id="lj-sp", seed=tag,
+                         obs=np.zeros((L, n, OBS_DIM), dtype=np.float32),
+                         actions=np.zeros((L, n), dtype=np.int64),
+                         rewards=np.zeros(L), kinds=np.zeros(L, dtype=np.int64),
+                         win=False, events=np.zeros(n, dtype=np.int64))
+
+
 def test_episode_record_validation():
     ep = _stub_episode(0)
-    ep.validate()
-    bad = _stub_episode(3)
-    bad.bits[0, 0] = 7
-    with pytest.raises(ConfigurationError):
-        bad.validate()
-    for name, arr in (("bits", np.ones(3, dtype=np.uint8)),
-                      ("bits", np.ones((3, 3), dtype=np.uint8)),
-                      ("actions", np.zeros((3, 1), dtype=np.int64)),
+    assert ep.validate() is ep
+    assert not hasattr(ep, "bits")
+    for name, arr in (("actions", np.zeros((3, 1), dtype=np.int64)),
                       ("rewards", np.zeros((3, 2))),
+                      ("kinds", np.zeros(2, dtype=np.int64)),
                       ("events", np.zeros(3, dtype=np.int64)),
                       ("events", np.zeros((3, 2), dtype=np.int64)),
-                      ("obs", np.zeros((3, OBS_DIM)))):
+                      ("obs", np.zeros((3, OBS_DIM))),
+                      ("obs", np.zeros((0, 2, OBS_DIM)))):
         bad = _stub_episode(4)
         setattr(bad, name, arr)
         with pytest.raises(ConfigurationError):
@@ -448,7 +457,7 @@ def _collect(env_id="lj-sp", seed=3, epsilon=1.0):
     return spec, learners, ep
 
 
-RECORD_FIELDS = ("obs", "actions", "rewards", "kinds", "bits", "events")
+RECORD_FIELDS = ("obs", "actions", "rewards", "kinds", "events")
 
 
 @pytest.mark.parametrize("env_id", ["lj", "pp", "sk3"])
@@ -505,10 +514,70 @@ def test_oracle_episode_bits_match_stepwise():
     assert bits.dtype == np.uint8
 
 
+def reference_build_batch(episodes, n_actions, obs_dim, strict_mask):
+    """The per-episode batch loop build_batch replaced, kept as reference.
+
+    Takes (obs, actions, rewards, bits) per episode and masks each
+    episode's rewards as it is batched, tiling per-episode (N,) bits
+    over the steps as the trainer did.
+    """
+    B = len(episodes)
+    lengths = np.array([len(a) for _, a, _, _ in episodes])
+    T = int(lengths.max())
+    n = episodes[0][0].shape[1]
+    X = np.zeros((n, T, B, obs_dim + n_actions))
+    actions = np.zeros((n, T, B), dtype=np.int64)
+    rewards = np.zeros((n, T, B))
+    valid = np.zeros((T, B))
+    agent = np.arange(n)[:, None]
+    for b, (obs, acts, rews, bits) in enumerate(episodes):
+        L = len(acts)
+        if bits.ndim == 1:
+            bits = np.tile(bits, (L, 1))
+        a = acts.T
+        X[:, :L, b, :obs_dim] = obs.swapaxes(0, 1)
+        X[agent, np.arange(1, L), b, obs_dim + a[:, :-1]] = 1.0
+        actions[:, :L, b] = a
+        rewards[:, :L, b] = masked_rewards(rews, bits, strict_mask).T
+        valid[:L, b] = 1.0
+    terminal = np.zeros((T, B))
+    terminal[lengths - 1, np.arange(B)] = 1.0
+    return X, actions, rewards, valid, terminal
+
+
+def _random_episodes(rng, n, D, A, B, max_len):
+    out = []
+    for _ in range(B):
+        L = int(rng.integers(1, max_len + 1))
+        out.append((rng.standard_normal((L, n, D)).astype(np.float32),
+                    rng.integers(0, A, size=(L, n)),
+                    rng.choice([-0.01, 0.0, 0.5, 5.0], size=L),
+                    rng.integers(0, 2, size=(L, n) if rng.random() < 0.5
+                                 else (n,)).astype(np.uint8)))
+    return out
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_build_batch_matches_reference(seed, strict):
+    rng = np.random.default_rng(seed)
+    n, D, A = int(rng.integers(1, 6)), int(rng.integers(1, 60)), 5
+    team = AgentLearner(D, A, 8, seed=list(range(n)))
+    episodes = _random_episodes(rng, n, D, A, int(rng.integers(1, 33)),
+                                int(rng.integers(1, 40)))
+    want = reference_build_batch(episodes, A, D, strict)
+    got = build_batch([(o, a, masked_rewards(r, b, strict))
+                       for o, a, r, b in episodes], team)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
 def test_build_batch_layout():
-    spec, _, ep = _collect(seed=8)
-    X, acts, rews, valid, term = build_batch([ep], spec.n_actions,
-                                             spec.obs_dim, False)
+    spec, team, ep = _collect(seed=8)
+    bits = oracle_episode_bits(ep)
+    X, acts, rews, valid, term = build_batch(
+        [(ep.obs, ep.actions, masked_rewards(ep.rewards, bits))], team)
     assert X.shape[0] == acts.shape[0] == rews.shape[0] == spec.n_agents
     X, acts, rews = X[1], acts[1], rews[1]
     L = ep.length
@@ -521,31 +590,25 @@ def test_build_batch_layout():
         np.testing.assert_allclose(X[t, 0, :spec.obs_dim],
                                    ep.obs[t, 1].astype(np.float64))
     np.testing.assert_array_equal(acts[:, 0], ep.actions[:, 1])
-    expect = masked_rewards(ep.rewards, ep.bits)[:, 1]
+    expect = masked_rewards(ep.rewards, bits)[:, 1]
     np.testing.assert_array_equal(rews[:, 0], expect)
     assert valid.all() and term[-1, 0] == 1.0 and term[:-1].sum() == 0
 
 
-def _truncated(ep, L):
-    return EpisodeRecord(env_id=ep.env_id, seed=ep.seed, obs=ep.obs[:L],
-                         actions=ep.actions[:L], rewards=ep.rewards[:L],
-                         kinds=ep.kinds[:L], bits=ep.bits[:L], win=False,
-                         events=ep.events)
-
-
 def test_build_batch_padding():
-    spec, _, ep1 = _collect(seed=8)
-    ep2 = _truncated(ep1, ep1.length // 2)
-    X, acts, rews, valid, term = build_batch([ep1, ep2], spec.n_actions,
-                                             spec.obs_dim, False)
+    spec, team, ep1 = _collect(seed=8)
+    L2 = ep1.length // 2
+    item1 = (ep1.obs, ep1.actions, np.ones((ep1.length, spec.n_agents)))
+    item2 = tuple(arr[:L2] for arr in item1)
+    X, acts, rews, valid, term = build_batch([item1, item2], team)
     X = X[0]
-    T = max(ep1.length, ep2.length)
-    assert X.shape[0] == T
-    for b, ep in enumerate((ep1, ep2)):
-        assert valid[:ep.length, b].all()
-        assert not valid[ep.length:, b].any()
-        assert term[ep.length - 1, b] == 1.0
-        assert X[ep.length:, b].sum() == 0.0
+    assert X.shape[0] == ep1.length
+    for b, L in enumerate((ep1.length, L2)):
+        assert valid[:L, b].all()
+        assert not valid[L:, b].any()
+        assert term[L - 1, b] == 1.0
+        assert X[L:, b].sum() == 0.0
+        assert not rews[:, L:, b].any() and not acts[:, L:, b].any()
 
 
 # ----------------------------------------------------------------- training
@@ -606,6 +669,46 @@ def test_train_icl_rejects_malformed_bits():
                   lambda ep: (ep.length, ep.n_agents + 1)):
         with pytest.raises(ConfigurationError, match="bits has shape"):
             train(cfg, bits_fn=lambda ep: np.ones(shape(ep), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("trainer, value", [
+    ("icl", 7), ("icl", -1), ("icl", 0.5), ("acd-marl", 2),
+], ids=["icl-seven", "icl-minus-one", "icl-half", "acd-marl-two"])
+def test_train_rejects_non_binary_bits(trainer, value):
+    # a bit other than 0 or 1 would scale the reward instead of masking
+    # it; casting to uint8 first would wrap -1 to 255 and cut 0.5 to 0
+    cfg = TrainConfig(env_id="lj", trainer=trainer, seed=0, **DESK)
+
+    def bits(ep):
+        out = np.ones((ep.length, ep.n_agents))
+        out[-1, 0] = value
+        return out
+    with pytest.raises(ConfigurationError, match="must be 0 or 1"):
+        train(cfg, bits_fn=bits)
+
+
+def test_rewards_masked_once_per_collected_episode(monkeypatch):
+    # masking happens when an episode enters replay, not each time it is
+    # sampled into a batch
+    trainer = importlib.import_module("camarl.marl.trainer")
+    calls = {"masked": 0, "sampled": 0}
+    mask, sample = trainer.masked_rewards, ReplayBuffer.sample
+
+    def counting_mask(*args):
+        calls["masked"] += 1
+        return mask(*args)
+
+    def counting_sample(self, *args):
+        batch = sample(self, *args)
+        calls["sampled"] += len(batch)
+        return batch
+
+    monkeypatch.setattr(trainer, "masked_rewards", counting_mask)
+    monkeypatch.setattr(ReplayBuffer, "sample", counting_sample)
+    res = train(TrainConfig(env_id="sk3", trainer="icl", seed=0, **DESK))
+    assert calls["masked"] == res.episodes
+    # batches of 4 replay most episodes several times
+    assert calls["sampled"] > 3 * res.episodes
 
 
 def test_train_acd_requires_encoder():
