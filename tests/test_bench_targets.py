@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -65,6 +67,23 @@ def test_acting_and_rollout_spans_are_called():
                           "envs.make_env", "marl.evaluate",
                           "marl.build_batch", "marl.replay_sample",
                           "marl.train_step")}
+    assert min(calls.values()) >= 1, calls
+
+
+@pytest.mark.parametrize("env_id", ["lj", "pp", "sk3"])
+def test_env_spans_are_called(env_id):
+    # envs.step patches one step per family, so each family's step must
+    # record calls on its own; a scripted collection also acts through
+    # the scripted policy and scores its wins with the oracle
+    from camarl import acd
+
+    spans = _load_perfbench("spans")
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        acd.collect_dataset(env_id, 1, seed=0, attempt_factor=200)
+    calls = {name: tracer.names.count(name)
+             for name in ("envs.step", "envs.scripted_act", "envs.oracle",
+                          "envs.make_env")}
     assert min(calls.values()) >= 1, calls
 
 

@@ -13,10 +13,12 @@ from camarl.envs import (
     ENV_IDS, OBS_DIM, PredatorPrey, Lumberjacks, Skirmish,
     env_spec, make_env, oracle_bits, KIND_NONE, KIND_INTERMEDIATE, KIND_WIN,
 )
-from camarl.envs.core import TARGET_OFF, AGENT_OFF, STATUS_OFF
+from camarl.envs.core import A_STAY, TARGET_OFF, AGENT_OFF, STATUS_OFF
 from camarl.envs.oracles import episode_ground_truth_arrays
 from camarl.envs.scripted import ScriptedPolicy
 from camarl.errors import ConfigurationError, UsageError
+
+import env_reference as R
 
 
 def rollout_random(env_id, seed, check=None):
@@ -482,3 +484,161 @@ def test_scripted_policy_wins():
                 wins += res.win
                 break
     assert wins >= 18
+
+
+# --------------------------------------- scalar envs against the reference
+
+STATE = ("agent_pos", "prey_pos", "prey_alive", "tree_pos", "tree_level",
+         "tree_alive", "enemy_pos", "agent_hp", "enemy_hp")
+
+
+def assert_same_array(a, b, what):
+    assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray), what
+    assert (a.dtype, a.shape) == (b.dtype, b.shape), what
+    assert a.tobytes() == b.tobytes(), what
+
+
+def assert_same_state(env, ref):
+    """Every state array, the clock and the generator state."""
+    for name in STATE:
+        assert hasattr(env, name) == hasattr(ref, name), name
+        if hasattr(ref, name):
+            assert_same_array(getattr(env, name), getattr(ref, name), name)
+    assert (env.t, env.done) == (ref.t, ref.done)
+    assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def assert_same_result(res, ref):
+    """Every StepResult field: its type, and its dtype and bytes."""
+    for name in ("obs", "reward", "done", "kind", "win", "events"):
+        a, b = getattr(res, name), getattr(ref, name)
+        assert type(a) is type(b), name
+        if isinstance(b, np.ndarray):
+            assert_same_array(a, b, name)
+        else:
+            assert np.float64(a).tobytes() == np.float64(b).tobytes(), name
+    assert res.obs is not ref.obs
+
+
+def twin_envs(env_id, seed, **state):
+    """The env and its reference, both with the given state arrays."""
+    env, ref = make_env(env_id, seed), R.make_env(env_id, seed)
+    for name, value in state.items():
+        setattr(env, name, np.array(value, dtype=getattr(ref, name).dtype))
+        setattr(ref, name, np.array(value, dtype=getattr(ref, name).dtype))
+    assert_same_state(env, ref)
+    assert_same_array(env._obs(), ref._obs(), "obs")
+    return env, ref
+
+
+def step_twins(env, ref, actions):
+    res, want = env.step(actions), ref.step(actions)
+    assert_same_result(res, want)
+    assert_same_state(env, ref)
+    return res
+
+
+def run_twins(env_id, seed, how):
+    """One episode of the env and its reference on the same actions,
+    random, all-stay or scripted (each side its own policy)."""
+    env, ref = twin_envs(env_id, seed)
+    assert_same_array(env.reset(seed), ref.reset(seed), "reset obs")
+    assert_same_state(env, ref)
+    spec = env.spec
+    rng = np.random.default_rng(seed + 1)
+    pol, ref_pol = ScriptedPolicy(seed=seed), R.ScriptedPolicy(seed=seed)
+    pol.begin_episode(env)
+    ref_pol.begin_episode(ref)
+    history = []
+    while not env.done:
+        if how == "random":
+            a = rng.integers(0, spec.n_actions, size=spec.n_agents)
+        elif how == "stay":
+            a = np.full(spec.n_agents, A_STAY)
+        else:
+            a, want = pol.act(env), ref_pol.act(ref)
+            assert_same_array(a, want, "scripted actions")
+            assert (pol.rng.bit_generator.state
+                    == ref_pol.rng.bit_generator.state)
+        history.append(step_twins(env, ref, a).obs)
+    return history
+
+
+@pytest.mark.parametrize("how", ["random", "stay", "scripted"])
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_scalar_env_matches_reference(env_id, how):
+    for seed in range(6):
+        history = run_twins(env_id, seed * 17 + 3, how)
+        # every step hands out a fresh observation array
+        assert len({id(o) for o in history}) == len(history)
+
+
+def test_scripted_policy_without_begin_episode_matches_reference():
+    for env_id in ENV_IDS:
+        env, ref = twin_envs(env_id, 4)
+        pol, ref_pol = ScriptedPolicy(seed=1), R.ScriptedPolicy(seed=1)
+        while not env.done:
+            a = pol.act(env)
+            assert_same_array(a, ref_pol.act(ref), env_id)
+            step_twins(env, ref, a)
+
+
+def test_reference_lj_four_agents_on_level_four_tree():
+    env, ref = twin_envs("lj", 4, tree_pos=[[4, 4]] * 2 + [[0, 7 - k]
+                                                         for k in range(6)],
+                         tree_level=[4, 4, 1, 1, 2, 3, 4, 1],
+                         agent_pos=[[4, 4], [4, 4], [4, 5], [4, 3]])
+    res = step_twins(env, ref, [4, 4, 2, 3])  # the last two step onto it
+    assert res.events.tolist() == [2, 2, 2, 2]  # both trees on the cell
+    assert abs(res.reward - 9.9) < 1e-12
+    for a in ([4, 4, 4, 4], [0, 1, 2, 3]):
+        step_twins(env, ref, a)
+
+
+def test_reference_pp_two_preys_on_one_cell():
+    env, ref = twin_envs("pp", 2, prey_pos=[[6, 6], [6, 6]],
+                         agent_pos=[[5, 6], [6, 7], [0, 0], [13, 13]])
+    res = step_twins(env, ref, [4, 4, 4, 4])
+    assert res.events.tolist() == [2, 2, 0, 0] and res.win
+    # one of two preys caught; the other keeps moving
+    env, ref = twin_envs("pp", 3, prey_pos=[[6, 6], [6, 6]],
+                         prey_alive=[True, False],
+                         agent_pos=[[5, 6], [0, 0], [13, 13], [0, 13]])
+    for _ in range(10):
+        step_twins(env, ref, [4, 4, 4, 4])
+
+
+def test_reference_sk_dead_agents():
+    # agent 1 is dead: it neither moves nor attacks nor observes
+    env, ref = twin_envs("sk3", 5, agent_hp=[1, 0, 2],
+                         agent_pos=[[5, 5], [5, 6], [0, 0]],
+                         enemy_pos=[[5, 7], [6, 6], [9, 9]])
+    res = step_twins(env, ref, [5, 5, 1])
+    assert not res.obs[1].any()
+    for a in ([5, 5, 5], [0, 1, 2], [4, 4, 4], [5, 0, 5]):
+        if env.done:
+            break
+        step_twins(env, ref, a)
+    # every agent dead: the enemies stop and the episode ends
+    env, ref = twin_envs("sk5", 7, agent_hp=[0, 0, 1, 0, 0],
+                         agent_pos=[[5, 5], [5, 6], [5, 7], [0, 0], [9, 9]],
+                         enemy_pos=[[4, 7], [9, 0], [0, 9], [8, 8], [2, 2]])
+    res = step_twins(env, ref, [5, 5, 4, 5, 5])
+    assert res.done and not res.win and not res.obs.any()
+
+
+def test_reference_sk_ties_on_distance():
+    # agent 0 sees enemies 1 and 2 at Chebyshev distance 2, enemy 0 is
+    # dead; enemy 1 has agents 0 and 2 at distance 2, enemy 2 is out of
+    # range of all and moves along a tied gap
+    env, ref = twin_envs("sk3", 8, enemy_hp=[0, 3, 3],
+                         agent_pos=[[5, 5], [0, 0], [3, 5]],
+                         enemy_pos=[[5, 6], [3, 7], [7, 3]])
+    for a in ([5, 4, 4], [5, 4, 5], [4, 4, 4], [5, 5, 5]):
+        if env.done:
+            break
+        step_twins(env, ref, a)
+    env, ref = twin_envs("sk3-sp", 9, agent_pos=[[0, 0], [0, 9], [9, 0]],
+                         enemy_pos=[[5, 5]])
+    for _ in range(4):
+        step_twins(env, ref, [4, 4, 4])

@@ -16,6 +16,10 @@ acting Q-values and hidden states themselves, which a last-bit change
 that flips no argmax would leave the other digests blind to.
 ``GOLDEN_ENVS`` pins random-action rollouts of every env id on its own:
 observations, rewards, reward kinds, wins, events and episode lengths.
+``GOLDEN_SCRIPTED`` pins scripted-policy rollouts of every env id
+through the rollout loop, won or lost, so the lazy agents' draws and
+each family's greedy walk are pinned, not only the winning ``pp`` and
+``sk3`` episodes the scripted datasets keep.
 
 The digests were taken with numpy 2.4.6 linked against OpenBLAS
 0.3.31 (scipy-openblas build) and Python 3.11.7.  Another numpy or BLAS
@@ -28,7 +32,7 @@ import numpy as np
 import pytest
 
 from camarl import acd, marl
-from camarl.envs import ENV_IDS, make_env
+from camarl.envs import ENV_IDS, ScriptedPolicy, make_env
 
 TRAIN = dict(total_steps=300, eval_interval=150, eval_episodes=2,
              epsilon_anneal_episodes=20, target_sync=2, batch_size=4,
@@ -108,6 +112,27 @@ GOLDEN_ENVS = {
 }
 ENV_SEEDS = tuple(range(8))
 
+GOLDEN_SCRIPTED = {
+    "pp":
+        "422a1d01a430e94158977de0d4b9998fda3ae01285738a685f6960f5400deb10",
+    "pp-sp":
+        "3aea2db4d4bea94f16d3ad3cecfcd22383ca5c9e0d3400195518da9944d4f574",
+    "lj":
+        "a9e8bc13e0cd38f4f4ff7dae4a7bf19a6fa23399c094d9ffb86e2e1e30dd86b1",
+    "lj-sp":
+        "41218c3c601c566e6c826bdc46676373aab3f42817d0a0615f1d00f8039db686",
+    "sk3":
+        "cad957f26b076cc8a6aeb5397d84e7e0dfc90c163669fb0ddb881d574fede016",
+    "sk3-sp":
+        "94b45062dae7f8858f5e97855cf6fd3eecc692f3c8d0fbca148628e67f8931b8",
+    "sk5":
+        "1a1f69125512aca94bf4796a20e9ab00cefaa38922e014a647b11f62efe58df3",
+    "sk5-sp":
+        "ba58d00b9bee6a85895a148a8f5d819b1da306eaa9db79f607402eb99d89ad4f",
+}
+# lj loses all ten, pp and lj-sp mix wins and losses
+SCRIPTED_SEEDS = tuple(range(10))
+
 
 def _digest_files(paths):
     h = hashlib.sha256()
@@ -181,6 +206,28 @@ def _digest_env(env_id):
 def test_env_rollout_digest(env_id):
     assert _digest_env(env_id) == GOLDEN_ENVS[env_id], (
         f"{env_id} rollouts moved")
+
+
+def _digest_scripted(env_id):
+    """Scripted episodes of one env id, one policy across them, every
+    record field hashed with its dtype and shape."""
+    h = hashlib.sha256()
+    policy = ScriptedPolicy(seed=5)
+    for seed in SCRIPTED_SEEDS:
+        env = make_env(env_id, seed)
+        policy.begin_episode(env)
+        ep = marl.collect_episode(env, lambda obs: policy.act(env)[None])
+        for arr in (ep.obs, ep.actions, ep.rewards, ep.kinds, ep.events):
+            h.update(repr((arr.dtype.str, arr.shape)).encode())
+            h.update(arr.tobytes())
+        h.update(repr(ep.win).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_scripted_rollout_digest(env_id):
+    assert _digest_scripted(env_id) == GOLDEN_SCRIPTED[env_id], (
+        f"{env_id} scripted rollouts moved")
 
 
 @pytest.fixture(scope="module")
