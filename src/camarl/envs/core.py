@@ -14,6 +14,15 @@ Both masks are one range-k mask.  pp and lj use the literal 5x5 window
 with the target value fading with distance.  Dead agents observe all
 zeros.  Every entry lies in [0, 1].
 
+The state lives in numpy arrays (``agent_pos``, ``prey_alive``,
+``tree_level``, ``enemy_hp``, ...), which tests and the scripted policy
+read and may set.  A step reads each array once with ``.tolist()``, runs
+its rules on Python scalars, which for a handful of entities is several
+times faster than numpy operations on tiny arrays, and writes back only
+the arrays that changed; the observation builder takes the lists the
+step already holds.  ``tests/env_reference.py`` keeps the array
+versions, which these match byte for byte, generator draws included.
+
 A step returns a StepResult: the next observation, the team reward, the
 done flag, the reward kind (KIND_NONE, KIND_INTERMEDIATE or KIND_WIN),
 whether this step won the episode, and events, the (N,) int64 count of
@@ -34,8 +43,7 @@ AGENT_OFF = 27
 STATUS_OFF = 52
 
 # moves shared by all environments; skirmish appends attack as action 5
-MOVES = np.array([[-1, 0], [1, 0], [0, -1], [0, 1], [0, 0]], dtype=np.int64)
-_MOVE_LIST = MOVES.tolist()
+MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1), (0, 0))
 A_STAY = 4
 A_ATTACK = 5
 
@@ -117,16 +125,18 @@ def place_entities(rng: np.random.Generator, grid: int, count: int) -> np.ndarra
     if count > cells:
         raise ConfigurationError(f"{count} entities do not fit a {grid}x{grid} grid")
     flat = rng.choice(cells, size=count, replace=False)
-    return np.stack([flat // grid, flat % grid], axis=1).astype(np.int64)
+    return np.array([divmod(f, grid) for f in flat.tolist()], dtype=np.int64)
 
 
-def validate_actions(actions, n_agents, n_actions):
+def validate_actions(actions, n_agents, n_actions) -> list:
+    """The joint action as a list of ints, or UsageError."""
     a = np.asarray(actions, dtype=np.int64)
     if a.shape != (n_agents,):
         raise UsageError(f"expected {n_agents} actions, got shape {a.shape}")
-    if a.min() < 0 or a.max() >= n_actions:
+    acts = a.tolist()
+    if min(acts) < 0 or max(acts) >= n_actions:
         raise UsageError(f"action out of range [0, {n_actions})")
-    return a
+    return acts
 
 
 _EDGE_MOVES = {}
@@ -142,26 +152,27 @@ def valid_moves(r, c, grid):
     ks = _EDGE_MOVES.get(key)
     if ks is None:
         up, down, left, right = key
-        ks = np.flatnonzero([
-            (mv[0] >= 0 or up) and (mv[0] <= 0 or down)
-            and (mv[1] >= 0 or left) and (mv[1] <= 0 or right)
-            for mv in MOVES])
-        _EDGE_MOVES[key] = ks
+        ks = _EDGE_MOVES[key] = tuple(
+            k for k, (dr, dc) in enumerate(MOVES)
+            if (dr >= 0 or up) and (dr <= 0 or down)
+            and (dc >= 0 or left) and (dc <= 0 or right))
     return ks
 
 
-def apply_moves(pos, actions, alive, grid):
-    """Move each living agent; off-grid moves and non-move actions (attack)
-    keep the agent in place."""
-    out = pos.tolist()
-    for p, a, live in zip(out, actions.tolist(), alive.tolist()):
-        if live and a < len(_MOVE_LIST):
-            r = p[0] + _MOVE_LIST[a][0]
-            c = p[1] + _MOVE_LIST[a][1]
+def apply_moves(agents, actions, alive, grid) -> bool:
+    """Move each living agent (all when alive is None) in place on the
+    [r, c] lists; off-grid moves, stay and attack keep the agent where it
+    is.  Returns whether any agent moved."""
+    moved = False
+    for i, (p, a) in enumerate(zip(agents, actions)):
+        if a < A_STAY and (alive is None or alive[i]):
+            r = p[0] + MOVES[a][0]
+            c = p[1] + MOVES[a][1]
             if 0 <= r < grid and 0 <= c < grid:
                 p[0] = r
                 p[1] = c
-    return np.array(out, dtype=np.int64)
+                moved = True
+    return moved
 
 
 @functools.cache
@@ -182,16 +193,58 @@ def _mask_cells(sight_k):
             for dr in span for dc in span}
 
 
+def observe(spec, agents, targets, alive=None, status=None) -> np.ndarray:
+    """Observations of all agents, a fresh (N, OBS_DIM) float64 array.
+
+    agents holds the [r, c] of every agent, targets the ([r, c], value)
+    of every target still present (value > 0), alive whether each agent
+    lives (all when None) and status its status scalar (0 when None).
+    A cell keeps the largest faded target value that lands on it; the
+    agent mask counts living agents, self included, over N.  Only the
+    nonzero entries are gathered, by flat index, and written into a
+    zeroed array at once.
+    """
+    cells = _mask_cells(spec.sight_k)
+    scale = spec.grid - 1.0
+    share = 1.0 / spec.n_agents
+    allies = (agents if alive is None
+              else [p for p, live in zip(agents, alive) if live])
+    entries = {}
+    for i, (r0, c0) in enumerate(agents):
+        if alive is not None and not alive[i]:
+            continue
+        base = i * OBS_DIM
+        entries[base] = r0 / scale
+        entries[base + 1] = c0 / scale
+        for (r, c), v in targets:
+            hit = cells.get((r - r0, c - c0))
+            if hit is not None:
+                k = base + TARGET_OFF + hit[0]
+                v *= hit[1]
+                if v > entries.get(k, 0.0):
+                    entries[k] = v
+        for r, c in allies:
+            hit = cells.get((r - r0, c - c0))
+            if hit is not None:
+                k = base + AGENT_OFF + hit[0]
+                entries[k] = entries.get(k, 0.0) + share
+        if status is not None:
+            entries[base + STATUS_OFF] = status[i]
+    obs = np.zeros((spec.n_agents, OBS_DIM))
+    obs.reshape(-1)[list(entries)] = list(entries.values())
+    return obs
+
+
 class GridEnv:
     """Seeding, placement, moves, clock and done shared by every family.
 
     A family places its targets in ``_place`` (after the agents, from the
-    same draw), gives their positions and mask values in ``_targets``,
-    and writes ``step`` as ``_begin_step``, its own rules, then
-    ``_end_step``; ``step`` stays on each family class, where
+    same draw) and gives ``_view``, the (targets, alive, status) of the
+    current state that ``observe`` takes.  Its ``step`` is
+    ``_begin_step``, its own rules on the lists, then ``_end_step`` with
+    the same three lists; ``step`` stays on each family class, where
     ``perfbench/spans.py`` patches it.  Agents that are not alive
-    (``_alive``) neither move nor observe; ``_status`` fills the status
-    scalar.
+    neither move nor observe.
     """
 
     def __init__(self, spec: EnvSpec, seed: int):
@@ -209,65 +262,29 @@ class GridEnv:
         self.done = False
         return self._obs()
 
-    def _alive(self):
-        return np.ones(self.spec.n_agents, dtype=np.bool_)
-
-    def _status(self):
-        return np.zeros(self.spec.n_agents)
-
     def _obs(self):
-        """Observations of all agents, (N, OBS_DIM).
+        """Observations of the state as it stands, (N, OBS_DIM)."""
+        return observe(self.spec, self.agent_pos.tolist(), *self._view())
 
-        A target's mask value (from ``_targets``) is 0 once it is gone;
-        a cell keeps the largest faded value that lands on it.  The
-        agent mask counts living agents, self included, over N.  The
-        loops run on Python scalars, several times faster than indexing
-        numpy arrays element by element.
-        """
-        spec = self.spec
-        cells = _mask_cells(spec.sight_k)
-        scale = spec.grid - 1.0
-        share = 1.0 / spec.n_agents
-        target_pos, target_val = self._targets()
-        targets = [(p, v) for p, v in zip(target_pos.tolist(),
-                                          target_val.tolist()) if v > 0]
-        agents = self.agent_pos.tolist()
-        alive = self._alive().tolist()
-        allies = [p for p, live in zip(agents, alive) if live]
-        rows = []
-        for (r0, c0), live, st in zip(agents, alive, self._status().tolist()):
-            row = [0.0] * OBS_DIM
-            rows.append(row)
-            if not live:
-                continue
-            row[0] = r0 / scale
-            row[1] = c0 / scale
-            for (r, c), v in targets:
-                hit = cells.get((r - r0, c - c0))
-                if hit is not None:
-                    v *= hit[1]
-                    if v > row[TARGET_OFF + hit[0]]:
-                        row[TARGET_OFF + hit[0]] = v
-            for r, c in allies:
-                hit = cells.get((r - r0, c - c0))
-                if hit is not None:
-                    row[AGENT_OFF + hit[0]] += share
-            row[STATUS_OFF] = st
-        return np.array(rows)
-
-    def _begin_step(self, actions):
-        """Check and apply the agents' moves; returns the actions."""
+    def _begin_step(self, actions, alive=None):
+        """Check the actions and move the living agents (all when alive is
+        None); returns the actions and the agents' [r, c] as lists."""
         if self.done:
             raise UsageError("episode is done; call reset")
-        a = validate_actions(actions, self.spec.n_agents, self.spec.n_actions)
-        self.agent_pos = apply_moves(self.agent_pos, a, self._alive(),
-                                     self.spec.grid)
-        return a
+        spec = self.spec
+        acts = validate_actions(actions, spec.n_agents, spec.n_actions)
+        agents = self.agent_pos.tolist()
+        if apply_moves(agents, acts, alive, spec.grid):
+            self.agent_pos = np.array(agents, dtype=np.int64)
+        return acts, agents
 
-    def _end_step(self, reward, kind, win, events) -> StepResult:
+    def _end_step(self, reward, kind, win, events, agents, targets,
+                  alive=None, status=None) -> StepResult:
         """Advance the clock; done on a win, with no agent alive, or at the
         nominal episode length."""
         self.t += 1
-        self.done = bool(win or not self._alive().any()
+        self.done = bool(win or (alive is not None and not any(alive))
                          or self.t >= self.spec.episode_len)
-        return StepResult(self._obs(), reward, self.done, kind, win, events)
+        return StepResult(observe(self.spec, agents, targets, alive, status),
+                          reward, self.done, kind, win,
+                          np.array(events, dtype=np.int64))

@@ -3,7 +3,8 @@
 A prey is caught when at least two agents stand on its cell or its
 4-neighborhood in the same timestep; each capture is worth +5 to the
 shared team reward and every step costs 0.01.  A single adjacent agent
-does nothing.  Surviving preys take uniform-random valid moves.
+does nothing.  Surviving preys take uniform-random valid moves, in
+index order.
 """
 
 import numpy as np
@@ -11,35 +12,50 @@ import numpy as np
 from camarl.envs import core
 
 
+def _targets(prey, alive):
+    return [(p, 1.0) for p, live in zip(prey, alive) if live]
+
+
 class PredatorPrey(core.GridEnv):
     def _place(self, pos):
         self.prey_pos = pos
         self.prey_alive = np.ones(self.spec.n_preys, dtype=np.bool_)
 
-    def _targets(self):
-        return self.prey_pos, self.prey_alive.astype(np.float64)
+    def _view(self):
+        return (_targets(self.prey_pos.tolist(), self.prey_alive.tolist()),
+                None, None)
 
     def step(self, actions) -> core.StepResult:
-        self._begin_step(actions)
+        _, agents = self._begin_step(actions)
         spec = self.spec
+        prey = self.prey_pos.tolist()
+        alive = self.prey_alive.tolist()
 
-        live = np.flatnonzero(self.prey_alive)
-        near = (np.abs(self.agent_pos[None, :, :]
-                       - self.prey_pos[live, None, :]).sum(axis=2) <= 1)
-        caught = near.sum(axis=1) >= 2
-        self.prey_alive[live[caught]] = False
-        events = near[caught].sum(axis=0, dtype=np.int64)
+        events = [0] * spec.n_agents
+        caught = 0
+        for m, ((r, c), live) in enumerate(zip(prey, alive)):
+            if not live:
+                continue
+            near = [i for i, (ar, ac) in enumerate(agents)
+                    if abs(ar - r) + abs(ac - c) <= 1]
+            if len(near) >= 2:
+                alive[m] = False
+                self.prey_alive[m] = False
+                caught += 1
+                for i in near:
+                    events[i] += 1
 
         # survivors move uniformly at random over their valid moves
-        for m in range(spec.n_preys):
-            if not self.prey_alive[m]:
-                continue
-            r, c = self.prey_pos[m]
-            ks = core.valid_moves(int(r), int(c), spec.grid)
-            k = ks[self.rng.integers(ks.size)]
-            self.prey_pos[m] += core.MOVES[k]
+        for p, live in zip(prey, alive):
+            if live:
+                ks = core.valid_moves(p[0], p[1], spec.grid)
+                dr, dc = core.MOVES[ks[self.rng.integers(len(ks))]]
+                p[0] += dr
+                p[1] += dc
+        if any(alive):
+            self.prey_pos[:] = prey
 
-        reward = 5.0 * int(caught.sum()) - 0.01
-        kind = core.KIND_INTERMEDIATE if caught.any() else core.KIND_NONE
-        return self._end_step(reward, kind, bool(not self.prey_alive.any()),
-                              events)
+        reward = 5.0 * caught - 0.01
+        kind = core.KIND_INTERMEDIATE if caught else core.KIND_NONE
+        return self._end_step(reward, kind, not any(alive), events, agents,
+                              _targets(prey, alive))

@@ -5,7 +5,7 @@ entity and triggers it (wait beside preys, stand on trees, shoot
 enemies).  A laziness probability marks agents at episode start to act
 uniformly at random for the whole episode instead; mixing lazy and
 active agents is what gives collected datasets varied ground-truth
-causality bits.
+causality bits.  Lazy agents draw their actions in agent order.
 """
 
 import numpy as np
@@ -14,14 +14,28 @@ from camarl.envs import core
 
 
 def _toward(src, dst):
-    """Move action reducing the gap along the axis with the larger gap."""
-    dr = int(dst[0]) - int(src[0])
-    dc = int(dst[1]) - int(src[1])
-    if dr == 0 and dc == 0:
-        return core.A_STAY
+    """Move action reducing the gap along the axis with the larger gap;
+    src and dst differ."""
+    dr = dst[0] - src[0]
+    dc = dst[1] - src[1]
     if abs(dr) >= abs(dc):
         return 0 if dr < 0 else 1
     return 2 if dc < 0 else 3
+
+
+def _nearest(pos, targets, metric):
+    """The first of the targets at the smallest distance, and that
+    distance."""
+    best, best_d = None, None
+    for p in targets:
+        d = metric(abs(p[0] - pos[0]), abs(p[1] - pos[1]))
+        if best_d is None or d < best_d:
+            best, best_d = p, d
+    return best, best_d
+
+
+def _manhattan(dr, dc):
+    return dr + dc
 
 
 class ScriptedPolicy:
@@ -39,39 +53,31 @@ class ScriptedPolicy:
         spec = env.spec
         if self.lazy is None:
             self.lazy = np.zeros(spec.n_agents, dtype=bool)
-        actions = np.empty(spec.n_agents, dtype=np.int64)
-        for i in range(spec.n_agents):
-            if self.lazy[i]:
-                actions[i] = self.rng.integers(0, spec.n_actions)
-            else:
-                actions[i] = self._greedy(env, i)
-        return actions
-
-    def _greedy(self, env, i):
-        spec = env.spec
-        pos = env.agent_pos[i]
+        agents = env.agent_pos.tolist()
+        hp = None
         if spec.family == "pp":
-            live = np.flatnonzero(env.prey_alive)
-            if live.size == 0:
-                return core.A_STAY
-            d = np.abs(env.prey_pos[live] - pos).sum(axis=1)
-            target = env.prey_pos[live[d.argmin()]]
-            if d.min() <= 1:
-                return core.A_STAY  # hold the capture ring
-            return _toward(pos, target)
-        if spec.family == "lj":
-            live = np.flatnonzero(env.tree_alive)
-            if live.size == 0:
-                return core.A_STAY
-            d = np.abs(env.tree_pos[live] - pos).sum(axis=1)
-            return _toward(pos, env.tree_pos[live[d.argmin()]])
-        # skirmish
-        if env.agent_hp[i] <= 0:
-            return core.A_STAY
-        live = np.flatnonzero(env.enemy_hp > 0)
-        if live.size == 0:
-            return core.A_STAY
-        cheb = np.abs(env.enemy_pos[live] - pos).max(axis=1)
-        if cheb.min() <= spec.sight_k:
-            return core.A_ATTACK
-        return _toward(pos, env.enemy_pos[live[cheb.argmin()]])
+            # hold the capture ring once a prey is within one cell
+            metric, reach, trigger = _manhattan, 1, core.A_STAY
+            targets = [p for p, live in zip(env.prey_pos.tolist(),
+                                            env.prey_alive.tolist()) if live]
+        elif spec.family == "lj":
+            metric, reach, trigger = _manhattan, 0, core.A_STAY
+            targets = [p for p, live in zip(env.tree_pos.tolist(),
+                                            env.tree_alive.tolist()) if live]
+        else:
+            # shoot once an enemy is in sight range; the dead stay
+            metric, reach, trigger = max, spec.sight_k, core.A_ATTACK
+            hp = env.agent_hp.tolist()
+            targets = [p for p, h in zip(env.enemy_pos.tolist(),
+                                         env.enemy_hp.tolist()) if h > 0]
+        actions = []
+        for i, (pos, lazy) in enumerate(zip(agents, self.lazy.tolist())):
+            if lazy:
+                actions.append(self.rng.integers(0, spec.n_actions))
+            elif not targets or (hp is not None and hp[i] <= 0):
+                actions.append(core.A_STAY)
+            else:
+                target, d = _nearest(pos, targets, metric)
+                actions.append(trigger if d <= reach
+                               else _toward(pos, target))
+        return np.array(actions, dtype=np.int64)

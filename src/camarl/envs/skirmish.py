@@ -5,8 +5,8 @@ Chebyshev sight range of K=3.  The team earns damage/total-enemy-HP as
 an intermediate reward (a fully won fight sums to 1.0) plus +10 when the
 last enemy falls.  Enemies attack the nearest living agent in range or
 advance one cell toward it, preferring the axis with the larger gap.
-Agents act in index order; damage is capped at the remaining HP so
-overkill never counts.
+Agents act in index order, then enemies; damage is capped at the
+remaining HP so overkill never counts.
 """
 
 import numpy as np
@@ -14,18 +14,21 @@ import numpy as np
 from camarl.envs import core
 
 
-def _nearest_in(pos, hp, from_pos):
+def _nearest_in(pos, hp, frm):
     """Index of the nearest living unit by Chebyshev distance, ties to the
     lowest index.  Returns (index, distance) or (-1, big)."""
     best, best_d = -1, 10 ** 9
-    for m in range(pos.shape[0]):
-        if hp[m] <= 0:
-            continue
-        d = max(abs(int(pos[m, 0]) - int(from_pos[0])),
-                abs(int(pos[m, 1]) - int(from_pos[1])))
-        if d < best_d:
-            best, best_d = m, d
+    r0, c0 = frm
+    for m, ((r, c), h) in enumerate(zip(pos, hp)):
+        if h > 0:
+            d = max(abs(r - r0), abs(c - c0))
+            if d < best_d:
+                best, best_d = m, d
     return best, best_d
+
+
+def _targets(enemies, enemy_hp):
+    return [(p, 1.0) for p, h in zip(enemies, enemy_hp) if h > 0]
 
 
 class Skirmish(core.GridEnv):
@@ -36,50 +39,62 @@ class Skirmish(core.GridEnv):
         self.enemy_hp = np.full(spec.n_enemies, spec.unit_hp, dtype=np.int64)
         self.total_enemy_hp = spec.unit_hp * spec.n_enemies
 
-    def _alive(self):
-        return self.agent_hp > 0
+    def _vitals(self, hp):
+        """Whether each agent lives, and its health fraction."""
+        return [h > 0 for h in hp], [h / self.spec.unit_hp for h in hp]
 
-    def _status(self):
-        return self.agent_hp / self.spec.unit_hp
-
-    def _targets(self):
-        return self.enemy_pos, (self.enemy_hp > 0).astype(np.float64)
+    def _view(self):
+        return (_targets(self.enemy_pos.tolist(), self.enemy_hp.tolist()),
+                *self._vitals(self.agent_hp.tolist()))
 
     def step(self, actions) -> core.StepResult:
-        a = self._begin_step(actions)
         spec = self.spec
+        hp = self.agent_hp.tolist()
+        acts, agents = self._begin_step(actions, [h > 0 for h in hp])
+        enemies = self.enemy_pos.tolist()
+        enemy_hp = self.enemy_hp.tolist()
 
-        events = np.zeros(spec.n_agents, dtype=np.int64)
-        for i in range(spec.n_agents):
-            if a[i] != core.A_ATTACK or self.agent_hp[i] <= 0:
+        events = [0] * spec.n_agents
+        for i, (a, h) in enumerate(zip(acts, hp)):
+            if a != core.A_ATTACK or h <= 0:
                 continue
-            m, d = _nearest_in(self.enemy_pos, self.enemy_hp, self.agent_pos[i])
+            m, d = _nearest_in(enemies, enemy_hp, agents[i])
             if m >= 0 and d <= spec.sight_k:
-                self.enemy_hp[m] -= 1
+                enemy_hp[m] -= 1
                 events[i] = 1
+        damage = sum(events)
+        if damage:
+            self.enemy_hp[:] = enemy_hp
 
-        damage = int(events.sum())
         reward = damage / self.total_enemy_hp
-        win = bool((self.enemy_hp <= 0).all())
+        win = all(h <= 0 for h in enemy_hp)
         if win:
             reward += 10.0
             kind = core.KIND_WIN
         else:
             kind = core.KIND_INTERMEDIATE if damage > 0 else core.KIND_NONE
-            for m in range(spec.n_enemies):
-                if self.enemy_hp[m] <= 0:
+            hit = moved = False
+            for p, h in zip(enemies, enemy_hp):
+                if h <= 0:
                     continue
-                j, d = _nearest_in(self.agent_pos, self.agent_hp, self.enemy_pos[m])
+                j, d = _nearest_in(agents, hp, p)
                 if j < 0:
                     break
                 if d <= spec.sight_k:
-                    self.agent_hp[j] -= 1
+                    hp[j] -= 1
+                    hit = True
                 else:
-                    dr = int(self.agent_pos[j, 0]) - int(self.enemy_pos[m, 0])
-                    dc = int(self.agent_pos[j, 1]) - int(self.enemy_pos[m, 1])
+                    dr = agents[j][0] - p[0]
+                    dc = agents[j][1] - p[1]
                     if abs(dr) >= abs(dc):
-                        self.enemy_pos[m, 0] += np.sign(dr)
+                        p[0] += 1 if dr > 0 else -1
                     else:
-                        self.enemy_pos[m, 1] += np.sign(dc)
+                        p[1] += 1 if dc > 0 else -1
+                    moved = True
+            if hit:
+                self.agent_hp[:] = hp
+            if moved:
+                self.enemy_pos[:] = enemies
 
-        return self._end_step(reward, kind, win, events)
+        return self._end_step(reward, kind, win, events, agents,
+                              _targets(enemies, enemy_hp), *self._vitals(hp))

@@ -26,6 +26,15 @@ CONFIG_KEYS = {
     "report": ("runs",),
 }
 KINDS = tuple(CONFIG_KEYS)
+# checks of the collect config values, which nothing checks before the
+# collection starts; TrainConfig.validate checks a train config's
+COLLECT_FIELDS = {
+    "env_id": lambda v: type(v) is str,
+    "policy": lambda v: type(v) is str,
+    "episodes": lambda v: type(v) is int and v >= 0,
+    "seed": lambda v: type(v) is int and v >= 0,
+    "lazy_prob": lambda v: type(v) in (int, float) and 0 <= v <= 1,
+}
 
 
 @dataclass
@@ -51,6 +60,13 @@ class ExperimentManifest:
         if missing:
             raise ConfigurationError(
                 f"{self.kind} manifest config lacks {', '.join(missing)}")
+        if self.kind == "collect":
+            bad = [k for k, ok in COLLECT_FIELDS.items()
+                   if not ok(self.config[k])]
+            if bad:
+                raise ConfigurationError(
+                    f"collect manifest config has an invalid "
+                    f"{', '.join(bad)}")
         return self
 
 

@@ -9,7 +9,7 @@ evaluations all draw from seed streams spawned off one root seed, so a
 run is reproducible bit for bit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,13 @@ class TrainConfig:
     strict_mask: bool = False
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # an int stands in for a float; a bool is no int
+            if not (type(value) is f.type
+                    or f.type is float and type(value) is int):
+                raise ConfigurationError(
+                    f"{f.name} must be a {f.type.__name__}, got {value!r}")
         env_spec(self.env_id)
         if self.trainer not in TRAINERS:
             raise ConfigurationError(

@@ -13,9 +13,10 @@ The state attributes (``agent_pos``, ``prey_pos``, ``tree_level``,
 package's, so a policy of either kind can read an env of either kind.
 """
 
+import functools
+
 import numpy as np
 
-from camarl.envs import core
 from camarl.envs.core import (
     A_ATTACK, A_STAY, AGENT_OFF, KIND_INTERMEDIATE, KIND_NONE, KIND_WIN,
     OBS_DIM, STATUS_OFF, TARGET_OFF, StepResult, env_spec)
@@ -79,6 +80,18 @@ def apply_moves(pos, actions, alive, grid):
     return np.array(out, dtype=np.int64)
 
 
+@functools.cache
+def _mask_cells(sight_k):
+    """{(dr, dc): (5x5 cell, fade)} for every offset within range k."""
+    k = sight_k or 2
+    span = range(-k, k + 1)
+    bins = {d: int(np.floor(d * 2.0 / k + 0.5)) + 2 for d in span}
+    return {(dr, dc): (bins[dr] * 5 + bins[dc],
+                       (k + 1.0 - max(abs(dr), abs(dc))) / (k + 1.0)
+                       if sight_k else 1.0)
+            for dr in span for dc in span}
+
+
 class GridEnv:
     def __init__(self, spec, seed):
         self.spec = spec
@@ -103,7 +116,7 @@ class GridEnv:
 
     def _obs(self):
         spec = self.spec
-        cells = core._mask_cells(spec.sight_k)
+        cells = _mask_cells(spec.sight_k)
         scale = spec.grid - 1.0
         share = 1.0 / spec.n_agents
         target_pos, target_val = self._targets()

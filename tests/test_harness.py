@@ -80,6 +80,16 @@ def test_manifest_validation():
     with pytest.raises(ConfigurationError, match="lacks policy, lazy_prob"):
         new_manifest("x", "collect", {"env_id": "pp", "episodes": 1,
                                       "seed": 0}, [])
+    # the collect values are checked too
+    collect = {"env_id": "pp", "policy": "scripted", "episodes": 1,
+               "seed": 0, "lazy_prob": 0.5}
+    assert new_manifest("x", "collect", collect, []).config == collect
+    for key, value in (("episodes", "1"), ("episodes", -1),
+                       ("episodes", True), ("seed", 1.5), ("seed", -1),
+                       ("lazy_prob", "0.5"), ("lazy_prob", 1.5),
+                       ("env_id", None), ("policy", 3)):
+        with pytest.raises(ConfigurationError, match=f"invalid {key}"):
+            new_manifest("x", "collect", {**collect, key: value}, [])
 
 
 def test_manifest_refuses_reuse(tmp_path):
@@ -353,7 +363,13 @@ def test_cli_incomplete_dataset_exits_typed(cli_runs, tmp_path, capsys,
     ("idql", lambda m: m.update(config=list(m["config"])), "object"),
     ("idql", lambda m: m["config"].pop("trainer"), "trainer"),
     ("ds", lambda m: m["config"].pop("policy"), "policy"),
-], ids=["config-list", "train-without-trainer", "collect-without-policy"])
+    ("idql", lambda m: m["config"].update(total_steps="40"), "total_steps"),
+    ("idql", lambda m: m["config"].update(strict_mask=0), "strict_mask"),
+    ("ds", lambda m: m["config"].update(episodes="1"), "episodes"),
+    ("ds", lambda m: m["config"].update(lazy_prob=None), "lazy_prob"),
+], ids=["config-list", "train-without-trainer", "collect-without-policy",
+        "train-steps-string", "train-strict-mask-int",
+        "collect-episodes-string", "collect-lazy-prob-null"])
 def test_cli_rerun_malformed_manifest_exits_typed(cli_runs, tmp_path, capsys,
                                                   experiment, edit, word):
     manifest = json.loads(

@@ -753,6 +753,23 @@ def test_train_config_validation():
         TrainConfig(env_id="pp", trainer="idql", lr=0.0).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("total_steps", "40"), ("total_steps", 40.0), ("batch_size", True),
+    ("seed", None), ("gamma", "0.9"), ("lr", False), ("strict_mask", 1),
+    ("env_id", 3), ("trainer", None)])
+def test_train_config_field_types(field, value):
+    # each field holds its annotated type; a bool is no int
+    cfg = TrainConfig(**{"env_id": "pp", "trainer": "idql", field: value})
+    with pytest.raises(ConfigurationError, match=field):
+        cfg.validate()
+
+
+def test_train_config_accepts_ints_as_floats():
+    cfg = TrainConfig(env_id="pp", trainer="idql", gamma=1, lr=1,
+                      epsilon_end=0, grad_clip=10)
+    assert cfg.validate() is cfg
+
+
 def test_write_log_deterministic(tmp_path):
     rows = [{"step": 0, "episode": 0, "eval_return_mean": -9.1,
              "eval_return_ci95": 0.25, "win_rate": 0.0, "epsilon": 1.0,
