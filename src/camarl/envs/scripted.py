@@ -8,6 +8,8 @@ active agents is what gives collected datasets varied ground-truth
 causality bits.  Lazy agents draw their actions in agent order.
 """
 
+import operator
+
 import numpy as np
 
 from camarl.envs import core
@@ -25,17 +27,14 @@ def _toward(src, dst):
 
 def _nearest(pos, targets, metric):
     """The first of the targets at the smallest distance, and that
-    distance."""
+    distance; metric combines the row and column gaps (operator.add for
+    Manhattan, max for Chebyshev)."""
     best, best_d = None, None
     for p in targets:
         d = metric(abs(p[0] - pos[0]), abs(p[1] - pos[1]))
         if best_d is None or d < best_d:
             best, best_d = p, d
     return best, best_d
-
-
-def _manhattan(dr, dc):
-    return dr + dc
 
 
 class ScriptedPolicy:
@@ -57,11 +56,11 @@ class ScriptedPolicy:
         hp = None
         if spec.family == "pp":
             # hold the capture ring once a prey is within one cell
-            metric, reach, trigger = _manhattan, 1, core.A_STAY
+            metric, reach, trigger = operator.add, 1, core.A_STAY
             targets = [p for p, live in zip(env.prey_pos.tolist(),
                                             env.prey_alive.tolist()) if live]
         elif spec.family == "lj":
-            metric, reach, trigger = _manhattan, 0, core.A_STAY
+            metric, reach, trigger = operator.add, 0, core.A_STAY
             targets = [p for p, live in zip(env.tree_pos.tolist(),
                                             env.tree_alive.tolist()) if live]
         else:

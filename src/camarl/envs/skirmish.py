@@ -14,11 +14,11 @@ import numpy as np
 from camarl.envs import core
 
 
-def _nearest_in(pos, hp, frm):
+def _nearest_in(pos, hp, from_pos):
     """Index of the nearest living unit by Chebyshev distance, ties to the
     lowest index.  Returns (index, distance) or (-1, big)."""
     best, best_d = -1, 10 ** 9
-    r0, c0 = frm
+    r0, c0 = from_pos
     for m, ((r, c), h) in enumerate(zip(pos, hp)):
         if h > 0:
             d = max(abs(r - r0), abs(c - c0))
