@@ -32,9 +32,9 @@ than two terms are summed (a sum of two cannot depend on its order):
 - The incoming-edge mean scales the messages by 1 / (n - 1), then sums
   each node's pairs in ascending order (``_gather_bwd``); its gradient
   is the scaled node gradient taken at each pair's destination.
-- Every per-step product stays per step: hoisting the message layer
-  over all T steps would change the GEMM's row count, and with it the
-  rounding.
+- Every per-step product stays per step.  Hoisting the message layer
+  as one 2-D GEMM over all T steps would change its row count and the
+  rounding; a stacked ``@`` with one product per step would not.
 - The gradient of the data inputs (``enc.emb1``, ``dec.msg``) is not
   computed.
 """

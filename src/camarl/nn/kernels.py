@@ -10,6 +10,8 @@ stack of single rows, or a team's ``(N, ..., B, n)`` stack with
 ``@`` (``np.matmul``), one product per stack item, so each agent and
 each row of a stack rounds exactly as its own 2-D call.  ``np.dot`` on
 a 3-D stack would fold the items into one GEMM and round differently.
+Hot kernels take no ``np.where`` over data-dependent masks, and write in
+place only into arrays they allocated themselves.
 """
 
 import numpy as np
@@ -23,18 +25,20 @@ RMSPROP_BLOCK = 32768
 
 
 def sigmoid_stable(x):
-    # two-sided form, never exponentiates a positive argument
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Sigmoid that never exponentiates a positive argument.  Bit for bit
+    the two-sided ``np.where`` form: exp(min(x, 0)) is exactly 1 for
+    x >= 0.  Only NaN inputs may differ, in payload or sign."""
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def apply_act(pre, act):
+    # pre is the caller's fresh product, so it is reused as the output
     if act == ACT_IDENTITY:
-        return pre.copy()
+        return pre
     elif act == ACT_TANH:
-        return np.tanh(pre)
+        return np.tanh(pre, out=pre)
     else:
-        return np.maximum(pre, 0.0)
+        return np.maximum(pre, 0.0, out=pre)
 
 
 def act_grad_from_out(y, act):
@@ -44,7 +48,7 @@ def act_grad_from_out(y, act):
     elif act == ACT_TANH:
         return 1.0 - y * y
     else:
-        return np.where(y > 0.0, 1.0, 0.0)
+        return (y > 0.0).astype(np.float64)
 
 
 def affine_act_fwd(x, W, b, act):
@@ -75,11 +79,16 @@ def gru_fwd(x, h, Wx, Wh, bx, bh):
     pre_x += bx
     pre_h = h @ Wh
     pre_h += bh
-    r = sigmoid_stable(pre_x[..., :H] + pre_h[..., :H])
-    z = sigmoid_stable(pre_x[..., H:2 * H] + pre_h[..., H:2 * H])
-    ghn = pre_h[..., 2 * H:].copy()
-    n = np.tanh(pre_x[..., 2 * H:] + r * ghn)
-    h_new = z * h + (1.0 - z) * n
+    pre_x[..., :2 * H] += pre_h[..., :2 * H]
+    rz = sigmoid_stable(pre_x[..., :2 * H])   # r and z are views of rz
+    r, z = rz[..., :H], rz[..., H:]
+    ghn = pre_h[..., 2 * H:].copy()   # a view would keep pre_h alive
+    n = r * ghn
+    n += pre_x[..., 2 * H:]
+    np.tanh(n, out=n)
+    h_new = 1.0 - z
+    h_new *= n
+    h_new += z * h
     return h_new, r, z, n, ghn
 
 
@@ -113,8 +122,9 @@ def qnet_unroll_fwd(X, h0, Wx, Wh, bx, bh, Wq, bq):
     """Whole-episode recurrent Q-network forward.
 
     X is (..., T, B, input) and h0 (..., B, H); the net is GRU -> linear
-    head.  The input product stays in the time loop: hoisted out as one
-    (T B, input) product it would round differently.
+    head.  The input product stays in the time loop: as one 2-D (T B,
+    input) GEMM it would round differently, and as a stacked ``@``, one
+    product per step and bit for bit, its fresh store cost more at lj.
     Returns Q plus every intermediate needed by qnet_unroll_bwd.
     """
     T = X.shape[-3]

@@ -297,13 +297,20 @@ def test_stacked_acting_kernels_match_single_rows(E, n_in):
         assert h_new[e].tobytes() == h_e.tobytes()
 
 
+def _sigmoid_where(x):
+    # reference: the two-sided np.where form sigmoid_stable replaced
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _gru_fwd_dot(x, h, Wx, Wh, bx, bh):
-    # reference: the 2-D np.dot form, which a 2-D batch must match
+    # reference: the 2-D np.dot form, which a 2-D batch must match; its
+    # sigmoid is its own, so a changed kernel cannot change the reference
     H = h.shape[1]
     pre_x = np.dot(x, Wx) + bx
     pre_h = np.dot(h, Wh) + bh
-    r = K.sigmoid_stable(pre_x[:, :H] + pre_h[:, :H])
-    z = K.sigmoid_stable(pre_x[:, H:2 * H] + pre_h[:, H:2 * H])
+    r = _sigmoid_where(pre_x[:, :H] + pre_h[:, :H])
+    z = _sigmoid_where(pre_x[:, H:2 * H] + pre_h[:, H:2 * H])
     ghn = pre_h[:, 2 * H:].copy()
     n = np.tanh(pre_x[:, 2 * H:] + r * ghn)
     return z * h + (1.0 - z) * n, r, z, n, ghn
@@ -344,6 +351,79 @@ def test_batched_gru_fwd_matches_dot_form(B, n_in, H):
     assert got[0] is None
     for a, b in zip(got[1:], want[1:]):
         assert a.tobytes() == b.tobytes()
+
+
+# ------------------------------------------------------- pointwise kernels
+
+def _float_cases(rng):
+    """Seven scales, random bit patterns and the edges of exp's range."""
+    scaled = [rng.normal(size=20_000) * s
+              for s in (1e-300, 1e-8, 1e-2, 1.0, 30.0, 700.0, 1e300)]
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                        size=200_000, dtype=np.int64).view(np.float64)
+    edges = np.array([0.0, np.inf, 5e-324, 709.78, 745.2, 746.0,
+                      np.finfo(np.float64).max])
+    out = np.concatenate(scaled + [bits, edges, -edges])
+    # NaN is left out: its payload and sign may differ between the forms
+    return out[~np.isnan(out)]
+
+
+def test_sigmoid_matches_where_form():
+    x = _float_cases(np.random.default_rng(11))
+    assert np.signbit(x).any() and (x == 0.0).sum() >= 2
+    got, want = K.sigmoid_stable(x), _sigmoid_where(x)
+    assert (got.view(np.int64) == want.view(np.int64)).all()
+
+
+def test_relu_grad_matches_where_form():
+    # NaN compares false in both forms, so it is kept here
+    y = np.concatenate([_float_cases(np.random.default_rng(12)), [np.nan]])
+    got = K.act_grad_from_out(y, K.ACT_RELU)
+    want = np.where(y > 0.0, 1.0, 0.0)
+    assert got.dtype == np.float64
+    assert (got.view(np.int64) == want.view(np.int64)).all()
+
+
+@pytest.mark.parametrize("lead, B, n_in", [((1, 4), 1, 58), ((4,), 8, 58),
+                                           ((), 95, 117)],
+                         ids=["lj-act", "team-update", "decoder"])
+def test_kernels_do_not_write_inputs(lead, B, n_in):
+    # the in-place kernels write only into arrays they allocated
+    H, A, T_len = 64, 5, 3
+    rng = np.random.default_rng(B + n_in)
+    agents = lead[-1:]
+    bias = agents + (1, 3 * H) if agents else (3 * H,)
+    Wx, Wh = (rng.uniform(-0.3, 0.3, agents + (m, 3 * H)) for m in (n_in, H))
+    bx, bh = rng.uniform(-0.1, 0.1, bias), rng.uniform(-0.1, 0.1, bias)
+    Wq = rng.uniform(-0.3, 0.3, agents + (H, A))
+    bq = rng.uniform(-0.1, 0.1, bias[:-1] + (A,))
+    x = rng.normal(size=lead + (B, n_in)) * 3.0
+    h = rng.uniform(-1.0, 1.0, lead + (B, H))
+    X = rng.normal(size=agents + (T_len, B, n_in)) * 3.0
+    h0 = rng.uniform(-1.0, 1.0, agents + (B, H))
+    dQ = rng.normal(size=agents + (T_len, B, A))
+    x2, W2 = x.reshape(-1, n_in), rng.uniform(-0.3, 0.3, (n_in, A))
+    b2, g2 = rng.uniform(-0.1, 0.1, A), rng.normal(size=(x2.shape[0], A))
+
+    def call(fn, *args):
+        before = [np.asarray(a).tobytes() for a in args]
+        out = fn(*args)
+        for k, (a, b) in enumerate(zip(args, before)):
+            assert np.asarray(a).tobytes() == b, (fn.__name__, k)
+        return out
+
+    call(K.sigmoid_stable, x)
+    for act in (K.ACT_IDENTITY, K.ACT_TANH, K.ACT_RELU):
+        y = call(K.affine_act_fwd, x2, W2, b2, act)
+        assert not any(np.shares_memory(y, a) for a in (x2, W2, b2))
+        call(K.affine_act_bwd, x2, W2, y, act, g2)
+    fwd = call(K.gru_fwd, x, h, Wx, Wh, bx, bh)
+    for o in fwd:
+        assert not any(np.shares_memory(o, a) for a in (x, h, Wx, Wh, bx, bh))
+    call(K.gru_bwd, x, h, Wx, Wh, *fwd[1:], rng.normal(size=h.shape))
+    call(K.qnet_step, x, h, Wx, Wh, bx, bh, Wq, bq)
+    out = call(K.qnet_unroll_fwd, X, h0, Wx, Wh, bx, bh, Wq, bq)
+    call(K.qnet_unroll_bwd, X, h0, *out[1:], Wx, Wh, Wq, dQ)
 
 
 # ------------------------------------------------------------ distributions
