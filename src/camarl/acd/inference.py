@@ -56,8 +56,8 @@ def evaluate_accuracy(model: AcdModel, samples) -> dict:
 def make_bits_fn(model: AcdModel, env_id: str):
     """Per-episode causality bits for the training loop.
 
-    Returns a callable mapping a completed episode to (N,) bits; it
-    carries n_nodes so the trainer can cross-check the environment.
+    Returns a callable mapping a completed episode to (N,) bits.  An
+    encoder trained for another node count raises ConfigurationError.
     """
     spec = env_spec(env_id)
     if model.n_nodes != spec.n_agents + 1:
@@ -70,5 +70,4 @@ def make_bits_fn(model: AcdModel, env_id: str):
             episode, np.zeros(spec.n_agents, dtype=np.uint8)))
         return predict_c(model, sample)
 
-    bits_fn.n_nodes = model.n_nodes
     return bits_fn

@@ -14,13 +14,11 @@ Both masks are one range-k mask.  pp and lj use the literal 5x5 window
 with the target value fading with distance.  Dead agents observe all
 zeros.  Every entry lies in [0, 1].
 
-The state lives in numpy arrays (``agent_pos``, ``prey_alive``,
-``tree_level``, ``enemy_hp``, ...), which tests and the scripted policy
-read and may set.  A step reads each array once with ``.tolist()``, runs
-its rules on Python scalars, which for a handful of entities is several
-times faster than numpy operations on tiny arrays, and writes back only
-the arrays that changed; the observation builder takes the lists the
-step already holds.  ``tests/env_reference.py`` keeps the array
+The state lives in Python lists of ints and bools (``agent_pos`` holds
+[r, c] lists, ``prey_alive``, ``tree_level``, ``enemy_hp``, ...), which
+tests may read and set.  A step runs its rules on those lists in place,
+which for a handful of entities is several times faster than numpy
+operations on tiny arrays.  ``tests/env_reference.py`` keeps the array
 versions, which these match byte for byte, generator draws included.
 
 A step returns a StepResult: the next observation, the team reward, the
@@ -119,13 +117,13 @@ def make_env(env_id: str, seed: int):
     return cls(spec, seed)
 
 
-def place_entities(rng: np.random.Generator, grid: int, count: int) -> np.ndarray:
-    """Uniform placement on distinct cells; (count, 2) int64."""
+def place_entities(rng: np.random.Generator, grid: int, count: int) -> list:
+    """Uniform placement on distinct cells; count [r, c] lists."""
     cells = grid * grid
     if count > cells:
         raise ConfigurationError(f"{count} entities do not fit a {grid}x{grid} grid")
     flat = rng.choice(cells, size=count, replace=False)
-    return np.array([divmod(f, grid) for f in flat.tolist()], dtype=np.int64)
+    return [list(divmod(f, grid)) for f in flat.tolist()]
 
 
 def validate_actions(actions, n_agents, n_actions) -> list:
@@ -159,11 +157,10 @@ def valid_moves(r, c, grid):
     return ks
 
 
-def apply_moves(agents, actions, alive, grid) -> bool:
+def apply_moves(agents, actions, alive, grid):
     """Move each living agent (all when alive is None) in place on the
     [r, c] lists; off-grid moves, stay and attack keep the agent where it
-    is.  Returns whether any agent moved."""
-    moved = False
+    is."""
     for i, (p, a) in enumerate(zip(agents, actions)):
         if a < A_STAY and (alive is None or alive[i]):
             r = p[0] + MOVES[a][0]
@@ -171,8 +168,6 @@ def apply_moves(agents, actions, alive, grid) -> bool:
             if 0 <= r < grid and 0 <= c < grid:
                 p[0] = r
                 p[1] = c
-                moved = True
-    return moved
 
 
 @functools.cache
@@ -238,11 +233,14 @@ def observe(spec, agents, targets, alive=None, status=None) -> np.ndarray:
 class GridEnv:
     """Seeding, placement, moves, clock and done shared by every family.
 
-    A family places its targets in ``_place`` (after the agents, from the
-    same draw) and gives ``_view``, the (targets, alive, status) of the
-    current state that ``observe`` takes.  Its ``step`` is
-    ``_begin_step``, its own rules on the lists, then ``_end_step`` with
-    the same three lists; ``step`` stays on each family class, where
+    The state is plain lists that the rules mutate in place: agent and
+    target positions as [r, c] lists, flags as bools, levels and hit
+    points as ints.  Tests may read them and set them to lists of the
+    same form.  A family places its targets in ``_place`` (after the
+    agents, from the same draw) and gives ``_view``, the (targets,
+    alive, status) of the current state that ``observe`` takes.  Its
+    ``step`` is ``_begin_step``, its own rules on the lists, then
+    ``_end_step``; ``step`` stays on each family class, where
     ``perfbench/spans.py`` patches it.  Agents that are not alive
     neither move nor observe.
     """
@@ -252,6 +250,8 @@ class GridEnv:
         self.reset(seed)
 
     def reset(self, seed):
+        """Place a fresh episode from seed; ``_obs()`` is its first
+        observation."""
         self.rng = np.random.default_rng(seed)
         spec = self.spec
         n_targets = spec.n_preys + spec.n_trees + spec.n_enemies
@@ -260,31 +260,29 @@ class GridEnv:
         self._place(pos[spec.n_agents:])
         self.t = 0
         self.done = False
-        return self._obs()
 
     def _obs(self):
         """Observations of the state as it stands, (N, OBS_DIM)."""
-        return observe(self.spec, self.agent_pos.tolist(), *self._view())
+        return observe(self.spec, self.agent_pos, *self._view())
 
     def _begin_step(self, actions, alive=None):
         """Check the actions and move the living agents (all when alive is
-        None); returns the actions and the agents' [r, c] as lists."""
+        None); returns the actions as a list."""
         if self.done:
             raise UsageError("episode is done; call reset")
         spec = self.spec
         acts = validate_actions(actions, spec.n_agents, spec.n_actions)
-        agents = self.agent_pos.tolist()
-        if apply_moves(agents, acts, alive, spec.grid):
-            self.agent_pos = np.array(agents, dtype=np.int64)
-        return acts, agents
+        apply_moves(self.agent_pos, acts, alive, spec.grid)
+        return acts
 
-    def _end_step(self, reward, kind, win, events, agents, targets,
-                  alive=None, status=None) -> StepResult:
+    def _end_step(self, reward, kind, win, events) -> StepResult:
         """Advance the clock; done on a win, with no agent alive, or at the
         nominal episode length."""
+        targets, alive, status = self._view()
         self.t += 1
         self.done = bool(win or (alive is not None and not any(alive))
                          or self.t >= self.spec.episode_len)
-        return StepResult(observe(self.spec, agents, targets, alive, status),
+        return StepResult(observe(self.spec, self.agent_pos, targets, alive,
+                                  status),
                           reward, self.done, kind, win,
                           np.array(events, dtype=np.int64))

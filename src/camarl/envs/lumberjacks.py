@@ -5,16 +5,7 @@ least l agents stand on its cell in the same timestep.  Each cutdown is
 worth +5 to the team and every step costs 0.1.
 """
 
-import numpy as np
-
 from camarl.envs import core
-
-
-def _targets(trees, levels, alive, n_agents):
-    """Standing trees, valued at their level over N."""
-    return [(p, level / n_agents)
-            for p, level, live in zip(trees, levels, alive)
-            if live and level > 0]
 
 
 class Lumberjacks(core.GridEnv):
@@ -22,35 +13,33 @@ class Lumberjacks(core.GridEnv):
         spec = self.spec
         self.tree_pos = pos
         self.tree_level = self.rng.integers(1, spec.n_agents + 1,
-                                            size=spec.n_trees)
-        self.tree_alive = np.ones(spec.n_trees, dtype=np.bool_)
+                                            size=spec.n_trees).tolist()
+        self.tree_alive = [True] * spec.n_trees
 
     def _view(self):
-        return (_targets(self.tree_pos.tolist(), self.tree_level.tolist(),
-                         self.tree_alive.tolist(), self.spec.n_agents),
-                None, None)
+        """Standing trees, valued at their level over N."""
+        n = self.spec.n_agents
+        return ([(p, level / n) for p, level, live
+                 in zip(self.tree_pos, self.tree_level, self.tree_alive)
+                 if live and level > 0], None, None)
 
     def step(self, actions) -> core.StepResult:
-        _, agents = self._begin_step(actions)
-        spec = self.spec
-        trees = self.tree_pos.tolist()
-        levels = self.tree_level.tolist()
-        alive = self.tree_alive.tolist()
+        self._begin_step(actions)
+        agents, alive = self.agent_pos, self.tree_alive
 
-        events = [0] * spec.n_agents
+        events = [0] * self.spec.n_agents
         felled = 0
-        for m, (p, level, live) in enumerate(zip(trees, levels, alive)):
+        for m, (p, level, live) in enumerate(zip(self.tree_pos,
+                                                 self.tree_level, alive)):
             if not live:
                 continue
             on = [i for i, a in enumerate(agents) if a == p]
             if len(on) >= level:
                 alive[m] = False
-                self.tree_alive[m] = False
                 felled += 1
                 for i in on:
                     events[i] += 1
 
         reward = 5.0 * felled - 0.1
         kind = core.KIND_INTERMEDIATE if felled else core.KIND_NONE
-        return self._end_step(reward, kind, not any(alive), events, agents,
-                              _targets(trees, levels, alive, spec.n_agents))
+        return self._end_step(reward, kind, not any(alive), events)

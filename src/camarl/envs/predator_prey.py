@@ -7,55 +7,44 @@ does nothing.  Surviving preys take uniform-random valid moves, in
 index order.
 """
 
-import numpy as np
-
 from camarl.envs import core
-
-
-def _targets(prey, alive):
-    return [(p, 1.0) for p, live in zip(prey, alive) if live]
 
 
 class PredatorPrey(core.GridEnv):
     def _place(self, pos):
         self.prey_pos = pos
-        self.prey_alive = np.ones(self.spec.n_preys, dtype=np.bool_)
+        self.prey_alive = [True] * self.spec.n_preys
 
     def _view(self):
-        return (_targets(self.prey_pos.tolist(), self.prey_alive.tolist()),
-                None, None)
+        return ([(p, 1.0) for p, live in zip(self.prey_pos, self.prey_alive)
+                 if live], None, None)
 
     def step(self, actions) -> core.StepResult:
-        _, agents = self._begin_step(actions)
+        self._begin_step(actions)
         spec = self.spec
-        prey = self.prey_pos.tolist()
-        alive = self.prey_alive.tolist()
+        agents, alive = self.agent_pos, self.prey_alive
 
         events = [0] * spec.n_agents
         caught = 0
-        for m, ((r, c), live) in enumerate(zip(prey, alive)):
+        for m, ((r, c), live) in enumerate(zip(self.prey_pos, alive)):
             if not live:
                 continue
             near = [i for i, (ar, ac) in enumerate(agents)
                     if abs(ar - r) + abs(ac - c) <= 1]
             if len(near) >= 2:
                 alive[m] = False
-                self.prey_alive[m] = False
                 caught += 1
                 for i in near:
                     events[i] += 1
 
         # survivors move uniformly at random over their valid moves
-        for p, live in zip(prey, alive):
+        for p, live in zip(self.prey_pos, alive):
             if live:
                 ks = core.valid_moves(p[0], p[1], spec.grid)
                 dr, dc = core.MOVES[ks[self.rng.integers(len(ks))]]
                 p[0] += dr
                 p[1] += dc
-        if any(alive):
-            self.prey_pos[:] = prey
 
         reward = 5.0 * caught - 0.01
         kind = core.KIND_INTERMEDIATE if caught else core.KIND_NONE
-        return self._end_step(reward, kind, not any(alive), events, agents,
-                              _targets(prey, alive))
+        return self._end_step(reward, kind, not any(alive), events)

@@ -26,15 +26,23 @@ def _toward(src, dst):
 
 
 def _nearest(pos, targets, metric):
-    """The first of the targets at the smallest distance, and that
-    distance; metric combines the row and column gaps (operator.add for
-    Manhattan, max for Chebyshev)."""
+    """The first of the (position, value) targets at the smallest
+    distance, and that distance; metric combines the row and column gaps
+    (operator.add for Manhattan, max for Chebyshev)."""
     best, best_d = None, None
-    for p in targets:
+    for p, _ in targets:
         d = metric(abs(p[0] - pos[0]), abs(p[1] - pos[1]))
         if best_d is None or d < best_d:
             best, best_d = p, d
     return best, best_d
+
+
+# per family: distance metric, reach within which to trigger, trigger.
+# Hold the capture ring once a prey is within one cell, stand on trees,
+# shoot once an enemy is in sight range (reach None: the spec's sight_k).
+_RULES = {"pp": (operator.add, 1, core.A_STAY),
+          "lj": (operator.add, 0, core.A_STAY),
+          "sk": (max, None, core.A_ATTACK)}
 
 
 class ScriptedPolicy:
@@ -49,31 +57,21 @@ class ScriptedPolicy:
         self.lazy = self.rng.uniform(size=env.spec.n_agents) < self.lazy_prob
 
     def act(self, env):
+        """The joint action for the env's current ``_view()``: the targets
+        it observes and which agents live (the dead stay)."""
         spec = env.spec
         if self.lazy is None:
             self.lazy = np.zeros(spec.n_agents, dtype=bool)
-        agents = env.agent_pos.tolist()
-        hp = None
-        if spec.family == "pp":
-            # hold the capture ring once a prey is within one cell
-            metric, reach, trigger = operator.add, 1, core.A_STAY
-            targets = [p for p, live in zip(env.prey_pos.tolist(),
-                                            env.prey_alive.tolist()) if live]
-        elif spec.family == "lj":
-            metric, reach, trigger = operator.add, 0, core.A_STAY
-            targets = [p for p, live in zip(env.tree_pos.tolist(),
-                                            env.tree_alive.tolist()) if live]
-        else:
-            # shoot once an enemy is in sight range; the dead stay
-            metric, reach, trigger = max, spec.sight_k, core.A_ATTACK
-            hp = env.agent_hp.tolist()
-            targets = [p for p, h in zip(env.enemy_pos.tolist(),
-                                         env.enemy_hp.tolist()) if h > 0]
+        metric, reach, trigger = _RULES[spec.family]
+        if reach is None:
+            reach = spec.sight_k
+        targets, alive, _ = env._view()
         actions = []
-        for i, (pos, lazy) in enumerate(zip(agents, self.lazy.tolist())):
+        for i, (pos, lazy) in enumerate(zip(env.agent_pos,
+                                            self.lazy.tolist())):
             if lazy:
                 actions.append(self.rng.integers(0, spec.n_actions))
-            elif not targets or (hp is not None and hp[i] <= 0):
+            elif not targets or (alive is not None and not alive[i]):
                 actions.append(core.A_STAY)
             else:
                 target, d = _nearest(pos, targets, metric)

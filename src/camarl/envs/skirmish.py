@@ -9,8 +9,6 @@ Agents act in index order, then enemies; damage is capped at the
 remaining HP so overkill never counts.
 """
 
-import numpy as np
-
 from camarl.envs import core
 
 
@@ -27,32 +25,27 @@ def _nearest_in(pos, hp, from_pos):
     return best, best_d
 
 
-def _targets(enemies, enemy_hp):
-    return [(p, 1.0) for p, h in zip(enemies, enemy_hp) if h > 0]
-
-
 class Skirmish(core.GridEnv):
     def _place(self, pos):
         spec = self.spec
         self.enemy_pos = pos
-        self.agent_hp = np.full(spec.n_agents, spec.unit_hp, dtype=np.int64)
-        self.enemy_hp = np.full(spec.n_enemies, spec.unit_hp, dtype=np.int64)
+        self.agent_hp = [spec.unit_hp] * spec.n_agents
+        self.enemy_hp = [spec.unit_hp] * spec.n_enemies
         self.total_enemy_hp = spec.unit_hp * spec.n_enemies
 
-    def _vitals(self, hp):
-        """Whether each agent lives, and its health fraction."""
-        return [h > 0 for h in hp], [h / self.spec.unit_hp for h in hp]
-
     def _view(self):
-        return (_targets(self.enemy_pos.tolist(), self.enemy_hp.tolist()),
-                *self._vitals(self.agent_hp.tolist()))
+        """Living enemies; whether each agent lives, and its health
+        fraction."""
+        hp = self.agent_hp
+        return ([(p, 1.0) for p, h in zip(self.enemy_pos, self.enemy_hp)
+                 if h > 0],
+                [h > 0 for h in hp], [h / self.spec.unit_hp for h in hp])
 
     def step(self, actions) -> core.StepResult:
         spec = self.spec
-        hp = self.agent_hp.tolist()
-        acts, agents = self._begin_step(actions, [h > 0 for h in hp])
-        enemies = self.enemy_pos.tolist()
-        enemy_hp = self.enemy_hp.tolist()
+        agents, hp = self.agent_pos, self.agent_hp
+        enemies, enemy_hp = self.enemy_pos, self.enemy_hp
+        acts = self._begin_step(actions, [h > 0 for h in hp])
 
         events = [0] * spec.n_agents
         for i, (a, h) in enumerate(zip(acts, hp)):
@@ -63,8 +56,6 @@ class Skirmish(core.GridEnv):
                 enemy_hp[m] -= 1
                 events[i] = 1
         damage = sum(events)
-        if damage:
-            self.enemy_hp[:] = enemy_hp
 
         reward = damage / self.total_enemy_hp
         win = all(h <= 0 for h in enemy_hp)
@@ -73,7 +64,6 @@ class Skirmish(core.GridEnv):
             kind = core.KIND_WIN
         else:
             kind = core.KIND_INTERMEDIATE if damage > 0 else core.KIND_NONE
-            hit = moved = False
             for p, h in zip(enemies, enemy_hp):
                 if h <= 0:
                     continue
@@ -82,7 +72,6 @@ class Skirmish(core.GridEnv):
                     break
                 if d <= spec.sight_k:
                     hp[j] -= 1
-                    hit = True
                 else:
                     dr = agents[j][0] - p[0]
                     dc = agents[j][1] - p[1]
@@ -90,11 +79,5 @@ class Skirmish(core.GridEnv):
                         p[0] += 1 if dr > 0 else -1
                     else:
                         p[1] += 1 if dc > 0 else -1
-                    moved = True
-            if hit:
-                self.agent_hp[:] = hp
-            if moved:
-                self.enemy_pos[:] = enemies
 
-        return self._end_step(reward, kind, win, events, agents,
-                              _targets(enemies, enemy_hp), *self._vitals(hp))
+        return self._end_step(reward, kind, win, events)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from camarl.acd import (
     evaluate_accuracy, load_acd, load_dataset, make_bits_fn, save_dataset,
-    sigma_for, train_acd)
+    train_acd)
 from camarl.acd.dataset import collect_dataset
 from camarl.envs import ENV_IDS
 from camarl.errors import (

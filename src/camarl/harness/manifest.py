@@ -8,7 +8,7 @@ from the manifest alone.  The created-at stamp documents provenance and
 is the one field excluded from byte-identity guarantees.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 

@@ -130,14 +130,8 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
     spec = env_spec(config.env_id)
     n, obs_dim, n_actions = spec.n_agents, spec.obs_dim, spec.n_actions
 
-    if config.trainer == "acd-marl":
-        if bits_fn is None:
-            raise ConfigurationError("acd-marl requires a trained encoder")
-        n_nodes = getattr(bits_fn, "n_nodes", None)
-        if n_nodes is not None and n_nodes != n + 1:
-            raise ConfigurationError(
-                f"encoder was trained for {n_nodes} nodes, environment "
-                f"{config.env_id} needs {n + 1}")
+    if config.trainer == "acd-marl" and bits_fn is None:
+        raise ConfigurationError("acd-marl requires a trained encoder")
 
     root = np.random.SeedSequence(config.seed)
     ss_agents, ss_env, ss_explore, ss_sample, ss_eval = root.spawn(5)

@@ -1,4 +1,5 @@
-"""Every module, function, class and method in ``src/camarl`` has a use.
+"""Every module, function, class and method in ``src/camarl`` has a use,
+and every name a module other than an ``__init__`` imports is read in it.
 
 A module counts as used when another module in the package imports it,
 or imports a module inside it (a package is used through its
@@ -109,3 +110,25 @@ def test_no_module_without_an_importer_in_src():
     assert not report, "never imported in src/:\n" + "\n".join(report)
     stale = sorted(set(ALLOWED_MODULES) - unused)
     assert not stale, f"stale ALLOWED_MODULES entries: {stale}"
+
+
+def _imported_bindings(tree):
+    """(name, line) of every name an import statement in tree binds."""
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.Import, ast.ImportFrom)):
+            for alias in n.names:
+                yield alias.asname or alias.name.split(".")[0], alias.lineno
+
+
+def test_no_unused_import_in_src():
+    # an __init__ module imports names to re-export them, so it is exempt
+    unused = []
+    for path, tree in _trees().items():
+        if path.name == "__init__.py":
+            continue
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{path.relative_to(PACKAGE)}:{line}: {name}"
+                   for name, line in _imported_bindings(tree)
+                   if name not in read]
+    assert not unused, "imported but never read:\n" + "\n".join(unused)

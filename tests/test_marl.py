@@ -718,12 +718,12 @@ def test_train_acd_requires_encoder():
 
 
 def test_train_acd_node_count_mismatch():
+    # bits for one agent too few: neither (N,) nor (L, N)
     cfg = TrainConfig(env_id="lj-sp", trainer="acd-marl", seed=0, **DESK)
 
     def bits(ep):
-        return np.ones(ep.n_agents, dtype=np.uint8)
-    bits.n_nodes = 3  # lj-sp needs 5
-    with pytest.raises(ConfigurationError):
+        return np.ones(ep.n_agents - 1, dtype=np.uint8)
+    with pytest.raises(ConfigurationError, match="bits has shape"):
         train(cfg, bits_fn=bits)
 
 
@@ -735,7 +735,6 @@ def test_train_acd_per_episode_bits_broadcast():
 
     def bits(ep):
         return np.ones(ep.n_agents, dtype=np.uint8)
-    bits.n_nodes = 5
     res = train(cfg, bits_fn=bits)
     assert res.episodes >= 1
 

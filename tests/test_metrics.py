@@ -25,9 +25,9 @@ def test_capture_credits_participants_only():
     # agents 1 and 2 catch prey 0; agent 0 stands two cells away and
     # agent 3 is alone, so neither is credited
     env = make_env("pp", 1)
-    env.prey_alive[:] = True
-    env.agent_pos = np.array([[7, 5], [7, 7], [7, 8], [0, 0]])
-    env.prey_pos = np.array([[7, 7], [0, 13]])
+    env.prey_alive = [True, True]
+    env.agent_pos = [[7, 5], [7, 7], [7, 8], [0, 0]]
+    env.prey_pos = [[7, 7], [0, 13]]
     credits = np.zeros(4, dtype=np.int64)
     for _ in range(10):
         credits += env.step([4, 4, 4, 4]).events
@@ -37,11 +37,12 @@ def test_capture_credits_participants_only():
 def test_shots_counted_per_damaging_attack():
     # agents 0 and 2 hit enemy 0 every step; agent 1 attacks out of range
     env = make_env("sk3", 6)
-    env.agent_hp[:] = env.enemy_hp[:] = 10 ** 6
+    env.agent_hp = [10 ** 6] * 3
+    env.enemy_hp = [10 ** 6] * 3
     credits = np.zeros(3, dtype=np.int64)
     for _ in range(6):
-        env.agent_pos[:] = [[5, 4], [0, 9], [5, 6]]
-        env.enemy_pos[:] = [[5, 5], [9, 0], [9, 1]]
+        env.agent_pos = [[5, 4], [0, 9], [5, 6]]
+        env.enemy_pos = [[5, 5], [9, 0], [9, 1]]
         credits += env.step([5, 5, 5]).events
     np.testing.assert_array_equal(credits, [6, 0, 6])
 
@@ -59,12 +60,13 @@ def test_event_conservation_random_episodes():
         obs = env._obs()
         credits = np.zeros(spec.n_agents, dtype=np.int64)
         while True:
-            standing = env.tree_alive.copy()
+            standing = np.array(env.tree_alive)
             res = env.step(act(obs[None])[0])
-            felled = standing & ~env.tree_alive
+            felled = standing & ~np.array(env.tree_alive)
             # participants: agents on the cell of a tree felled this step
-            total_participants += int((env.agent_pos[None, :, :]
-                                       == env.tree_pos[felled][:, None, :])
+            agents, trees = np.array(env.agent_pos), np.array(env.tree_pos)
+            total_participants += int((agents[None, :, :]
+                                       == trees[felled][:, None, :])
                                       .all(axis=2).sum())
             credits += res.events
             obs = res.obs
