@@ -5,7 +5,7 @@ series as nodes [o_1, ..., o_N, r], reward padded to the common feature
 width, the whole series zero-padded to the environment's nominal length.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,13 @@ def episode_to_sample(episode: EpisodeRecord, bits) -> SeriesSample:
                         seed=episode.seed, length=L)
 
 
-def preprocess(sample: SeriesSample) -> SeriesSample:
-    """Smoothed observations, normalized reward; see preprocess_series."""
-    return replace(sample, x=preprocess_series(sample.x))
+def preprocess(samples) -> np.ndarray:
+    """Same-shape samples as one (M, n, T, D) stack, via preprocess_series."""
+    shapes = {s.x.shape for s in samples}
+    if len(shapes) != 1:
+        raise ConfigurationError(
+            f"dataset mixes sample shapes: {sorted(shapes)}")
+    return preprocess_series(np.stack([s.x for s in samples]))
 
 
 def collect_dataset(env_id: str, n_episodes: int, seed: int = 0, *,

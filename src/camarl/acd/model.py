@@ -14,7 +14,9 @@ Forward and backward are explicit array passes, like the Q-network's
 ``qnet_unroll_fwd``/``_bwd``.  ``encode`` and ``decode`` return their
 output plus a cache of the activations that ``encode_bwd`` and
 ``decode_bwd`` read; ``sample_edges`` returns the edge weights plus the
-soft sample that ``gumbel_softmax_bwd`` reads.  The backward passes add
+soft sample that ``gumbel_softmax_bwd`` reads.  ``encode`` takes leading
+stack axes: ``@`` rounds each batch of a stack as its own call, byte for
+byte, where one 2-D batch of them would not.  The backward passes add
 into the gradient views of the model's ``ParamSet``.  They round exactly
 as the reverse-mode tape they replace, which the tests keep as the
 reference, because they keep its order of accumulation wherever more
@@ -96,13 +98,13 @@ def _weight_grads(layer, x, y, gy):
 
 
 def _gather_bwd(g, slots):
-    """Gradient of h.take(idx, axis=1) for g of shape (B, P, F).
+    """Gradient of h.take(idx, axis=-2) for g of shape (..., P, F).
 
     slots[v] lists, ascending, the pairs p with idx[p] == v.
     """
-    gh = np.zeros((g.shape[0], slots.shape[0], g.shape[2]))
+    gh = np.zeros(g.shape[:-2] + (slots.shape[0], g.shape[-1]))
     for k in range(slots.shape[1]):
-        gh += g[:, slots[:, k]]
+        gh += g[..., slots[:, k], :]
     return gh
 
 
@@ -152,23 +154,23 @@ class AcdModel:
         self.gru = tuple(p["dec.gru." + k] for k in GRU_KEYS)
 
     def _check_input(self, x):
-        if x.ndim != 4 or x.shape[1] != self.n_nodes:
+        if x.ndim < 4 or x.shape[-3] != self.n_nodes:
             raise ConfigurationError(
                 f"expected input (batch, {self.n_nodes}, T, D), got {x.shape}")
-        if x.shape[2] != self.series_len or x.shape[3] != self.feat_dim:
+        if x.shape[-2:] != (self.series_len, self.feat_dim):
             raise ConfigurationError(
                 f"model was built for series ({self.series_len}, "
-                f"{self.feat_dim}), got {x.shape[2:]}")
+                f"{self.feat_dim}), got {x.shape[-2:]}")
 
     # -- encoder -------------------------------------------------------------
 
     def _pairs(self, h):
-        """(B * n_pairs, 2F) rows [h[src] | h[dst]] from (B * n, F) rows."""
-        B = h.shape[0] // self.n_nodes
-        h = h.reshape(B, self.n_nodes, -1)
-        pair = np.concatenate([np.take(h, self.src, axis=1),
-                               np.take(h, self.dst, axis=1)], axis=2)
-        return pair.reshape(B * self.n_pairs, -1)
+        """(..., B * n_pairs, 2F) rows [h[src] | h[dst]] from (..., B * n, F)."""
+        lead, B = h.shape[:-2], h.shape[-2] // self.n_nodes
+        h = h.reshape(lead + (B, self.n_nodes, -1))
+        pair = np.concatenate([np.take(h, self.src, axis=-2),
+                               np.take(h, self.dst, axis=-2)], axis=-1)
+        return pair.reshape(lead + (B * self.n_pairs, -1))
 
     def _pairs_bwd(self, g):
         B = g.shape[0] // self.n_pairs
@@ -186,20 +188,21 @@ class AcdModel:
         return np.take(g, self.dst, axis=1) * (1.0 / (self.n_nodes - 1))
 
     def encode(self, x: np.ndarray):
-        """Edge logits (batch, n_pairs, 2) for smoothed, normalized series.
-
-        Returns the logits and the activations encode_bwd reads.
+        """Edge logits (..., batch, n_pairs, 2) for smoothed, normalized
+        (..., batch, n, T, D) series; each batch of a stack rounds as its
+        own call.  Returns the logits and the activations encode_bwd reads.
         """
         self._check_input(x)
-        B, n, P, e = x.shape[0], self.n_nodes, self.n_pairs, self.enc_hidden
-        flat = np.ascontiguousarray(x.reshape(B * n, -1))
+        lead, B = x.shape[:-4], x.shape[-4]
+        n, P, e = self.n_nodes, self.n_pairs, self.enc_hidden
+        flat = np.ascontiguousarray(x.reshape(lead + (B * n, -1)))
         a1 = _dense(self.emb1, flat)
         h = _dense(self.emb2, a1)
         pair = self._pairs(h)
         m1 = _dense(self.fe1a, pair)
         msg = _dense(self.fe1b, m1)
-        pooled = np.ascontiguousarray(
-            self._pool(msg.reshape(B, P, e)).reshape(B * n, e))
+        pooled = self._pool(msg.reshape(lead + (B, P, e))).reshape(
+            lead + (B * n, e))
         v1 = _dense(self.fva, pooled)
         h2 = _dense(self.fvb, v1)
         pair2 = self._pairs(h2)
@@ -208,7 +211,7 @@ class AcdModel:
         out = _dense(self.head, o2)
         cache = (flat, a1, h, pair, m1, msg, pooled, v1, h2, pair2, o1, o2,
                  out)
-        return out.reshape(B, P, EDGE_TYPES), cache
+        return out.reshape(lead + (B, P, EDGE_TYPES)), cache
 
     def encode_bwd(self, cache, g_logits):
         """Add the encoder's gradients given d(loss)/d(logits)."""

@@ -4,10 +4,10 @@ The smoother fits a polynomial of order 10 to a sliding window by least
 squares and keeps the window's center value.  Near the boundaries the
 window is truncated to the available samples and the fit order drops to
 window length minus one when the full order would be underdetermined.
-``preprocess_series`` smooths all observation nodes with one product per
-position: t of the (n_obs, T, D) stack is ``w @ x[:, lo:hi, :]``.  That
-rounds like a loop over the nodes, because ``@`` computes each item of a
-stack as its own (1, W) @ (W, D) product.
+``preprocess_series`` smooths all observation nodes of a sample or a
+stack with one product per position, t of x is ``w @ x[..., lo:hi, :]``.
+That rounds like a loop over the samples and nodes, because ``@``
+computes each item of a stack as its own (1, W) @ (W, D) product.
 """
 
 import functools
@@ -83,21 +83,20 @@ def savgol_smooth(series: np.ndarray) -> np.ndarray:
 
 
 def minmax_normalize(series: np.ndarray) -> np.ndarray:
-    """Map to [0, 1]; a constant series maps to all zeros."""
+    """Map each row of the last axis to [0, 1]; a constant row to zeros."""
     x = np.asarray(series, dtype=np.float64)
-    lo, hi = x.min(), x.max()
-    if hi == lo:
-        return np.zeros_like(x)
-    return (x - lo) / (hi - lo)
+    lo = x.min(axis=-1, keepdims=True)
+    hi = x.max(axis=-1, keepdims=True)
+    return np.divide(x - lo, hi - lo, out=np.zeros_like(x), where=hi != lo)
 
 
 def preprocess_series(x: np.ndarray) -> np.ndarray:
     """Smooth observation nodes, normalize the reward node.
 
-    x is (n_nodes, T, D) with the reward series in the last node's
-    channel 0 (remaining channels zero padding).  Returns a new array.
+    x is an (..., n_nodes, T, D) sample or stack, the reward series in
+    the last node's channel 0 (the others zero).  Returns a new array.
     """
     out = x.astype(np.float64)
-    out[:-1] = savgol_smooth(out[:-1])
-    out[-1, :, 0] = minmax_normalize(x[-1, :, 0])
+    out[..., :-1, :, :] = savgol_smooth(out[..., :-1, :, :])
+    out[..., -1, :, 0] = minmax_normalize(x[..., -1, :, 0])
     return out

@@ -41,14 +41,6 @@ class AcdResult:
     sigma: float = 0.0
 
 
-def _stack(samples):
-    shapes = {s.x.shape for s in samples}
-    if len(shapes) != 1:
-        raise ConfigurationError(
-            f"dataset mixes sample shapes: {sorted(shapes)}")
-    return np.stack([s.x for s in samples])
-
-
 def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
               seed: int = 0, sigma=None, lr: float = 5e-4,
               enc_hidden: int = 128, dec_hidden: int = 64, out_dir=None,
@@ -68,7 +60,7 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
     env_id = env_ids[0]
     if sigma is None:
         sigma = sigma_for(env_id)
-    data = _stack([preprocess(s) for s in samples])
+    data = preprocess(samples)
     M, n_nodes, T, D = data.shape
 
     root = np.random.SeedSequence(seed)

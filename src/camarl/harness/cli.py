@@ -8,6 +8,7 @@ with a single-line reason on stderr.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -190,9 +191,7 @@ def _exec_acd_train(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
         progress=progress)
     acc = evaluate_accuracy(result.model, held)
     _write_accuracy(out_dir / "accuracy.csv", acc)
-    print(f"held-out accuracy: {acc['correct']:.1f}% correct, "
-          f"{acc['false_positive']:.1f}% FP, "
-          f"{acc['false_negative']:.1f}% FN over {acc['n_pairs']} pairs")
+    _print_accuracy("held-out accuracy", acc)
     return 0
 
 
@@ -207,14 +206,22 @@ def _exec_acd_eval(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
     write_manifest(out_dir, manifest)
     acc = evaluate_accuracy(model, samples)
     _write_accuracy(out_dir / "accuracy.csv", acc)
-    print(f"accuracy: {acc['correct']:.1f}% correct, "
-          f"{acc['false_positive']:.1f}% FP, {acc['false_negative']:.1f}% FN "
-          f"over {acc['n_pairs']} pairs")
+    _print_accuracy("accuracy", acc)
     return 0
 
 
 def _write_accuracy(path, acc):
     write_csv(path, ACCURACY_FIELDS, [[acc[k] for k in ACCURACY_FIELDS]])
+
+
+def _print_accuracy(label, acc):
+    balanced = acc["balanced"]
+    print(f"{label}: {acc['correct']:.1f}% correct, "
+          f"{acc['false_positive']:.1f}% FP, {acc['false_negative']:.1f}% FN "
+          f"over {acc['n_pairs']} pairs")
+    print(f"baselines: {acc['label_share']:.1f}% 1-labels, majority "
+          f"{acc['majority']:.1f}%, balanced "
+          + ("n/a" if math.isnan(balanced) else f"{balanced:.1f}%"))
 
 
 def _exec_report(manifest: ExperimentManifest, out_dir: Path, quiet: bool):

@@ -28,7 +28,10 @@ def sigmoid_stable(x):
     """Sigmoid that never exponentiates a positive argument.  Bit for bit
     the two-sided ``np.where`` form: exp(min(x, 0)) is exactly 1 for
     x >= 0.  Only NaN inputs may differ, in payload or sign."""
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+    num, den = np.minimum(x, 0.0), np.abs(x)
+    np.exp(np.negative(den, out=den), out=den)
+    den += 1.0
+    return np.divide(np.exp(num, out=num), den, out=num)
 
 
 def apply_act(pre, act):
@@ -52,8 +55,9 @@ def act_grad_from_out(y, act):
 
 
 def affine_act_fwd(x, W, b, act):
-    """y = act(x @ W + b) for a 2D batch x."""
-    pre = np.dot(x, W) + b
+    """y = act(x @ W + b) for a 2-D batch x or a (..., B, n) stack of them."""
+    pre = x @ W
+    pre += b
     return apply_act(pre, act)
 
 

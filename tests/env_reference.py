@@ -9,8 +9,12 @@ the action check and the generator draws here are the ones the scalar
 code must reproduce, draw for draw.
 
 The state attributes (``agent_pos``, ``prey_pos``, ``tree_level``,
-``enemy_hp``, ...) have the same names, dtypes and shapes as the
-package's, so a policy of either kind can read an env of either kind.
+``enemy_hp``, ...) have the package's names.  Here they are numpy
+arrays; the package keeps them as the nested Python lists its rules
+mutate, so the tests compare the two through ``np.array`` (dtype, shape
+and bytes).  Each policy reads only its own kind of env: the package's
+reads the env's ``_view()``, which these envs lack, and the one here
+indexes the state arrays with numpy.
 """
 
 import functools

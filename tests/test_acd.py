@@ -1,5 +1,7 @@
 """Causal discovery: preprocessing, model invariants, training, extraction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.signal import savgol_filter
@@ -173,6 +175,44 @@ def test_preprocess_series_layout():
     np.testing.assert_allclose(out[2, :, 0], minmax_normalize(x[2, :, 0]))
     assert out[2, :, 1:].sum() == 0.0
     assert out[2, :, 0].min() >= 0.0 and out[2, :, 0].max() <= 1.0
+
+
+def _minmax_whole(x):
+    # the whole-array form that the per-row minmax_normalize replaced
+    lo, hi = x.min(), x.max()
+    return np.zeros_like(x) if hi == lo else (x - lo) / (hi - lo)
+
+
+def test_minmax_normalize_per_row():
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(4, 3, 30)) * 10.0 ** rng.uniform(-3, 3, (4, 3, 1))
+    rows[1, 2] = 2.5
+    rows[3, 0] = 0.0
+    out = minmax_normalize(rows)
+    for idx in np.ndindex(rows.shape[:-1]):
+        assert out[idx].tobytes() == _minmax_whole(rows[idx]).tobytes()
+    assert out[1, 2].tobytes() == out[3, 0].tobytes() == bytes(8 * 30)
+
+
+@pytest.mark.parametrize("env_id", ["pp", "sk3"])
+def test_preprocess_stack_matches_per_sample(env_id):
+    samples = collect_dataset(env_id, 6, seed=1)
+    const = samples[0].x.copy()
+    const[-1, :, 0] = 2.5   # a constant reward row normalizes to zeros
+    samples.append(replace(samples[0], x=const))
+    got = preprocess(samples)
+    assert got.dtype == np.float64
+    assert got.shape == (len(samples),) + samples[0].x.shape
+    for k, s in enumerate(samples):
+        assert got[k].tobytes() == preprocess_series(s.x).tobytes()
+    assert got[-1, -1].tobytes() == bytes(const[-1].nbytes)
+
+
+def test_preprocess_rejects_mixed_shapes():
+    a = SeriesSample(x=np.zeros((4, 24, 2)), env_id="sk3-sp",
+                     bits=np.zeros(3, dtype=np.uint8))
+    with pytest.raises(ConfigurationError, match="mixes sample shapes"):
+        preprocess([a, replace(a, x=np.zeros((4, 25, 2)))])
 
 
 # ------------------------------------------------------------------ dataset
@@ -434,8 +474,7 @@ def test_fused_elbo_gradcheck_every_parameter():
 
 
 def _preprocessed(env_id, n):
-    return np.stack([preprocess(s).x
-                     for s in collect_dataset(env_id, n, seed=0)])
+    return preprocess(collect_dataset(env_id, n, seed=0))
 
 
 @pytest.mark.parametrize("env_id, enc_hidden, dec_hidden",
@@ -474,6 +513,34 @@ def test_fused_elbo_matches_tape_byte_for_byte(env_id, enc_hidden,
             leaf.grad.fill(0.0)
 
 
+@pytest.fixture(scope="module")
+def preprocessed_24():
+    return {env_id: _preprocessed(env_id, 24) for env_id in ("pp", "sk3")}
+
+
+@pytest.mark.parametrize("env_id, enc_hidden, dec_hidden",
+                         [("pp", 128, 64), ("sk3", 16, 16), ("sk3", 64, 64)],
+                         ids=["pp-benchmark-width", "sk3-golden-width",
+                              "sk3-64"])
+def test_stacked_encode_matches_batch_one_calls(preprocessed_24, env_id,
+                                                enc_hidden, dec_hidden):
+    # an (M, 1, n, T, D) stack encodes as M batch-1 calls, logits and
+    # cache byte for byte; one 2-D batch of M would round differently
+    data = preprocessed_24[env_id]
+    _, n, T_len, D = data.shape
+    m = AcdModel(n, T_len, D, seed=0, enc_hidden=enc_hidden,
+                 dec_hidden=dec_hidden)
+    for M in (1, 2, 7, 24):
+        x = data[:M]
+        logits, cache = m.encode(x[:, None])
+        assert logits.shape == (M, 1, m.n_pairs, 2)
+        for k in range(M):
+            one, one_cache = m.encode(x[k:k + 1])
+            assert logits[k].tobytes() == one.tobytes()
+            for a, b in zip(cache, one_cache, strict=True):
+                assert a[k].tobytes() == b.tobytes()
+
+
 # ----------------------------------------------------------------- training
 
 def _tiny_dataset(n_samples=12, n=3, T=24, D=4, seed=0):
@@ -504,7 +571,7 @@ def test_train_acd_loss_decreases_and_deterministic(tmp_path):
     model, meta = load_acd(tmp_path / "acd" / "encoder.ckpt")
     assert meta["env_id"] == "sk3-sp"
     assert meta["sigma"] == sigma_for("sk3-sp") == 5e-3
-    x = np.stack([preprocess(s).x for s in data[:2]])
+    x = preprocess(data[:2])
     np.testing.assert_array_equal(model.encode(x)[0], res.model.encode(x)[0])
 
 
@@ -541,15 +608,14 @@ def test_train_acd_validation():
 
 def test_predict_c_extraction_rules():
     m = _toy_model(n_nodes=4, T=24, D=3)
-    sample = SeriesSample(x=np.random.default_rng(1).random((4, 24, 3)),
-                          env_id="lj-sp", bits=np.zeros(3, dtype=np.uint8))
+    x = np.random.default_rng(1).random((1, 4, 24, 3))
     # saturate the head so every pair decodes to no-edge -> all zeros
     m.params["enc.head.W"][...] = 0.0
     m.params["enc.head.b"][...] = [9.0, -9.0]
-    np.testing.assert_array_equal(predict_c(m, sample), [0, 0, 0])
+    np.testing.assert_array_equal(predict_c(m, x), [[0, 0, 0]])
     # force edges everywhere: the reward column lights up
     m.params["enc.head.b"][...] = [-9.0, 9.0]
-    np.testing.assert_array_equal(predict_c(m, sample), [1, 1, 1])
+    np.testing.assert_array_equal(predict_c(m, x), [[1, 1, 1]])
 
 
 def test_evaluate_accuracy_oracle_and_closure():
@@ -572,6 +638,76 @@ def test_evaluate_accuracy_all_ones_predictor():
     assert abs(res["correct"] - 100 * density) < 1e-9
     assert abs(res["false_positive"] - 100 * (1 - density)) < 1e-9
     assert res["false_negative"] == 0.0
+
+
+def test_evaluate_accuracy_baselines():
+    m = _toy_model(n_nodes=3, T=24, D=2)
+    samples = _tiny_dataset(20, n=2, T=24, D=2, seed=4)
+    truth = np.stack([s.bits for s in samples])
+    share = 100.0 * truth.sum() / truth.size
+    assert 0.0 < share < 100.0
+    # one stack of all 20 samples, which evaluate_accuracy scores in blocks
+    pred = predict_c(m, preprocess(samples))
+    tpr = ((pred == 1) & (truth == 1)).sum() / (truth == 1).sum()
+    tnr = ((pred == 0) & (truth == 0)).sum() / (truth == 0).sum()
+    res = evaluate_accuracy(m, samples)
+    assert res["correct"] == 100.0 * (pred == truth).sum() / truth.size
+    assert res["false_positive"] == 100.0 * (pred > truth).sum() / truth.size
+    assert res["false_negative"] == 100.0 * (pred < truth).sum() / truth.size
+    assert res["label_share"] == share
+    assert res["majority"] == max(share, 100.0 - share)
+    assert res["balanced"] == pytest.approx(50.0 * (tpr + tnr))
+    # the all-ones predictor on mixed labels is balanced at exactly 50
+    m.params["enc.head.W"][...] = 0.0
+    m.params["enc.head.b"][...] = [-9.0, 9.0]
+    assert evaluate_accuracy(m, samples)["balanced"] == 50.0
+    # one class only: no true-negative rate, so no balanced accuracy
+    ones = [replace(s, bits=np.ones_like(s.bits)) for s in samples]
+    res = evaluate_accuracy(m, ones)
+    assert res["label_share"] == res["majority"] == res["correct"] == 100.0
+    assert np.isnan(res["balanced"])
+
+
+def test_predict_c_stack_matches_per_sample(preprocessed_24):
+    data = preprocessed_24["sk3"]
+    _, n, T_len, D = data.shape
+    m = AcdModel(n, T_len, D, seed=2, enc_hidden=16, dec_hidden=8)
+    # centre the edge head on the reward column, so both bits occur
+    logits = m.encode(data[:, None])[0][:, 0, m.dst == n - 1]
+    m.params["enc.head.b"][1] -= np.median(logits[..., 1] - logits[..., 0])
+    bits = predict_c(m, data)
+    assert bits.shape == (len(data), n - 1) and bits.dtype == np.uint8
+    assert 0.0 < bits.mean() < 1.0
+    for k in range(len(data)):
+        a = adjacency(m, m.hard_edges(m.encode(data[k:k + 1])[0][0]))
+        assert bits[k].tobytes() == a[:-1, -1].tobytes()
+        assert bits[k].tobytes() == predict_c(m, data[k:k + 1])[0].tobytes()
+
+
+def test_evaluate_accuracy_preprocesses_and_encodes_per_block(monkeypatch):
+    # one preprocess and one stacked encode per EVAL_BLOCK samples, not
+    # one per sample
+    import camarl.acd.inference as inference
+
+    calls = {"preprocess": 0, "encode": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(inference, "preprocess",
+                        counted("preprocess", inference.preprocess))
+    monkeypatch.setattr(AcdModel, "encode",
+                        counted("encode", AcdModel.encode))
+    m = _toy_model(n_nodes=3, T=24, D=2)
+    data = _tiny_dataset(2 * inference.EVAL_BLOCK + 1, n=2, T=24, D=2, seed=3)
+    assert evaluate_accuracy(m, data[:inference.EVAL_BLOCK])["n_pairs"] == (
+        2 * inference.EVAL_BLOCK)
+    assert calls == {"preprocess": 1, "encode": 1}
+    assert evaluate_accuracy(m, data)["n_pairs"] == 2 * len(data)
+    assert calls == {"preprocess": 4, "encode": 4}
 
 
 def test_make_bits_fn_node_check():

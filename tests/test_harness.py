@@ -428,7 +428,25 @@ def test_cli_acd_eval_confusion_closure(cli_runs, cli_acd, tmp_path, capsys):
     total = (float(row["correct"]) + float(row["false_positive"])
              + float(row["false_negative"]))
     assert total == pytest.approx(100.0)
-    assert "accuracy:" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "accuracy:" in out
+    assert "baselines:" in out.splitlines()[-1]
+
+
+def test_cli_accuracy_lines_print_nan_as_na(capsys):
+    from camarl.harness.cli import _print_accuracy
+
+    acc = {"correct": 100.0, "false_positive": 0.0, "false_negative": 0.0,
+           "n_pairs": 8, "label_share": 100.0, "majority": 100.0,
+           "balanced": float("nan")}
+    _print_accuracy("accuracy", acc)
+    assert capsys.readouterr().out == (
+        "accuracy: 100.0% correct, 0.0% FP, 0.0% FN over 8 pairs\n"
+        "baselines: 100.0% 1-labels, majority 100.0%, balanced n/a\n")
+    _print_accuracy("accuracy", dict(acc, label_share=25.0, majority=75.0,
+                                     balanced=62.5))
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "baselines: 25.0% 1-labels, majority 75.0%, balanced 62.5%")
 
 
 def test_cli_acd_eval_torn_model_is_configuration_error(cli_runs, cli_acd,

@@ -375,6 +375,31 @@ def test_sigmoid_matches_where_form():
     assert (got.view(np.int64) == want.view(np.int64)).all()
 
 
+def _affine_dot(x, W, b, act):
+    # reference: the np.dot form of a 2-D affine layer
+    pre = np.dot(x, W) + b
+    if act == K.ACT_TANH:
+        return np.tanh(pre)
+    return np.maximum(pre, 0.0) if act == K.ACT_RELU else pre
+
+
+@pytest.mark.parametrize("M, B, n_in, n_out",
+                         [(24, 5, 5300, 128), (7, 20, 256, 128),
+                          (3, 4, 32, 16)],
+                         ids=["pp-emb1", "pp-pairs", "sk3-narrow"])
+def test_affine_fwd_stack_matches_2d_dot(M, B, n_in, n_out):
+    # each item of an (M, B, n) stack rounds as its own 2-D call, and a
+    # 2-D call as np.dot
+    rng = np.random.default_rng(n_in + n_out)
+    x = rng.normal(size=(M, B, n_in))
+    W = rng.uniform(-0.1, 0.1, (n_in, n_out))
+    b = rng.uniform(-0.1, 0.1, n_out)
+    for act in (K.ACT_IDENTITY, K.ACT_TANH, K.ACT_RELU):
+        y = K.affine_act_fwd(x, W, b, act)
+        for k in range(M):
+            assert y[k].tobytes() == _affine_dot(x[k], W, b, act).tobytes()
+
+
 def test_relu_grad_matches_where_form():
     # NaN compares false in both forms, so it is kept here
     y = np.concatenate([_float_cases(np.random.default_rng(12)), [np.nan]])
