@@ -17,6 +17,8 @@ from camarl.acd.preprocess import preprocess_series
 from camarl.marl.agent import team_policy
 from camarl.marl.episode import EpisodeRecord, collect_episode
 
+EVAL_BLOCK = 8  # stack size: 8 `pp` samples (1.7 MB) fit a 2 MiB L2 cache
+
 
 @dataclass
 class SeriesSample:
@@ -50,12 +52,24 @@ def episode_to_sample(episode: EpisodeRecord, bits) -> SeriesSample:
 
 
 def preprocess(samples) -> np.ndarray:
-    """Same-shape samples as one (M, n, T, D) stack, via preprocess_series."""
+    """Same-shape samples as one preprocessed (M, n, T, D) stack.
+
+    Fills the stack EVAL_BLOCK samples at a time via preprocess_series,
+    so the temporaries stay one block in size whatever M is.  A single
+    block is returned as preprocess_series made it, without the copy.
+    """
     shapes = {s.x.shape for s in samples}
     if len(shapes) != 1:
         raise ConfigurationError(
             f"dataset mixes sample shapes: {sorted(shapes)}")
-    return preprocess_series(np.stack([s.x for s in samples]))
+    if len(samples) <= EVAL_BLOCK:
+        return preprocess_series(np.stack([s.x for s in samples]))
+    out = np.empty((len(samples),) + shapes.pop())
+    for i in range(0, len(samples), EVAL_BLOCK):
+        block = samples[i:i + EVAL_BLOCK]
+        out[i:i + len(block)] = preprocess_series(
+            np.stack([s.x for s in block]))
+    return out
 
 
 def collect_dataset(env_id: str, n_episodes: int, seed: int = 0, *,

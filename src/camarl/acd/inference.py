@@ -4,10 +4,8 @@ import numpy as np
 
 from camarl.envs import env_spec
 from camarl.errors import ConfigurationError, UsageError
-from camarl.acd.dataset import episode_to_sample, preprocess
+from camarl.acd.dataset import EVAL_BLOCK, episode_to_sample, preprocess
 from camarl.acd.model import AcdModel
-
-EVAL_BLOCK = 8  # stack size: 8 `pp` samples (1.7 MB) fit a 2 MiB L2 cache
 
 
 def adjacency(model: AcdModel, edge_bits: np.ndarray) -> np.ndarray:

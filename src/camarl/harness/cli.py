@@ -13,6 +13,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from camarl.acd import (
     evaluate_accuracy, load_acd, load_dataset, make_bits_fn, save_dataset,
     train_acd)
@@ -168,6 +170,13 @@ def _exec_collect(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
     rate = stats["wins"] / max(stats["attempts"], 1)
     print(f"collected {len(samples)} winning episodes from "
           f"{stats['attempts']} attempts (win rate {rate:.2f})")
+    bits = np.stack([s.bits for s in samples])
+    print("1-labels per agent: "
+          + ", ".join(f"{share:.1f}%" for share in 100.0 * bits.mean(axis=0)))
+    if bits.min() == bits.max():
+        print(f"warning: every label in the dataset is {bits[0, 0]}, so "
+              f"accuracy on it cannot beat the majority baseline",
+              file=sys.stderr)
     return 0
 
 

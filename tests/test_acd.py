@@ -208,6 +208,26 @@ def test_preprocess_stack_matches_per_sample(env_id):
     assert got[-1, -1].tobytes() == bytes(const[-1].nbytes)
 
 
+def test_preprocess_fills_the_stack_block_by_block(monkeypatch):
+    # 17 samples: two full blocks and a block of one
+    import camarl.acd.dataset as dataset
+
+    samples = collect_dataset("pp", 17, seed=2)
+    assert len(samples) % dataset.EVAL_BLOCK != 0
+    sizes = []
+
+    def counted(x):
+        sizes.append(len(x))
+        return preprocess_series(x)
+
+    monkeypatch.setattr(dataset, "preprocess_series", counted)
+    got = preprocess(samples)
+    assert sum(sizes) == 17 and max(sizes) == dataset.EVAL_BLOCK
+    assert got.shape == (17,) + samples[0].x.shape
+    for k, s in enumerate(samples):
+        assert got[k].tobytes() == preprocess_series(s.x).tobytes()
+
+
 def test_preprocess_rejects_mixed_shapes():
     a = SeriesSample(x=np.zeros((4, 24, 2)), env_id="sk3-sp",
                      bits=np.zeros(3, dtype=np.uint8))

@@ -220,6 +220,32 @@ def test_cli_collect_outputs(cli_runs, capsys):
         np.testing.assert_array_equal(a.bits, b.bits)
 
 
+def test_cli_collect_prints_label_shares(tmp_path, capsys):
+    rc = main(["collect", "--env", "pp-sp", "--episodes", "4", "--seed", "3",
+               "--out", str(tmp_path / "d")])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    bits = np.stack([s.bits for s in load_dataset(tmp_path / "d" /
+                                                  "dataset.ckpt")])
+    assert 0 < bits.mean() < 1
+    tally, shares = out.splitlines()
+    assert tally.startswith("collected 4 winning episodes")
+    assert shares == "1-labels per agent: " + ", ".join(
+        f"{100.0 * b.mean():.1f}%" for b in bits.T)
+    assert err == ""
+
+
+def test_cli_collect_warns_on_one_label_class(tmp_path, capsys):
+    # every sk label is 1 by construction
+    rc = main(["collect", "--env", "sk3-sp", "--episodes", "2",
+               "--out", str(tmp_path / "d")])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1] == "1-labels per agent: 100.0%, 100.0%, 100.0%"
+    assert err.startswith("warning: every label in the dataset is 1")
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_collect_error_exit_code(tmp_path, monkeypatch, capsys):
     import camarl.harness.cli as cli_mod
 

@@ -5,7 +5,7 @@ import importlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from camarl.envs import OBS_DIM, env_spec, make_env, oracle_bits
 from camarl.envs.scripted import ScriptedPolicy
@@ -16,6 +16,7 @@ from camarl.marl import (
     masked_rewards, oracle_episode_bits, team_policy, train,
     write_log,
 )
+from camarl.marl.evaluate import _T975, return_ci95
 
 
 # ------------------------------------------------------------------ schedule
@@ -816,6 +817,22 @@ def test_evaluate_deterministic():
     np.testing.assert_array_equal(a.returns, b.returns)
     assert a.mean_return == b.mean_return and a.win_rate == b.win_rate
     np.testing.assert_array_equal(a.per_agent_events, b.per_agent_events)
+
+
+def test_t975_table_is_scipys_stdtrit_bit_for_bit():
+    # the pins read df 1 and 19, the benchmark 11 and 59
+    assert len(_T975) >= 64
+    for df, q in enumerate(_T975, start=1):
+        assert type(q) is float
+        assert q.hex() == float(special.stdtrit(df, 0.975)).hex(), df
+
+
+@pytest.mark.parametrize("n", [2, 20, 60, len(_T975) + 1, len(_T975) + 2])
+def test_return_ci95_matches_stdtrit_bit_for_bit(n):
+    # n = len(_T975) + 2 is past the table: return_ci95 falls back to scipy
+    r = np.random.default_rng(n).normal(size=n) * 7.0
+    want = float(special.stdtrit(n - 1, 0.975) * r.std(ddof=1) / np.sqrt(n))
+    assert return_ci95(r).hex() == want.hex()
 
 
 def test_scripted_one_tree_level_one_positive_return():

@@ -55,6 +55,18 @@ def test_default_backend_imports_silently():
     assert res.returncode == 0, res.stderr
 
 
+def test_import_loads_no_scipy():
+    # scipy.special alone takes about half of a process's start-up; only
+    # return_ci95 beyond its quantile table may import it
+    res = _import_camarl(
+        "import sys, camarl, camarl.acd, camarl.marl, camarl.metrics, "
+        "camarl.harness.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("preset, named", [
     ((), BLAS_VARS), (BLAS_VARS[:1], BLAS_VARS[1:]), (BLAS_VARS, ())])
 def test_blas_pin_warns_when_numpy_came_first(preset, named):
