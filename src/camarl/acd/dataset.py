@@ -28,10 +28,6 @@ class SeriesSample:
     seed: int = -1
     length: int = 0          # true episode length before padding
 
-    @property
-    def n_nodes(self) -> int:
-        return self.x.shape[0]
-
 
 def episode_to_sample(episode: EpisodeRecord, bits) -> SeriesSample:
     """Stack an episode's observations and rewards as node series."""

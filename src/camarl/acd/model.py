@@ -12,7 +12,7 @@ series; incoming messages are multiplied by the sampled weight of the
 
 Forward and backward are explicit array passes, like the Q-network's
 ``qnet_unroll_fwd``/``_bwd``.  ``encode`` and ``decode`` return their
-output plus a cache of the activations that ``encode_bwd`` and
+output plus a cache of only the activations that ``encode_bwd`` and
 ``decode_bwd`` read; ``sample_edges`` returns the edge weights plus the
 soft sample that ``gumbel_softmax_bwd`` reads.  ``encode`` takes leading
 stack axes: ``@`` rounds each batch of a stack as its own call, byte for
@@ -23,9 +23,9 @@ reference, because they keep its order of accumulation wherever more
 than two terms are summed (a sum of two cannot depend on its order):
 
 - A decoder weight is shared by the T - 1 steps, and so are the edge
-  weights.  Their gradients sum the steps from t = T - 2 down to 0,
-  starting from the first term; a parameter's sum is then added into
-  its zeroed gradient.
+  weights.  Each step's gradient is added into the zeroed buffer as it
+  is computed, from t = T - 2 down to 0.  As 0.0 + a == a, that rounds
+  as the tape's sum from the first term, added into the zeroed buffer.
 - The logits gradient is the KL's log-softmax term, plus its softmax
   term, plus the edge sample's term, in that order.
 - The gradient of a pair gather ``h.take(idx, axis=1)`` is n - 1
@@ -84,17 +84,19 @@ def _dense(layer, x):
 
 
 def _dense_bwd(layer, x, y, gy):
-    """Input gradient of y = _dense(layer, x); adds into gW and gb."""
+    """Input gradient of y = _dense(layer, x); adds into gW and gb.  y is
+    not read, and may be None, at ACT_IDENTITY."""
     gx, gW, gb = K.affine_act_bwd(x, layer.W, y, layer.act, gy)
     layer.gW += gW
     layer.gb += gb
     return gx
 
 
-def _weight_grads(layer, x, y, gy):
-    """(gW, gb) of y = _dense(layer, x), skipping the input gradient."""
-    gpre = gy * K.act_grad_from_out(y, layer.act)
-    return np.dot(x.T, gpre), np.sum(gpre, axis=0)
+def _dense_params_bwd(layer, x, y, gy):
+    """_dense_bwd without the input gradient: adds into gW and gb only."""
+    gpre = K.pre_act_grad(gy, y, layer.act)
+    layer.gW += np.dot(x.T, gpre)
+    layer.gb += np.sum(gpre, axis=0)
 
 
 def _gather_bwd(g, slots):
@@ -208,30 +210,28 @@ class AcdModel:
         pair2 = self._pairs(h2)
         o1 = _dense(self.fe2a, pair2)
         o2 = _dense(self.fe2b, o1)
-        out = _dense(self.head, o2)
-        cache = (flat, a1, h, pair, m1, msg, pooled, v1, h2, pair2, o1, o2,
-                 out)
-        return out.reshape(lead + (B, P, EDGE_TYPES)), cache
+        logits = _dense(self.head, o2)
+        # the outputs of identity layers are not read by their backward
+        cache = (flat, a1, pair, m1, pooled, v1, pair2, o1, o2)
+        return logits.reshape(lead + (B, P, EDGE_TYPES)), cache
 
     def encode_bwd(self, cache, g_logits):
         """Add the encoder's gradients given d(loss)/d(logits)."""
-        flat, a1, h, pair, m1, msg, pooled, v1, h2, pair2, o1, o2, out = cache
+        flat, a1, pair, m1, pooled, v1, pair2, o1, o2 = cache
         B, n, P, e = (flat.shape[0] // self.n_nodes, self.n_nodes,
                       self.n_pairs, self.enc_hidden)
-        g = _dense_bwd(self.head, o2, out,
-                       np.ascontiguousarray(g_logits.reshape(out.shape)))
-        g = _dense_bwd(self.fe2b, o1, o2, g)
+        g = _dense_bwd(self.head, o2, None, np.ascontiguousarray(
+            g_logits.reshape(B * P, EDGE_TYPES)))
+        g = _dense_bwd(self.fe2b, o1, None, g)
         g = _dense_bwd(self.fe2a, pair2, o1, g)
-        g = _dense_bwd(self.fvb, v1, h2, self._pairs_bwd(g))
+        g = _dense_bwd(self.fvb, v1, None, self._pairs_bwd(g))
         g = _dense_bwd(self.fva, pooled, v1, g)
         g = np.ascontiguousarray(g.reshape(B, n, e))
         g = np.ascontiguousarray(self._pool_bwd(g).reshape(B * P, e))
-        g = _dense_bwd(self.fe1b, m1, msg, g)
+        g = _dense_bwd(self.fe1b, m1, None, g)
         g = _dense_bwd(self.fe1a, pair, m1, g)
-        g = _dense_bwd(self.emb2, a1, h, self._pairs_bwd(g))
-        gW, gb = _weight_grads(self.emb1, flat, a1, g)
-        self.emb1.gW += gW
-        self.emb1.gb += gb
+        g = _dense_bwd(self.emb2, a1, None, self._pairs_bwd(g))
+        _dense_params_bwd(self.emb1, flat, a1, g)
 
     # -- decoder -------------------------------------------------------------
 
@@ -241,7 +241,8 @@ class AcdModel:
         edge_weight is a (batch, n_pairs) array of edge strengths (soft
         samples in training, hard 0/1 at inference).  Returns the
         (batch, n_nodes, T-1, D) predictions for x[:, :, 1:] and the
-        activations decode_bwd reads.
+        activations decode_bwd reads: the edge weights and the list
+        [h0, step 0, h1, step 1, ...], each hidden state held once.
         """
         self._check_input(x)
         B, n, Tlen, D = x.shape
@@ -249,54 +250,41 @@ class AcdModel:
         w = edge_weight.reshape(B, self.n_pairs, 1)
         h = np.zeros((B * n, d))
         pred = np.empty((B, n, Tlen - 1, D))
-        steps = []
+        steps = [h]
         for t in range(Tlen - 1):
             xt = x[:, :, t, :]
-            xin = np.ascontiguousarray(xt.reshape(B * n, D))
-            m = _dense(self.msg, xin)
+            m = _dense(self.msg, np.ascontiguousarray(xt.reshape(B * n, D)))
             gated = np.take(m.reshape(B, n, d), self.src, axis=1) * w
             gin = np.concatenate([xt, self._pool(gated)], axis=2)
             gin = gin.reshape(B * n, D + d)
-            h_new, r, z, nc, ghn = K.gru_fwd(gin, h, *self.gru)
-            delta = _dense(self.out, h_new)
-            pred[:, :, t, :] = xt + delta.reshape(B, n, D)
-            steps.append((xin, m, gin, h, r, z, nc, ghn, h_new, delta))
-            h = h_new
+            h, r, z, nc, ghn = K.gru_fwd(gin, h, *self.gru)
+            pred[:, :, t, :] = xt + _dense(self.out, h).reshape(B, n, D)
+            steps += [(m, gin, r, z, nc, ghn), h]
         return pred, (w, steps)
 
     def decode_bwd(self, cache, g_pred):
-        """Add the decoder's gradients; returns d(loss)/d(edge_weight)."""
+        """Add the decoder's gradients into its zeroed views step by step;
+        returns d(loss)/d(edge_weight)."""
         w, steps = cache
         B, P = w.shape[:2]
         n, d, D = self.n_nodes, self.dec_hidden, self.feat_dim
-        Wx, Wh = self.gru[:2]
-        sums = g_w = dh = None   # summed from t = T-2 down
-        for t in range(len(steps) - 1, -1, -1):
-            xin, m, gin, h, r, z, nc, ghn, h_new, delta = steps[t]
+        g_gru = [self.params.grads["dec.gru." + k] for k in GRU_KEYS]
+        g_w = np.zeros_like(w)
+        dh = np.zeros_like(steps[0])
+        for t in range(len(steps) // 2 - 1, -1, -1):
+            h, (m, gin, r, z, nc, ghn), h_new = steps[2 * t:2 * t + 3]
             gy = np.ascontiguousarray(g_pred[:, :, t, :]).reshape(B * n, D)
-            gx, gWo, gbo = K.affine_act_bwd(h_new, self.out.W, delta,
-                                            ACT_IDENTITY, gy)
-            dh = gx if dh is None else dh + gx
-            g_gin, dh, gWx, gWh, gbx, gbh = K.gru_bwd(
-                gin, h, Wx, Wh, r, z, nc, ghn, dh)
+            dh += _dense_bwd(self.out, h_new, None, gy)
+            g_gin, dh, *grads = K.gru_bwd(gin, h, *self.gru[:2], r, z, nc,
+                                          ghn, dh)
+            for acc, grad in zip(g_gru, grads):
+                acc += grad
             g_pool = np.ascontiguousarray(g_gin.reshape(B, n, D + d)[:, :, D:])
             g_gated = self._pool_bwd(g_pool)
             taken = np.take(m.reshape(B, n, d), self.src, axis=1)
-            g_wt = (g_gated * taken).sum(axis=2, keepdims=True)
-            g_w = g_wt if g_w is None else g_w + g_wt
+            g_w += (g_gated * taken).sum(axis=2, keepdims=True)
             g_m = _gather_bwd(g_gated * w, self._src_slots)
-            gWm, gbm = _weight_grads(self.msg, xin, m, g_m.reshape(B * n, d))
-            grads = (gWo, gbo, gWx, gWh, gbx, gbh, gWm, gbm)
-            if sums is None:
-                sums = grads
-            else:
-                for s, grad in zip(sums, grads):
-                    s += grad
-        g = self.params.grads
-        for acc, s in zip((self.out.gW, self.out.gb,
-                           *(g["dec.gru." + k] for k in GRU_KEYS),
-                           self.msg.gW, self.msg.gb), sums):
-            acc += s
+            _dense_params_bwd(self.msg, gin[:, :D], m, g_m.reshape(B * n, d))
         return g_w.reshape(B, P)
 
     # -- sampling ------------------------------------------------------------
@@ -333,7 +321,7 @@ class AcdModel:
                 "dec_hidden": self.dec_hidden}
 
     @classmethod
-    def from_meta(cls, meta: dict, seed=0):
+    def from_meta(cls, meta: dict):
         return cls(meta["n_nodes"], meta["series_len"], meta["feat_dim"],
-                   seed=seed, enc_hidden=meta["enc_hidden"],
+                   enc_hidden=meta["enc_hidden"],
                    dec_hidden=meta["dec_hidden"])

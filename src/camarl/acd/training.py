@@ -53,6 +53,8 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
     """
     if not samples:
         raise UsageError("cannot train on an empty dataset")
+    if epochs < 1 or batch_size < 1:
+        raise ConfigurationError("epochs and batch size must be at least 1")
     env_ids = sorted({s.env_id for s in samples})
     if len(env_ids) > 1:
         raise ConfigurationError(

@@ -10,7 +10,7 @@ with a single-line reason on stderr.
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from camarl.acd.dataset import collect_dataset
 from camarl.envs import ENV_IDS
 from camarl.errors import (
     CollectionError, ConfigurationError, IncompatibleInputsError, UsageError)
-from camarl.harness.defaults import config_dict, default_config
+from camarl.harness.defaults import default_config
 from camarl.harness.manifest import (
     ExperimentManifest, new_manifest, read_manifest, write_manifest)
 from camarl.marl import TRAINERS, TrainConfig, load_learners, read_run, train
@@ -317,7 +317,7 @@ def _manifest_from_args(args) -> ExperimentManifest:
     if args.command == "train":
         if args.encoder and args.trainer != "acd-marl":
             raise UsageError("--encoder only applies to the acd-marl trainer")
-        config = config_dict(default_config(
+        config = asdict(default_config(
             args.env, args.trainer, paper_scale=args.paper_scale,
             total_steps=args.steps, eval_interval=args.eval_interval,
             strict_mask=args.strict_mask or None))
@@ -346,8 +346,6 @@ def _manifest_from_args(args) -> ExperimentManifest:
         config = dict(model=_abs(args.model), data=_abs(args.data))
         return new_manifest("acd-eval", "acd-eval", config, [])
     if args.command == "report":
-        if not args.runs:
-            raise UsageError("report needs at least one run directory")
         return new_manifest("report", "report",
                             dict(runs=[_abs(r) for r in args.runs]), [])
     raise UsageError(f"unknown command {args.command!r}")

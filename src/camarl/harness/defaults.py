@@ -7,8 +7,6 @@ Paper scale restores the published horizons (2M steps for the combat
 tasks, 10k-step evaluation cycles, 50k-episode anneal).
 """
 
-from dataclasses import asdict
-
 from camarl.envs import env_spec
 from camarl.errors import ConfigurationError
 from camarl.marl import TrainConfig
@@ -67,7 +65,3 @@ def default_config(env_id: str, trainer: str, seed: int = 0,
             raise ConfigurationError(f"unknown training option {key!r}")
         kwargs[key] = value
     return TrainConfig(**kwargs).validate()
-
-
-def config_dict(config: TrainConfig) -> dict:
-    return asdict(config)

@@ -17,24 +17,38 @@ from camarl.errors import ConfigurationError, UsageError
 from camarl.nn.checkpoint import read_json, write_json
 
 MANIFEST_NAME = "manifest.json"
-# the config keys each kind's executor reads
-CONFIG_KEYS = {
-    "train": ("env_id", "trainer"),
-    "collect": ("env_id", "policy", "episodes", "seed", "lazy_prob"),
-    "acd-train": ("data", "epochs", "batch", "sigma", "seed", "train_frac"),
-    "acd-eval": ("model", "data"),
-    "report": ("runs",),
+
+
+def _str(v):
+    return type(v) is str
+
+
+def _count(lo):
+    # an int of at least lo; a bool is no int
+    return lambda v: type(v) is int and v >= lo
+
+
+def _number(v):
+    return type(v) in (int, float)
+
+
+# the config keys each kind's executor reads, each with the check its
+# value must pass before anything is written; TrainConfig.validate
+# checks the rest of a train config
+CONFIG_FIELDS = {
+    "train": {"env_id": _str, "trainer": _str},
+    "collect": {"env_id": _str, "policy": _str, "episodes": _count(1),
+                "seed": _count(0),
+                "lazy_prob": lambda v: _number(v) and 0 <= v <= 1},
+    "acd-train": {"data": _str, "epochs": _count(1), "batch": _count(1),
+                  "sigma": lambda v: v is None or _number(v) and v > 0,
+                  "seed": _count(0),
+                  "train_frac": lambda v: _number(v) and 0 < v < 1},
+    "acd-eval": {"model": _str, "data": _str},
+    "report": {"runs": lambda v: type(v) is list and len(v) > 0
+               and all(type(r) is str for r in v)},
 }
-KINDS = tuple(CONFIG_KEYS)
-# checks of the collect config values, which nothing checks before the
-# collection starts; TrainConfig.validate checks a train config's
-COLLECT_FIELDS = {
-    "env_id": lambda v: type(v) is str,
-    "policy": lambda v: type(v) is str,
-    "episodes": lambda v: type(v) is int and v >= 0,
-    "seed": lambda v: type(v) is int and v >= 0,
-    "lazy_prob": lambda v: type(v) in (int, float) and 0 <= v <= 1,
-}
+KINDS = tuple(CONFIG_FIELDS)
 
 
 @dataclass
@@ -56,17 +70,15 @@ class ExperimentManifest:
             raise ConfigurationError("seeds must be a list")
         if not isinstance(self.config, dict):
             raise ConfigurationError("manifest config must be an object")
-        missing = [k for k in CONFIG_KEYS[self.kind] if k not in self.config]
+        checks = CONFIG_FIELDS[self.kind]
+        missing = [k for k in checks if k not in self.config]
         if missing:
             raise ConfigurationError(
                 f"{self.kind} manifest config lacks {', '.join(missing)}")
-        if self.kind == "collect":
-            bad = [k for k, ok in COLLECT_FIELDS.items()
-                   if not ok(self.config[k])]
-            if bad:
-                raise ConfigurationError(
-                    f"collect manifest config has an invalid "
-                    f"{', '.join(bad)}")
+        bad = [k for k, ok in checks.items() if not ok(self.config[k])]
+        if bad:
+            raise ConfigurationError(
+                f"{self.kind} manifest config has an invalid {', '.join(bad)}")
         return self
 
 

@@ -2,8 +2,7 @@ from camarl.marl.agent import AgentLearner, team_policy
 from camarl.marl.episode import (
     EpisodeRecord, collect_episode, collect_episodes)
 from camarl.marl.evaluate import EvalSummary, evaluate, return_ci95
-from camarl.marl.masking import (
-    MODE_ALWAYS_ONE, MODE_PER_EPISODE, MODE_PER_TIMESTEP, masked_rewards)
+from camarl.marl.masking import masked_rewards
 from camarl.marl.replay import ReplayBuffer
 from camarl.marl.schedule import epsilon_at
 from camarl.marl.trainer import (
@@ -11,9 +10,8 @@ from camarl.marl.trainer import (
     oracle_episode_bits, read_run, train, write_log)
 
 __all__ = [
-    "AgentLearner", "EpisodeRecord", "EvalSummary",
-    "MODE_ALWAYS_ONE", "MODE_PER_EPISODE", "MODE_PER_TIMESTEP",
-    "ReplayBuffer", "TRAINERS", "TrainConfig", "TrainResult", "build_batch",
+    "AgentLearner", "EpisodeRecord", "EvalSummary", "ReplayBuffer",
+    "TRAINERS", "TrainConfig", "TrainResult", "build_batch",
     "collect_episode", "collect_episodes", "epsilon_at", "evaluate",
     "load_learners", "masked_rewards",
     "oracle_episode_bits", "read_run", "return_ci95",

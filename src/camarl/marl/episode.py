@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from camarl.errors import ConfigurationError
-
 
 @dataclass
 class EpisodeRecord:
@@ -39,22 +37,6 @@ class EpisodeRecord:
     @property
     def n_agents(self) -> int:
         return self.obs.shape[1]
-
-    def validate(self):
-        if self.obs.ndim != 3:
-            raise ConfigurationError(
-                f"observations must be (L, N, D), got shape {self.obs.shape}")
-        L, n, _ = self.obs.shape
-        if L == 0:
-            raise ConfigurationError("empty episode")
-        for name, shape in (("actions", (L, n)), ("rewards", (L,)),
-                            ("kinds", (L,)), ("events", (n,))):
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ConfigurationError(
-                    f"episode field {name} has shape {arr.shape}, "
-                    f"expected {shape}")
-        return self
 
 
 def collect_episodes(envs, act) -> list:

@@ -7,10 +7,6 @@ The strict variant applies the multiplicative mask to every reward.
 
 import numpy as np
 
-MODE_ALWAYS_ONE = "always_one"      # IDQL
-MODE_PER_TIMESTEP = "per_timestep"  # ICL, oracle bits at collection time
-MODE_PER_EPISODE = "per_episode"    # encoder bits, one per agent per episode
-
 
 def masked_rewards(rewards, bits, strict: bool = False):
     """rewards (L,) masked by bits (L, N) or (N,): (L, N) float64."""

@@ -20,8 +20,7 @@ from camarl.errors import ConfigurationError
 from camarl.marl.agent import AgentLearner, team_policy
 from camarl.marl.episode import EpisodeRecord, collect_episode
 from camarl.marl.evaluate import evaluate
-from camarl.marl.masking import (
-    MODE_ALWAYS_ONE, MODE_PER_EPISODE, MODE_PER_TIMESTEP, masked_rewards)
+from camarl.marl.masking import masked_rewards
 from camarl.marl.replay import ReplayBuffer
 from camarl.marl.schedule import epsilon_at
 
@@ -184,7 +183,6 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
         # replay keeps what training reads: the float32 observations the
         # bits are decided on, the actions, and the rewards masked once
         ep.obs = ep.obs.astype(np.float32)
-        ep.validate()
         bits = _episode_bits(config.trainer, ep, bits_fn)
         buffer.push((ep.obs, ep.actions,
                      masked_rewards(ep.rewards, bits, config.strict_mask)))
@@ -222,8 +220,9 @@ def _episode_bits(trainer, ep, bits_fn):
 
 
 def mask_mode(trainer: str) -> str:
-    return {"idql": MODE_ALWAYS_ONE, "icl": MODE_PER_TIMESTEP,
-            "acd-marl": MODE_PER_EPISODE}[trainer]
+    # run.json's name for the bits of each trainer (module docstring)
+    return {"idql": "always_one", "icl": "per_timestep",
+            "acd-marl": "per_episode"}[trainer]
 
 
 # -- persistence -------------------------------------------------------------

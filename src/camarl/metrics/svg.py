@@ -25,12 +25,12 @@ def _label(v: float) -> str:
     return f"{v:g}"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5):
-    """Round tick positions on the 1/2/5 ladder covering [lo, hi]."""
+def _nice_ticks(lo: float, hi: float):
+    """About 5 round tick positions on the 1/2/5 ladder covering [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / target
+    raw = span / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -151,12 +151,11 @@ def line_chart(series: dict, title: str = "", xlabel: str = "",
     return _document(parts)
 
 
-def bar_chart(groups: dict, title: str = "", ylabel: str = "",
-              xlabels=None) -> str:
+def bar_chart(groups: dict, title: str = "", ylabel: str = "") -> str:
     """Grouped bars: one cluster per category, one color per label.
 
     groups maps label -> per-category values; all labels must provide
-    the same number of categories.
+    the same number of categories, which are labelled 0, 1, ...
     """
     if not groups:
         raise UsageError("bar chart needs at least one group")
@@ -164,8 +163,6 @@ def bar_chart(groups: dict, title: str = "", ylabel: str = "",
     if len(sizes) != 1 or 0 in sizes:
         raise UsageError("bar groups must share a common nonzero length")
     n_cat = sizes.pop()
-    if xlabels is None:
-        xlabels = [str(i) for i in range(n_cat)]
     vals = np.array([list(v) for v in groups.values()], dtype=np.float64)
     frame = _Frame(0.0, float(n_cat), min(0.0, vals.min()), vals.max())
     parts = _axes(frame, title, "", ylabel)
@@ -182,11 +179,10 @@ def bar_chart(groups: dict, title: str = "", ylabel: str = "",
             parts.append(f'<rect x="{_fmt(x)}" y="{_fmt(top)}" '
                          f'width="{_fmt(bar_w)}" height="{_fmt(height)}" '
                          f'fill="{color}"/>')
-    for c, label in enumerate(xlabels):
+    for c in range(n_cat):
         px = MARGIN_L + (c + 0.5) * slot
         parts.append(f'<text x="{_fmt(px)}" y="{HEIGHT - MARGIN_B + 18}" '
-                     f'text-anchor="middle" font-size="11">'
-                     f'{escape(str(label))}</text>')
+                     f'text-anchor="middle" font-size="11">{c}</text>')
     parts.extend(_legend(list(groups.keys())))
     return _document(parts)
 

@@ -19,6 +19,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import struct
 
@@ -65,12 +66,16 @@ def write_json(path, obj):
         f.write("\n")
 
 
-def _read_bytes(path):
+def _open_input(path):
     try:
-        with open(path, "rb") as f:
-            return f.read()
+        return open(path, "rb")
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err.strerror}") from None
+
+
+def _read_bytes(path):
+    with _open_input(path) as f:
+        return f.read()
 
 
 def read_csv(path):
@@ -141,35 +146,42 @@ def load_checkpoint(path):
     A file that cannot be opened raises UsageError.  A file cut short
     anywhere, carrying bytes after its payload, or whose header lacks
     the structure save_checkpoint writes raises ConfigurationError.
+    Each tensor is read from the file straight into its array, so a load
+    holds no second copy of the payload.
     """
-    raw = _read_bytes(path)
-    if raw[:4] != _MAGIC:
-        raise ConfigurationError(f"{path} is not a checkpoint file")
-    if len(raw) < 16:
-        raise ConfigurationError(f"{path} is truncated")
-    version, hlen = struct.unpack("<IQ", raw[4:16])
-    if version != _VERSION:
-        raise ConfigurationError(f"unsupported checkpoint version {version}")
-    try:
-        # a header cut short is never a complete JSON object
-        header = json.loads(raw[16:16 + hlen].decode("utf-8"))
-    except ValueError as e:
-        raise ConfigurationError(
-            f"{path} has a torn or corrupt header: {e}") from None
-    if not _well_formed(header):
-        raise ConfigurationError(f"{path} has a malformed header")
-    arrays = {}
-    off = 16 + hlen
-    for spec in header["tensors"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = off + 8 * count
-        if end > len(raw):
+    with _open_input(path) as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(16)
+        if head[:4] != _MAGIC:
+            raise ConfigurationError(f"{path} is not a checkpoint file")
+        if len(head) < 16:
             raise ConfigurationError(f"{path} is truncated")
-        arrays[spec["name"]] = np.frombuffer(
-            raw[off:end], dtype="<f8").astype(np.float64).reshape(shape)
-        off = end
-    if off != len(raw):
+        version, hlen = struct.unpack("<IQ", head[4:16])
+        if version != _VERSION:
+            raise ConfigurationError(
+                f"unsupported checkpoint version {version}")
+        try:
+            # a header cut short is never a complete JSON object
+            header = json.loads(f.read(min(hlen, size - 16)).decode("utf-8"))
+        except ValueError as e:
+            raise ConfigurationError(
+                f"{path} has a torn or corrupt header: {e}") from None
+        if not _well_formed(header):
+            raise ConfigurationError(f"{path} has a malformed header")
+        arrays = {}
+        off = 16 + hlen
+        for spec in header["tensors"]:
+            shape = tuple(spec["shape"])
+            count = math.prod(shape)   # a Python int cannot overflow
+            off += 8 * count
+            if off > size:
+                raise ConfigurationError(f"{path} is truncated")
+            a = np.empty(count, dtype="<f8")
+            if f.readinto(a) != a.nbytes:   # the file shrank while read
+                raise ConfigurationError(f"{path} is truncated")
+            arrays[spec["name"]] = a.astype(np.float64, copy=False).reshape(
+                shape)
+    if off != size:
         raise ConfigurationError(
-            f"{path} has {len(raw) - off} bytes after its payload")
+            f"{path} has {size - off} bytes after its payload")
     return arrays, header.get("meta", {})

@@ -44,14 +44,15 @@ def apply_act(pre, act):
         return np.maximum(pre, 0.0, out=pre)
 
 
-def act_grad_from_out(y, act):
-    # derivative expressed through the activation output
+def pre_act_grad(gy, y, act):
+    """Pre-activation gradient from upstream gy and the output y, which
+    is not read at ACT_IDENTITY (gy * 1.0 == gy)."""
     if act == ACT_IDENTITY:
-        return np.ones_like(y)
+        return gy
     elif act == ACT_TANH:
-        return 1.0 - y * y
+        return gy * (1.0 - y * y)
     else:
-        return (y > 0.0).astype(np.float64)
+        return gy * (y > 0.0).astype(np.float64)
 
 
 def affine_act_fwd(x, W, b, act):
@@ -62,8 +63,9 @@ def affine_act_fwd(x, W, b, act):
 
 
 def affine_act_bwd(x, W, y, act, gy):
-    """Gradients of act(x @ W + b) given upstream gy and stored output y."""
-    gpre = gy * act_grad_from_out(y, act)
+    """Gradients of act(x @ W + b) given upstream gy and stored output y
+    (None at ACT_IDENTITY)."""
+    gpre = pre_act_grad(gy, y, act)
     gx = np.dot(gpre, W.T)
     gW = np.dot(x.T, gpre)
     gb = np.sum(gpre, axis=0)

@@ -246,7 +246,7 @@ def test_episode_to_sample_layout_and_padding():
         win=True, events=np.zeros(5, dtype=np.int64))
     s = episode_to_sample(ep, np.array([1, 0, 1, 0, 0], dtype=np.uint8))
     assert s.x.shape == (6, 100, OBS_DIM)
-    assert s.length == 30 and s.n_nodes == 6 and s.seed == 4
+    assert s.length == 30 and s.x.shape[0] == 6 and s.seed == 4
     np.testing.assert_array_equal(s.x[0, :30], ep.obs[:, 0])
     np.testing.assert_array_equal(s.x[5, :30, 0], ep.rewards)
     assert s.x[:, 30:].sum() == 0.0
@@ -622,6 +622,10 @@ def test_train_acd_validation():
                           bits=np.zeros(4, dtype=np.uint8))
     with pytest.raises(ConfigurationError):
         train_acd(bad, epochs=1, enc_hidden=8, dec_hidden=4)
+    for kw in ({"epochs": 0}, {"epochs": -3}, {"batch_size": 0},
+               {"batch_size": -1}):
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            train_acd(_tiny_dataset(2), enc_hidden=8, dec_hidden=4, **kw)
 
 
 # ---------------------------------------------------------------- inference

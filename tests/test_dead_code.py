@@ -14,20 +14,41 @@ name does not keep it alive.  Checked definitions are
 top-level functions and classes, and non-dunder methods of top-level
 classes.
 
-Blind spot: the check matches bare names, not what they resolve to, so
+Every parameter default is overridden by some call in the package: a
+call of the function's name (the class name for ``__init__``) that
+passes the parameter by keyword or by position, or spreads ``*args`` or
+``**kwargs`` that may.
+
+Blind spot: the checks match bare names, not what they resolve to, so
 a definition whose name is also read elsewhere as an attribute or a
 variable passes.  A function ``exp`` would pass on ``np.exp``, and a
 method ``sum`` on ``ndarray.sum``.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "camarl"
 
 # definitions kept without a caller in src/, each for a stated reason
 ALLOWED = {}
+
+# parameter defaults that no call in src/ overrides, each for a stated
+# reason
+ALLOWED_DEFAULTS = {
+    "collect_dataset(attempt_factor=)":
+        "the greedy-dataset golden digests pin a budget of 100",
+    "AcdModel.sample_edges(noise=)":
+        "the tape comparison and gradient checks fix the Gumbel draw",
+    "train_acd(lr=)": "the single-sample overfit test fits at 5e-3",
+    "train_acd(enc_hidden=)": "the acd_sk3 golden digest and small models",
+    "train_acd(dec_hidden=)": "the acd_sk3 golden digest and small models",
+    "main(argv=)": "tests call the CLI in process",
+    "default_config(seed=)": "perfbench builds seeded configs",
+    "_exec_train.progress(_seed=)":
+        "binds the loop's seed when the closure is made",
+}
 
 # modules kept without an importer in src/, each for a stated reason
 ALLOWED_MODULES = {
@@ -132,3 +153,58 @@ def test_no_unused_import_in_src():
                    for name, line in _imported_bindings(tree)
                    if name not in read]
     assert not unused, "imported but never read:\n" + "\n".join(unused)
+
+
+def _functions(node, qual="", cls=None):
+    """(label, callee name, self offset, node) of every function in node;
+    label is its dotted path, and methods skip self or cls."""
+    for item in ast.iter_child_nodes(node):
+        if isinstance(item, ast.ClassDef):
+            yield from _functions(item, f"{qual}{item.name}.", item.name)
+        elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in item.decorator_list)
+            callee = cls if cls and item.name == "__init__" else item.name
+            offset = int(cls is not None and not static)
+            yield qual + item.name, callee, offset, item
+            yield from _functions(item, f"{qual}{item.name}.")
+        else:
+            yield from _functions(item, qual, cls)
+
+
+def _defaults(fn):
+    """(parameter, position or None) of every parameter with a default."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    for i in range(len(pos) - len(a.defaults), len(pos)):
+        yield pos[i].arg, i
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def test_every_default_is_overridden_in_src():
+    trees = _trees()
+    calls = defaultdict(list)   # callee name -> (n positional, *?, keywords)
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name,
+                                                               ast.Attribute)):
+                name = getattr(n.func, "id", None) or n.func.attr
+                calls[name].append((
+                    len(n.args), any(isinstance(a, ast.Starred)
+                                     for a in n.args),
+                    {k.arg for k in n.keywords}))
+    kept = set()
+    for tree in trees.values():
+        for label, callee, offset, fn in _functions(tree):
+            for param, i in _defaults(fn):
+                if not any(param in kws or None in kws
+                           or i is not None and (star or n_pos > i - offset)
+                           for n_pos, star, kws in calls[callee]):
+                    kept.add(f"{label}({param}=)")
+    report = sorted(kept - set(ALLOWED_DEFAULTS))
+    assert not report, "default never overridden in src/:\n" + "\n".join(
+        report)
+    stale = sorted(set(ALLOWED_DEFAULTS) - kept)
+    assert not stale, f"stale ALLOWED_DEFAULTS entries: {stale}"

@@ -93,7 +93,7 @@ def test_manifest_validation():
 
 
 def test_manifest_refuses_reuse(tmp_path):
-    m = new_manifest("exp", "report", {"runs": []}, [])
+    m = new_manifest("exp", "report", {"runs": ["r"]}, [])
     write_manifest(tmp_path / "d", m)
     with pytest.raises(UsageError):
         write_manifest(tmp_path / "d", m)
@@ -368,6 +368,35 @@ def _assert_exit_3_writes_nothing(argv, out, capsys, word):
     assert not out.exists()
 
 
+ACD_TRAIN = ["acd", "train", "--data", "DATA", "--epochs", "1"]
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["collect", "--env", "sk3-sp", "--episodes", "0"], "episodes"),
+    ([*ACD_TRAIN, "--epochs", "0"], "epochs"),
+    ([*ACD_TRAIN, "--epochs", "-3"], "epochs"),
+    ([*ACD_TRAIN, "--batch", "0"], "batch"),
+    ([*ACD_TRAIN, "--batch", "-1"], "batch"),
+    ([*ACD_TRAIN, "--sigma", "-1"], "sigma"),
+    ([*ACD_TRAIN, "--sigma", "0"], "sigma"),
+    ([*ACD_TRAIN, "--train-frac", "1"], "train_frac"),
+], ids=["collect-episodes-0", "epochs-0", "epochs-negative", "batch-0",
+        "batch-negative", "sigma-negative", "sigma-0", "train-frac-1"])
+def test_cli_bad_config_values_fail_before_output(cli_runs, tmp_path, capsys,
+                                                  argv, word):
+    data = str(cli_runs / "ds" / "dataset.ckpt")
+    _assert_exit_3_writes_nothing([data if a == "DATA" else a for a in argv],
+                                  tmp_path / "out", capsys, word)
+
+
+def test_cli_negative_episodes_stay_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["collect", "--env", "sk3-sp", "--episodes", "-1",
+                 "--out", str(out)]) == 2
+    assert "episodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", [
     "n_samples", "seeds", "lengths", "env_id", "x_0", "bits_5"])
 def test_cli_incomplete_dataset_exits_typed(cli_runs, tmp_path, capsys,
@@ -393,13 +422,30 @@ def test_cli_incomplete_dataset_exits_typed(cli_runs, tmp_path, capsys,
     ("idql", lambda m: m["config"].update(strict_mask=0), "strict_mask"),
     ("ds", lambda m: m["config"].update(episodes="1"), "episodes"),
     ("ds", lambda m: m["config"].update(lazy_prob=None), "lazy_prob"),
+    ("ds", lambda m: m["config"].update(episodes=0), "episodes"),
+    ("fit", lambda m: m["config"].update(epochs=0), "epochs"),
+    ("fit", lambda m: m["config"].update(epochs=-3), "epochs"),
+    ("fit", lambda m: m["config"].update(batch=0), "batch"),
+    ("fit", lambda m: m["config"].update(batch=True), "batch"),
+    ("fit", lambda m: m["config"].update(sigma=-1.0), "sigma"),
+    ("fit", lambda m: m["config"].update(sigma="0.1"), "sigma"),
+    ("fit", lambda m: m["config"].update(train_frac=0), "train_frac"),
+    ("fit", lambda m: m["config"].update(seed=-1), "seed"),
+    ("fit", lambda m: m["config"].update(data=None), "data"),
+    ("idql", lambda m: m.update(kind="report", config={"runs": []}), "runs"),
 ], ids=["config-list", "train-without-trainer", "collect-without-policy",
         "train-steps-string", "train-strict-mask-int",
-        "collect-episodes-string", "collect-lazy-prob-null"])
-def test_cli_rerun_malformed_manifest_exits_typed(cli_runs, tmp_path, capsys,
-                                                  experiment, edit, word):
-    manifest = json.loads(
-        (cli_runs / experiment / "manifest.json").read_text())
+        "collect-episodes-string", "collect-lazy-prob-null",
+        "collect-episodes-0", "acd-epochs-0", "acd-epochs-negative",
+        "acd-batch-0", "acd-batch-bool", "acd-sigma-negative",
+        "acd-sigma-string", "acd-train-frac-0", "acd-seed-negative",
+        "acd-data-null", "report-without-runs"])
+def test_cli_rerun_malformed_manifest_exits_typed(cli_runs, cli_acd, tmp_path,
+                                                  capsys, experiment, edit,
+                                                  word):
+    # each fails its field check before anything is written
+    root = cli_acd if experiment == "fit" else cli_runs
+    manifest = json.loads((root / experiment / "manifest.json").read_text())
     edit(manifest)
     (tmp_path / "exp").mkdir()
     (tmp_path / "exp" / "manifest.json").write_text(json.dumps(manifest))

@@ -415,10 +415,30 @@ def test_affine_fwd_stack_matches_2d_dot(M, B, n_in, n_out):
 def test_relu_grad_matches_where_form():
     # NaN compares false in both forms, so it is kept here
     y = np.concatenate([_float_cases(np.random.default_rng(12)), [np.nan]])
-    got = K.act_grad_from_out(y, K.ACT_RELU)
+    got = K.pre_act_grad(np.ones_like(y), y, K.ACT_RELU)
     want = np.where(y > 0.0, 1.0, 0.0)
     assert got.dtype == np.float64
     assert (got.view(np.int64) == want.view(np.int64)).all()
+
+
+@pytest.mark.parametrize("B, n_in, n_out", [(95, 64, 53), (38, 128, 2),
+                                            (1, 16, 16)],
+                         ids=["pp-dec-out", "pp-head", "batch-one"])
+def test_identity_bwd_reads_no_output(B, n_in, n_out):
+    # at ACT_IDENTITY the stored output is not read: y=None gives the
+    # bytes of the stored output and of the gy * ones(y) form
+    rng = np.random.default_rng(B + n_in)
+    x = rng.normal(size=(B, n_in))
+    W = rng.uniform(-0.3, 0.3, (n_in, n_out))
+    y = K.affine_act_fwd(x, W, rng.uniform(-0.1, 0.1, n_out), K.ACT_IDENTITY)
+    gy = rng.normal(size=(B, n_out))
+    gy[0, 0] = -0.0
+    gpre = gy * np.ones_like(y)
+    want = (np.dot(gpre, W.T), np.dot(x.T, gpre), np.sum(gpre, axis=0))
+    for stored in (None, y):
+        got = K.affine_act_bwd(x, W, stored, K.ACT_IDENTITY, gy)
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("lead, B, n_in", [((1, 4), 1, 58), ((4,), 8, 58),
@@ -951,6 +971,35 @@ def test_checkpoint_malformed_header_raises(tmp_path, header):
     _checkpoint_with_header(path, header)
     with pytest.raises(ConfigurationError, match="malformed header"):
         load_checkpoint(path)
+
+
+def test_checkpoint_load_reads_into_the_arrays(tmp_path):
+    # each tensor is read straight into its array, so a load holds no
+    # second copy of the payload: an 8.5 MB dataset-shaped file
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    arrays = {f"x_{k}": rng.normal(size=(6, 100, 59)) for k in range(30)}
+    path = tmp_path / "ds.ckpt"
+    save_checkpoint(path, arrays, {"kind": "dataset"})
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded, meta = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * size, peak / size
+    assert meta["kind"] == "dataset" and list(loaded) == list(arrays)
+    for k, v in arrays.items():
+        assert loaded[k].tobytes() == v.tobytes() and loaded[k].shape == v.shape
+    # a tensor larger than the file is refused before it is allocated,
+    # also one whose element count overflows an int64
+    for shape in ([2 ** 40], [2 ** 32, 2 ** 32]):
+        _checkpoint_with_header(path, {"tensors": [{"name": "w",
+                                                    "shape": shape}]})
+        with pytest.raises(ConfigurationError, match="truncated"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
