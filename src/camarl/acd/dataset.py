@@ -6,6 +6,7 @@ width, the whole series zero-padded to the environment's nominal length.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -25,8 +26,19 @@ class SeriesSample:
     x: np.ndarray            # (N+1, T, D) node series, reward last
     env_id: str
     bits: np.ndarray         # (N,) ground-truth causality bits
+    length: int              # true episode length before padding
     seed: int = -1
-    length: int = 0          # true episode length before padding
+
+
+def check_lengths(samples):
+    """Raise ConfigurationError unless every sample's length is an
+    integer in 1..T, T its padded series length."""
+    bad = sorted({repr(s.length) for s in samples
+                  if not (isinstance(s.length, Integral)
+                          and 1 <= s.length <= s.x.shape[-2])})
+    if bad:
+        raise ConfigurationError(
+            f"sample lengths must be integers in 1..T, got {', '.join(bad)}")
 
 
 def episode_to_sample(episode: EpisodeRecord, bits) -> SeriesSample:
@@ -145,7 +157,7 @@ def load_dataset(path):
     if meta.get("kind") != "dataset":
         raise ConfigurationError(f"{path} is not a dataset file")
     try:
-        return [SeriesSample(
+        samples = [SeriesSample(
             x=arrays[f"x_{k}"], env_id=meta["env_id"],
             bits=arrays[f"bits_{k}"].astype(np.uint8),
             seed=meta["seeds"][k], length=meta["lengths"][k])
@@ -153,6 +165,8 @@ def load_dataset(path):
     except (KeyError, IndexError, TypeError) as err:
         raise ConfigurationError(
             f"{path} is a malformed dataset file: {err!r}") from None
+    check_lengths(samples)
+    return samples
 
 
 def split_dataset(samples, train_frac: float = 0.8, seed: int = 0):

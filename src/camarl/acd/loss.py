@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from camarl.errors import ConfigurationError
+from camarl.errors import ConfigurationError, UsageError
 
 
 @dataclass
@@ -16,19 +16,24 @@ class ElboTerms:
     g_logits: np.ndarray  # d(kl)/d(logits); the edge sample adds its own
 
 
-def elbo_loss(pred, target, logits, sigma: float) -> ElboTerms:
+def elbo_loss(pred, target, logits, sigma: float, lengths) -> ElboTerms:
     """Per-sample-averaged ELBO terms and their closed-form gradients.
 
-    nll = sum((pred - target)^2) / (2 sigma) with sigma the decoder's
-    output variance; kl compares the edge posterior softmax(logits)
-    against the uniform prior over the two edge types.  Both are
-    averaged over the batch.  The KL gradient is the log-softmax term
-    plus the softmax term, in that order.
+    nll = sum((pred - target)^2) / (2 sigma) over each sample's predicted
+    steps 0..length-2 only, with sigma the decoder's output variance;
+    the steps past them neither score nor take a gradient.  kl compares the
+    edge posterior softmax(logits) against the uniform prior over the
+    two edge types.  Both are averaged over the batch.  The KL gradient
+    is the log-softmax term plus the softmax term, in that order.
     """
     if sigma <= 0:
         raise ConfigurationError(f"variance must be positive, got {sigma}")
+    if np.shape(target) != pred.shape:
+        raise UsageError(f"target {np.shape(target)} does not match the "
+                         f"predictions {pred.shape}")
     batch = pred.shape[0]
-    diff = pred - target
+    predicted = np.arange(pred.shape[2]) < np.asarray(lengths)[:, None] - 1
+    diff = np.where(predicted[:, None, :, None], pred - target, 0.0)
     c = 1.0 / (2.0 * sigma * batch)
     nll = (diff * diff).sum() * c
     shifted = logits - logits.max(axis=-1, keepdims=True)

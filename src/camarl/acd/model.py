@@ -9,6 +9,11 @@ permutations by construction.
 Decoder: one shared GRU per node predicting the next step of its own
 series; incoming messages are multiplied by the sampled weight of the
 (source -> target) edge, so a hard no-edge blocks information exactly.
+It runs only over each sample's true length.  The batch comes ordered
+longest first, so step t runs on the row prefix of the samples with
+t + 1 < length: the hidden state shrinks as a prefix of its rows, and
+the loop ends at the longest sample's last step.  The padding past a
+sample's length is never read.
 
 Forward and backward are explicit array passes, like the Q-network's
 ``qnet_unroll_fwd``/``_bwd``.  ``encode`` and ``decode`` return their
@@ -22,10 +27,13 @@ as the reverse-mode tape they replace, which the tests keep as the
 reference, because they keep its order of accumulation wherever more
 than two terms are summed (a sum of two cannot depend on its order):
 
-- A decoder weight is shared by the T - 1 steps, and so are the edge
-  weights.  Each step's gradient is added into the zeroed buffer as it
-  is computed, from t = T - 2 down to 0.  As 0.0 + a == a, that rounds
-  as the tape's sum from the first term, added into the zeroed buffer.
+- A decoder weight is shared by the steps, and so are the edge weights.
+  Each step's gradient is added into the zeroed buffer as it is
+  computed, from the last step down to 0, into the rows that step ran
+  on.  As 0.0 + a == a, that rounds as the tape's sum from the first
+  term, added into the zeroed buffer.
+- A hidden state's gradient is its output layer's, plus, in the rows
+  the next step ran on, the next step's (a sum of two).
 - The logits gradient is the KL's log-softmax term, plus its softmax
   term, plus the edge sample's term, in that order.
 - The gradient of a pair gather ``h.take(idx, axis=1)`` is n - 1
@@ -34,9 +42,10 @@ than two terms are summed (a sum of two cannot depend on its order):
 - The incoming-edge mean scales the messages by 1 / (n - 1), then sums
   each node's pairs in ascending order (``_gather_bwd``); its gradient
   is the scaled node gradient taken at each pair's destination.
-- Every per-step product stays per step.  Hoisting the message layer
-  as one 2-D GEMM over all T steps would change its row count and the
-  rounding; a stacked ``@`` with one product per step would not.
+- Every per-step product stays per step, on that step's rows.  Its
+  row count sets its rounding: hoisting the message layer as one 2-D
+  GEMM over all steps would change it, and so does a step run on more
+  or fewer samples.
 - The gradient of the data inputs (``enc.emb1``, ``dec.msg``) is not
   computed.
 """
@@ -235,56 +244,71 @@ class AcdModel:
 
     # -- decoder -------------------------------------------------------------
 
-    def decode(self, x: np.ndarray, edge_weight: np.ndarray):
-        """Teacher-forced one-step-ahead predictions for steps 1..T-1.
+    def decode(self, x: np.ndarray, edge_weight: np.ndarray, lengths):
+        """Teacher-forced one-step-ahead predictions for each sample's
+        steps 1..length-1.
 
         edge_weight is a (batch, n_pairs) array of edge strengths (soft
-        samples in training, hard 0/1 at inference).  Returns the
-        (batch, n_nodes, T-1, D) predictions for x[:, :, 1:] and the
-        activations decode_bwd reads: the edge weights and the list
-        [h0, step 0, h1, step 1, ...], each hidden state held once.
+        samples in training, hard 0/1 at inference).  lengths holds each
+        sample's true length, non-increasing, so that step t runs on the
+        row prefix of the samples with t + 1 < length.  Returns the
+        (batch, n_nodes, L - 1, D) predictions for x[:, :, 1:L], L the
+        longest length, zero past each sample's last predicted step, and
+        the activations decode_bwd reads: the edge weights and the list
+        [h0, step 0, h1, step 1, ...], each hidden state held once with
+        the rows of its step.
         """
         self._check_input(x)
         B, n, Tlen, D = x.shape
         d = self.dec_hidden
+        lengths = np.asarray(lengths)
+        if (lengths.shape != (B,) or (np.diff(lengths) > 0).any()
+                or not 1 <= lengths[-1] <= lengths[0] <= Tlen):
+            raise UsageError(f"need {B} non-increasing lengths in "
+                             f"1..{Tlen}, got {lengths}")
+        # the number of samples still inside their series at each step
+        live = (lengths[:, None] > np.arange(1, lengths[0])).sum(axis=0)
         w = edge_weight.reshape(B, self.n_pairs, 1)
         h = np.zeros((B * n, d))
-        pred = np.empty((B, n, Tlen - 1, D))
+        pred = np.zeros((B, n, len(live), D))
         steps = [h]
-        for t in range(Tlen - 1):
-            xt = x[:, :, t, :]
-            m = _dense(self.msg, np.ascontiguousarray(xt.reshape(B * n, D)))
-            gated = np.take(m.reshape(B, n, d), self.src, axis=1) * w
+        for t, b in enumerate(live):
+            xt = x[:b, :, t, :]
+            m = _dense(self.msg, np.ascontiguousarray(xt.reshape(b * n, D)))
+            gated = np.take(m.reshape(b, n, d), self.src, axis=1) * w[:b]
             gin = np.concatenate([xt, self._pool(gated)], axis=2)
-            gin = gin.reshape(B * n, D + d)
-            h, r, z, nc, ghn = K.gru_fwd(gin, h, *self.gru)
-            pred[:, :, t, :] = xt + _dense(self.out, h).reshape(B, n, D)
+            gin = gin.reshape(b * n, D + d)
+            h, r, z, nc, ghn = K.gru_fwd(gin, h[:b * n], *self.gru)
+            pred[:b, :, t, :] = xt + _dense(self.out, h).reshape(b, n, D)
             steps += [(m, gin, r, z, nc, ghn), h]
         return pred, (w, steps)
 
     def decode_bwd(self, cache, g_pred):
-        """Add the decoder's gradients into its zeroed views step by step;
-        returns d(loss)/d(edge_weight)."""
+        """Add the decoder's gradients into its zeroed views step by step,
+        over the same row prefixes as decode; returns
+        d(loss)/d(edge_weight)."""
         w, steps = cache
         B, P = w.shape[:2]
         n, d, D = self.n_nodes, self.dec_hidden, self.feat_dim
         g_gru = [self.params.grads["dec.gru." + k] for k in GRU_KEYS]
         g_w = np.zeros_like(w)
-        dh = np.zeros_like(steps[0])
+        dh = np.zeros((0, d))
         for t in range(len(steps) // 2 - 1, -1, -1):
             h, (m, gin, r, z, nc, ghn), h_new = steps[2 * t:2 * t + 3]
-            gy = np.ascontiguousarray(g_pred[:, :, t, :]).reshape(B * n, D)
-            dh += _dense_bwd(self.out, h_new, None, gy)
-            g_gin, dh, *grads = K.gru_bwd(gin, h, *self.gru[:2], r, z, nc,
-                                          ghn, dh)
+            b = len(h_new) // n
+            gy = np.ascontiguousarray(g_pred[:b, :, t, :]).reshape(b * n, D)
+            g_h = _dense_bwd(self.out, h_new, None, gy)
+            g_h[:len(dh)] += dh
+            g_gin, dh, *grads = K.gru_bwd(gin, h[:b * n], *self.gru[:2], r, z,
+                                          nc, ghn, g_h)
             for acc, grad in zip(g_gru, grads):
                 acc += grad
-            g_pool = np.ascontiguousarray(g_gin.reshape(B, n, D + d)[:, :, D:])
+            g_pool = np.ascontiguousarray(g_gin.reshape(b, n, D + d)[:, :, D:])
             g_gated = self._pool_bwd(g_pool)
-            taken = np.take(m.reshape(B, n, d), self.src, axis=1)
-            g_w += (g_gated * taken).sum(axis=2, keepdims=True)
-            g_m = _gather_bwd(g_gated * w, self._src_slots)
-            _dense_params_bwd(self.msg, gin[:, :D], m, g_m.reshape(B * n, d))
+            taken = np.take(m.reshape(b, n, d), self.src, axis=1)
+            g_w[:b] += (g_gated * taken).sum(axis=2, keepdims=True)
+            g_m = _gather_bwd(g_gated * w[:b], self._src_slots)
+            _dense_params_bwd(self.msg, gin[:, :D], m, g_m.reshape(b * n, d))
         return g_w.reshape(B, P)
 
     # -- sampling ------------------------------------------------------------

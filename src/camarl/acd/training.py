@@ -9,7 +9,7 @@ import camarl
 from camarl.envs import env_spec
 from camarl.errors import ConfigurationError, UsageError
 from camarl.nn.optim import rmsprop_update
-from camarl.acd.dataset import preprocess
+from camarl.acd.dataset import check_lengths, preprocess
 from camarl.acd.loss import elbo_loss
 from camarl.acd.model import AcdModel, gumbel_softmax_bwd
 
@@ -49,7 +49,10 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
 
     Preprocesses every sample, then minimizes the per-sample ELBO with
     RMSprop over shuffled batches; soft edge samples at ``TEMPERATURE``
-    during training.  Returns the model plus one loss row per epoch.
+    during training.  Each batch is ordered by true length, longest
+    first (ties keep their shuffled order), so the decoder runs each
+    step on a shrinking row prefix and the NLL covers only the predicted
+    steps.  Returns the model plus one loss row per epoch.
     """
     if not samples:
         raise UsageError("cannot train on an empty dataset")
@@ -62,6 +65,8 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
     env_id = env_ids[0]
     if sigma is None:
         sigma = sigma_for(env_id)
+    check_lengths(samples)
+    lengths = np.array([s.length for s in samples])
     data = preprocess(samples)
     M, n_nodes, T, D = data.shape
 
@@ -79,11 +84,12 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
         n_seen = 0
         for lo in range(0, M, batch_size):
             idx = order[lo:lo + batch_size]
-            xb = data[idx]
+            idx = idx[np.argsort(-lengths[idx], kind="stable")]
+            xb, lb = data[idx], lengths[idx]
             logits, enc = model.encode(xb)
             w, soft = model.sample_edges(logits, TEMPERATURE, rng=rng_noise)
-            pred, dec = model.decode(xb, w)
-            terms = elbo_loss(pred, xb[:, :, 1:, :], logits, sigma)
+            pred, dec = model.decode(xb, w, lb)
+            terms = elbo_loss(pred, xb[:, :, 1:lb[0], :], logits, sigma, lb)
             backward(model, terms, enc, dec, soft)
             rmsprop_update(model.params, lr=lr)
             b = len(idx)

@@ -422,30 +422,41 @@ class TapeAcd:
         picked = take(sample, np.array([1]), axis=2)
         return picked.reshape(logits.data.shape[:2])
 
-    def decode(self, x, edge_weight):
+    def decode(self, x, edge_weight, lengths):
+        """Step t on the samples with t + 1 < length, a row prefix of the
+        longest-first batch; zeros past each sample's last step, up to
+        the longest sample's."""
         m = self.model
-        B, n, Tlen, D = x.shape
+        B, n, _, D = x.shape
         d = m.dec_hidden
         L = self.leaves
         w = edge_weight.reshape((B, m.n_pairs, 1))
+        live = [int((lengths > t + 1).sum()) for t in range(lengths[0] - 1)]
         h = constant(np.zeros((B * n, d)))
         preds = []
-        for t in range(Tlen - 1):
-            xt = x[:, :, t, :]
-            msg = self._dense("dec.msg", constant(xt.reshape(B * n, D)))
-            gated = take(msg.reshape((B, n, d)), m.src, axis=1) * w
+        for t, b in enumerate(live):
+            xt = x[:b, :, t, :]
+            msg = self._dense("dec.msg", constant(xt.reshape(b * n, D)))
+            gated = (take(msg.reshape((b, n, d)), m.src, axis=1)
+                     * take(w, np.arange(b), axis=0))
             pooled = mix_axis1(gated, self.agg)
             gin = concat([constant(xt), pooled], axis=2)
-            h = gru_step(gin.reshape((B * n, D + d)), h, L["dec.gru.Wx"],
+            h = gru_step(gin.reshape((b * n, D + d)),
+                         take(h, np.arange(b * n), axis=0), L["dec.gru.Wx"],
                          L["dec.gru.Wh"], L["dec.gru.bx"], L["dec.gru.bh"])
-            delta = self._dense("dec.out", h).reshape((B, n, 1, D))
-            preds.append(constant(xt.reshape(B, n, 1, D)) + delta)
+            delta = self._dense("dec.out", h).reshape((b, n, 1, D))
+            step = constant(xt.reshape(b, n, 1, D)) + delta
+            preds.append(concat([step, constant(np.zeros((B - b, n, 1, D)))],
+                                axis=0))
         return concat(preds, axis=2)
 
 
-def elbo_loss(pred, target, logits, sigma):
-    """(nll, kl, total) tensors of the per-sample-averaged ELBO."""
+def elbo_loss(pred, target, logits, sigma, lengths):
+    """(nll, kl, total) tensors of the per-sample-averaged ELBO; the nll
+    covers each sample's steps 0..length-2 only."""
     batch = pred.data.shape[0]
-    nll = (pred - target).square().sum() * (1.0 / (2.0 * sigma * batch))
+    predicted = np.arange(pred.data.shape[2]) < lengths[:, None] - 1
+    diff = (pred - target) * constant(predicted[:, None, :, None])
+    nll = diff.square().sum() * (1.0 / (2.0 * sigma * batch))
     kl = kl_categorical_uniform(logits, axis=-1).sum() * (1.0 / batch)
     return nll, kl, nll + kl

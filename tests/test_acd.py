@@ -230,7 +230,7 @@ def test_preprocess_fills_the_stack_block_by_block(monkeypatch):
 
 def test_preprocess_rejects_mixed_shapes():
     a = SeriesSample(x=np.zeros((4, 24, 2)), env_id="sk3-sp",
-                     bits=np.zeros(3, dtype=np.uint8))
+                     bits=np.zeros(3, dtype=np.uint8), length=24)
     with pytest.raises(ConfigurationError, match="mixes sample shapes"):
         preprocess([a, replace(a, x=np.zeros((4, 25, 2)))])
 
@@ -286,7 +286,8 @@ def test_collect_dataset_never_wins():
 
 def test_split_dataset():
     samples = [SeriesSample(x=np.zeros((2, 24, 1)), env_id="pp",
-                            bits=np.zeros(1, dtype=np.uint8), seed=k)
+                            bits=np.zeros(1, dtype=np.uint8), length=24,
+                            seed=k)
                for k in range(10)]
     train, held = split_dataset(samples, 0.8, seed=1)
     assert len(train) == 8 and len(held) == 2
@@ -357,10 +358,10 @@ def test_decoder_no_edge_blocks_information():
     m = _toy_model()
     x = _toy_batch(B=1, seed=5)
     w = np.zeros((1, m.n_pairs))
-    base = m.decode(x, w)[0]
+    base = m.decode(x, w, [12])[0]
     x2 = x.copy()
     x2[0, 0] += 3.21  # perturb node 0's whole series
-    pert = m.decode(x2, w)[0]
+    pert = m.decode(x2, w, [12])[0]
     # all other nodes' predictions are exactly unchanged
     np.testing.assert_array_equal(base[0, 1:], pert[0, 1:])
     assert np.abs(base[0, 0] - pert[0, 0]).max() > 0
@@ -373,13 +374,61 @@ def test_decoder_edge_carries_information():
     pair = [p for p, (i, j) in enumerate(zip(m.src, m.dst))
             if i == 0 and j == 1][0]
     w_data[0, pair] = 1.0
-    base = m.decode(x, w_data)[0]
+    base = m.decode(x, w_data, [12])[0]
     x2 = x.copy()
     x2[0, 0] += 3.21
-    pert = m.decode(x2, w_data)[0]
+    pert = m.decode(x2, w_data, [12])[0]
     assert np.abs(base[0, 1] - pert[0, 1]).max() > 0
     # nodes without an incoming edge from node 0 stay put
     np.testing.assert_array_equal(base[0, 2:], pert[0, 2:])
+
+
+def test_decoder_padding_is_inert():
+    # with the edge weights fixed, the decoder never reads the padding
+    # past a sample's length: perturbing it moves no prediction, NLL,
+    # NLL gradient or decoder gradient bit
+    m = _toy_model()
+    x = _toy_batch(B=3, seed=11)
+    lengths = np.array([11, 9, 5])
+    w = np.random.default_rng(3).random((3, m.n_pairs))
+    logits = np.zeros((3, m.n_pairs, 2))
+    runs = []
+    for shift in (0.0, 7.5):
+        xs = x.copy()
+        for b, L in enumerate(lengths):
+            xs[b, :, L:] += shift
+        pred, dec = m.decode(xs, w, lengths)
+        terms = elbo_loss(pred, xs[:, :, 1:11, :], logits, 5e-3, lengths)
+        m.params.grad.fill(0.0)
+        g_w = m.decode_bwd(dec, terms.g_pred)
+        grads = {name: g.copy() for name, g in m.params.grads.items()
+                 if name.startswith("dec.")}
+        runs.append((pred, terms, g_w, grads))
+        assert pred.shape == (3, 4, 10, 3)
+        for b, L in enumerate(lengths):
+            assert not pred[b, :, L - 1:].any()
+    (p0, t0, w0, g0), (p1, t1, w1, g1) = runs
+    assert p0.tobytes() == p1.tobytes()
+    assert np.float64(t0.nll).tobytes() == np.float64(t1.nll).tobytes()
+    assert t0.g_pred.tobytes() == t1.g_pred.tobytes()
+    assert w0.tobytes() == w1.tobytes()
+    assert len(g0) == 8 and all(np.abs(g).max() > 0 for g in g0.values())
+    for name in g0:
+        assert g0[name].tobytes() == g1[name].tobytes(), name
+    # each sample's steps predict what a full-length decode predicts
+    full = m.decode(x, w, [12, 12, 12])[0]
+    for b, L in enumerate(lengths):
+        np.testing.assert_allclose(p0[b, :, :L - 1], full[b, :, :L - 1],
+                                   rtol=0, atol=1e-12)
+
+
+def test_decode_rejects_bad_lengths():
+    m = _toy_model()
+    x = _toy_batch(B=3)
+    w = np.zeros((3, m.n_pairs))
+    for lengths in ([5, 9, 12], [12, 5, 9], [12, 9], [13, 9, 5], [12, 9, 0]):
+        with pytest.raises(UsageError, match="non-increasing"):
+            m.decode(x, w, lengths)
 
 
 def test_adjacency_can_be_asymmetric():
@@ -401,15 +450,15 @@ def test_elbo_zero_cases():
     logits, _ = m.encode(x)
     rng = np.random.default_rng(0)
     w, _ = m.sample_edges(logits, 0.5, rng=rng)
-    pred, _ = m.decode(x, w)
-    terms = elbo_loss(pred, pred.copy(), logits, sigma=5e-4)
+    pred, _ = m.decode(x, w, [12, 12])
+    terms = elbo_loss(pred, pred.copy(), logits, 5e-4, [12, 12])
     assert terms.nll == 0.0
     assert terms.kl >= 0.0
     # uniform posterior -> zero KL
     m.params["enc.head.W"][...] = 0.0
     m.params["enc.head.b"][...] = 0.0
     logits_u, _ = m.encode(x)
-    terms_u = elbo_loss(pred, pred.copy(), logits_u, sigma=5e-4)
+    terms_u = elbo_loss(pred, pred.copy(), logits_u, 5e-4, [12, 12])
     assert abs(terms_u.kl) < 1e-12
 
 
@@ -418,7 +467,7 @@ def test_elbo_hand_value():
     pred = np.full((1, 1, 1, 1), 0.1)
     target = np.zeros((1, 1, 1, 1))
     logits = np.zeros((1, 1, 2))
-    terms = elbo_loss(pred, target, logits, sigma=5e-3)
+    terms = elbo_loss(pred, target, logits, 5e-3, [2])
     assert abs(terms.nll - 1.0) < 1e-12
     assert abs(terms.total - 1.0) < 1e-12
     # d nll / d pred = (pred - target) / (sigma * batch) = 20
@@ -429,7 +478,15 @@ def test_elbo_hand_value():
 def test_elbo_sigma_validation():
     pred = np.zeros((1, 1, 1, 1))
     with pytest.raises(ConfigurationError):
-        elbo_loss(pred, pred, np.zeros((1, 1, 2)), sigma=0.0)
+        elbo_loss(pred, pred, np.zeros((1, 1, 2)), 0.0, [2])
+
+
+def test_elbo_rejects_mismatched_target():
+    # a one-step pred would broadcast against a longer target
+    pred = np.zeros((1, 1, 1, 1))
+    with pytest.raises(UsageError, match="does not match"):
+        elbo_loss(pred, np.zeros((1, 1, 5, 1)), np.zeros((1, 1, 2)), 5e-3,
+                  [2])
 
 
 def test_elbo_gradient_flows_through_encoder():
@@ -439,24 +496,25 @@ def test_elbo_gradient_flows_through_encoder():
     logits, enc = m.encode(x)
     noise = sample_gumbel(rng, logits.shape)
     w, soft = m.sample_edges(logits, TEMPERATURE, noise=noise)
-    pred, dec = m.decode(x, w)
-    terms = elbo_loss(pred, x[:, :, 1:, :], logits, sigma=5e-4)
+    pred, dec = m.decode(x, w, [12, 12])
+    terms = elbo_loss(pred, x[:, :, 1:, :], logits, 5e-4, [12, 12])
     backward(m, terms, enc, dec, soft)
     g = m.params.grads["enc.emb1.W"]
     assert np.abs(g).max() > 0
 
 
-def _fused_loss(m, x, noise, sigma):
+def _fused_loss(m, x, noise, sigma, lengths):
     """The training loop's forward for one batch: (terms, enc, dec, soft)."""
     logits, enc = m.encode(x)
     w, soft = m.sample_edges(logits, TEMPERATURE, noise=noise)
-    pred, dec = m.decode(x, w)
-    return elbo_loss(pred, x[:, :, 1:, :], logits, sigma), enc, dec, soft
+    pred, dec = m.decode(x, w, lengths)
+    return (elbo_loss(pred, x[:, :, 1:lengths[0], :], logits, sigma, lengths),
+            enc, dec, soft)
 
 
-def _check_fused_gradients(m, x, noise, sigma, names, n_entries):
+def _check_fused_gradients(m, x, noise, sigma, lengths, names, n_entries):
     """Central differences of the ELBO against the fused backward."""
-    terms, *caches = _fused_loss(m, x, noise, sigma)
+    terms, *caches = _fused_loss(m, x, noise, sigma, lengths)
     backward(m, terms, *caches)
     h = 1e-6
     for name in names:
@@ -465,9 +523,9 @@ def _check_fused_gradients(m, x, noise, sigma, names, n_entries):
         for k in np.linspace(0, flat.size - 1, n_entries, dtype=int):
             keep = flat[k]
             flat[k] = keep + h
-            up = _fused_loss(m, x, noise, sigma)[0].total
+            up = _fused_loss(m, x, noise, sigma, lengths)[0].total
             flat[k] = keep - h
-            dn = _fused_loss(m, x, noise, sigma)[0].total
+            dn = _fused_loss(m, x, noise, sigma, lengths)[0].total
             flat[k] = keep
             num = (up - dn) / (2 * h)
             assert relative_error(gflat[k], num) < 1e-3, (name, k)
@@ -480,8 +538,8 @@ def test_elbo_encoder_gradcheck():
     m = _toy_model(n_nodes=3, T=12, D=2, seed=3)
     x = _toy_batch(n=3, T=12, D=2, B=1, seed=9)
     noise = sample_gumbel(np.random.default_rng(2), (1, m.n_pairs, 2))
-    _check_fused_gradients(m, x, noise, 5e-2, ("enc.head.W", "enc.emb1.b",
-                                               "enc.fe2a.W", "dec.msg.W"), 5)
+    names = ("enc.head.W", "enc.emb1.b", "enc.fe2a.W", "dec.msg.W")
+    _check_fused_gradients(m, x, noise, 5e-2, [12], names, 5)
 
 
 def test_fused_elbo_gradcheck_every_parameter():
@@ -490,11 +548,18 @@ def test_fused_elbo_gradcheck_every_parameter():
     noise = sample_gumbel(np.random.default_rng(3), (2, m.n_pairs, 2))
     names = list(m.params.grads)
     assert len(names) == 26
-    _check_fused_gradients(m, x, noise, 5e-2, names, 3)
+    for lengths in ([6, 6], [6, 4]):
+        _check_fused_gradients(m, x, noise, 5e-2, lengths, names, 3)
 
 
 def _preprocessed(env_id, n):
     return preprocess(collect_dataset(env_id, n, seed=0))
+
+
+def _with_lengths(env_id, n):
+    """A preprocessed stack of n collected samples and their lengths."""
+    samples = collect_dataset(env_id, n, seed=0)
+    return preprocess(samples), np.array([s.length for s in samples])
 
 
 @pytest.mark.parametrize("env_id, enc_hidden, dec_hidden",
@@ -502,11 +567,12 @@ def _preprocessed(env_id, n):
                          ids=["pp-benchmark-width", "sk3-golden-width"])
 def test_fused_elbo_matches_tape_byte_for_byte(env_id, enc_hidden,
                                                dec_hidden):
-    # two batches of 19 with an RMSprop step between them, so the second
-    # batch runs on updated weights
+    # two batches of 19 on their true lengths, longest first, with an
+    # RMSprop step between them, so the second batch runs on updated
+    # weights
     import tape as T
 
-    data = _preprocessed(env_id, 19)
+    data, lengths = _with_lengths(env_id, 19)
     M, n, T_len, D = data.shape
     m = AcdModel(n, T_len, D, seed=0, enc_hidden=enc_hidden,
                  dec_hidden=dec_hidden)
@@ -514,14 +580,19 @@ def test_fused_elbo_matches_tape_byte_for_byte(env_id, enc_hidden,
     sigma = sigma_for(env_id)
     rng = np.random.default_rng(1)
     for _ in range(2):
-        x = data[rng.permutation(M)]
+        order = rng.permutation(M)
+        order = order[np.argsort(-lengths[order], kind="stable")]
+        x, lb = data[order], lengths[order]
+        assert len(set(lb.tolist())) >= 2 and lb[0] < T_len
         noise = sample_gumbel(rng, (M, m.n_pairs, 2))
-        terms, *caches = _fused_loss(m, x, noise, sigma)
+        terms, *caches = _fused_loss(m, x, noise, sigma, lb)
         backward(m, terms, *caches)
 
         logits = ref.encode(x)
-        pred = ref.decode(x, ref.sample_edges(logits, TEMPERATURE, noise))
-        nll, kl, total = T.elbo_loss(pred, x[:, :, 1:, :], logits, sigma)
+        pred = ref.decode(x, ref.sample_edges(logits, TEMPERATURE, noise),
+                          lb)
+        nll, kl, total = T.elbo_loss(pred, x[:, :, 1:lb[0], :], logits,
+                                     sigma, lb)
         T.backward(total)
 
         assert np.float64(terms.nll).tobytes() == nll.data.tobytes()
@@ -572,7 +643,7 @@ def _tiny_dataset(n_samples=12, n=3, T=24, D=4, seed=0):
         x[n, :, 0] = rng.random(T)
         out.append(SeriesSample(x=x, env_id="sk3-sp",
                                 bits=rng.integers(0, 2, n).astype(np.uint8),
-                                seed=k))
+                                length=T, seed=k))
     return out
 
 
@@ -608,24 +679,33 @@ def test_train_acd_overfits_single_sample():
             x[i, :, d] = np.sin(2 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
     x[n, :, 0] = np.cumsum(rng.random(T))
     sample = SeriesSample(x=x, env_id="sk3-sp",
-                          bits=rng.integers(0, 2, n).astype(np.uint8), seed=0)
+                          bits=rng.integers(0, 2, n).astype(np.uint8),
+                          length=T, seed=0)
     res = train_acd([sample] * 8, epochs=60, batch_size=8, seed=1, lr=5e-3,
                     enc_hidden=16, dec_hidden=8)
     assert res.rows[-1]["nll"] < 0.2 * res.rows[0]["nll"]
 
 
-def test_train_acd_validation():
+def test_train_acd_validation(tmp_path):
     with pytest.raises(UsageError):
         train_acd([])
     bad = _tiny_dataset(2)
     bad[1] = SeriesSample(x=np.zeros((5, 24, 4)), env_id="sk3-sp",
-                          bits=np.zeros(4, dtype=np.uint8))
+                          bits=np.zeros(4, dtype=np.uint8), length=24)
     with pytest.raises(ConfigurationError):
         train_acd(bad, epochs=1, enc_hidden=8, dec_hidden=4)
     for kw in ({"epochs": 0}, {"epochs": -3}, {"batch_size": 0},
                {"batch_size": -1}):
         with pytest.raises(ConfigurationError, match="at least 1"):
             train_acd(_tiny_dataset(2), enc_hidden=8, dec_hidden=4, **kw)
+    # a length outside 1..T would fit the decoder on nothing or on padding
+    for length in (0, -1, 25, 2.5, None):
+        bad = _tiny_dataset(2)
+        bad[1] = replace(bad[1], length=length)
+        with pytest.raises(ConfigurationError, match="lengths"):
+            train_acd(bad, epochs=1, enc_hidden=8, dec_hidden=4,
+                      out_dir=tmp_path / "fit")
+        assert not (tmp_path / "fit").exists()
 
 
 # ---------------------------------------------------------------- inference

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -129,9 +130,9 @@ def test_dataset_file_roundtrip(tmp_path):
 
 def test_dataset_rejects_mixing(tmp_path):
     a = SeriesSample(x=np.zeros((5, 100, 53)), env_id="lj",
-                     bits=np.zeros(4, dtype=np.uint8))
+                     bits=np.zeros(4, dtype=np.uint8), length=100)
     b = SeriesSample(x=np.zeros((5, 100, 53)), env_id="lj-sp",
-                     bits=np.zeros(4, dtype=np.uint8))
+                     bits=np.zeros(4, dtype=np.uint8), length=100)
     with pytest.raises(ConfigurationError):
         save_dataset(tmp_path / "mix.ckpt", [a, b])
     with pytest.raises(ConfigurationError):
@@ -389,6 +390,18 @@ def test_cli_bad_config_values_fail_before_output(cli_runs, tmp_path, capsys,
                                   tmp_path / "out", capsys, word)
 
 
+def test_cli_acd_train_bad_length_fails_before_output(tmp_path, capsys):
+    samples = collect_dataset("sk3-sp", 2, seed=3)
+    samples[1] = replace(samples[1], length=0)
+    data = tmp_path / "bad.ckpt"
+    save_dataset(data, samples)
+    with pytest.raises(ConfigurationError, match="lengths"):
+        load_dataset(data)
+    _assert_exit_3_writes_nothing(
+        ["acd", "train", "--data", str(data), "--epochs", "1"],
+        tmp_path / "out", capsys, "lengths")
+
+
 def test_cli_negative_episodes_stay_a_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["collect", "--env", "sk3-sp", "--episodes", "-1",
@@ -556,7 +569,7 @@ CLI_ARTIFACTS = {
     "acd_eval":
         "96b7db51b51749b26add7b413772e765ebf17366cf6cf6abdfe8cdf5536dc6d6",
     "acd_train":
-        "8a40380ae073af61b573e8da9503e450cf28a2054129c6d57c6e62280d97de85",
+        "e88a1b8445352615a7c5eaa4868bab38c5ab306a3a320df03695cf575b91800f",
     "collect":
         "15c0144a8d57f7ca440e1487370cd8538cc47387e4973546a466cf0b3ec879ce",
     "report":

@@ -885,8 +885,9 @@ def test_reloaded_models_train_on_byte_for_byte():
         for _ in range(2):
             logits, enc = model.encode(x)
             w, soft = model.sample_edges(logits, TEMPERATURE, noise=noise)
-            pred, dec = model.decode(x, w)
-            terms = elbo_loss(pred, x[:, :, 1:, :], logits, 5e-4)
+            pred, dec = model.decode(x, w, [5, 5, 5, 5])
+            terms = elbo_loss(pred, x[:, :, 1:, :], logits, 5e-4,
+                              [5, 5, 5, 5])
             backward(model, terms, enc, dec, soft)
             rmsprop_update(model.params, lr=5e-4)
     assert (_snapshot(twin.params.state_arrays())
