@@ -1,8 +1,7 @@
 from camarl.acd.dataset import (
     SeriesSample, collect_dataset, episode_to_sample, load_dataset,
     save_dataset, split_dataset)
-from camarl.acd.inference import (
-    adjacency, evaluate_accuracy, make_bits_fn, predict_c)
+from camarl.acd.inference import evaluate_accuracy, make_bits_fn, predict_c
 from camarl.acd.loss import ElboTerms, elbo_loss
 from camarl.acd.model import AcdModel, ordered_pairs
 from camarl.acd.preprocess import (
@@ -12,7 +11,7 @@ from camarl.acd.training import (
 
 __all__ = [
     "AcdModel", "AcdResult", "ElboTerms", "POLY_ORDER", "SeriesSample",
-    "adjacency", "collect_dataset", "elbo_loss", "episode_to_sample",
+    "collect_dataset", "elbo_loss", "episode_to_sample",
     "evaluate_accuracy", "load_acd", "load_dataset", "make_bits_fn",
     "minmax_normalize", "save_dataset",
     "ordered_pairs", "predict_c", "preprocess_series",

@@ -128,7 +128,8 @@ def collect_dataset(env_id: str, n_episodes: int, seed: int = 0, *,
 
 
 def save_dataset(path, samples):
-    """Persist samples in the deterministic checkpoint container."""
+    """Persist samples in the deterministic checkpoint container; a
+    sample length outside 1..T is refused before anything is written."""
     from camarl.nn.checkpoint import save_checkpoint
 
     samples = list(samples)
@@ -138,6 +139,7 @@ def save_dataset(path, samples):
     if len(env_ids) > 1:
         raise ConfigurationError(
             f"dataset mixes environments: {', '.join(env_ids)}")
+    check_lengths(samples)
     arrays = {}
     for k, s in enumerate(samples):
         arrays[f"x_{k}"] = s.x

@@ -8,21 +8,13 @@ from camarl.acd.dataset import EVAL_BLOCK, episode_to_sample, preprocess
 from camarl.acd.model import AcdModel
 
 
-def adjacency(model: AcdModel, edge_bits: np.ndarray) -> np.ndarray:
-    """(..., n_pairs) pair bits to (..., n, n) adjacencies, zero diagonal."""
-    n = model.n_nodes
-    a = np.zeros(np.shape(edge_bits)[:-1] + (n, n), dtype=np.uint8)
-    a[..., model.src, model.dst] = edge_bits
-    return a
-
-
 def predict_c(model: AcdModel, x: np.ndarray) -> np.ndarray:
     """Causality bits (M, n - 1) of a ``preprocess`` stack: bit [k, i] is
     the hard-decoded edge from node i into sample k's reward node, each
-    sample encoded as a batch of one."""
+    sample encoded as a batch of one.  ordered_pairs lists the pairs
+    into the reward node by ascending source."""
     logits, _ = model.encode(x[:, None])
-    a = adjacency(model, model.hard_edges(logits[:, 0]))
-    return a[..., :-1, -1].copy()
+    return model.hard_edges(logits[:, 0, model.dst == model.n_nodes - 1])
 
 
 def evaluate_accuracy(model: AcdModel, samples) -> dict:

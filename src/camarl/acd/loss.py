@@ -33,7 +33,8 @@ def elbo_loss(pred, target, logits, sigma: float, lengths) -> ElboTerms:
                          f"predictions {pred.shape}")
     batch = pred.shape[0]
     predicted = np.arange(pred.shape[2]) < np.asarray(lengths)[:, None] - 1
-    diff = np.where(predicted[:, None, :, None], pred - target, 0.0)
+    diff = pred - target
+    np.copyto(diff, 0.0, where=~predicted[:, None, :, None])
     c = 1.0 / (2.0 * sigma * batch)
     nll = (diff * diff).sum() * c
     shifted = logits - logits.max(axis=-1, keepdims=True)

@@ -57,8 +57,6 @@ from camarl.nn import kernels as K
 from camarl.nn.kernels import ACT_IDENTITY, ACT_RELU
 from camarl.nn.layers import Dense, ParamSet, _uniform_init, dense_init
 
-ENC_HIDDEN = 128
-DEC_HIDDEN = 64
 EDGE_TYPES = 2
 GRU_KEYS = ("Wx", "Wh", "bx", "bh")   # the gru_fwd argument order
 
@@ -121,8 +119,7 @@ def _gather_bwd(g, slots):
 
 class AcdModel:
     def __init__(self, n_nodes: int, series_len: int, feat_dim: int,
-                 seed=0, enc_hidden: int = ENC_HIDDEN,
-                 dec_hidden: int = DEC_HIDDEN):
+                 seed=0, *, enc_hidden: int, dec_hidden: int):
         if n_nodes < 2:
             raise ConfigurationError("need at least two nodes for edges")
         self.n_nodes = n_nodes

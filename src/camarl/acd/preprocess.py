@@ -72,14 +72,12 @@ def sg_weight_table(T: int):
     return tuple(table)
 
 
-def savgol_smooth(series: np.ndarray) -> np.ndarray:
-    """Smooth (..., T, C) data along axis -2; a (T,) series as one column."""
-    x = np.asarray(series, dtype=np.float64)
-    cols = x[:, None] if x.ndim == 1 else x
-    out = np.empty_like(cols)
-    for t, (lo, hi, w) in enumerate(sg_weight_table(cols.shape[-2])):
-        out[..., t, :] = w @ cols[..., lo:hi, :]
-    return out.reshape(x.shape)
+def savgol_smooth(x: np.ndarray) -> np.ndarray:
+    """Smooth float64 (..., T, C) data along axis -2 into a new array."""
+    out = np.empty_like(x)
+    for t, (lo, hi, w) in enumerate(sg_weight_table(x.shape[-2])):
+        out[..., t, :] = w @ x[..., lo:hi, :]
+    return out
 
 
 def minmax_normalize(series: np.ndarray) -> np.ndarray:

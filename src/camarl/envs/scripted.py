@@ -48,7 +48,7 @@ _RULES = {"pp": (operator.add, 1, core.A_STAY),
 class ScriptedPolicy:
     """Greedy task policy with per-episode lazy agents."""
 
-    def __init__(self, seed, lazy_prob=0.5):
+    def __init__(self, seed, lazy_prob):
         self.rng = np.random.default_rng(seed)
         self.lazy_prob = lazy_prob
         self.lazy = None

@@ -19,7 +19,7 @@ from camarl.acd import (
     evaluate_accuracy, load_acd, load_dataset, make_bits_fn, save_dataset,
     train_acd)
 from camarl.acd.dataset import collect_dataset
-from camarl.envs import ENV_IDS
+from camarl.envs import ENV_IDS, env_spec
 from camarl.errors import (
     CollectionError, ConfigurationError, IncompatibleInputsError, UsageError)
 from camarl.harness.defaults import default_config
@@ -257,10 +257,7 @@ def _exec_report(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
     # existing manifest in the output directory is replaced
     write_manifest(out_dir, manifest, overwrite=True)
 
-    n_agents = max(int(k.rsplit("_", 1)[1])
-                   for _, pairs in groups.items()
-                   for _, log in pairs for k in log[0]
-                   if k.startswith("event_count_agent_")) + 1
+    n_agents = env_spec(env_ids[0]).n_agents
     for metric in ("eval_return_mean", "win_rate"):
         series = {}
         for label, pairs in sorted(groups.items()):
@@ -320,9 +317,8 @@ def _manifest_from_args(args) -> ExperimentManifest:
         config = asdict(default_config(
             args.env, args.trainer, paper_scale=args.paper_scale,
             total_steps=args.steps, eval_interval=args.eval_interval,
-            strict_mask=args.strict_mask or None))
+            strict_mask=args.strict_mask))
         del config["seed"]
-        config["strict_mask"] = bool(args.strict_mask)
         config["encoder"] = _abs(args.encoder) if args.encoder else None
         config["paper_scale"] = bool(args.paper_scale)
         name = f"train-{args.env}-{args.trainer}"

@@ -1,14 +1,15 @@
-"""Recurrent Q-learners: one agent, or a whole team as one object.
+"""Recurrent Q-learners: a whole team as one object.
 
 Online and target networks share one architecture: a GRU over the
 observation concatenated with the previous-action one-hot, and a linear
 head of Q-values.  Training unrolls full episodes through the fused
-kernels.  A team of N holds its parameters, gradients, RMSprop state and
-target network as (N, P) buffers with a leading agent axis on every
-view, and acts, unrolls and steps all agents in one kernel call each.
-No parameters are shared: the kernels multiply with ``@``, one product
-per agent, so each agent's numbers are its own, bit for bit.
-``team[i]`` is agent i as a single learner over row i of the buffers.
+kernels.  A team of N, one agent per seed, holds its parameters,
+gradients, RMSprop state and target network as (N, P) buffers with a
+leading agent axis on every view, and acts, unrolls and steps all
+agents in one kernel call each.  No parameters are shared: the kernels
+multiply with ``@``, one product per agent, so each agent's numbers are
+its own, bit for bit.  ``team[i]`` is agent i as a single learner over
+row i of the buffers, and a lone agent is ``team[0]`` of a team of one.
 """
 
 import copy
@@ -25,19 +26,16 @@ BIAS_NAMES = ("gru.bx", "gru.bh", "head.b")
 
 
 class AgentLearner:
-    def __init__(self, obs_dim: int, n_actions: int, n_hidden: int = 64,
-                 seed=0, lr: float = 5e-4, grad_clip: float = 10.0):
-        """One learner, or a team of len(seed) for a list of agent seeds."""
+    def __init__(self, obs_dim: int, n_actions: int, n_hidden: int,
+                 seed: list, lr: float = 5e-4, grad_clip: float = 10.0):
+        """A team of len(seed), agent i initialised from seed[i]."""
         self.obs_dim = obs_dim
         self.n_actions = n_actions
         self.n_hidden = n_hidden
         self.n_in = obs_dim + n_actions
         self.lr = lr
         self.grad_clip = grad_clip
-        if isinstance(seed, list):
-            p = ParamSet.stack([ParamSet(self._inits(s)) for s in seed])
-        else:
-            p = ParamSet(self._inits(seed))
+        p = ParamSet.stack([ParamSet(self._inits(s)) for s in seed])
         # the target network: one flat copy in the same layout
         self._bind(p, p.data.copy(), np.full(p.data.shape[:-1], np.nan))
         # row a is the one-hot of action a; the last row, picked by -1
@@ -62,7 +60,7 @@ class AgentLearner:
         self._online = self._weights()
         self._target = self._weights(self.target)
         self._loss = loss
-        self.lead = loss.shape   # () for one learner, (N,) for a team
+        self.lead = loss.shape   # (N,) for a team, () for a row view
 
     def __len__(self):
         return len(self._loss)
@@ -75,7 +73,7 @@ class AgentLearner:
 
     @property
     def last_loss(self):
-        """Latest TD loss, NaN before the first: a float, (N,) for a team."""
+        """Latest TD loss, NaN before the first: (N,), a float for a row."""
         return float(self._loss) if self.lead == () else self._loss.copy()
 
     # -- acting ------------------------------------------------------------

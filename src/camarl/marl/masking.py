@@ -1,6 +1,6 @@
 """Causality masks applied to the team reward in TD targets.
 
-By default only positive rewards are masked: a zeroed-out agent still
+The plain mask covers only positive rewards: a zeroed-out agent still
 feels the step penalty, which keeps the dense learning signal alive.
 The strict variant applies the multiplicative mask to every reward.
 """
@@ -8,7 +8,7 @@ The strict variant applies the multiplicative mask to every reward.
 import numpy as np
 
 
-def masked_rewards(rewards, bits, strict: bool = False):
+def masked_rewards(rewards, bits, strict: bool):
     """rewards (L,) masked by bits (L, N) or (N,): (L, N) float64."""
     r = np.asarray(rewards, dtype=np.float64)[:, None]
     b = np.asarray(bits, dtype=np.float64)

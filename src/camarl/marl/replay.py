@@ -8,7 +8,7 @@ from camarl.errors import UsageError
 
 
 class ReplayBuffer:
-    def __init__(self, capacity: int = 5000):
+    def __init__(self, capacity: int):
         if capacity <= 0:
             raise UsageError("replay capacity must be positive")
         self.capacity = capacity

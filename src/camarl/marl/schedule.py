@@ -3,8 +3,8 @@
 from camarl.errors import UsageError
 
 
-def epsilon_at(episode_index: int, start: float = 1.0, end: float = 0.05,
-               anneal_episodes: int = 50000) -> float:
+def epsilon_at(episode_index: int, start: float, end: float,
+               anneal_episodes: int) -> float:
     """Linear anneal from start to end over anneal_episodes, clamped after."""
     if episode_index < 0:
         raise UsageError("episode index must be nonnegative")

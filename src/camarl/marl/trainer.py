@@ -120,10 +120,10 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
           progress=None) -> TrainResult:
     """Run the full training loop for one seed.
 
-    bits_fn overrides icl's oracle: it maps an episode to per-timestep
-    bits (L, N).  acd-marl requires it and takes per-episode bits (N,)
-    or (L, N).  Bits of any other shape, or other than 0 and 1, raise
-    ConfigurationError; idql ignores bits_fn.
+    idql trains on all-one bits and icl on the oracle's (L, N) bits.
+    acd-marl requires bits_fn, which maps an episode to its per-episode
+    bits (N,); bits of another shape, or other than 0 and 1, raise
+    ConfigurationError.  Only acd-marl reads bits_fn.
     """
     config.validate()
     spec = env_spec(config.env_id)
@@ -203,16 +203,16 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
 
 
 def _episode_bits(trainer, ep, bits_fn):
-    """The episode's checked causality bits, (L, N) or (N,); see train."""
-    shape = (ep.length, ep.n_agents)
+    """The episode's causality bits: (L, N) for idql and icl, the
+    checked (N,) of bits_fn for acd-marl; see train."""
     if trainer == "idql":
-        return np.ones(shape, dtype=np.uint8)
-    bits = np.asarray((bits_fn or oracle_episode_bits)(ep))
-    allowed = (shape, shape[1:]) if trainer == "acd-marl" else (shape,)
-    if bits.shape not in allowed:
-        raise ConfigurationError(
-            f"{trainer} bits has shape {bits.shape}, expected "
-            f"{' or '.join(map(str, allowed))}")
+        return np.ones((ep.length, ep.n_agents), dtype=np.uint8)
+    if trainer == "icl":
+        return oracle_episode_bits(ep)
+    bits = np.asarray(bits_fn(ep))
+    if bits.shape != (ep.n_agents,):
+        raise ConfigurationError(f"acd-marl bits has shape {bits.shape}, "
+                                 f"expected {(ep.n_agents,)}")
     if not np.isin(bits, (0, 1)).all():
         raise ConfigurationError(
             f"causality bits must be 0 or 1, got {np.unique(bits)}")

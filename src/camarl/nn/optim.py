@@ -19,8 +19,8 @@ def clip_global_norm(params, max_norm):
 
     A stacked set clips every row on its own, and only the rows over the
     bound are scaled.  The squares are summed per tensor, in layout
-    order.  Returns the pre-clip norm: a float for an unstacked set, an
-    (N,) array for a stack of N.
+    order.  Returns the pre-clip norms, (N,) for a stack of N and (1,)
+    for an unstacked set.
     """
     rows = params.grad.reshape(-1, params.grad.shape[-1])
     total = 0.0
@@ -29,7 +29,7 @@ def clip_global_norm(params, max_norm):
     norm = np.sqrt(total)
     over = (norm > max_norm) & (norm > 0.0)
     rows[over] *= (max_norm / norm[over])[:, None]
-    return float(norm[0]) if params.grad.ndim == 1 else norm
+    return norm
 
 
 def rmsprop_update(params, lr: float, max_norm=None):

@@ -13,7 +13,6 @@ from camarl.acd import (
     sigma_for, split_dataset, train_acd,
 )
 from camarl.acd.dataset import preprocess
-from camarl.acd.inference import adjacency
 from camarl.acd.preprocess import POLY_ORDER, _fit_weights, sg_weight_table
 from camarl.acd.training import load_acd, save_acd
 from camarl.envs import OBS_DIM, env_spec
@@ -48,13 +47,13 @@ def test_savgol_reproduces_low_degree_polynomials():
     t = np.linspace(-1, 1, 100)
     rng = np.random.default_rng(0)
     coeffs = rng.normal(size=11)  # degree 10
-    y = np.polyval(coeffs, t)
+    y = np.polyval(coeffs, t)[:, None]
     out = savgol_smooth(y)
     np.testing.assert_allclose(out, y, atol=1e-8)
 
 
 def test_savgol_constant_unchanged():
-    out = savgol_smooth(np.full(60, 3.25))
+    out = savgol_smooth(np.full((60, 1), 3.25))
     np.testing.assert_allclose(out, 3.25, atol=1e-10)
 
 
@@ -62,7 +61,7 @@ def test_savgol_matches_scipy_interior():
     rng = np.random.default_rng(1)
     y = rng.normal(size=100)
     delta = sg_window(100)
-    ours = savgol_smooth(y)
+    ours = savgol_smooth(y[:, None])[:, 0]
     ref = savgol_filter(y, delta, 10)
     half = delta // 2
     # scipy fits the unscaled Vandermonde, which carries ~1e-6 conditioning
@@ -75,8 +74,8 @@ def test_savgol_multichannel():
     y = rng.normal(size=(60, 4))
     out = savgol_smooth(y)
     for c in range(4):
-        np.testing.assert_allclose(out[:, c], savgol_smooth(y[:, c]),
-                                   atol=1e-12)
+        np.testing.assert_allclose(out[:, c:c + 1],
+                                   savgol_smooth(y[:, c:c + 1]), atol=1e-12)
 
 
 def test_sg_weight_table_cached_and_read_only():
@@ -114,7 +113,7 @@ def _savgol_uncached(x):
 @pytest.mark.parametrize("T", [24, 25, 100])
 def test_savgol_matches_uncached_reference(T):
     rng = np.random.default_rng(T)
-    for x in (rng.normal(size=T), rng.normal(size=(T, 3))):
+    for x in (rng.normal(size=(T, 1)), rng.normal(size=(T, 3))):
         for _ in range(2):  # the second call reads the cached table
             assert savgol_smooth(x).tobytes() == _savgol_uncached(x).tobytes()
 
@@ -429,6 +428,15 @@ def test_decode_rejects_bad_lengths():
     for lengths in ([5, 9, 12], [12, 5, 9], [12, 9], [13, 9, 5], [12, 9, 0]):
         with pytest.raises(UsageError, match="non-increasing"):
             m.decode(x, w, lengths)
+
+
+def adjacency(model, edge_bits):
+    """(..., n_pairs) pair bits to (..., n, n) adjacencies, zero diagonal:
+    the reference predict_c is checked against."""
+    n = model.n_nodes
+    a = np.zeros(np.shape(edge_bits)[:-1] + (n, n), dtype=np.uint8)
+    a[..., model.src, model.dst] = edge_bits
+    return a
 
 
 def test_adjacency_can_be_asymmetric():

@@ -19,6 +19,9 @@ call of the function's name (the class name for ``__init__``) that
 passes the parameter by keyword or by position, or spreads ``*args`` or
 ``**kwargs`` that may.
 
+Each package's ``__all__`` lists exactly the names its ``from ...
+import`` statements bind, so a re-export cannot outlive its import.
+
 Blind spot: the checks match bare names, not what they resolve to, so
 a definition whose name is also read elsewhere as an attribute or a
 variable passes.  A function ``exp`` would pass on ``np.exp``, and a
@@ -153,6 +156,26 @@ def test_no_unused_import_in_src():
                    for name, line in _imported_bindings(tree)
                    if name not in read]
     assert not unused, "imported but never read:\n" + "\n".join(unused)
+
+
+def test_package_all_matches_its_imports():
+    report = []
+    for path, tree in _trees().items():
+        if path.name != "__init__.py":
+            continue
+        bound = sorted(alias.asname or alias.name for n in tree.body
+                       if isinstance(n, ast.ImportFrom) for alias in n.names)
+        listed = [ast.literal_eval(n.value) for n in tree.body
+                  if isinstance(n, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__"
+                          for t in n.targets)]
+        exported = sorted(listed[0]) if listed else []
+        if exported != bound:
+            report.append(
+                f"{path.relative_to(PACKAGE)}: __all__ lacks "
+                f"{sorted(set(bound) - set(exported))}, lists unimported "
+                f"{sorted(set(exported) - set(bound))} or repeats a name")
+    assert not report, "\n".join(report)
 
 
 def _functions(node, qual="", cls=None):

@@ -589,7 +589,8 @@ def run_twins(env_id, seed, how):
     assert_same_state(env, ref)
     spec = env.spec
     rng = np.random.default_rng(seed + 1)
-    pol, ref_pol = ScriptedPolicy(seed=seed), R.ScriptedPolicy(seed=seed)
+    pol = ScriptedPolicy(seed=seed, lazy_prob=0.5)
+    ref_pol = R.ScriptedPolicy(seed=seed)
     pol.begin_episode(env)
     ref_pol.begin_episode(ref)
     history = []
@@ -619,7 +620,8 @@ def test_scalar_env_matches_reference(env_id, how):
 def test_scripted_policy_without_begin_episode_matches_reference():
     for env_id in ENV_IDS:
         env, ref = twin_envs(env_id, 4)
-        pol, ref_pol = ScriptedPolicy(seed=1), R.ScriptedPolicy(seed=1)
+        pol = ScriptedPolicy(seed=1, lazy_prob=0.5)
+        ref_pol = R.ScriptedPolicy(seed=1)
         while not env.done:
             a = pol.act(env)
             assert_same_array(a, ref_pol.act(ref), env_id)

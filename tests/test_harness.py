@@ -4,7 +4,7 @@ import csv
 import hashlib
 import json
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,46 @@ def test_default_config_overrides():
         default_config("pp", "idql", total_stepz=5)
     with pytest.raises(ConfigurationError):
         default_config("pp", "nope")
+
+
+# default_config's every field per id and scale, pinned so that no
+# rewrite of the preset tables moves a value: PRESET_FIELDS per id and
+# scale, and PRESET_COMMON for the rest
+PRESET_FIELDS = ("total_steps", "eval_interval", "eval_episodes",
+                 "epsilon_anneal_episodes", "target_sync", "batch_size")
+PRESET_COMMON = {
+    "trainer": "idql", "seed": 0, "gamma": 0.99, "epsilon_start": 1.0,
+    "epsilon_end": 0.05, "buffer_capacity": 5000, "lr": 0.0005,
+    "grad_clip": 10.0, "n_hidden": 64, "strict_mask": False}
+PRESETS = {
+    ("pp", False): (200_000, 10_000, 20, 1000, 20, 8),
+    ("pp-sp", False): (200_000, 10_000, 20, 1000, 20, 8),
+    ("lj", False): (200_000, 10_000, 20, 800, 20, 8),
+    ("lj-sp", False): (200_000, 10_000, 20, 800, 20, 8),
+    ("sk3", False): (60_000, 3_000, 20, 700, 20, 8),
+    ("sk3-sp", False): (60_000, 3_000, 20, 700, 20, 8),
+    ("sk5", False): (120_000, 6_000, 20, 1200, 20, 8),
+    ("sk5-sp", False): (120_000, 6_000, 20, 1200, 20, 8),
+    ("pp", True): (1_000_000, 10_000, 20, 50_000, 200, 32),
+    ("pp-sp", True): (1_000_000, 10_000, 20, 50_000, 200, 32),
+    ("lj", True): (1_000_000, 10_000, 20, 50_000, 200, 32),
+    ("lj-sp", True): (1_000_000, 10_000, 20, 50_000, 200, 32),
+    ("sk3", True): (2_000_000, 2_500, 20, 50_000, 200, 32),
+    ("sk3-sp", True): (2_000_000, 2_500, 20, 50_000, 200, 32),
+    ("sk5", True): (2_000_000, 10_000, 20, 50_000, 200, 32),
+    ("sk5-sp", True): (2_000_000, 10_000, 20, 50_000, 200, 32),
+}
+
+
+@pytest.mark.parametrize("env_id, paper_scale", PRESETS,
+                         ids=[f"{e}-{'paper' if p else 'desk'}"
+                              for e, p in PRESETS])
+def test_default_config_presets_pinned(env_id, paper_scale):
+    want = dict(PRESET_COMMON, env_id=env_id,
+                **dict(zip(PRESET_FIELDS, PRESETS[env_id, paper_scale])))
+    got = asdict(default_config(env_id, "idql", paper_scale=paper_scale))
+    assert got == want
+    assert all(type(got[k]) is type(v) for k, v in want.items())
 
 
 # ---------------------------------------------------------------- manifests
@@ -391,10 +431,23 @@ def test_cli_bad_config_values_fail_before_output(cli_runs, tmp_path, capsys,
 
 
 def test_cli_acd_train_bad_length_fails_before_output(tmp_path, capsys):
+    from camarl.nn.checkpoint import load_checkpoint, save_checkpoint
+
     samples = collect_dataset("sk3-sp", 2, seed=3)
+    good = tmp_path / "good.ckpt"
+    save_dataset(good, samples)
+    # save_dataset refuses a length outside 1..T and writes no file
     samples[1] = replace(samples[1], length=0)
+    refused = tmp_path / "refused.ckpt"
+    with pytest.raises(ConfigurationError, match="lengths"):
+        save_dataset(refused, samples)
+    assert not refused.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["good.ckpt"]
+    # a file that carries one anyway is refused on load
+    arrays, meta = load_checkpoint(good)
+    meta["lengths"][1] = 0
     data = tmp_path / "bad.ckpt"
-    save_dataset(data, samples)
+    save_checkpoint(data, arrays, meta)
     with pytest.raises(ConfigurationError, match="lengths"):
         load_dataset(data)
     _assert_exit_3_writes_nothing(

@@ -22,18 +22,19 @@ from camarl.marl.evaluate import _T975, return_ci95
 # ------------------------------------------------------------------ schedule
 
 def test_epsilon_schedule_endpoints():
-    assert epsilon_at(0) == 1.0
-    assert epsilon_at(50_000) == 0.05
-    assert epsilon_at(123_456) == 0.05
-    assert abs(epsilon_at(25_000) - 0.525) < 1e-12
+    assert epsilon_at(0, 1.0, 0.05, 50_000) == 1.0
+    assert epsilon_at(50_000, 1.0, 0.05, 50_000) == 0.05
+    assert epsilon_at(123_456, 1.0, 0.05, 50_000) == 0.05
+    assert abs(epsilon_at(25_000, 1.0, 0.05, 50_000) - 0.525) < 1e-12
     with pytest.raises(UsageError):
-        epsilon_at(-1)
+        epsilon_at(-1, 1.0, 0.05, 50_000)
 
 
 def test_epsilon_schedule_custom_range():
-    assert epsilon_at(0, anneal_episodes=100) == 1.0
-    assert abs(epsilon_at(50, anneal_episodes=100) - 0.525) < 1e-12
-    assert epsilon_at(100, anneal_episodes=100) == 0.05
+    assert epsilon_at(0, 1.0, 0.05, anneal_episodes=100) == 1.0
+    assert abs(epsilon_at(50, 1.0, 0.05, anneal_episodes=100) - 0.525) < 1e-12
+    assert epsilon_at(100, 1.0, 0.05, anneal_episodes=100) == 0.05
+    assert epsilon_at(5, 0.5, 0.25, anneal_episodes=10) == 0.375
 
 
 # ------------------------------------------------------------------- masking
@@ -134,7 +135,8 @@ def test_episode_record_validation():
 # ----------------------------------------------------------------- learners
 
 def _learner(seed=0, obs_dim=6, n_actions=4, n_hidden=8):
-    return AgentLearner(obs_dim, n_actions, n_hidden, seed=seed)
+    # one agent: the row view of a team of one
+    return AgentLearner(obs_dim, n_actions, n_hidden, seed=[seed])[0]
 
 
 def _zero_params(ln):
@@ -245,7 +247,7 @@ def test_exploration_takes_one_row():
 
 def _team_and_singles(n=3, **kw):
     return (AgentLearner(6, 4, 8, seed=list(range(n)), **kw),
-            [AgentLearner(6, 4, 8, seed=i, **kw) for i in range(n)])
+            [AgentLearner(6, 4, 8, seed=[i], **kw)[0] for i in range(n)])
 
 
 def test_team_acting_matches_per_agent_acting():
@@ -412,7 +414,7 @@ def test_target_constant_between_syncs():
 
 
 def test_train_step_reduces_loss_on_fixed_batch():
-    ln = AgentLearner(6, 4, 8, seed=11, lr=5e-3)
+    ln = AgentLearner(6, 4, 8, seed=[11], lr=5e-3)[0]
     rng = np.random.default_rng(4)
     T, B = 6, 4
     X = np.zeros((T, B, ln.n_in))
@@ -462,7 +464,7 @@ RECORD_FIELDS = ("obs", "actions", "rewards", "kinds", "events")
 @pytest.mark.parametrize("E", [1, 5, 20])
 def test_lockstep_matches_sequential_episodes(env_id, E):
     spec = env_spec(env_id)
-    learners = AgentLearner(spec.obs_dim, spec.n_actions,
+    learners = AgentLearner(spec.obs_dim, spec.n_actions, 64,
                             seed=list(range(spec.n_agents)))
     seeds = [700 + k for k in range(E)]
     lockstep = collect_episodes([make_env(env_id, s) for s in seeds],
@@ -574,7 +576,8 @@ def test_build_batch_layout():
     spec, team, ep = _collect(seed=8)
     bits = oracle_episode_bits(ep)
     X, acts, rews, valid, term = build_batch(
-        [(ep.obs, ep.actions, masked_rewards(ep.rewards, bits))], team)
+        [(ep.obs, ep.actions, masked_rewards(ep.rewards, bits, False))],
+        team)
     assert X.shape[0] == acts.shape[0] == rews.shape[0] == spec.n_agents
     X, acts, rews = X[1], acts[1], rews[1]
     L = ep.length
@@ -587,7 +590,7 @@ def test_build_batch_layout():
         np.testing.assert_allclose(X[t, 0, :spec.obs_dim],
                                    ep.obs[t, 1].astype(np.float64))
     np.testing.assert_array_equal(acts[:, 0], ep.actions[:, 1])
-    expect = masked_rewards(ep.rewards, bits)[:, 1]
+    expect = masked_rewards(ep.rewards, bits, False)[:, 1]
     np.testing.assert_array_equal(rews[:, 0], expect)
     assert valid.all() and term[-1, 0] == 1.0 and term[:-1].sum() == 0
 
@@ -639,10 +642,10 @@ def test_train_smoke_writes_logs_and_checkpoints(tmp_path):
         np.testing.assert_array_equal(qa, qb)
 
 
-def test_train_icl_constant_one_matches_idql():
+def test_train_acd_constant_one_matches_idql():
     cfg_a = TrainConfig(env_id="lj-sp", trainer="idql", seed=4, **DESK)
-    cfg_b = TrainConfig(env_id="lj-sp", trainer="icl", seed=4, **DESK)
-    ones = lambda ep: np.ones((ep.length, ep.n_agents), dtype=np.uint8)
+    cfg_b = TrainConfig(env_id="lj-sp", trainer="acd-marl", seed=4, **DESK)
+    ones = lambda ep: np.ones(ep.n_agents, dtype=np.uint8)
     res_a = train(cfg_a)
     res_b = train(cfg_b, bits_fn=ones)
     for la, lb in zip(res_a.learners, res_b.learners):
@@ -653,32 +656,37 @@ def test_train_icl_constant_one_matches_idql():
 
 
 def test_train_icl_uses_oracle_bits():
+    # icl masks with the oracle's bits and never reads bits_fn
     cfg = TrainConfig(env_id="lj-sp", trainer="icl", seed=7, **DESK)
     res = train(cfg)
     assert res.episodes > 0
+    other = train(cfg, bits_fn=lambda ep: np.zeros(ep.n_agents, np.uint8))
+    assert res.learners.params.data.tobytes() == (
+        other.learners.params.data.tobytes())
 
 
-def test_train_icl_rejects_malformed_bits():
-    # (L,) would broadcast to an (L, L) reward matrix, (L, N+1) would
-    # carry a bit for an agent that does not exist
-    cfg = TrainConfig(env_id="lj", trainer="icl", seed=0, **DESK)
-    for shape in (lambda ep: (ep.length,),
+def test_train_acd_rejects_malformed_bits():
+    # (L,) would broadcast to an (L, L) reward matrix, (N+1,) would
+    # carry a bit for an agent that does not exist, and (L, N) is not
+    # one bit per agent for the episode
+    cfg = TrainConfig(env_id="lj", trainer="acd-marl", seed=0, **DESK)
+    for shape in (lambda ep: (ep.length,), lambda ep: (ep.n_agents + 1,),
+                  lambda ep: (ep.length, ep.n_agents),
                   lambda ep: (ep.length, ep.n_agents + 1)):
         with pytest.raises(ConfigurationError, match="bits has shape"):
             train(cfg, bits_fn=lambda ep: np.ones(shape(ep), dtype=np.uint8))
 
 
-@pytest.mark.parametrize("trainer, value", [
-    ("icl", 7), ("icl", -1), ("icl", 0.5), ("acd-marl", 2),
-], ids=["icl-seven", "icl-minus-one", "icl-half", "acd-marl-two"])
-def test_train_rejects_non_binary_bits(trainer, value):
+@pytest.mark.parametrize("value", [7, -1, 0.5, 2], ids=[
+    "acd-marl-seven", "acd-marl-minus-one", "acd-marl-half", "acd-marl-two"])
+def test_train_rejects_non_binary_bits(value):
     # a bit other than 0 or 1 would scale the reward instead of masking
     # it; casting to uint8 first would wrap -1 to 255 and cut 0.5 to 0
-    cfg = TrainConfig(env_id="lj", trainer=trainer, seed=0, **DESK)
+    cfg = TrainConfig(env_id="lj", trainer="acd-marl", seed=0, **DESK)
 
     def bits(ep):
-        out = np.ones((ep.length, ep.n_agents))
-        out[-1, 0] = value
+        out = np.ones(ep.n_agents)
+        out[0] = value
         return out
     with pytest.raises(ConfigurationError, match="must be 0 or 1"):
         train(cfg, bits_fn=bits)
@@ -715,7 +723,7 @@ def test_train_acd_requires_encoder():
 
 
 def test_train_acd_node_count_mismatch():
-    # bits for one agent too few: neither (N,) nor (L, N)
+    # bits for one agent too few: not (N,)
     cfg = TrainConfig(env_id="lj-sp", trainer="acd-marl", seed=0, **DESK)
 
     def bits(ep):
