@@ -167,6 +167,8 @@ def load_dataset(path):
     except (KeyError, IndexError, TypeError) as err:
         raise ConfigurationError(
             f"{path} is a malformed dataset file: {err!r}") from None
+    if not samples:
+        raise ConfigurationError(f"{path} holds no samples")
     check_lengths(samples)
     return samples
 

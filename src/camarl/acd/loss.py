@@ -9,10 +9,9 @@ from camarl.errors import ConfigurationError, UsageError
 
 @dataclass
 class ElboTerms:
-    nll: float     # total = nll + kl is what training minimizes
+    nll: float     # nll + kl is what training minimizes
     kl: float
-    total: float
-    g_pred: np.ndarray    # d(total)/d(pred)
+    g_pred: np.ndarray    # d(nll + kl)/d(pred)
     g_logits: np.ndarray  # d(kl)/d(logits); the edge sample adds its own
 
 
@@ -47,5 +46,5 @@ def elbo_loss(pred, target, logits, sigma: float, lengths) -> ElboTerms:
     g_lq = (1.0 / batch) * q
     g_logits = g_lq - np.exp(lq) * g_lq.sum(axis=-1, keepdims=True)
     g_logits += q * (g_q - (g_q * q).sum(axis=-1, keepdims=True))
-    return ElboTerms(nll=float(nll), kl=float(kl), total=float(nll + kl),
-                     g_pred=(2.0 * c) * diff, g_logits=g_logits)
+    return ElboTerms(nll=float(nll), kl=float(kl), g_pred=(2.0 * c) * diff,
+                     g_logits=g_logits)

@@ -18,11 +18,12 @@ sample's length is never read.
 Forward and backward are explicit array passes, like the Q-network's
 ``qnet_unroll_fwd``/``_bwd``.  ``encode`` and ``decode`` return their
 output plus a cache of only the activations that ``encode_bwd`` and
-``decode_bwd`` read; ``sample_edges`` returns the edge weights plus the
-soft sample that ``gumbel_softmax_bwd`` reads.  ``encode`` takes leading
-stack axes: ``@`` rounds each batch of a stack as its own call, byte for
-byte, where one 2-D batch of them would not.  The backward passes add
-into the gradient views of the model's ``ParamSet``.  They round exactly
+``decode_bwd`` read.  ``sample_edges`` draws at the one ``TEMPERATURE``
+and returns the edge weights plus the soft sample that
+``gumbel_softmax_bwd`` reads.  ``encode`` takes leading stack axes:
+``@`` rounds each batch of a stack as its own call, byte for byte, where
+one 2-D batch of them would not.  The backward passes add into the
+gradient views of the model's ``ParamSet``.  They round exactly
 as the reverse-mode tape they replace, which the tests keep as the
 reference, because they keep its order of accumulation wherever more
 than two terms are summed (a sum of two cannot depend on its order):
@@ -58,6 +59,7 @@ from camarl.nn.kernels import ACT_IDENTITY, ACT_RELU
 from camarl.nn.layers import Dense, ParamSet, _uniform_init, dense_init
 
 EDGE_TYPES = 2
+TEMPERATURE = 0.5   # of every Gumbel-softmax edge sample
 GRU_KEYS = ("Wx", "Wh", "bx", "bh")   # the gru_fwd argument order
 
 
@@ -78,12 +80,12 @@ def sample_gumbel(rng: np.random.Generator, shape):
     return -np.log(-np.log(u))
 
 
-def gumbel_softmax_bwd(soft, temperature, g_weight):
+def gumbel_softmax_bwd(soft, g_weight):
     """Logits gradient of the edge weights ``soft[..., 1]`` (see sample_edges)."""
     g = np.zeros_like(soft)
     g[..., 1] += g_weight
     dot = (g * soft).sum(axis=-1, keepdims=True)
-    return soft * (g - dot) * (1.0 / temperature)
+    return soft * (g - dot) * (1.0 / TEMPERATURE)
 
 
 def _dense(layer, x):
@@ -310,22 +312,14 @@ class AcdModel:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample_edges(self, logits, temperature: float, rng=None, noise=None):
-        """Gumbel-softmax edge sample from (batch, n_pairs, 2) logits.
+    def sample_edges(self, logits, rng: np.random.Generator):
+        """Gumbel-softmax edge sample at TEMPERATURE from (batch, n_pairs,
+        2) logits, the noise drawn from rng.
 
         Returns the edge-type-1 weights (batch, n_pairs) and the soft
-        sample over both types, which gumbel_softmax_bwd reads.  noise,
-        when given, is the Gumbel draw to use instead of one from rng.
+        sample over both types, which gumbel_softmax_bwd reads.
         """
-        if noise is None:
-            if rng is None:
-                raise ConfigurationError("need a generator or explicit noise")
-            noise = sample_gumbel(rng, logits.shape)
-        if np.shape(noise) != logits.shape:
-            raise UsageError("gumbel noise shape must match logits")
-        if temperature <= 0.0:
-            raise ConfigurationError("gumbel temperature must be positive")
-        y = (logits + noise) * (1.0 / temperature)
+        y = (logits + sample_gumbel(rng, logits.shape)) * (1.0 / TEMPERATURE)
         e = np.exp(y - y.max(axis=-1, keepdims=True))
         soft = e / e.sum(axis=-1, keepdims=True)
         return soft[..., 1], soft

@@ -5,15 +5,12 @@ from pathlib import Path
 
 import numpy as np
 
-import camarl
 from camarl.envs import env_spec
 from camarl.errors import ConfigurationError, UsageError
 from camarl.nn.optim import rmsprop_update
 from camarl.acd.dataset import check_lengths, preprocess
 from camarl.acd.loss import elbo_loss
-from camarl.acd.model import AcdModel, gumbel_softmax_bwd
-
-TEMPERATURE = 0.5
+from camarl.acd.model import TEMPERATURE, AcdModel, gumbel_softmax_bwd
 
 
 def sigma_for(env_id: str) -> float:
@@ -25,12 +22,11 @@ def backward(model: AcdModel, terms, enc, dec, soft):
     """Add the gradient of the ELBO into the model's gradient buffer.
 
     enc and dec are the caches of the batch's encode and decode, soft
-    the edge sample drawn at TEMPERATURE.  The logits take the KL
-    gradient first and the edge sample's second.
+    its edge sample's.  The logits take the KL gradient first and the
+    edge sample's second.
     """
     g_weight = model.decode_bwd(dec, terms.g_pred)
-    model.encode_bwd(enc, terms.g_logits
-                     + gumbel_softmax_bwd(soft, TEMPERATURE, g_weight))
+    model.encode_bwd(enc, terms.g_logits + gumbel_softmax_bwd(soft, g_weight))
 
 
 @dataclass
@@ -48,11 +44,12 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
     """Fit the edge model on raw winning-episode samples.
 
     Preprocesses every sample, then minimizes the per-sample ELBO with
-    RMSprop over shuffled batches; soft edge samples at ``TEMPERATURE``
-    during training.  Each batch is ordered by true length, longest
-    first (ties keep their shuffled order), so the decoder runs each
-    step on a shrinking row prefix and the NLL covers only the predicted
-    steps.  Returns the model plus one loss row per epoch.
+    RMSprop over shuffled batches, each decoded on a soft edge sample
+    (``AcdModel.sample_edges``).  Each batch is ordered by true length,
+    longest first (ties keep their shuffled order), so the decoder runs
+    each step on a shrinking row prefix and the NLL covers only the
+    predicted steps.  Returns the model plus one loss row per epoch, which
+    ``save_acd`` writes into out_dir when it is given.
     """
     if not samples:
         raise UsageError("cannot train on an empty dataset")
@@ -87,7 +84,7 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
             idx = idx[np.argsort(-lengths[idx], kind="stable")]
             xb, lb = data[idx], lengths[idx]
             logits, enc = model.encode(xb)
-            w, soft = model.sample_edges(logits, TEMPERATURE, rng=rng_noise)
+            w, soft = model.sample_edges(logits, rng_noise)
             pred, dec = model.decode(xb, w, lb)
             terms = elbo_loss(pred, xb[:, :, 1:lb[0], :], logits, sigma, lb)
             backward(model, terms, enc, dec, soft)
@@ -104,20 +101,20 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
         if progress is not None:
             progress(row)
     if out_dir is not None:
-        save_acd(Path(out_dir), model, result)
+        save_acd(Path(out_dir), result)
     return result
 
 
-def save_acd(out_dir: Path, model: AcdModel, result: AcdResult):
+def save_acd(out_dir: Path, result: AcdResult):
+    """Write the encoder checkpoint and the per-epoch loss log."""
     from camarl.nn.checkpoint import save_checkpoint, write_csv
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = dict(model.meta())
+    meta = dict(result.model.meta())
     meta.update({"env_id": result.env_id, "sigma": result.sigma,
-                 "temperature": TEMPERATURE,
-                 "substrate_version": camarl.SUBSTRATE_VERSION})
-    save_checkpoint(out_dir / "encoder.ckpt", model.params.state_arrays(),
-                    meta)
+                 "temperature": TEMPERATURE})
+    save_checkpoint(out_dir / "encoder.ckpt",
+                    result.model.params.state_arrays(), meta)
     fields = ("epoch", "nll", "kl", "total")
     write_csv(out_dir / "acd_log.csv", fields,
               ([row[k] for k in fields] for row in result.rows))

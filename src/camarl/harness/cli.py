@@ -25,7 +25,8 @@ from camarl.errors import (
 from camarl.harness.defaults import default_config
 from camarl.harness.manifest import (
     ExperimentManifest, new_manifest, read_manifest, write_manifest)
-from camarl.marl import TRAINERS, TrainConfig, load_learners, read_run, train
+from camarl.marl import (
+    TRAINERS, TrainConfig, event_fields, load_learners, read_run, train)
 from camarl.metrics import (
     aggregate_curves, balance_index, bar_chart, line_chart, read_log,
     save_svg, write_curve)
@@ -123,8 +124,8 @@ def _exec_train(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
         if not encoder:
             raise UsageError("trainer acd-marl needs --encoder "
                              "(a trained edge-model checkpoint)")
-        model, _ = load_acd(encoder)
-        bits_fn = make_bits_fn(model, cfg["env_id"])
+        bits_fn = make_bits_fn(_load_encoder(encoder, cfg["env_id"]),
+                               cfg["env_id"])
     base = {k: v for k, v in cfg.items() if k in TRAIN_KEYS and k != "seed"}
     config = TrainConfig(**base).validate()
     write_manifest(out_dir, manifest)
@@ -160,7 +161,7 @@ def _exec_collect(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
     cfg = manifest.config
     learners = None
     if cfg["policy"] != "scripted":
-        learners, _ = load_learners(cfg["policy"])
+        learners = load_learners(cfg["policy"])
     write_manifest(out_dir, manifest)
     stats = {}
     samples = collect_dataset(
@@ -206,17 +207,22 @@ def _exec_acd_train(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
 
 def _exec_acd_eval(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
     cfg = manifest.config
-    model, meta = load_acd(cfg["model"])
     samples = load_dataset(cfg["data"])
-    if samples and meta.get("env_id") and samples[0].env_id != meta["env_id"]:
-        raise IncompatibleInputsError(
-            f"model was trained on {meta['env_id']} but the dataset holds "
-            f"{samples[0].env_id}")
+    model = _load_encoder(cfg["model"], samples[0].env_id)
     write_manifest(out_dir, manifest)
     acc = evaluate_accuracy(model, samples)
     _write_accuracy(out_dir / "accuracy.csv", acc)
     _print_accuracy("accuracy", acc)
     return 0
+
+
+def _load_encoder(path, env_id):
+    """The edge model in path, refused unless it was fitted on env_id."""
+    model, meta = load_acd(path)
+    if meta.get("env_id", env_id) != env_id:
+        raise IncompatibleInputsError(
+            f"the encoder was fitted on {meta['env_id']}, not on {env_id}")
+    return model
 
 
 def _write_accuracy(path, acc):
@@ -240,24 +246,22 @@ def _exec_report(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
     if len(env_ids) > 1:
         raise IncompatibleInputsError(
             f"runs mix environments: {', '.join(env_ids)}")
+    events = event_fields(env_spec(env_ids[0]).n_agents)
     groups = {}
     for run_dir, meta in runs:
         groups.setdefault(meta["trainer"], []).append(
-            (run_dir, read_log(run_dir / "train_log.csv")))
-    grids = {label: [tuple(r["step"] for r in log) for _, log in pairs]
-             for label, pairs in groups.items()}
-    flat = {g for gs in grids.values() for g in gs}
-    if len(flat) > 1:
-        bad = [str(d) for label, pairs in groups.items()
-               for d, log in pairs
-               if tuple(r["step"] for r in log) != min(flat)]
+            (run_dir, read_log(run_dir / "train_log.csv", len(events))))
+    grids = {str(d): tuple(r["step"] for r in log)
+             for pairs in groups.values() for d, log in pairs}
+    if len(set(grids.values())) > 1:
+        first = min(grids.values())
         raise IncompatibleInputsError(
-            "evaluation grids differ across runs: " + ", ".join(sorted(bad)))
+            "evaluation grids differ across runs: "
+            + ", ".join(sorted(d for d, g in grids.items() if g != first)))
     # report regeneration over the same inputs is idempotent, so an
     # existing manifest in the output directory is replaced
     write_manifest(out_dir, manifest, overwrite=True)
 
-    n_agents = env_spec(env_ids[0]).n_agents
     for metric in ("eval_return_mean", "win_rate"):
         series = {}
         for label, pairs in sorted(groups.items()):
@@ -270,16 +274,14 @@ def _exec_report(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
     bars = {}
     balance_rows = []
     for label, pairs in sorted(groups.items()):
-        finals = [[log[-1][f"event_count_agent_{i}"] for i in range(n_agents)]
-                  for _, log in pairs]
+        finals = [[log[-1][k] for k in events] for _, log in pairs]
         mean_events = [sum(col) / len(col) for col in zip(*finals)]
         bars[label] = mean_events
         balance_rows.append((label, balance_index(mean_events)))
     save_svg(out_dir / "events_per_agent.svg",
              bar_chart(bars, title=f"{env_ids[0]} final event counts",
                        ylabel="events per evaluation episode"))
-    header = ["trainer"] + [f"event_count_agent_{i}" for i in range(n_agents)]
-    write_csv(out_dir / "behaviour.csv", header,
+    write_csv(out_dir / "behaviour.csv", ["trainer"] + events,
               ([label] + bars[label] for label, _ in balance_rows))
     write_csv(out_dir / "balance.csv", ["trainer", "balance_index"],
               balance_rows)

@@ -14,39 +14,25 @@ from pathlib import Path
 
 import camarl
 from camarl.errors import ConfigurationError, UsageError
-from camarl.nn.checkpoint import read_json, write_json
+from camarl.nn.checkpoint import (
+    check_fields, count, is_str, number, read_json, strings, write_json)
 
 MANIFEST_NAME = "manifest.json"
-
-
-def _str(v):
-    return type(v) is str
-
-
-def _count(lo):
-    # an int of at least lo; a bool is no int
-    return lambda v: type(v) is int and v >= lo
-
-
-def _number(v):
-    return type(v) in (int, float)
-
 
 # the config keys each kind's executor reads, each with the check its
 # value must pass before anything is written; TrainConfig.validate
 # checks the rest of a train config
 CONFIG_FIELDS = {
-    "train": {"env_id": _str, "trainer": _str},
-    "collect": {"env_id": _str, "policy": _str, "episodes": _count(1),
-                "seed": _count(0),
-                "lazy_prob": lambda v: _number(v) and 0 <= v <= 1},
-    "acd-train": {"data": _str, "epochs": _count(1), "batch": _count(1),
-                  "sigma": lambda v: v is None or _number(v) and v > 0,
-                  "seed": _count(0),
-                  "train_frac": lambda v: _number(v) and 0 < v < 1},
-    "acd-eval": {"model": _str, "data": _str},
-    "report": {"runs": lambda v: type(v) is list and len(v) > 0
-               and all(type(r) is str for r in v)},
+    "train": {"env_id": is_str, "trainer": is_str},
+    "collect": {"env_id": is_str, "policy": is_str, "episodes": count(1),
+                "seed": count(0),
+                "lazy_prob": lambda v: number(v) and 0 <= v <= 1},
+    "acd-train": {"data": is_str, "epochs": count(1), "batch": count(1),
+                  "sigma": lambda v: v is None or number(v) and v > 0,
+                  "seed": count(0),
+                  "train_frac": lambda v: number(v) and 0 < v < 1},
+    "acd-eval": {"model": is_str, "data": is_str},
+    "report": {"runs": strings},
 }
 KINDS = tuple(CONFIG_FIELDS)
 
@@ -70,15 +56,8 @@ class ExperimentManifest:
             raise ConfigurationError("seeds must be a list")
         if not isinstance(self.config, dict):
             raise ConfigurationError("manifest config must be an object")
-        checks = CONFIG_FIELDS[self.kind]
-        missing = [k for k in checks if k not in self.config]
-        if missing:
-            raise ConfigurationError(
-                f"{self.kind} manifest config lacks {', '.join(missing)}")
-        bad = [k for k, ok in checks.items() if not ok(self.config[k])]
-        if bad:
-            raise ConfigurationError(
-                f"{self.kind} manifest config has an invalid {', '.join(bad)}")
+        check_fields(self.config, CONFIG_FIELDS[self.kind],
+                     f"{self.kind} manifest config")
         return self
 
 

@@ -6,14 +6,14 @@ from camarl.marl.masking import masked_rewards
 from camarl.marl.replay import ReplayBuffer
 from camarl.marl.schedule import epsilon_at
 from camarl.marl.trainer import (
-    TRAINERS, TrainConfig, TrainResult, build_batch, load_learners,
-    oracle_episode_bits, read_run, train, write_log)
+    TRAINERS, TrainConfig, TrainResult, build_batch, event_fields,
+    load_learners, oracle_episode_bits, read_run, train, write_log)
 
 __all__ = [
     "AgentLearner", "EpisodeRecord", "EvalSummary", "ReplayBuffer",
     "TRAINERS", "TrainConfig", "TrainResult", "build_batch",
     "collect_episode", "collect_episodes", "epsilon_at", "evaluate",
-    "load_learners", "masked_rewards",
+    "event_fields", "load_learners", "masked_rewards",
     "oracle_episode_bits", "read_run", "return_ci95",
     "team_policy", "train", "write_log",
 ]

@@ -73,8 +73,8 @@ class AgentLearner:
 
     @property
     def last_loss(self):
-        """Latest TD loss, NaN before the first: (N,), a float for a row."""
-        return float(self._loss) if self.lead == () else self._loss.copy()
+        """Latest TD loss, NaN before the first: (N,), 0-d for a row."""
+        return self._loss.copy()
 
     # -- acting ------------------------------------------------------------
 
@@ -158,7 +158,8 @@ class AgentLearner:
         masked; valid/terminal: (T, B) 0/1, shared by a team, whose other
         arrays lead with the agent axis.  Bootstraps from the target
         network's next-step max; terminal steps use the reward alone.
-        Gradients land in self.params.  Returns the loss, (N,) for a team.
+        Gradients land in self.params.  Returns the loss, (N,) for a team
+        and 0-d for a row.
         """
         n_valid = valid.sum()
         if n_valid == 0:
@@ -179,7 +180,7 @@ class AgentLearner:
         grads = kernels.qnet_unroll_bwd(X, h0, *cache, w[0], w[1], w[4], dQ)
         for name, grad in zip(PARAM_NAMES, grads):
             self.params.grads[name] += grad
-        return float(loss) if self.lead == () else loss
+        return loss
 
     def train_step(self, X, actions, rewards, valid, terminal, gamma):
         """One gradient step, each agent clipped on its own; the TD loss."""

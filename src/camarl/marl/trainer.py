@@ -165,8 +165,7 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
                "eval_return_mean": s.mean_return,
                "eval_return_ci95": s.ci95, "win_rate": s.win_rate,
                "epsilon": eps_now}
-        for i in range(n):
-            row[f"event_count_agent_{i}"] = float(s.per_agent_events[i])
+        row.update(zip(event_fields(n), map(float, s.per_agent_events)))
         result.rows.append(row)
         if progress is not None:
             progress(row)
@@ -198,7 +197,7 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
     result.episodes = episode_idx
     result.steps = step
     if out_dir is not None:
-        save_run(Path(out_dir), config, result)
+        save_run(Path(out_dir), result)
     return result
 
 
@@ -231,17 +230,23 @@ CSV_FIELDS = ("step", "episode", "eval_return_mean", "eval_return_ci95",
               "win_rate", "epsilon")
 
 
+def event_fields(n_agents):
+    """The log columns of each agent's mean event count."""
+    return [f"event_count_agent_{i}" for i in range(n_agents)]
+
+
 def write_log(path, rows, n_agents):
     from camarl.nn.checkpoint import write_csv
 
-    fields = list(CSV_FIELDS) + [f"event_count_agent_{i}"
-                                 for i in range(n_agents)]
+    fields = list(CSV_FIELDS) + event_fields(n_agents)
     write_csv(path, fields, ([row[k] for k in fields] for row in rows))
 
 
-def save_run(out_dir: Path, config: TrainConfig, result: TrainResult):
+def save_run(out_dir: Path, result: TrainResult):
+    """Write result's log, agent checkpoints and run.json into out_dir."""
     from camarl.nn.checkpoint import save_checkpoint, write_json
 
+    config = result.config
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = env_spec(config.env_id)
     write_log(out_dir / "train_log.csv", result.rows, spec.n_agents)
@@ -266,30 +271,19 @@ def save_run(out_dir: Path, config: TrainConfig, result: TrainResult):
     write_json(out_dir / "run.json", meta)
 
 
-RUN_FIELDS = {
-    "env_id": lambda v: type(v) is str,
-    "trainer": lambda v: type(v) is str,
-    "agents": lambda v: (type(v) is list and len(v) > 0
-                         and all(type(a) is str for a in v)),
-    "n_hidden": lambda v: type(v) is int and v > 0,
-}
-
-
 def read_run(run_dir):
-    """The run.json of a saved run; each of RUN_FIELDS must pass its check."""
-    from camarl.nn.checkpoint import read_json
+    """The run.json of a saved run, each field the package reads checked."""
+    from camarl.nn.checkpoint import (
+        check_fields, count, is_str, read_json, strings)
 
     path = Path(run_dir) / "run.json"
-    meta = read_json(path)
-    bad = [k for k, ok in RUN_FIELDS.items()
-           if k not in meta or not ok(meta[k])]
-    if bad:
-        raise ConfigurationError(f"{path} lacks a valid {', '.join(bad)}")
-    return meta
+    return check_fields(read_json(path), {
+        "env_id": is_str, "trainer": is_str, "agents": strings,
+        "n_hidden": count(1)}, path)
 
 
 def load_learners(run_dir):
-    """Rebuild the team from a saved run directory."""
+    """Rebuild the team of a saved run; read_run reads its run.json."""
     from camarl.nn.checkpoint import load_checkpoint
 
     run_dir = Path(run_dir)
@@ -300,4 +294,4 @@ def load_learners(run_dir):
                         seed=list(range(len(names))))
     for ln, name in zip(team, names):
         ln.load_state(load_checkpoint(run_dir / name)[0])
-    return team, meta
+    return team

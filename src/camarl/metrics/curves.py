@@ -8,8 +8,8 @@ import numpy as np
 from camarl.errors import (
     ConfigurationError, IncompatibleInputsError, UsageError)
 from camarl.marl.evaluate import return_ci95
-from camarl.marl.trainer import CSV_FIELDS
-from camarl.nn.checkpoint import read_csv, write_csv
+from camarl.marl.trainer import CSV_FIELDS, event_fields
+from camarl.nn.checkpoint import check_fields, is_str, read_csv, write_csv
 
 
 @dataclass
@@ -19,15 +19,14 @@ class CurvePoint:
     ci95: float              # 95% t-interval half-width
 
 
-def read_log(path):
-    """Parse a training log CSV back into typed row dicts."""
+def read_log(path, n_agents):
+    """Parse a training log CSV back into typed row dicts; it must hold
+    every column write_log writes for a team of n_agents."""
     raw = read_csv(path)
     if not raw:
         raise UsageError(f"log {path} is empty")
-    missing = [k for k in CSV_FIELDS + ("event_count_agent_0",)
-               if k not in raw[0]]
-    if missing:
-        raise ConfigurationError(f"log {path} lacks {', '.join(missing)}")
+    check_fields(raw[0], dict.fromkeys(
+        list(CSV_FIELDS) + event_fields(n_agents), is_str), f"log {path}")
     try:
         return [{k: int(v) if k in ("step", "episode") else float(v)
                  for k, v in r.items()} for r in raw]

@@ -12,7 +12,8 @@ JSON (``write_json``) is indented by 2 with sorted keys.
 
 Inputs: a file that cannot be opened raises ``UsageError`` (exit 2), and
 one that is torn, malformed, not CSV or not a JSON object raises
-``ConfigurationError`` (exit 3).
+``ConfigurationError`` (exit 3), as does a record read back that fails
+``check_fields``.
 """
 
 import contextlib
@@ -100,6 +101,34 @@ def read_json(path):
     return obj
 
 
+def is_str(v):
+    return type(v) is str
+
+
+def count(lo):
+    return lambda v: type(v) is int and v >= lo   # a bool is no int
+
+
+def number(v):
+    return type(v) in (int, float)
+
+
+def strings(v):
+    return type(v) is list and len(v) > 0 and all(type(s) is str for s in v)
+
+
+def check_fields(obj, checks, what):
+    """Return obj if it holds every key of checks and each value passes
+    its key's check; else raise ConfigurationError naming what and keys."""
+    missing = [k for k in checks if k not in obj]
+    if missing:
+        raise ConfigurationError(f"{what} lacks {', '.join(missing)}")
+    bad = [k for k, ok in checks.items() if not ok(obj[k])]
+    if bad:
+        raise ConfigurationError(f"{what} has an invalid {', '.join(bad)}")
+    return obj
+
+
 def save_checkpoint(path, arrays, meta=None):
     """Write named float64 arrays plus a JSON-serializable meta dict.
 
@@ -172,11 +201,11 @@ def load_checkpoint(path):
         off = 16 + hlen
         for spec in header["tensors"]:
             shape = tuple(spec["shape"])
-            count = math.prod(shape)   # a Python int cannot overflow
-            off += 8 * count
+            n_values = math.prod(shape)   # a Python int cannot overflow
+            off += 8 * n_values
             if off > size:
                 raise ConfigurationError(f"{path} is truncated")
-            a = np.empty(count, dtype="<f8")
+            a = np.empty(n_values, dtype="<f8")
             if f.readinto(a) != a.nbytes:   # the file shrank while read
                 raise ConfigurationError(f"{path} is truncated")
             arrays[spec["name"]] = a.astype(np.float64, copy=False).reshape(

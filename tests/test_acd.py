@@ -19,8 +19,8 @@ from camarl.envs import OBS_DIM, env_spec
 from camarl.errors import (
     CollectionError, ConfigurationError, UsageError)
 from camarl.marl import EpisodeRecord
-from camarl.acd.model import sample_gumbel
-from camarl.acd.training import TEMPERATURE, backward
+from camarl.acd.model import TEMPERATURE, sample_gumbel
+from camarl.acd.training import backward
 from camarl.nn.optim import rmsprop_update
 
 from helpers import relative_error
@@ -457,7 +457,7 @@ def test_elbo_zero_cases():
     x = _toy_batch(B=2, seed=7)
     logits, _ = m.encode(x)
     rng = np.random.default_rng(0)
-    w, _ = m.sample_edges(logits, 0.5, rng=rng)
+    w, _ = m.sample_edges(logits, rng)
     pred, _ = m.decode(x, w, [12, 12])
     terms = elbo_loss(pred, pred.copy(), logits, 5e-4, [12, 12])
     assert terms.nll == 0.0
@@ -477,7 +477,7 @@ def test_elbo_hand_value():
     logits = np.zeros((1, 1, 2))
     terms = elbo_loss(pred, target, logits, 5e-3, [2])
     assert abs(terms.nll - 1.0) < 1e-12
-    assert abs(terms.total - 1.0) < 1e-12
+    assert abs(terms.nll + terms.kl - 1.0) < 1e-12
     # d nll / d pred = (pred - target) / (sigma * batch) = 20
     assert abs(terms.g_pred.item() - 20.0) < 1e-12
     np.testing.assert_array_equal(terms.g_logits, 0.0)
@@ -502,8 +502,7 @@ def test_elbo_gradient_flows_through_encoder():
     x = _toy_batch(n=3, T=12, D=2, B=2, seed=8)
     rng = np.random.default_rng(1)
     logits, enc = m.encode(x)
-    noise = sample_gumbel(rng, logits.shape)
-    w, soft = m.sample_edges(logits, TEMPERATURE, noise=noise)
+    w, soft = m.sample_edges(logits, rng)
     pred, dec = m.decode(x, w, [12, 12])
     terms = elbo_loss(pred, x[:, :, 1:, :], logits, 5e-4, [12, 12])
     backward(m, terms, enc, dec, soft)
@@ -511,18 +510,23 @@ def test_elbo_gradient_flows_through_encoder():
     assert np.abs(g).max() > 0
 
 
-def _fused_loss(m, x, noise, sigma, lengths):
-    """The training loop's forward for one batch: (terms, enc, dec, soft)."""
+def _fused_loss(m, x, noise_seed, sigma, lengths):
+    """The training loop's forward for one batch: (terms, enc, dec, soft).
+
+    Each call draws its edge sample from a fresh generator on noise_seed,
+    so repeated calls hold the Gumbel noise fixed.
+    """
     logits, enc = m.encode(x)
-    w, soft = m.sample_edges(logits, TEMPERATURE, noise=noise)
+    w, soft = m.sample_edges(logits, np.random.default_rng(noise_seed))
     pred, dec = m.decode(x, w, lengths)
     return (elbo_loss(pred, x[:, :, 1:lengths[0], :], logits, sigma, lengths),
             enc, dec, soft)
 
 
-def _check_fused_gradients(m, x, noise, sigma, lengths, names, n_entries):
+def _check_fused_gradients(m, x, noise_seed, sigma, lengths, names,
+                           n_entries):
     """Central differences of the ELBO against the fused backward."""
-    terms, *caches = _fused_loss(m, x, noise, sigma, lengths)
+    terms, *caches = _fused_loss(m, x, noise_seed, sigma, lengths)
     backward(m, terms, *caches)
     h = 1e-6
     for name in names:
@@ -531,11 +535,11 @@ def _check_fused_gradients(m, x, noise, sigma, lengths, names, n_entries):
         for k in np.linspace(0, flat.size - 1, n_entries, dtype=int):
             keep = flat[k]
             flat[k] = keep + h
-            up = _fused_loss(m, x, noise, sigma, lengths)[0].total
+            up = _fused_loss(m, x, noise_seed, sigma, lengths)[0]
             flat[k] = keep - h
-            dn = _fused_loss(m, x, noise, sigma, lengths)[0].total
+            dn = _fused_loss(m, x, noise_seed, sigma, lengths)[0]
             flat[k] = keep
-            num = (up - dn) / (2 * h)
+            num = ((up.nll + up.kl) - (dn.nll + dn.kl)) / (2 * h)
             assert relative_error(gflat[k], num) < 1e-3, (name, k)
     m.params.grad.fill(0.0)
 
@@ -545,19 +549,17 @@ def test_elbo_encoder_gradcheck():
     # Gumbel noise held fixed
     m = _toy_model(n_nodes=3, T=12, D=2, seed=3)
     x = _toy_batch(n=3, T=12, D=2, B=1, seed=9)
-    noise = sample_gumbel(np.random.default_rng(2), (1, m.n_pairs, 2))
     names = ("enc.head.W", "enc.emb1.b", "enc.fe2a.W", "dec.msg.W")
-    _check_fused_gradients(m, x, noise, 5e-2, [12], names, 5)
+    _check_fused_gradients(m, x, 2, 5e-2, [12], names, 5)
 
 
 def test_fused_elbo_gradcheck_every_parameter():
     m = AcdModel(3, 6, 2, seed=4, enc_hidden=5, dec_hidden=4)
     x = _toy_batch(n=3, T=6, D=2, B=2, seed=10)
-    noise = sample_gumbel(np.random.default_rng(3), (2, m.n_pairs, 2))
     names = list(m.params.grads)
     assert len(names) == 26
     for lengths in ([6, 6], [6, 4]):
-        _check_fused_gradients(m, x, noise, 5e-2, lengths, names, 3)
+        _check_fused_gradients(m, x, 3, 5e-2, lengths, names, 3)
 
 
 def _preprocessed(env_id, n):
@@ -592,11 +594,13 @@ def test_fused_elbo_matches_tape_byte_for_byte(env_id, enc_hidden,
         order = order[np.argsort(-lengths[order], kind="stable")]
         x, lb = data[order], lengths[order]
         assert len(set(lb.tolist())) >= 2 and lb[0] < T_len
-        noise = sample_gumbel(rng, (M, m.n_pairs, 2))
-        terms, *caches = _fused_loss(m, x, noise, sigma, lb)
+        noise_seed = int(rng.integers(2 ** 32))
+        terms, *caches = _fused_loss(m, x, noise_seed, sigma, lb)
         backward(m, terms, *caches)
 
         logits = ref.encode(x)
+        noise = sample_gumbel(np.random.default_rng(noise_seed),
+                              (M, m.n_pairs, 2))
         pred = ref.decode(x, ref.sample_edges(logits, TEMPERATURE, noise),
                           lb)
         nll, kl, total = T.elbo_loss(pred, x[:, :, 1:lb[0], :], logits,

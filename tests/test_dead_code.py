@@ -22,6 +22,9 @@ passes the parameter by keyword or by position, or spreads ``*args`` or
 Each package's ``__all__`` lists exactly the names its ``from ...
 import`` statements bind, so a re-export cannot outlive its import.
 
+No required parameter takes one literal or module-level constant from
+every call in the package: such a value is the callee's own setting.
+
 Blind spot: the checks match bare names, not what they resolve to, so
 a definition whose name is also read elsewhere as an attribute or a
 variable passes.  A function ``exp`` would pass on ``np.exp``, and a
@@ -42,8 +45,6 @@ ALLOWED = {}
 ALLOWED_DEFAULTS = {
     "collect_dataset(attempt_factor=)":
         "the greedy-dataset golden digests pin a budget of 100",
-    "AcdModel.sample_edges(noise=)":
-        "the tape comparison and gradient checks fix the Gumbel draw",
     "train_acd(lr=)": "the single-sample overfit test fits at 5e-3",
     "train_acd(enc_hidden=)": "the acd_sk3 golden digest and small models",
     "train_acd(dec_hidden=)": "the acd_sk3 golden digest and small models",
@@ -231,3 +232,88 @@ def test_every_default_is_overridden_in_src():
         report)
     stale = sorted(set(ALLOWED_DEFAULTS) - kept)
     assert not stale, f"stale ALLOWED_DEFAULTS entries: {stale}"
+
+
+# required parameters to which every call in src/ passes the same
+# constant, each for a stated reason
+ALLOWED_CONSTANT_ARGS = {
+    "rmsprop_step(rho)": "benchmarks/bench_kernels.py passes its own",
+    "rmsprop_step(eps)": "benchmarks/bench_kernels.py passes its own",
+}
+
+
+def _module_constants(trees):
+    """Names that a top-level assignment binds in some module."""
+    names = set()
+    for tree in trees.values():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def _is_constant(node, constants):
+    """A literal, or a module-level constant read by name or off a name."""
+    if isinstance(node, ast.Name):
+        return node.id in constants
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.attr in constants
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def _required(fn, offset):
+    """(parameter, position or None) of every parameter without a
+    default, past the first offset."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    for i in range(offset, len(pos) - len(a.defaults)):
+        yield pos[i].arg, i - offset
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is None:
+            yield arg.arg, None
+
+
+def _passed(call, param, i):
+    """The expression call passes to param, or None when it cannot be
+    told (a spread) or is not passed."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return None
+    for k in call.keywords:
+        if k.arg == param:
+            return k.value
+    return call.args[i] if i is not None and i < len(call.args) else None
+
+
+def test_no_required_parameter_is_a_constant_in_src():
+    # a parameter every caller fills with one constant is a setting of
+    # the callee, better read there
+    trees = _trees()
+    constants = _module_constants(trees)
+    calls = defaultdict(list)   # callee name -> calls
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name,
+                                                               ast.Attribute)):
+                calls[getattr(n.func, "id", None) or n.func.attr].append(n)
+    fixed = set()
+    for tree in trees.values():
+        for label, callee, offset, fn in _functions(tree):
+            for param, i in _required(fn, offset):
+                passed = [_passed(c, param, i) for c in calls[callee]]
+                if (passed and all(p is not None and _is_constant(p, constants)
+                                   for p in passed)
+                        and len({ast.dump(p) for p in passed}) == 1):
+                    fixed.add(f"{label}({param})")
+    report = sorted(fixed - set(ALLOWED_CONSTANT_ARGS))
+    assert not report, "one constant from every caller in src/:\n" + \
+        "\n".join(report)
+    stale = sorted(set(ALLOWED_CONSTANT_ARGS) - fixed)
+    assert not stale, f"stale ALLOWED_CONSTANT_ARGS entries: {stale}"

@@ -18,6 +18,7 @@ from camarl.harness import (
     ExperimentManifest, default_config, new_manifest, read_manifest,
     write_manifest)
 from camarl.harness.cli import main
+from camarl.marl import read_run
 from camarl.metrics import read_log
 
 
@@ -215,7 +216,7 @@ def test_cli_train_fanout(cli_runs):
     assert (out / "curve_eval_return_mean.csv").exists()
     assert (out / "curve_eval_return_mean.svg").exists()
     assert (out / "curve_win_rate.csv").exists()
-    logs = [read_log(out / f"seed_{s}" / "train_log.csv") for s in (0, 1)]
+    logs = [read_log(out / f"seed_{s}" / "train_log.csv", 3) for s in (0, 1)]
     # shared evaluation grid: scheduled checkpoints, then the horizon
     for log in logs:
         assert [r["step"] for r in log] == [0, 120, 240]
@@ -480,6 +481,20 @@ def test_cli_incomplete_dataset_exits_typed(cli_runs, tmp_path, capsys,
         tmp_path / "out", capsys, field)
 
 
+def test_cli_acd_eval_dataset_of_no_samples_exits_typed(cli_runs, cli_acd,
+                                                        tmp_path, capsys):
+    # save_dataset refuses to write one; load_dataset refuses to read one
+    from camarl.nn.checkpoint import load_checkpoint, save_checkpoint
+
+    meta = load_checkpoint(cli_runs / "ds" / "dataset.ckpt")[1]
+    meta.update(n_samples=0, seeds=[], lengths=[])
+    data = tmp_path / "empty.ckpt"
+    save_checkpoint(data, {}, meta)
+    _assert_exit_3_writes_nothing(
+        ["acd", "eval", "--model", str(cli_acd / "fit" / "encoder.ckpt"),
+         "--data", str(data)], tmp_path / "out", capsys, "no samples")
+
+
 @pytest.mark.parametrize("experiment, edit, word", [
     ("idql", lambda m: m.update(config=list(m["config"])), "object"),
     ("idql", lambda m: m["config"].pop("trainer"), "trainer"),
@@ -520,9 +535,11 @@ def test_cli_rerun_malformed_manifest_exits_typed(cli_runs, cli_acd, tmp_path,
         capsys, word)
 
 
-@pytest.mark.parametrize("column", ["step", "epsilon", "event_count_agent_0"])
+@pytest.mark.parametrize("column", ["step", "epsilon", "event_count_agent_0",
+                                    "event_count_agent_2"])
 def test_cli_report_log_without_column_exits_typed(cli_runs, tmp_path, capsys,
                                                    column):
+    # every column the report reads is checked before it writes anything
     src = cli_runs / "idql" / "seed_0"
     run = tmp_path / "run"
     run.mkdir()
@@ -544,6 +561,47 @@ def cli_acd(cli_runs, tmp_path_factory):
                "--out", str(root / "fit"), "--quiet"])
     assert rc == 0
     return root
+
+
+def test_cli_acd_marl_trains_with_the_encoder(cli_acd, tmp_path):
+    out = tmp_path / "run"
+    rc = main(["train", "--env", "sk3-sp", "--trainer", "acd-marl",
+               "--seeds", "0,1", *TINY, "--encoder",
+               str(cli_acd / "fit" / "encoder.ckpt"), "--out", str(out),
+               "--quiet"])
+    assert rc == 0
+    for seed in (0, 1):
+        run = out / f"seed_{seed}"
+        assert read_run(run)["trainer"] == "acd-marl"
+        log = read_log(run / "train_log.csv", 3)
+        assert [r["step"] for r in log] == [0, 120, 240]
+    assert (out / "curve_win_rate.csv").exists()
+
+
+def test_cli_acd_marl_refuses_an_encoder_of_another_env(cli_acd, tmp_path,
+                                                       capsys):
+    # sk3 has the node count, series length and features of sk3-sp
+    out = tmp_path / "run"
+    rc = main(["train", "--env", "sk3", "--trainer", "acd-marl",
+               "--seeds", "0", *TINY, "--encoder",
+               str(cli_acd / "fit" / "encoder.ckpt"), "--out", str(out),
+               "--quiet"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sk3-sp" in err, err
+    assert not out.exists()
+
+
+def test_cli_acd_eval_refuses_a_dataset_of_another_env(cli_acd, tmp_path,
+                                                      capsys):
+    data = tmp_path / "sk3.ckpt"
+    save_dataset(data, collect_dataset("sk3", 2, seed=3))
+    out = tmp_path / "ev"
+    rc = main(["acd", "eval", "--model", str(cli_acd / "fit" / "encoder.ckpt"),
+               "--data", str(data), "--out", str(out)])
+    assert rc == 5
+    assert "sk3-sp" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_acd_train_outputs(cli_acd):

@@ -170,21 +170,24 @@ def test_log_roundtrip(tmp_path):
              "eval_return_ci95": 0.1, "win_rate": 0.5, "epsilon": 0.9,
              "event_count_agent_0": 1.0, "event_count_agent_1": 0.5}]
     write_log(tmp_path / "log.csv", rows, 2)
-    back = read_log(tmp_path / "log.csv")
+    back = read_log(tmp_path / "log.csv", 2)
     assert back == rows
+    # a team of three reads a third event column
+    with pytest.raises(ConfigurationError, match="event_count_agent_2"):
+        read_log(tmp_path / "log.csv", 3)
     write_log(tmp_path / "empty.csv", [], 2)
     with pytest.raises(UsageError):
-        read_log(tmp_path / "empty.csv")
+        read_log(tmp_path / "empty.csv", 2)
     with pytest.raises(UsageError):
-        read_log(tmp_path / "missing.csv")
+        read_log(tmp_path / "missing.csv", 2)
     # a cell that is not a number, and a row short of a cell
     for body in ("step,episode,win_rate\n0,1,x\n", "step,episode\n0\n"):
         (tmp_path / "bad.csv").write_text(body)
         with pytest.raises(ConfigurationError):
-            read_log(tmp_path / "bad.csv")
+            read_log(tmp_path / "bad.csv", 2)
     (tmp_path / "bad.csv").write_bytes(b"step\n\xff\n")
     with pytest.raises(ConfigurationError):
-        read_log(tmp_path / "bad.csv")
+        read_log(tmp_path / "bad.csv", 2)
 
 
 def read_curve(path):
