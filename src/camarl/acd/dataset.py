@@ -30,19 +30,26 @@ class SeriesSample:
     seed: int = -1
 
 
-def check_lengths(samples):
-    """Raise ConfigurationError unless every sample's length is an
-    integer in 1..T, T its padded series length."""
+def check_dataset(samples) -> str:
+    """The one env id of samples; raise ConfigurationError when they mix
+    environments or a sample's length is not an integer in 1..T, T its
+    padded series length."""
+    env_ids = sorted({s.env_id for s in samples})
+    if len(env_ids) > 1:
+        raise ConfigurationError(
+            f"dataset mixes environments: {', '.join(env_ids)}")
     bad = sorted({repr(s.length) for s in samples
                   if not (isinstance(s.length, Integral)
                           and 1 <= s.length <= s.x.shape[-2])})
     if bad:
         raise ConfigurationError(
             f"sample lengths must be integers in 1..T, got {', '.join(bad)}")
+    return env_ids[0]
 
 
-def episode_to_sample(episode: EpisodeRecord, bits) -> SeriesSample:
-    """Stack an episode's observations and rewards as node series."""
+def episode_to_sample(episode: EpisodeRecord, bits, seed) -> SeriesSample:
+    """Stack an episode's observations and rewards as node series; seed
+    is the env seed the episode was rolled from."""
     spec = env_spec(episode.env_id)
     obs = np.asarray(episode.obs, dtype=np.float64)
     rewards = np.asarray(episode.rewards, dtype=np.float64)
@@ -56,7 +63,7 @@ def episode_to_sample(episode: EpisodeRecord, bits) -> SeriesSample:
     x[n, :L, 0] = rewards
     return SeriesSample(x=x, env_id=episode.env_id,
                         bits=np.asarray(bits, dtype=np.uint8),
-                        seed=episode.seed, length=L)
+                        seed=seed, length=L)
 
 
 def preprocess(samples) -> np.ndarray:
@@ -114,10 +121,9 @@ def collect_dataset(env_id: str, n_episodes: int, seed: int = 0, *,
             ep = collect_episode(env, lambda obs: policy.act(env)[None])
         if not ep.win:
             continue
-        ep.seed = int(ep_seed)
         bits = episode_ground_truth_arrays(spec.family, ep.obs, ep.rewards,
                                            ep.kinds)
-        samples.append(episode_to_sample(ep, bits))
+        samples.append(episode_to_sample(ep, bits, int(ep_seed)))
     if stats is not None:
         stats.update(attempts=attempts, wins=len(samples))
     if not samples:
@@ -128,23 +134,20 @@ def collect_dataset(env_id: str, n_episodes: int, seed: int = 0, *,
 
 
 def save_dataset(path, samples):
-    """Persist samples in the deterministic checkpoint container; a
-    sample length outside 1..T is refused before anything is written."""
+    """Persist samples in the deterministic checkpoint container; mixed
+    environments or a sample length outside 1..T are refused before
+    anything is written."""
     from camarl.nn.checkpoint import save_checkpoint
 
     samples = list(samples)
     if not samples:
         raise UsageError("refusing to save an empty dataset")
-    env_ids = sorted({s.env_id for s in samples})
-    if len(env_ids) > 1:
-        raise ConfigurationError(
-            f"dataset mixes environments: {', '.join(env_ids)}")
-    check_lengths(samples)
+    env_id = check_dataset(samples)
     arrays = {}
     for k, s in enumerate(samples):
         arrays[f"x_{k}"] = s.x
         arrays[f"bits_{k}"] = s.bits.astype(np.float64)
-    meta = {"kind": "dataset", "env_id": env_ids[0],
+    meta = {"kind": "dataset", "env_id": env_id,
             "n_samples": len(samples),
             "seeds": [int(s.seed) for s in samples],
             "lengths": [int(s.length) for s in samples]}
@@ -169,7 +172,7 @@ def load_dataset(path):
             f"{path} is a malformed dataset file: {err!r}") from None
     if not samples:
         raise ConfigurationError(f"{path} holds no samples")
-    check_lengths(samples)
+    check_dataset(samples)
     return samples
 
 

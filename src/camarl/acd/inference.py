@@ -59,7 +59,8 @@ def make_bits_fn(model: AcdModel, env_id: str):
             f"{env_id} needs {spec.n_agents + 1}")
 
     def bits_fn(episode):
-        sample = episode_to_sample(episode, np.zeros(spec.n_agents, np.uint8))
+        sample = episode_to_sample(episode, np.zeros(spec.n_agents, np.uint8),
+                                   -1)
         return predict_c(model, preprocess([sample]))[0]
 
     return bits_fn

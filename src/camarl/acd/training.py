@@ -1,4 +1,5 @@
-"""Causal-discovery training loop."""
+"""Causal-discovery training: the ELBO and its closed-form gradients,
+the backward through the edge model, the fitting loop and its files."""
 
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -8,14 +9,57 @@ import numpy as np
 from camarl.envs import env_spec
 from camarl.errors import ConfigurationError, UsageError
 from camarl.nn.optim import rmsprop_update
-from camarl.acd.dataset import check_lengths, preprocess
-from camarl.acd.loss import elbo_loss
+from camarl.acd.dataset import check_dataset, preprocess
 from camarl.acd.model import TEMPERATURE, AcdModel, gumbel_softmax_bwd
 
 
 def sigma_for(env_id: str) -> float:
     """Decoder output variance: larger for the noisier combat rewards."""
     return 5e-3 if env_spec(env_id).family == "sk" else 5e-4
+
+
+@dataclass
+class ElboTerms:
+    nll: float     # nll + kl is what training minimizes
+    kl: float
+    g_pred: np.ndarray    # d(nll + kl)/d(pred)
+    g_logits: np.ndarray  # d(kl)/d(logits); the edge sample adds its own
+
+
+def elbo_loss(pred, target, logits, sigma: float, lengths) -> ElboTerms:
+    """Per-sample-averaged ELBO terms, reconstruction error plus KL to the
+    edge prior, and their closed-form gradients.
+
+    nll = sum((pred - target)^2) / (2 sigma) over each sample's predicted
+    steps 0..length-2 only, with sigma the decoder's output variance;
+    the steps past them neither score nor take a gradient.  kl compares the
+    edge posterior softmax(logits) against the uniform prior over the
+    two edge types.  Both are averaged over the batch.  The KL gradient
+    is the log-softmax term plus the softmax term, in that order.
+    """
+    if sigma <= 0:
+        raise ConfigurationError(f"variance must be positive, got {sigma}")
+    if np.shape(target) != pred.shape:
+        raise UsageError(f"target {np.shape(target)} does not match the "
+                         f"predictions {pred.shape}")
+    batch = pred.shape[0]
+    predicted = np.arange(pred.shape[2]) < np.asarray(lengths)[:, None] - 1
+    diff = pred - target
+    np.copyto(diff, 0.0, where=~predicted[:, None, :, None])
+    c = 1.0 / (2.0 * sigma * batch)
+    nll = (diff * diff).sum() * c
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    q = e / e.sum(axis=-1, keepdims=True)
+    lq = shifted - np.log(e.sum(axis=-1, keepdims=True))
+    kl = ((q * lq).sum(axis=-1) + float(np.log(logits.shape[-1]))).sum()
+    kl = kl * (1.0 / batch)
+    g_q = (1.0 / batch) * lq
+    g_lq = (1.0 / batch) * q
+    g_logits = g_lq - np.exp(lq) * g_lq.sum(axis=-1, keepdims=True)
+    g_logits += q * (g_q - (g_q * q).sum(axis=-1, keepdims=True))
+    return ElboTerms(nll=float(nll), kl=float(kl), g_pred=(2.0 * c) * diff,
+                     g_logits=g_logits)
 
 
 def backward(model: AcdModel, terms, enc, dec, soft):
@@ -55,14 +99,9 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
         raise UsageError("cannot train on an empty dataset")
     if epochs < 1 or batch_size < 1:
         raise ConfigurationError("epochs and batch size must be at least 1")
-    env_ids = sorted({s.env_id for s in samples})
-    if len(env_ids) > 1:
-        raise ConfigurationError(
-            f"dataset mixes environments: {', '.join(env_ids)}")
-    env_id = env_ids[0]
+    env_id = check_dataset(samples)
     if sigma is None:
         sigma = sigma_for(env_id)
-    check_lengths(samples)
     lengths = np.array([s.length for s in samples])
     data = preprocess(samples)
     M, n_nodes, T, D = data.shape

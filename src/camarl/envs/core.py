@@ -170,6 +170,16 @@ def apply_moves(agents, actions, alive, grid):
                 p[1] = c
 
 
+def toward(src, dst):
+    """The move action that closes the gap from src to dst along the axis
+    with the larger gap, rows on a tie; src and dst differ."""
+    dr = dst[0] - src[0]
+    dc = dst[1] - src[1]
+    if abs(dr) >= abs(dc):
+        return 0 if dr < 0 else 1
+    return 2 if dc < 0 else 3
+
+
 @functools.cache
 def _mask_cells(sight_k):
     """{(dr, dc): (5x5 cell, fade)} for every offset within range k.

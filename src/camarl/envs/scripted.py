@@ -15,16 +15,6 @@ import numpy as np
 from camarl.envs import core
 
 
-def _toward(src, dst):
-    """Move action reducing the gap along the axis with the larger gap;
-    src and dst differ."""
-    dr = dst[0] - src[0]
-    dc = dst[1] - src[1]
-    if abs(dr) >= abs(dc):
-        return 0 if dr < 0 else 1
-    return 2 if dc < 0 else 3
-
-
 def _nearest(pos, targets, metric):
     """The first of the (position, value) targets at the smallest
     distance, and that distance; metric combines the row and column gaps
@@ -76,5 +66,5 @@ class ScriptedPolicy:
             else:
                 target, d = _nearest(pos, targets, metric)
                 actions.append(trigger if d <= reach
-                               else _toward(pos, target))
+                               else core.toward(pos, target))
         return np.array(actions, dtype=np.int64)

@@ -73,11 +73,9 @@ class Skirmish(core.GridEnv):
                 if d <= spec.sight_k:
                     hp[j] -= 1
                 else:
-                    dr = agents[j][0] - p[0]
-                    dc = agents[j][1] - p[1]
-                    if abs(dr) >= abs(dc):
-                        p[0] += 1 if dr > 0 else -1
-                    else:
-                        p[1] += 1 if dc > 0 else -1
+                    # d > sight_k, so the enemy and its target differ
+                    dr, dc = core.MOVES[core.toward(p, agents[j])]
+                    p[0] += dr
+                    p[1] += dc
 
         return self._end_step(reward, kind, win, events)

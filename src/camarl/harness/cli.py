@@ -24,7 +24,8 @@ from camarl.errors import (
     CollectionError, ConfigurationError, IncompatibleInputsError, UsageError)
 from camarl.harness.defaults import default_config
 from camarl.harness.manifest import (
-    ExperimentManifest, new_manifest, read_manifest, write_manifest)
+    TRAIN_FIELDS, ExperimentManifest, new_manifest, read_manifest, seed_list,
+    write_manifest)
 from camarl.marl import (
     TRAINERS, TrainConfig, event_fields, load_learners, read_run, train)
 from camarl.metrics import (
@@ -32,7 +33,6 @@ from camarl.metrics import (
     save_svg, write_curve)
 from camarl.nn.checkpoint import write_csv
 
-TRAIN_KEYS = tuple(TrainConfig.__dataclass_fields__)
 ACCURACY_FIELDS = ("correct", "false_positive", "false_negative", "n_pairs")
 
 
@@ -46,12 +46,11 @@ def _parse_seeds(text: str):
     try:
         seeds = [int(s) for s in text.split(",") if s != ""]
     except ValueError:
-        raise UsageError(f"seeds must be comma-separated integers: {text!r}")
-    if not seeds:
-        raise UsageError("--seeds needs at least one seed")
-    if len(set(seeds)) < len(seeds):
-        raise UsageError(f"--seeds repeats a seed: {text!r}")
-    return [_check_seed(s) for s in seeds]
+        seeds = None
+    if not seed_list(seeds):
+        raise UsageError(f"--seeds must list distinct non-negative integers, "
+                         f"comma-separated: {text!r}")
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,16 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _exec_train(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
     cfg = manifest.config
+    config = TrainConfig(**{k: cfg[k] for k in TRAIN_FIELDS}).validate()
     bits_fn = None
-    if cfg["trainer"] == "acd-marl":
-        encoder = cfg.get("encoder")
-        if not encoder:
+    if config.trainer == "acd-marl":
+        if not cfg["encoder"]:
             raise UsageError("trainer acd-marl needs --encoder "
                              "(a trained edge-model checkpoint)")
-        bits_fn = make_bits_fn(_load_encoder(encoder, cfg["env_id"]),
-                               cfg["env_id"])
-    base = {k: v for k, v in cfg.items() if k in TRAIN_KEYS and k != "seed"}
-    config = TrainConfig(**base).validate()
+        bits_fn = make_bits_fn(_load_encoder(cfg["encoder"], config.env_id),
+                               config.env_id)
+    elif cfg["encoder"]:
+        raise UsageError("--encoder only applies to the acd-marl trainer")
     write_manifest(out_dir, manifest)
 
     logs = []
@@ -161,6 +160,8 @@ def _exec_collect(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
     cfg = manifest.config
     learners = None
     if cfg["policy"] != "scripted":
+        _check_env("the policy was trained",
+                   read_run(cfg["policy"])["env_id"], cfg["env_id"])
         learners = load_learners(cfg["policy"])
     write_manifest(out_dir, manifest)
     stats = {}
@@ -219,10 +220,14 @@ def _exec_acd_eval(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
 def _load_encoder(path, env_id):
     """The edge model in path, refused unless it was fitted on env_id."""
     model, meta = load_acd(path)
-    if meta.get("env_id", env_id) != env_id:
-        raise IncompatibleInputsError(
-            f"the encoder was fitted on {meta['env_id']}, not on {env_id}")
+    _check_env("the encoder was fitted", meta.get("env_id", env_id), env_id)
     return model
+
+
+def _check_env(made, made_on, env_id):
+    """Refuse an artifact made on another env than env_id."""
+    if made_on != env_id:
+        raise IncompatibleInputsError(f"{made} on {made_on}, not on {env_id}")
 
 
 def _write_accuracy(path, acc):
@@ -314,8 +319,6 @@ def _abs(path):
 
 def _manifest_from_args(args) -> ExperimentManifest:
     if args.command == "train":
-        if args.encoder and args.trainer != "acd-marl":
-            raise UsageError("--encoder only applies to the acd-marl trainer")
         config = asdict(default_config(
             args.env, args.trainer, paper_scale=args.paper_scale,
             total_steps=args.steps, eval_interval=args.eval_interval,

@@ -8,22 +8,29 @@ from the manifest alone.  The created-at stamp documents provenance and
 is the one field excluded from byte-identity guarantees.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import camarl
 from camarl.errors import ConfigurationError, UsageError
+from camarl.marl import TrainConfig
 from camarl.nn.checkpoint import (
     check_fields, count, is_str, number, read_json, strings, write_json)
 
 MANIFEST_NAME = "manifest.json"
 
-# the config keys each kind's executor reads, each with the check its
-# value must pass before anything is written; TrainConfig.validate
-# checks the rest of a train config
+# a train config's TrainConfig fields, in field order; the seeds are the
+# manifest's own
+TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
+
+# the config keys each kind's executor reads, and no others, each with
+# the check its value must pass before anything is written;
+# TrainConfig.validate checks the values of TRAIN_FIELDS
 CONFIG_FIELDS = {
-    "train": {"env_id": is_str, "trainer": is_str},
+    "train": {**dict.fromkeys(TRAIN_FIELDS, lambda v: True),
+              "encoder": lambda v: v is None or is_str(v),
+              "paper_scale": lambda v: type(v) is bool},
     "collect": {"env_id": is_str, "policy": is_str, "episodes": count(1),
                 "seed": count(0),
                 "lazy_prob": lambda v: number(v) and 0 <= v <= 1},
@@ -35,6 +42,12 @@ CONFIG_FIELDS = {
     "report": {"runs": strings},
 }
 KINDS = tuple(CONFIG_FIELDS)
+
+
+def seed_list(v):
+    """Whether v is a non-empty list of distinct non-negative ints."""
+    return (type(v) is list and len(v) > 0 and all(map(count(0), v))
+            and len(set(v)) == len(v))
 
 
 @dataclass
@@ -52,12 +65,19 @@ class ExperimentManifest:
                 f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
         if not self.name:
             raise ConfigurationError("experiment name cannot be empty")
-        if not isinstance(self.seeds, list):
-            raise ConfigurationError("seeds must be a list")
         if not isinstance(self.config, dict):
             raise ConfigurationError("manifest config must be an object")
-        check_fields(self.config, CONFIG_FIELDS[self.kind],
-                     f"{self.kind} manifest config")
+        checks = CONFIG_FIELDS[self.kind]
+        what = f"{self.kind} manifest config"
+        check_fields(self.config, checks, what)
+        unknown = [k for k in self.config if k not in checks]
+        if unknown:
+            raise ConfigurationError(f"{what} has unknown {', '.join(unknown)}")
+        if not (seed_list(self.seeds) if self.kind == "train"
+                else self.seeds == []):
+            raise ConfigurationError(
+                f"{self.kind} manifest has invalid seeds {self.seeds!r}; only "
+                f"train takes seeds, distinct non-negative integers")
         return self
 
 

@@ -2,12 +2,11 @@ from camarl.marl.agent import AgentLearner, team_policy
 from camarl.marl.episode import (
     EpisodeRecord, collect_episode, collect_episodes)
 from camarl.marl.evaluate import EvalSummary, evaluate, return_ci95
-from camarl.marl.masking import masked_rewards
 from camarl.marl.replay import ReplayBuffer
-from camarl.marl.schedule import epsilon_at
 from camarl.marl.trainer import (
-    TRAINERS, TrainConfig, TrainResult, build_batch, event_fields,
-    load_learners, oracle_episode_bits, read_run, train, write_log)
+    TRAINERS, TrainConfig, TrainResult, build_batch, epsilon_at,
+    event_fields, load_learners, masked_rewards, oracle_episode_bits,
+    read_run, train, write_log)
 
 __all__ = [
     "AgentLearner", "EpisodeRecord", "EvalSummary", "ReplayBuffer",

@@ -62,9 +62,6 @@ class AgentLearner:
         self._loss = loss
         self.lead = loss.shape   # (N,) for a team, () for a row view
 
-    def __len__(self):
-        return len(self._loss)
-
     def __getitem__(self, i):
         # row views; iteration stops at the IndexError past the last row
         ln = copy.copy(self)

@@ -22,7 +22,6 @@ class EpisodeRecord:
     """
 
     env_id: str
-    seed: int
     obs: np.ndarray        # (L, N, D) float64; training casts to float32
     actions: np.ndarray    # (L, N) int64
     rewards: np.ndarray    # (L,) float64
@@ -69,8 +68,7 @@ def collect_episodes(envs, act) -> list:
 def _record(env, trail):
     obs, acts, results = zip(*trail)
     return EpisodeRecord(
-        env_id=env.spec.env_id, seed=-1,
-        obs=np.array(obs), actions=np.array(acts),
+        env_id=env.spec.env_id, obs=np.array(obs), actions=np.array(acts),
         rewards=np.array([r.reward for r in results]),
         kinds=np.array([r.kind for r in results], dtype=np.int64),
         win=results[-1].win,

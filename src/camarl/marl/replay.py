@@ -14,9 +14,6 @@ class ReplayBuffer:
         self.capacity = capacity
         self._buf = deque(maxlen=capacity)
 
-    def __len__(self):
-        return len(self._buf)
-
     def push(self, episode):
         self._buf.append(episode)
 

@@ -1,4 +1,4 @@
-"""Rollout/learn loop for the three trainers.
+"""Rollout/learn loop of the three trainers: schedule, masks, run files.
 
 idql      independent Q-learning on the raw team reward
 icl       per-timestep oracle causality bits mask positive rewards
@@ -16,13 +16,11 @@ import numpy as np
 
 import camarl
 from camarl.envs import env_spec, make_env, oracle_bits
-from camarl.errors import ConfigurationError
+from camarl.errors import ConfigurationError, UsageError
 from camarl.marl.agent import AgentLearner, team_policy
 from camarl.marl.episode import EpisodeRecord, collect_episode
 from camarl.marl.evaluate import evaluate
-from camarl.marl.masking import masked_rewards
 from camarl.marl.replay import ReplayBuffer
-from camarl.marl.schedule import epsilon_at
 
 TRAINERS = ("idql", "icl", "acd-marl")
 
@@ -87,6 +85,31 @@ def oracle_episode_bits(episode: EpisodeRecord) -> np.ndarray:
     """Per-timestep ground-truth bits, (L, N) uint8."""
     return oracle_bits(env_spec(episode.env_id).family, episode.obs,
                        episode.rewards, episode.kinds)
+
+
+def epsilon_at(episode_index: int, start: float, end: float,
+               anneal_episodes: int) -> float:
+    """Linear anneal from start to end over anneal_episodes, clamped after."""
+    if episode_index < 0:
+        raise UsageError("episode index must be nonnegative")
+    if episode_index >= anneal_episodes:
+        return end
+    frac = episode_index / anneal_episodes
+    return start + (end - start) * frac
+
+
+def masked_rewards(rewards, bits, strict: bool):
+    """rewards (L,) masked by bits (L, N) or (N,): (L, N) float64.
+
+    The plain mask covers only positive rewards: a zeroed-out agent still
+    feels the step penalty, which keeps the dense learning signal alive.
+    The strict variant applies the multiplicative mask to every reward.
+    """
+    r = np.asarray(rewards, dtype=np.float64)[:, None]
+    b = np.asarray(bits, dtype=np.float64)
+    if strict:
+        return b * r
+    return np.where(r > 0, b * r, r)
 
 
 def build_batch(episodes, team):

@@ -238,12 +238,12 @@ def test_preprocess_rejects_mixed_shapes():
 
 def test_episode_to_sample_layout_and_padding():
     ep = EpisodeRecord(
-        env_id="pp-sp", seed=4,
+        env_id="pp-sp",
         obs=np.random.default_rng(0).random((30, 5, OBS_DIM)),
         actions=np.zeros((30, 5), dtype=np.int64),
         rewards=np.linspace(0, 1, 30), kinds=np.zeros(30, dtype=np.int64),
         win=True, events=np.zeros(5, dtype=np.int64))
-    s = episode_to_sample(ep, np.array([1, 0, 1, 0, 0], dtype=np.uint8))
+    s = episode_to_sample(ep, np.array([1, 0, 1, 0, 0], dtype=np.uint8), 4)
     assert s.x.shape == (6, 100, OBS_DIM)
     assert s.length == 30 and s.x.shape[0] == 6 and s.seed == 4
     np.testing.assert_array_equal(s.x[0, :30], ep.obs[:, 0])

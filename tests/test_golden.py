@@ -161,7 +161,7 @@ def _digest_qvalues(learners, env_id, n_envs=5, n_steps=20):
     seeds = np.random.SeedSequence(7).generate_state(n_envs)
     envs = [make_env(env_id, int(s)) for s in seeds]
     hidden = [ln.initial_hidden(n_envs) for ln in learners]
-    prev = np.full((n_envs, len(learners)), -1)
+    prev = np.full((n_envs, len(list(learners))), -1)
     steps = 0
 
     def act(obs):

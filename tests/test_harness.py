@@ -98,9 +98,16 @@ def test_default_config_presets_pinned(env_id, paper_scale):
 
 # ---------------------------------------------------------------- manifests
 
+def _train_config():
+    """A full train manifest config: every TrainConfig field but the
+    seed, plus the encoder and the scale."""
+    config = asdict(default_config("pp", "idql"))
+    del config["seed"]
+    return dict(config, encoder=None, paper_scale=False)
+
+
 def test_manifest_roundtrip(tmp_path):
-    m = new_manifest("exp", "train", {"env_id": "pp", "trainer": "idql"},
-                     [0, 1])
+    m = new_manifest("exp", "train", _train_config(), [0, 1])
     assert m.created_at and m.substrate_version
     write_manifest(tmp_path / "exp", m)
     back = read_manifest(tmp_path / "exp")
@@ -113,12 +120,18 @@ def test_manifest_validation():
     with pytest.raises(ConfigurationError):
         new_manifest("x", "explode", {}, [])
     with pytest.raises(ConfigurationError):
-        new_manifest("", "train", {}, [])
-    # the config holds every key its kind's executor reads
+        new_manifest("", "train", _train_config(), [0])
+    # the config holds every key its kind's executor reads, a train
+    # config's missing keys named in TrainConfig field order
     with pytest.raises(ConfigurationError, match="must be an object"):
         ExperimentManifest("x", "report", ["runs"], []).validate()
-    with pytest.raises(ConfigurationError, match="lacks trainer"):
-        new_manifest("x", "train", {"env_id": "pp"}, [])
+    lacking = [f for f in _train_config() if f != "env_id"]
+    with pytest.raises(ConfigurationError,
+                       match="lacks " + ", ".join(lacking) + "$"):
+        new_manifest("x", "train", {"env_id": "pp"}, [0])
+    # and no key it does not read
+    with pytest.raises(ConfigurationError, match="unknown totl_steps$"):
+        new_manifest("x", "train", dict(_train_config(), totl_steps=40), [0])
     with pytest.raises(ConfigurationError, match="lacks policy, lazy_prob"):
         new_manifest("x", "collect", {"env_id": "pp", "episodes": 1,
                                       "seed": 0}, [])
@@ -237,11 +250,21 @@ def test_cli_acd_marl_requires_encoder(tmp_path, capsys):
     assert err.strip().count("\n") == 0
 
 
-def test_cli_encoder_rejected_for_idql(tmp_path):
+def test_cli_encoder_rejected_for_idql(cli_runs, tmp_path, capsys):
     rc = main(["train", "--env", "sk3-sp", "--trainer", "idql",
                "--seeds", "0", "--encoder", "whatever.ckpt",
                "--out", str(tmp_path / "x")])
     assert rc == 2
+    # a rerun manifest is held to the same rule
+    manifest = json.loads((cli_runs / "idql" / "manifest.json").read_text())
+    manifest["config"]["encoder"] = "whatever.ckpt"
+    (tmp_path / "exp").mkdir()
+    (tmp_path / "exp" / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    assert main(["rerun", "--manifest", str(tmp_path / "exp"),
+                 "--out", str(out)]) == 2
+    assert "--encoder" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "x").exists()
 
 
 def test_cli_unknown_env_is_usage_error(tmp_path):
@@ -513,14 +536,33 @@ def test_cli_acd_eval_dataset_of_no_samples_exits_typed(cli_runs, cli_acd,
     ("fit", lambda m: m["config"].update(train_frac=0), "train_frac"),
     ("fit", lambda m: m["config"].update(seed=-1), "seed"),
     ("fit", lambda m: m["config"].update(data=None), "data"),
-    ("idql", lambda m: m.update(kind="report", config={"runs": []}), "runs"),
+    ("idql", lambda m: m.update(kind="report", config={"runs": []},
+                                seeds=[]), "runs"),
+    ("idql", lambda m: m["config"].pop("total_steps"), "total_steps"),
+    ("idql", lambda m: m["config"].pop("encoder"), "encoder"),
+    ("idql", lambda m: m["config"].update(totl_steps=40), "totl_steps"),
+    ("idql", lambda m: m["config"].update(paper_scale=0), "paper_scale"),
+    ("fit", lambda m: m["config"].update(epoch=3), "epoch"),
+    ("idql", lambda m: m.update(seeds=[-1]), "seeds"),
+    ("idql", lambda m: m.update(seeds=["x"]), "seeds"),
+    ("idql", lambda m: m.update(seeds=[1.5]), "seeds"),
+    ("idql", lambda m: m.update(seeds=[True]), "seeds"),
+    ("idql", lambda m: m.update(seeds=[0, 0]), "seeds"),
+    ("idql", lambda m: m.update(seeds=[]), "seeds"),
+    ("idql", lambda m: m.update(seeds=0), "seeds"),
+    ("ds", lambda m: m.update(seeds=[0]), "seeds"),
 ], ids=["config-list", "train-without-trainer", "collect-without-policy",
         "train-steps-string", "train-strict-mask-int",
         "collect-episodes-string", "collect-lazy-prob-null",
         "collect-episodes-0", "acd-epochs-0", "acd-epochs-negative",
         "acd-batch-0", "acd-batch-bool", "acd-sigma-negative",
         "acd-sigma-string", "acd-train-frac-0", "acd-seed-negative",
-        "acd-data-null", "report-without-runs"])
+        "acd-data-null", "report-without-runs", "train-without-steps",
+        "train-without-encoder", "train-misspelt-key",
+        "train-paper-scale-int", "acd-unknown-key", "train-seed-negative",
+        "train-seed-string", "train-seed-float", "train-seed-bool",
+        "train-seed-repeated", "train-seeds-empty", "train-seeds-int",
+        "collect-with-seeds"])
 def test_cli_rerun_malformed_manifest_exits_typed(cli_runs, cli_acd, tmp_path,
                                                   capsys, experiment, edit,
                                                   word):
@@ -586,6 +628,20 @@ def test_cli_acd_marl_refuses_an_encoder_of_another_env(cli_acd, tmp_path,
                "--seeds", "0", *TINY, "--encoder",
                str(cli_acd / "fit" / "encoder.ckpt"), "--out", str(out),
                "--quiet"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sk3-sp" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("env_id", ["sk3", "sk5", "lj"])
+def test_cli_collect_refuses_a_policy_of_another_env(cli_runs, tmp_path,
+                                                     capsys, env_id):
+    # the idql runs trained on sk3-sp; sk3 shares its shapes, sk5 and lj
+    # do not
+    out = tmp_path / "ds"
+    rc = main(["collect", "--env", env_id, "--episodes", "1", "--policy",
+               str(cli_runs / "idql" / "seed_0"), "--out", str(out)])
     assert rc == 5
     err = capsys.readouterr().err
     assert err.startswith("error:") and "sk3-sp" in err, err

@@ -13,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import tape as T
 from helpers import gradcheck, relative_error
-from camarl.acd.loss import elbo_loss
 from camarl.acd.model import AcdModel, sample_gumbel
-from camarl.acd.training import backward
+from camarl.acd.training import backward, elbo_loss
 from camarl.errors import ConfigurationError, UsageError
 from camarl.nn import kernels as K
 from camarl.marl import AgentLearner
