@@ -1,10 +1,9 @@
 from camarl.acd.dataset import (
-    SeriesSample, collect_dataset, episode_to_sample, load_dataset,
-    save_dataset, split_dataset)
+    POLY_ORDER, SeriesSample, collect_dataset, episode_to_sample,
+    load_dataset, minmax_normalize, preprocess_series, save_dataset,
+    savgol_smooth, sg_window, split_dataset)
 from camarl.acd.inference import evaluate_accuracy, make_bits_fn, predict_c
 from camarl.acd.model import AcdModel, ordered_pairs
-from camarl.acd.preprocess import (
-    POLY_ORDER, minmax_normalize, preprocess_series, savgol_smooth, sg_window)
 from camarl.acd.training import (
     AcdResult, ElboTerms, elbo_loss, load_acd, save_acd, sigma_for,
     train_acd)

@@ -1,24 +1,36 @@
-"""Winning-episode dataset for causal discovery.
+"""Winning-episode dataset for causal discovery, and its preprocessing.
 
 Each sample stacks the per-agent observation series and the team reward
 series as nodes [o_1, ..., o_N, r], reward padded to the common feature
 width, the whole series zero-padded to the environment's nominal length.
+
+Preprocessing smooths the observation nodes with a Savitzky-Golay filter
+and min-max normalizes the reward node.  The smoother fits a polynomial
+of order 10 to a sliding window by least squares and keeps the window's
+center value.  Near the boundaries the window is truncated to the
+available samples and the fit order drops to window length minus one
+when the full order would be underdetermined.  ``preprocess_series``
+smooths all observation nodes of a sample or a stack with one product
+per position, t of x is ``w @ x[..., lo:hi, :]``.  That rounds like a
+loop over the samples and nodes, because ``@`` computes each item of a
+stack as its own (1, W) @ (W, D) product.
 """
 
+import functools
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
 from camarl.envs import env_spec, make_env
-from camarl.envs.oracles import episode_ground_truth_arrays
+from camarl.envs.core import episode_ground_truth_arrays
 from camarl.envs.scripted import ScriptedPolicy
 from camarl.errors import CollectionError, ConfigurationError, UsageError
-from camarl.acd.preprocess import preprocess_series
 from camarl.marl.agent import team_policy
 from camarl.marl.episode import EpisodeRecord, collect_episode
 
 EVAL_BLOCK = 8  # stack size: 8 `pp` samples (1.7 MB) fit a 2 MiB L2 cache
+POLY_ORDER = 10
 
 
 @dataclass
@@ -64,6 +76,87 @@ def episode_to_sample(episode: EpisodeRecord, bits, seed) -> SeriesSample:
     return SeriesSample(x=x, env_id=episode.env_id,
                         bits=np.asarray(bits, dtype=np.uint8),
                         seed=seed, length=L)
+
+
+def sg_window(T: int) -> int:
+    """Smoothing window: half the series length, forced odd."""
+    if T < 24:
+        raise ConfigurationError(
+            f"series length {T} too short to smooth with polynomial order "
+            f"{POLY_ORDER}; need T >= 24")
+    t2 = T // 2
+    return t2 - (1 - t2 % 2)
+
+
+def _fit_weights(offsets, order):
+    """Least-squares weights for the fitted value at offset zero.
+
+    The smoothed value is a linear functional of the window samples, so
+    one pseudoinverse per window shape is enough.  Offsets are rescaled
+    to [-1, 1] to keep the Vandermonde matrix well conditioned; the
+    fitted value at zero is unchanged by the rescaling.
+    """
+    x = np.asarray(offsets, dtype=np.float64)
+    scale = np.abs(x).max()
+    if scale > 0:
+        x = x / scale
+    v = np.vander(x, order + 1, increasing=True)
+    return np.linalg.pinv(v)[0]
+
+
+@functools.lru_cache(maxsize=32)
+def sg_weight_table(T: int):
+    """Per-position (lo, hi, weights) for a length-T series.
+
+    Position t is smoothed as ``weights @ x[lo:hi]``.  The table is
+    built once per T and shared, so it is a tuple and every weight
+    array is read-only.
+    """
+    delta = sg_window(T)
+    half = delta // 2
+    table = []
+    center = None
+    for t in range(T):
+        lo = max(0, t - half)
+        hi = min(T, t + half + 1)
+        order = min(POLY_ORDER, hi - lo - 1)
+        if lo == t - half and hi == t + half + 1:
+            if center is None:
+                center = _fit_weights(np.arange(lo, hi) - t, order)
+            w = center
+        else:
+            w = _fit_weights(np.arange(lo, hi) - t, order)
+        w.flags.writeable = False
+        table.append((lo, hi, w))
+    return tuple(table)
+
+
+def savgol_smooth(x: np.ndarray) -> np.ndarray:
+    """Smooth float64 (..., T, C) data along axis -2 into a new array."""
+    out = np.empty_like(x)
+    for t, (lo, hi, w) in enumerate(sg_weight_table(x.shape[-2])):
+        out[..., t, :] = w @ x[..., lo:hi, :]
+    return out
+
+
+def minmax_normalize(series: np.ndarray) -> np.ndarray:
+    """Map each row of the last axis to [0, 1]; a constant row to zeros."""
+    x = np.asarray(series, dtype=np.float64)
+    lo = x.min(axis=-1, keepdims=True)
+    hi = x.max(axis=-1, keepdims=True)
+    return np.divide(x - lo, hi - lo, out=np.zeros_like(x), where=hi != lo)
+
+
+def preprocess_series(x: np.ndarray) -> np.ndarray:
+    """Smooth observation nodes, normalize the reward node.
+
+    x is an (..., n_nodes, T, D) sample or stack, the reward series in
+    the last node's channel 0 (the others zero).  Returns a new array.
+    """
+    out = x.astype(np.float64)
+    out[..., :-1, :, :] = savgol_smooth(out[..., :-1, :, :])
+    out[..., -1, :, 0] = minmax_normalize(x[..., -1, :, 0])
+    return out
 
 
 def preprocess(samples) -> np.ndarray:
@@ -155,21 +248,24 @@ def save_dataset(path, samples):
 
 
 def load_dataset(path):
-    """Read samples back bit-exactly from save_dataset output."""
-    from camarl.nn.checkpoint import load_checkpoint
+    """Read samples back bit-exactly from save_dataset output; every
+    header field and array it reads is checked first."""
+    from camarl.nn.checkpoint import (
+        check_fields, count, ints, is_str, load_checkpoint)
 
     arrays, meta = load_checkpoint(path)
     if meta.get("kind") != "dataset":
         raise ConfigurationError(f"{path} is not a dataset file")
-    try:
-        samples = [SeriesSample(
-            x=arrays[f"x_{k}"], env_id=meta["env_id"],
-            bits=arrays[f"bits_{k}"].astype(np.uint8),
-            seed=meta["seeds"][k], length=meta["lengths"][k])
-            for k in range(meta["n_samples"])]
-    except (KeyError, IndexError, TypeError) as err:
-        raise ConfigurationError(
-            f"{path} is a malformed dataset file: {err!r}") from None
+    n = check_fields(meta, {"env_id": is_str, "n_samples": count(0)},
+                     path)["n_samples"]
+    check_fields(meta, {"seeds": ints(n), "lengths": ints(n)}, path)
+    check_fields(arrays, dict.fromkeys(
+        [f"{a}_{k}" for k in range(n) for a in ("x", "bits")],
+        lambda a: True), path)
+    samples = [SeriesSample(
+        x=arrays[f"x_{k}"], env_id=meta["env_id"],
+        bits=arrays[f"bits_{k}"].astype(np.uint8),
+        seed=meta["seeds"][k], length=meta["lengths"][k]) for k in range(n)]
     if not samples:
         raise ConfigurationError(f"{path} holds no samples")
     check_dataset(samples)

@@ -8,7 +8,7 @@ import numpy as np
 
 from camarl.envs import env_spec
 from camarl.errors import ConfigurationError, UsageError
-from camarl.nn.optim import rmsprop_update
+from camarl.nn.layers import rmsprop_update
 from camarl.acd.dataset import check_dataset, preprocess
 from camarl.acd.model import TEMPERATURE, AcdModel, gumbel_softmax_bwd
 
@@ -160,14 +160,15 @@ def save_acd(out_dir: Path, result: AcdResult):
 
 
 def load_acd(path) -> tuple:
-    """Restore (model, meta) from an encoder checkpoint file."""
-    from camarl.nn.checkpoint import load_checkpoint
+    """Restore (model, meta) from an encoder checkpoint file; its env id
+    and the sizes AcdModel.from_meta reads are checked first."""
+    from camarl.nn.checkpoint import (
+        check_fields, count, is_str, load_checkpoint)
 
     arrays, meta = load_checkpoint(path)
-    try:
-        model = AcdModel.from_meta(meta)
-    except KeyError as err:
-        raise ConfigurationError(
-            f"{path} is not an edge-model checkpoint: no {err}") from None
+    check_fields(meta, {"env_id": is_str, **dict.fromkeys(
+        ("n_nodes", "series_len", "feat_dim", "enc_hidden", "dec_hidden"),
+        count(1))}, path)
+    model = AcdModel.from_meta(meta)
     model.params.load_arrays(arrays)
     return model, meta

@@ -8,12 +8,11 @@ entities.
 
 from camarl.envs.core import (
     EnvSpec, StepResult, OBS_DIM, env_spec, make_env, ENV_IDS,
-    KIND_NONE, KIND_INTERMEDIATE, KIND_WIN,
+    KIND_NONE, KIND_INTERMEDIATE, KIND_WIN, oracle_bits,
 )
 from camarl.envs.predator_prey import PredatorPrey
 from camarl.envs.lumberjacks import Lumberjacks
 from camarl.envs.skirmish import Skirmish
-from camarl.envs.oracles import oracle_bits
 from camarl.envs.scripted import ScriptedPolicy
 
 __all__ = [

@@ -27,10 +27,11 @@ from camarl.harness.manifest import (
     TRAIN_FIELDS, ExperimentManifest, new_manifest, read_manifest, seed_list,
     write_manifest)
 from camarl.marl import (
-    TRAINERS, TrainConfig, event_fields, load_learners, read_run, train)
+    TRAINERS, TrainConfig, event_fields, load_learners, read_log, read_run,
+    train)
 from camarl.metrics import (
-    aggregate_curves, balance_index, bar_chart, line_chart, read_log,
-    save_svg, write_curve)
+    aggregate_curves, balance_index, bar_chart, line_chart, save_svg,
+    write_curve)
 from camarl.nn.checkpoint import write_csv
 
 ACCURACY_FIELDS = ("correct", "false_positive", "false_negative", "n_pairs")
@@ -220,7 +221,7 @@ def _exec_acd_eval(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
 def _load_encoder(path, env_id):
     """The edge model in path, refused unless it was fitted on env_id."""
     model, meta = load_acd(path)
-    _check_env("the encoder was fitted", meta.get("env_id", env_id), env_id)
+    _check_env("the encoder was fitted", meta["env_id"], env_id)
     return model
 
 
@@ -325,7 +326,6 @@ def _manifest_from_args(args) -> ExperimentManifest:
             strict_mask=args.strict_mask))
         del config["seed"]
         config["encoder"] = _abs(args.encoder) if args.encoder else None
-        config["paper_scale"] = bool(args.paper_scale)
         name = f"train-{args.env}-{args.trainer}"
         return new_manifest(name, "train", config, _parse_seeds(args.seeds))
     if args.command == "collect":

@@ -29,8 +29,7 @@ TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 # TrainConfig.validate checks the values of TRAIN_FIELDS
 CONFIG_FIELDS = {
     "train": {**dict.fromkeys(TRAIN_FIELDS, lambda v: True),
-              "encoder": lambda v: v is None or is_str(v),
-              "paper_scale": lambda v: type(v) is bool},
+              "encoder": lambda v: v is None or is_str(v)},
     "collect": {"env_id": is_str, "policy": is_str, "episodes": count(1),
                 "seed": count(0),
                 "lazy_prob": lambda v: number(v) and 0 <= v <= 1},

@@ -18,8 +18,8 @@ import numpy as np
 
 from camarl.errors import UsageError
 from camarl.nn import kernels
-from camarl.nn.layers import ParamSet, _uniform_init, load_views
-from camarl.nn.optim import rmsprop_update
+from camarl.nn.layers import (
+    ParamSet, _uniform_init, load_views, rmsprop_update)
 
 PARAM_NAMES = ("gru.Wx", "gru.Wh", "gru.bx", "gru.bh", "head.W", "head.b")
 BIAS_NAMES = ("gru.bx", "gru.bh", "head.b")

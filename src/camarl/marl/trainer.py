@@ -265,6 +265,24 @@ def write_log(path, rows, n_agents):
     write_csv(path, fields, ([row[k] for k in fields] for row in rows))
 
 
+def read_log(path, n_agents):
+    """Parse a training log CSV back into typed row dicts; it must hold
+    every column write_log writes for a team of n_agents."""
+    from camarl.nn.checkpoint import check_fields, is_str, read_csv
+
+    raw = read_csv(path)
+    if not raw:
+        raise UsageError(f"log {path} is empty")
+    check_fields(raw[0], dict.fromkeys(
+        list(CSV_FIELDS) + event_fields(n_agents), is_str), f"log {path}")
+    try:
+        return [{k: int(v) if k in ("step", "episode") else float(v)
+                 for k, v in r.items()} for r in raw]
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(
+            f"log {path} has a non-numeric cell: {err}") from None
+
+
 def save_run(out_dir: Path, result: TrainResult):
     """Write result's log, agent checkpoints and run.json into out_dir."""
     from camarl.nn.checkpoint import save_checkpoint, write_json

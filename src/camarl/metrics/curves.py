@@ -1,15 +1,18 @@
-"""Cross-seed learning-curve aggregation."""
+"""Cross-seed learning-curve aggregation and the per-agent balance index.
+
+The balance index quantifies how evenly work is spread across a team
+from its per-agent event participation counts (``event_count_agent_*``
+in the training log).
+"""
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from camarl.errors import (
-    ConfigurationError, IncompatibleInputsError, UsageError)
+from camarl.errors import IncompatibleInputsError, UsageError
 from camarl.marl.evaluate import return_ci95
-from camarl.marl.trainer import CSV_FIELDS, event_fields
-from camarl.nn.checkpoint import check_fields, is_str, read_csv, write_csv
+from camarl.nn.checkpoint import write_csv
 
 
 @dataclass
@@ -17,22 +20,6 @@ class CurvePoint:
     step: int
     mean: float
     ci95: float              # 95% t-interval half-width
-
-
-def read_log(path, n_agents):
-    """Parse a training log CSV back into typed row dicts; it must hold
-    every column write_log writes for a team of n_agents."""
-    raw = read_csv(path)
-    if not raw:
-        raise UsageError(f"log {path} is empty")
-    check_fields(raw[0], dict.fromkeys(
-        list(CSV_FIELDS) + event_fields(n_agents), is_str), f"log {path}")
-    try:
-        return [{k: int(v) if k in ("step", "episode") else float(v)
-                 for k, v in r.items()} for r in raw]
-    except (TypeError, ValueError) as err:
-        raise ConfigurationError(
-            f"log {path} has a non-numeric cell: {err}") from None
 
 
 def aggregate_curves(logs, metric: str = "eval_return_mean"):
@@ -63,3 +50,25 @@ def write_curve(path, points):
     """One CSV row per curve point; floats kept at full precision."""
     write_csv(path, ("step", "mean", "ci95"),
               ((p.step, p.mean, p.ci95) for p in points))
+
+
+def balance_index(counts) -> float:
+    """How evenly the team's event participations are spread, in [0, 1].
+
+    One agent doing everything scores 0; perfectly equal shares score 1.
+    The score is one minus the standard deviation of the share vector,
+    normalized by the one-hot share vector's deviation (the most uneven
+    split possible).  A team with no events at all counts as balanced.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim != 1 or counts.size < 2:
+        raise UsageError("balance index needs one count per agent, N >= 2")
+    if counts.min() < 0:
+        raise UsageError("event counts cannot be negative")
+    total = counts.sum()
+    if total == 0:
+        return 1.0
+    shares = counts / total
+    n = counts.size
+    std_max = np.sqrt(n - 1) / n
+    return float(1.0 - shares.std() / std_max)

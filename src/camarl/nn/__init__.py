@@ -8,8 +8,7 @@ optimizer state in one ``ParamSet`` of flat buffers; backward passes add
 into its ``grad`` buffer, which the optimizer zeroes after its step.
 """
 
-from camarl.nn.layers import Dense, ParamSet
-from camarl.nn.optim import rmsprop_update, clip_global_norm
+from camarl.nn.layers import Dense, ParamSet, rmsprop_update, clip_global_norm
 from camarl.nn.checkpoint import save_checkpoint, load_checkpoint
 
 __all__ = [

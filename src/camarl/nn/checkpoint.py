@@ -117,6 +117,11 @@ def strings(v):
     return type(v) is list and len(v) > 0 and all(type(s) is str for s in v)
 
 
+def ints(n):
+    return lambda v: (type(v) is list and len(v) == n
+                      and all(type(i) is int for i in v))
+
+
 def check_fields(obj, checks, what):
     """Return obj if it holds every key of checks and each value passes
     its key's check; else raise ConfigurationError naming what and keys."""

@@ -12,8 +12,8 @@ from camarl.acd import (
     predict_c, preprocess_series, savgol_smooth, sg_window,
     sigma_for, split_dataset, train_acd,
 )
-from camarl.acd.dataset import preprocess
-from camarl.acd.preprocess import POLY_ORDER, _fit_weights, sg_weight_table
+from camarl.acd.dataset import (
+    POLY_ORDER, _fit_weights, preprocess, sg_weight_table)
 from camarl.acd.training import load_acd, save_acd
 from camarl.envs import OBS_DIM, env_spec
 from camarl.errors import (
@@ -21,7 +21,7 @@ from camarl.errors import (
 from camarl.marl import EpisodeRecord
 from camarl.acd.model import TEMPERATURE, sample_gumbel
 from camarl.acd.training import backward
-from camarl.nn.optim import rmsprop_update
+from camarl.nn.layers import rmsprop_update
 
 from helpers import relative_error
 
@@ -86,17 +86,6 @@ def test_sg_weight_table_cached_and_read_only():
         assert w.shape == (hi - lo,)
         with pytest.raises(ValueError):
             w[0] = 1.0
-
-
-def test_preprocess_submodule_is_not_shadowed():
-    # a package attribute named like the submodule would shadow it, and
-    # the dotted import would bind that attribute instead
-    import camarl.acd
-    import camarl.acd.preprocess as m
-
-    assert m.sg_weight_table is sg_weight_table
-    assert camarl.acd.preprocess is m
-    assert "preprocess" not in camarl.acd.__all__
 
 
 def _savgol_uncached(x):

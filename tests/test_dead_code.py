@@ -25,6 +25,10 @@ import`` statements bind, so a re-export cannot outlive its import.
 No required parameter takes one literal or module-level constant from
 every call in the package: such a value is the callee's own setting.
 
+The names that lay out a format (``FORMAT_OWNERS``: the observation
+offsets, the training-log columns) are read only in the module that
+writes the format.
+
 Blind spot: the checks match bare names, not what they resolve to, so
 a definition whose name is also read elsewhere as an attribute or a
 variable passes.  A function ``exp`` would pass on ``np.exp``, and a
@@ -317,3 +321,38 @@ def test_no_required_parameter_is_a_constant_in_src():
         "\n".join(report)
     stale = sorted(set(ALLOWED_CONSTANT_ARGS) - fixed)
     assert not stale, f"stale ALLOWED_CONSTANT_ARGS entries: {stale}"
+
+
+# names of a format that only the module writing it reads, each with
+# that module: a layout a second module reads can drift from the writer
+FORMAT_OWNERS = {
+    "TARGET_OFF": "envs/core.py",
+    "AGENT_OFF": "envs/core.py",
+    "STATUS_OFF": "envs/core.py",
+    "CSV_FIELDS": "marl/trainer.py",
+}
+
+
+def _read_names(node):
+    """The names node reads, imports or binds."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name.split(".")[-1] for alias in node.names]
+    return []
+
+
+def test_each_format_is_read_only_by_its_writer():
+    trees = {p.relative_to(PACKAGE).as_posix(): t for p, t in _trees().items()}
+    report = sorted(f"{path}:{n.lineno}: {name}"
+                    for path, tree in trees.items() for n in ast.walk(tree)
+                    for name in _read_names(n)
+                    if FORMAT_OWNERS.get(name, path) != path)
+    assert not report, "a format read outside its module:\n" + "\n".join(
+        report)
+    # an entry whose owner no longer defines the name is stale
+    stale = sorted(name for name, path in FORMAT_OWNERS.items()
+                   if name not in _module_constants({path: trees[path]}))
+    assert not stale, f"stale FORMAT_OWNERS entries: {stale}"

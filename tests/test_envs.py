@@ -14,8 +14,8 @@ from camarl.envs import (
     env_spec, make_env, oracle_bits, KIND_NONE, KIND_INTERMEDIATE, KIND_WIN,
 )
 from camarl.envs import core
-from camarl.envs.core import A_STAY, TARGET_OFF, AGENT_OFF, STATUS_OFF
-from camarl.envs.oracles import episode_ground_truth_arrays
+from camarl.envs.core import (
+    A_STAY, TARGET_OFF, AGENT_OFF, STATUS_OFF, episode_ground_truth_arrays)
 from camarl.envs.scripted import ScriptedPolicy
 from camarl.errors import ConfigurationError, UsageError
 

@@ -18,8 +18,7 @@ from camarl.harness import (
     ExperimentManifest, default_config, new_manifest, read_manifest,
     write_manifest)
 from camarl.harness.cli import main
-from camarl.marl import read_run
-from camarl.metrics import read_log
+from camarl.marl import read_log, read_run
 
 
 # ----------------------------------------------------------------- defaults
@@ -100,10 +99,10 @@ def test_default_config_presets_pinned(env_id, paper_scale):
 
 def _train_config():
     """A full train manifest config: every TrainConfig field but the
-    seed, plus the encoder and the scale."""
+    seed, plus the encoder."""
     config = asdict(default_config("pp", "idql"))
     del config["seed"]
-    return dict(config, encoder=None, paper_scale=False)
+    return dict(config, encoder=None)
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -504,6 +503,27 @@ def test_cli_incomplete_dataset_exits_typed(cli_runs, tmp_path, capsys,
         tmp_path / "out", capsys, field)
 
 
+@pytest.mark.parametrize("edit, word", [
+    (lambda m: m.update(env_id=3), "env_id"),
+    (lambda m: m.update(seeds=["a"] * len(m["seeds"])), "seeds"),
+    (lambda m: m["lengths"].append(1), "lengths"),
+], ids=["env-id-int", "seeds-strings", "lengths-one-too-many"])
+def test_cli_acd_eval_malformed_dataset_exits_typed(cli_runs, cli_acd,
+                                                    tmp_path, capsys, edit,
+                                                    word):
+    # a dataset header field of the wrong type or length, before the
+    # encoder is compared with it
+    from camarl.nn.checkpoint import load_checkpoint, save_checkpoint
+
+    arrays, meta = load_checkpoint(cli_runs / "ds" / "dataset.ckpt")
+    edit(meta)
+    data = tmp_path / "bad.ckpt"
+    save_checkpoint(data, arrays, meta)
+    _assert_exit_3_writes_nothing(
+        ["acd", "eval", "--model", str(cli_acd / "fit" / "encoder.ckpt"),
+         "--data", str(data)], tmp_path / "out", capsys, word)
+
+
 def test_cli_acd_eval_dataset_of_no_samples_exits_typed(cli_runs, cli_acd,
                                                         tmp_path, capsys):
     # save_dataset refuses to write one; load_dataset refuses to read one
@@ -726,6 +746,29 @@ def test_cli_acd_eval_malformed_header_is_configuration_error(
                    "--out", str(tmp_path / f"ev_{i}")])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("edit, word", [
+    (lambda m: m.update(n_nodes="4"), "n_nodes"),
+    (lambda m: m.update(series_len=60.0), "series_len"),
+    (lambda m: m.update(enc_hidden=0), "enc_hidden"),
+    (lambda m: m.pop("env_id"), "env_id"),
+], ids=["n-nodes-string", "series-len-float", "enc-hidden-0",
+        "without-env-id"])
+def test_cli_acd_eval_malformed_encoder_header_exits_typed(
+        cli_runs, cli_acd, tmp_path, capsys, edit, word):
+    # every header field load_acd reads is checked before the model is
+    # built or compared with the dataset
+    from camarl.nn.checkpoint import load_checkpoint, save_checkpoint
+
+    arrays, meta = load_checkpoint(cli_acd / "fit" / "encoder.ckpt")
+    edit(meta)
+    model = tmp_path / "encoder.ckpt"
+    save_checkpoint(model, arrays, meta)
+    _assert_exit_3_writes_nothing(
+        ["acd", "eval", "--model", str(model),
+         "--data", str(cli_runs / "ds" / "dataset.ckpt")],
+        tmp_path / "out", capsys, word)
 
 
 # SHA-256 over the relative path and bytes of every file the CLI wrote

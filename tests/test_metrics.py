@@ -11,11 +11,11 @@ from scipy import stats
 from camarl.envs import OBS_DIM, env_spec, make_env
 from camarl.errors import (
     ConfigurationError, IncompatibleInputsError, UsageError)
-from camarl.marl import AgentLearner, team_policy
+from camarl.marl import AgentLearner, read_log, team_policy
 from camarl.marl.trainer import write_log
 from camarl.metrics import (
     CurvePoint, aggregate_curves, balance_index, bar_chart, line_chart,
-    read_log, save_svg, write_curve)
+    save_svg, write_curve)
 from camarl.nn.checkpoint import read_csv
 
 

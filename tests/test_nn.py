@@ -18,8 +18,8 @@ from camarl.acd.training import backward, elbo_loss
 from camarl.errors import ConfigurationError, UsageError
 from camarl.nn import kernels as K
 from camarl.marl import AgentLearner
-from camarl.nn.layers import ParamSet, Dense, dense_init
-from camarl.nn.optim import EPS, RHO, rmsprop_update, clip_global_norm
+from camarl.nn.layers import (
+    EPS, RHO, Dense, ParamSet, clip_global_norm, dense_init, rmsprop_update)
 from camarl.nn.checkpoint import (
     atomic_open, load_checkpoint, read_json, save_checkpoint, write_csv,
     write_json)
