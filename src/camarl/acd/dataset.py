@@ -249,7 +249,8 @@ def save_dataset(path, samples):
 
 def load_dataset(path):
     """Read samples back bit-exactly from save_dataset output; every
-    header field and array it reads is checked first."""
+    header field and array it reads is checked first, each x_k against
+    (N+1, T, D) and each bits_k against (N,) 0/1 of the header's env."""
     from camarl.nn.checkpoint import (
         check_fields, count, ints, is_str, load_checkpoint)
 
@@ -259,9 +260,12 @@ def load_dataset(path):
     n = check_fields(meta, {"env_id": is_str, "n_samples": count(0)},
                      path)["n_samples"]
     check_fields(meta, {"seeds": ints(n), "lengths": ints(n)}, path)
-    check_fields(arrays, dict.fromkeys(
-        [f"{a}_{k}" for k in range(n) for a in ("x", "bits")],
-        lambda a: True), path)
+    spec = env_spec(meta["env_id"])
+    N, T, D = spec.n_agents, spec.episode_len, spec.obs_dim
+    checks = {"x": lambda a: a.shape == (N + 1, T, D),
+              "bits": lambda a: a.shape == (N,) and np.isin(a, (0, 1)).all()}
+    check_fields(arrays, {f"{a}_{k}": checks[a] for k in range(n)
+                          for a in checks}, path)
     samples = [SeriesSample(
         x=arrays[f"x_{k}"], env_id=meta["env_id"],
         bits=arrays[f"bits_{k}"].astype(np.uint8),

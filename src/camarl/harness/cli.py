@@ -5,6 +5,11 @@ other artifact, so each experiment can be reproduced later with
 ``camarl rerun --manifest <dir>``.  Error classes map to distinct exit
 codes (usage 2, configuration 3, collection 4, incompatible inputs 5)
 with a single-line reason on stderr.
+
+Each parser destination but ``out`` and ``quiet`` is a manifest config
+key, so a new setting of collect, acd or report is one ``add_argument``
+plus one ``CONFIG_FIELDS`` entry with its check.  Train's config also
+takes the preset rows of ``default_config``.
 """
 
 import argparse
@@ -24,8 +29,8 @@ from camarl.errors import (
     CollectionError, ConfigurationError, IncompatibleInputsError, UsageError)
 from camarl.harness.defaults import default_config
 from camarl.harness.manifest import (
-    TRAIN_FIELDS, ExperimentManifest, new_manifest, read_manifest, seed_list,
-    write_manifest)
+    CONFIG_FIELDS, TRAIN_FIELDS, ExperimentManifest, new_manifest,
+    read_manifest, seed_list, write_manifest)
 from camarl.marl import (
     TRAINERS, TrainConfig, event_fields, load_learners, read_log, read_run,
     train)
@@ -37,12 +42,6 @@ from camarl.nn.checkpoint import write_csv
 ACCURACY_FIELDS = ("correct", "false_positive", "false_negative", "n_pairs")
 
 
-def _check_seed(seed: int) -> int:
-    if seed < 0:
-        raise UsageError(f"seeds cannot be negative: {seed}")
-    return seed
-
-
 def _parse_seeds(text: str):
     try:
         seeds = [int(s) for s in text.split(",") if s != ""]
@@ -52,6 +51,20 @@ def _parse_seeds(text: str):
         raise UsageError(f"--seeds must list distinct non-negative integers, "
                          f"comma-separated: {text!r}")
     return seeds
+
+
+def _non_negative(flag):
+    """An argparse type: the flag's int, a UsageError if negative."""
+    def non_negative_int(text):
+        if int(text) < 0:
+            raise UsageError(f"{flag} cannot be negative: {text}")
+        return int(text)
+    return non_negative_int
+
+
+def _abs(path):
+    # manifests must reproduce the experiment from any directory
+    return str(Path(path).resolve())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,32 +90,34 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--quiet", action="store_true")
 
     c = sub.add_parser("collect", help="collect winning episodes")
-    c.add_argument("--env", required=True, choices=ENV_IDS)
+    c.add_argument("--env", dest="env_id", required=True, choices=ENV_IDS)
     c.add_argument("--policy", default="scripted",
+                   type=lambda p: p if p == "scripted" else _abs(p),
                    help="'scripted' or a trained run directory")
-    c.add_argument("--episodes", type=int, required=True)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--episodes", type=_non_negative("--episodes"),
+                   required=True)
+    c.add_argument("--seed", type=_non_negative("--seed"), default=0)
     c.add_argument("--lazy-prob", type=float, default=0.5)
     c.add_argument("--out", required=True)
 
     a = sub.add_parser("acd", help="amortized causal discovery")
     asub = a.add_subparsers(dest="acd_command", required=True)
     at = asub.add_parser("train", help="fit the edge model on a dataset")
-    at.add_argument("--data", required=True)
+    at.add_argument("--data", type=_abs, required=True)
     at.add_argument("--epochs", type=int, default=150)
     at.add_argument("--batch", type=int, default=128)
     at.add_argument("--sigma", type=float, default=None)
-    at.add_argument("--seed", type=int, default=0)
+    at.add_argument("--seed", type=_non_negative("--seed"), default=0)
     at.add_argument("--train-frac", type=float, default=0.8)
     at.add_argument("--out", required=True)
     at.add_argument("--quiet", action="store_true")
     ae = asub.add_parser("eval", help="score a trained edge model")
-    ae.add_argument("--model", required=True)
-    ae.add_argument("--data", required=True)
+    ae.add_argument("--model", type=_abs, required=True)
+    ae.add_argument("--data", type=_abs, required=True)
     ae.add_argument("--out", required=True)
 
     r = sub.add_parser("report", help="aggregate finished runs")
-    r.add_argument("--runs", nargs="+", required=True)
+    r.add_argument("--runs", type=_abs, nargs="+", required=True)
     r.add_argument("--out", required=True)
 
     rr = sub.add_parser("rerun", help="reproduce an experiment")
@@ -313,11 +328,6 @@ def execute(manifest: ExperimentManifest, out_dir, quiet: bool = True) -> int:
 
 # -- argument translation -----------------------------------------------------
 
-def _abs(path):
-    # manifests must reproduce the experiment from any directory
-    return str(Path(path).resolve())
-
-
 def _manifest_from_args(args) -> ExperimentManifest:
     if args.command == "train":
         config = asdict(default_config(
@@ -328,39 +338,18 @@ def _manifest_from_args(args) -> ExperimentManifest:
         config["encoder"] = _abs(args.encoder) if args.encoder else None
         name = f"train-{args.env}-{args.trainer}"
         return new_manifest(name, "train", config, _parse_seeds(args.seeds))
-    if args.command == "collect":
-        if args.episodes < 0:
-            raise UsageError("--episodes cannot be negative")
-        policy = args.policy if args.policy == "scripted" \
-            else _abs(args.policy)
-        config = dict(env_id=args.env, policy=policy,
-                      episodes=args.episodes, seed=_check_seed(args.seed),
-                      lazy_prob=args.lazy_prob)
-        return new_manifest(f"collect-{args.env}", "collect", config, [])
-    if args.command == "acd":
-        if args.acd_command == "train":
-            config = dict(data=_abs(args.data), epochs=args.epochs,
-                          batch=args.batch, sigma=args.sigma,
-                          seed=_check_seed(args.seed),
-                          train_frac=args.train_frac)
-            return new_manifest("acd-train", "acd-train", config, [])
-        config = dict(model=_abs(args.model), data=_abs(args.data))
-        return new_manifest("acd-eval", "acd-eval", config, [])
-    if args.command == "report":
-        return new_manifest("report", "report",
-                            dict(runs=[_abs(r) for r in args.runs]), [])
-    raise UsageError(f"unknown command {args.command!r}")
+    kind = f"acd-{args.acd_command}" if args.command == "acd" else args.command
+    name = f"collect-{args.env_id}" if kind == "collect" else kind
+    return new_manifest(name, kind,
+                        {k: getattr(args, k) for k in CONFIG_FIELDS[kind]}, [])
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    quiet = bool(getattr(args, "quiet", False))
     try:
-        if args.command == "rerun":
-            manifest = read_manifest(args.manifest)
-            return execute(manifest, args.out, quiet)
-        manifest = _manifest_from_args(args)
-        return execute(manifest, args.out, quiet)
+        args = build_parser().parse_args(argv)
+        manifest = (read_manifest(args.manifest) if args.command == "rerun"
+                    else _manifest_from_args(args))
+        return execute(manifest, args.out, getattr(args, "quiet", False))
     except (UsageError, ConfigurationError, CollectionError,
             IncompatibleInputsError) as err:
         print(f"error: {err}", file=sys.stderr)

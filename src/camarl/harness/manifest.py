@@ -111,12 +111,7 @@ def read_manifest(path) -> ExperimentManifest:
     path = Path(path)
     if path.is_dir():
         path = path / MANIFEST_NAME
-    raw = read_json(path)
-    fields = {k: raw[k] for k in
-              ("name", "kind", "config", "seeds", "created_at",
-               "substrate_version") if k in raw}
-    missing = {"name", "kind", "config", "seeds"} - set(fields)
-    if missing:
-        raise ConfigurationError(
-            f"{path} lacks manifest fields: {sorted(missing)}")
-    return ExperimentManifest(**fields).validate()
+    raw = check_fields(read_json(path), dict.fromkeys(
+        ("name", "kind", "config", "seeds"), lambda v: True), path)
+    return ExperimentManifest(**{f.name: raw[f.name] for f in fields(
+        ExperimentManifest) if f.name in raw}).validate()

@@ -74,6 +74,9 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
+    """A run's team and progress, advanced in place by train: the steps
+    and episodes collected so far, and rows[k] the log of evaluation k,
+    which read eval seed k."""
     config: TrainConfig
     learners: AgentLearner   # the team; learners[i] is agent i
     rows: list = field(default_factory=list)
@@ -147,6 +150,11 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
     acd-marl requires bits_fn, which maps an episode to its per-episode
     bits (N,); bits of another shape, or other than 0 and 1, raise
     ConfigurationError.  Only acd-marl reads bits_fn.
+
+    The loop's whole state is the result, the replay buffer and the env
+    seed, exploration and replay generators.  Evaluation k reads eval
+    seed k; it runs before the next episode once result.steps reaches
+    k * eval_interval, and a last one, logged at total_steps, follows.
     """
     config.validate()
     spec = env_spec(config.env_id)
@@ -169,36 +177,27 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
 
     buffer = ReplayBuffer(config.buffer_capacity)
     result = TrainResult(config=config, learners=team)
-    step = 0
-    episode_idx = 0
-    next_eval = 0
-    eval_idx = 0
 
     def run_eval(step_label):
         # rows carry the scheduled checkpoint, not the raw step count,
         # so different seeds log a shared evaluation grid
-        nonlocal eval_idx
         s = evaluate(team, config.env_id, config.eval_episodes,
-                     int(eval_seeds[eval_idx]))
-        eval_idx += 1
-        eps_now = epsilon_at(episode_idx, config.epsilon_start,
-                             config.epsilon_end,
-                             config.epsilon_anneal_episodes)
-        row = {"step": int(step_label), "episode": episode_idx,
+                     int(eval_seeds[len(result.rows)]))
+        row = {"step": int(step_label), "episode": result.episodes,
                "eval_return_mean": s.mean_return,
                "eval_return_ci95": s.ci95, "win_rate": s.win_rate,
-               "epsilon": eps_now}
+               "epsilon": epsilon_at(result.episodes, config.epsilon_start,
+                                     config.epsilon_end,
+                                     config.epsilon_anneal_episodes)}
         row.update(zip(event_fields(n), map(float, s.per_agent_events)))
         result.rows.append(row)
         if progress is not None:
             progress(row)
-        return row
 
-    while step < config.total_steps:
-        while next_eval <= step:
-            run_eval(next_eval)
-            next_eval += config.eval_interval
-        eps = epsilon_at(episode_idx, config.epsilon_start,
+    while result.steps < config.total_steps:
+        while len(result.rows) * config.eval_interval <= result.steps:
+            run_eval(len(result.rows) * config.eval_interval)
+        eps = epsilon_at(result.episodes, config.epsilon_start,
                          config.epsilon_end, config.epsilon_anneal_episodes)
         env = make_env(config.env_id, int(env_seed_rng.integers(2 ** 63)))
         ep = collect_episode(env, team_policy(team, eps, rng_explore))
@@ -208,17 +207,15 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
         bits = _episode_bits(config.trainer, ep, bits_fn)
         buffer.push((ep.obs, ep.actions,
                      masked_rewards(ep.rewards, bits, config.strict_mask)))
-        step += ep.length
-        episode_idx += 1
+        result.steps += ep.length
+        result.episodes += 1
 
         batch = buffer.sample(config.batch_size, rng_sample)
         team.train_step(*build_batch(batch, team), config.gamma)
-        if episode_idx % config.target_sync == 0:
+        if result.episodes % config.target_sync == 0:
             team.sync_target()
 
     run_eval(config.total_steps)
-    result.episodes = episode_idx
-    result.steps = step
     if out_dir is not None:
         save_run(Path(out_dir), result)
     return result

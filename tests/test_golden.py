@@ -10,7 +10,9 @@ clipping kernels are pinned too.  Two ``icl`` runs train at the
 benchmark's widths (``BENCH_RUNS``), where the other runs stay at
 ``n_hidden=8``.  Two more (``EVICT_RUNS``) hold so few episodes in
 replay that the buffer evicts on most pushes, which the other runs,
-far below their capacity, never do.  ``acd_pp`` fits the edge model at the
+far below their capacity, never do.  One more (``GRID_RUNS``) evaluates
+every 40 steps, so one 100-step episode of early random play crosses
+several evaluation points at once.  ``acd_pp`` fits the edge model at the
 benchmark width (869k parameters), and ``qvalues_lj_icl`` hashes the
 acting Q-values and hidden states themselves, which a last-bit change
 that flips no argmax would leave the other digests blind to.
@@ -52,6 +54,8 @@ EVICT_RUNS = {
                                buffer_capacity=4, total_steps=900,
                                eval_interval=450),
 }
+# a run whose first episodes each cross two or three evaluation points
+GRID_RUNS = {"lj_icl_eval40": dict(env_id="lj", eval_interval=40)}
 
 GOLDEN = {
     "dataset_scripted_pp":
@@ -90,6 +94,8 @@ GOLDEN = {
         "1aabc856300f4bd85b66c73c2c4c2d7a87a4819e8b221975916a21c66252fd72",
     "train_lj_icl_strict_cap4":
         "8245fa7758368a98e3137ebe75d691f13560aa37066f7ccafe916452ff761c24",
+    "train_lj_icl_eval40":
+        "df6550ea35757065374436530a3f515cb20a2aea57ced8081d43dcd252d3152a",
 }
 
 GOLDEN_ENVS = {
@@ -274,7 +280,7 @@ def digests(tmp_path_factory):
     out["train_lj_icl_clipped"] = _digest_files(
         list((root / "lj_icl_clipped").iterdir()))
 
-    for key, over in {**BENCH_RUNS, **EVICT_RUNS}.items():
+    for key, over in {**BENCH_RUNS, **EVICT_RUNS, **GRID_RUNS}.items():
         cfg = marl.TrainConfig(trainer="icl", seed=1, **{**TRAIN, **over})
         marl.train(cfg, out_dir=root / key)
         out["train_" + key] = _digest_files(list((root / key).iterdir()))

@@ -266,6 +266,27 @@ def test_cli_encoder_rejected_for_idql(cli_runs, tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "x").exists()
 
 
+def test_parser_destinations_are_manifest_keys():
+    # a setting of these commands is one add_argument plus one
+    # CONFIG_FIELDS entry; train's config also takes the preset rows
+    import argparse
+
+    from camarl.harness.cli import build_parser
+    from camarl.harness.manifest import CONFIG_FIELDS
+
+    def commands(parser):
+        return next(a for a in parser._actions if isinstance(
+            a, argparse._SubParsersAction)).choices
+
+    top = commands(build_parser())
+    acd = commands(top["acd"])
+    for kind, parser in {"collect": top["collect"], "acd-train": acd["train"],
+                         "acd-eval": acd["eval"],
+                         "report": top["report"]}.items():
+        dests = {a.dest for a in parser._actions} - {"help", "out", "quiet"}
+        assert sorted(dests) == sorted(CONFIG_FIELDS[kind]), kind
+
+
 def test_cli_unknown_env_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--env", "marsbase", "--trainer", "idql",
@@ -522,6 +543,30 @@ def test_cli_acd_eval_malformed_dataset_exits_typed(cli_runs, cli_acd,
     _assert_exit_3_writes_nothing(
         ["acd", "eval", "--model", str(cli_acd / "fit" / "encoder.ckpt"),
          "--data", str(data)], tmp_path / "out", capsys, word)
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("edit, word", [
+    (lambda a: a.update(x_0=a["x_0"].ravel()), "x_0"),
+    (lambda a: a.update(bits_0=np.ones(7)), "bits_0"),
+    (lambda a: a.update(x_0=a["x_0"][:, :30]), "x_0"),
+    (lambda a: a.update(bits_0=np.full_like(a["bits_0"], 2.0)), "bits_0"),
+], ids=["x-1d", "bits-length-7", "x-length-30", "bits-2"])
+def test_cli_acd_malformed_dataset_array_exits_typed(cli_runs, cli_acd,
+                                                     tmp_path, capsys,
+                                                     command, edit, word):
+    # an x_k or bits_k unlike the header's env id's (N+1, T, D) and (N,)
+    # 0/1, whether or not the command goes on to read it
+    from camarl.nn.checkpoint import load_checkpoint, save_checkpoint
+
+    arrays, meta = load_checkpoint(cli_runs / "ds" / "dataset.ckpt")
+    edit(arrays)
+    data = tmp_path / "bad.ckpt"
+    save_checkpoint(data, arrays, meta)
+    given = (["--model", str(cli_acd / "fit" / "encoder.ckpt")]
+             if command == "eval" else ["--epochs", "1"])
+    _assert_exit_3_writes_nothing(["acd", command, *given, "--data",
+                                   str(data)], tmp_path / "out", capsys, word)
 
 
 def test_cli_acd_eval_dataset_of_no_samples_exits_typed(cli_runs, cli_acd,
