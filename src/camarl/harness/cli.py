@@ -234,9 +234,13 @@ def _exec_acd_eval(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
 
 
 def _load_encoder(path, env_id):
-    """The edge model in path, refused unless it was fitted on env_id."""
+    """The edge model in path, refused unless fitted on env_id's series."""
     model, meta = load_acd(path)
     _check_env("the encoder was fitted", meta["env_id"], env_id)
+    spec = env_spec(env_id)
+    if (model.n_nodes, model.series_len, model.feat_dim) != (
+            spec.n_agents + 1, spec.episode_len, spec.obs_dim):
+        raise ConfigurationError(f"{path} does not fit {env_id}'s series")
     return model
 
 

@@ -21,8 +21,11 @@ from camarl.marl.agent import AgentLearner, team_policy
 from camarl.marl.episode import EpisodeRecord, collect_episode
 from camarl.marl.evaluate import evaluate
 from camarl.marl.replay import ReplayBuffer
+from camarl.nn.checkpoint import number
 
-TRAINERS = ("idql", "icl", "acd-marl")
+# each trainer and run.json's name for its bits (module docstring)
+TRAINERS = {"idql": "always_one", "icl": "per_timestep",
+            "acd-marl": "per_episode"}
 
 
 @dataclass
@@ -48,15 +51,15 @@ class TrainConfig:
     def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            # an int stands in for a float; a bool is no int
-            if not (type(value) is f.type
-                    or f.type is float and type(value) is int):
+            # a float field takes a finite float or int; a bool is no int
+            if not (number(value) if f.type is float
+                    else type(value) is f.type):
                 raise ConfigurationError(
                     f"{f.name} must be a {f.type.__name__}, got {value!r}")
         env_spec(self.env_id)
         if self.trainer not in TRAINERS:
-            raise ConfigurationError(
-                f"unknown trainer {self.trainer!r}; choose from {TRAINERS}")
+            raise ConfigurationError(f"unknown trainer {self.trainer!r}; "
+                                     f"choose from {tuple(TRAINERS)}")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigurationError("gamma must lie in (0, 1]")
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
@@ -153,8 +156,10 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
 
     The loop's whole state is the result, the replay buffer and the env
     seed, exploration and replay generators.  Evaluation k reads eval
-    seed k; it runs before the next episode once result.steps reaches
-    k * eval_interval, and a last one, logged at total_steps, follows.
+    seed k and is logged at step grid[k] of the grid 0, eval_interval,
+    ... below total_steps, then total_steps; it runs before the next
+    episode once result.steps reaches grid[k], so every seed of a config
+    logs the same steps.
     """
     config.validate()
     spec = env_spec(config.env_id)
@@ -172,33 +177,29 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
     env_seed_rng = np.random.default_rng(ss_env)
     rng_explore = np.random.default_rng(ss_explore)
     rng_sample = np.random.default_rng(ss_sample)
-    max_evals = config.total_steps // config.eval_interval + 2
-    eval_seeds = ss_eval.generate_state(max_evals)
+    grid = [*range(0, config.total_steps, config.eval_interval),
+            config.total_steps]
+    eval_seeds = ss_eval.generate_state(len(grid))
 
     buffer = ReplayBuffer(config.buffer_capacity)
     result = TrainResult(config=config, learners=team)
 
-    def run_eval(step_label):
-        # rows carry the scheduled checkpoint, not the raw step count,
-        # so different seeds log a shared evaluation grid
-        s = evaluate(team, config.env_id, config.eval_episodes,
-                     int(eval_seeds[len(result.rows)]))
-        row = {"step": int(step_label), "episode": result.episodes,
-               "eval_return_mean": s.mean_return,
-               "eval_return_ci95": s.ci95, "win_rate": s.win_rate,
-               "epsilon": epsilon_at(result.episodes, config.epsilon_start,
-                                     config.epsilon_end,
-                                     config.epsilon_anneal_episodes)}
-        row.update(zip(event_fields(n), map(float, s.per_agent_events)))
-        result.rows.append(row)
-        if progress is not None:
-            progress(row)
-
-    while result.steps < config.total_steps:
-        while len(result.rows) * config.eval_interval <= result.steps:
-            run_eval(len(result.rows) * config.eval_interval)
+    while len(result.rows) < len(grid):
+        k = len(result.rows)
         eps = epsilon_at(result.episodes, config.epsilon_start,
                          config.epsilon_end, config.epsilon_anneal_episodes)
+        if grid[k] <= result.steps:
+            s = evaluate(team, config.env_id, config.eval_episodes,
+                         int(eval_seeds[k]))
+            row = {"step": grid[k], "episode": result.episodes,
+                   "eval_return_mean": s.mean_return,
+                   "eval_return_ci95": s.ci95, "win_rate": s.win_rate,
+                   "epsilon": eps}
+            row.update(zip(event_fields(n), map(float, s.per_agent_events)))
+            result.rows.append(row)
+            if progress is not None:
+                progress(row)
+            continue
         env = make_env(config.env_id, int(env_seed_rng.integers(2 ** 63)))
         ep = collect_episode(env, team_policy(team, eps, rng_explore))
         # replay keeps what training reads: the float32 observations the
@@ -215,7 +216,6 @@ def train(config: TrainConfig, *, bits_fn=None, out_dir=None,
         if result.episodes % config.target_sync == 0:
             team.sync_target()
 
-    run_eval(config.total_steps)
     if out_dir is not None:
         save_run(Path(out_dir), result)
     return result
@@ -236,12 +236,6 @@ def _episode_bits(trainer, ep, bits_fn):
         raise ConfigurationError(
             f"causality bits must be 0 or 1, got {np.unique(bits)}")
     return bits
-
-
-def mask_mode(trainer: str) -> str:
-    # run.json's name for the bits of each trainer (module docstring)
-    return {"idql": "always_one", "icl": "per_timestep",
-            "acd-marl": "per_episode"}[trainer]
 
 
 # -- persistence -------------------------------------------------------------
@@ -273,11 +267,14 @@ def read_log(path, n_agents):
     check_fields(raw[0], dict.fromkeys(
         list(CSV_FIELDS) + event_fields(n_agents), is_str), f"log {path}")
     try:
-        return [{k: int(v) if k in ("step", "episode") else float(v)
+        rows = [{k: int(v) if k in ("step", "episode") else float(v)
                  for k, v in r.items()} for r in raw]
     except (TypeError, ValueError) as err:
         raise ConfigurationError(
             f"log {path} has a non-numeric cell: {err}") from None
+    if not np.isfinite([list(r.values()) for r in rows]).all():
+        raise ConfigurationError(f"log {path} has a non-finite cell")
+    return rows
 
 
 def save_run(out_dir: Path, result: TrainResult):
@@ -304,7 +301,7 @@ def save_run(out_dir: Path, result: TrainResult):
             "seed": config.seed, "steps": result.steps,
             "episodes": result.episodes, "agents": files,
             "n_hidden": config.n_hidden,
-            "mask_mode": mask_mode(config.trainer),
+            "mask_mode": TRAINERS[config.trainer],
             "substrate_version": camarl.SUBSTRATE_VERSION}
     write_json(out_dir / "run.json", meta)
 

@@ -110,7 +110,7 @@ def count(lo):
 
 
 def number(v):
-    return type(v) in (int, float)
+    return type(v) is int or type(v) is float and math.isfinite(v)
 
 
 def strings(v):

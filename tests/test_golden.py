@@ -54,7 +54,8 @@ EVICT_RUNS = {
                                buffer_capacity=4, total_steps=900,
                                eval_interval=450),
 }
-# a run whose first episodes each cross two or three evaluation points
+# a run whose episodes each cross two or three evaluation points; the
+# ones the last episode crosses, 240 and 280, run after it, before 300
 GRID_RUNS = {"lj_icl_eval40": dict(env_id="lj", eval_interval=40)}
 
 GOLDEN = {
@@ -95,7 +96,7 @@ GOLDEN = {
     "train_lj_icl_strict_cap4":
         "8245fa7758368a98e3137ebe75d691f13560aa37066f7ccafe916452ff761c24",
     "train_lj_icl_eval40":
-        "df6550ea35757065374436530a3f515cb20a2aea57ced8081d43dcd252d3152a",
+        "4a32056af251bc752770cde728b84b6f1f688621ba5acaa2d5b8bee85c7de666",
 }
 
 GOLDEN_ENVS = {

@@ -18,7 +18,7 @@ from camarl.harness import (
     ExperimentManifest, default_config, new_manifest, read_manifest,
     write_manifest)
 from camarl.harness.cli import main
-from camarl.marl import read_log, read_run
+from camarl.marl import read_log, read_run, write_log
 
 
 # ----------------------------------------------------------------- defaults
@@ -232,6 +232,23 @@ def test_cli_train_fanout(cli_runs):
     # shared evaluation grid: scheduled checkpoints, then the horizon
     for log in logs:
         assert [r["step"] for r in log] == [0, 120, 240]
+
+
+def test_cli_train_seeds_share_one_grid(tmp_path):
+    # sk3 episodes run past several 4-step grid points; every seed still
+    # logs each of them, so the curves and the report aggregate all six
+    out = tmp_path / "t"
+    assert main(["train", "--env", "sk3", "--trainer", "idql",
+                 "--steps", "30", "--eval-interval", "4",
+                 "--seeds", "0,1,2,3,4,5", "--out", str(out),
+                 "--quiet"]) == 0
+    runs = [out / f"seed_{s}" for s in range(6)]
+    for run in runs:
+        log = read_log(run / "train_log.csv", 3)
+        assert [r["step"] for r in log] == [*range(0, 30, 4), 30]
+    assert (out / "curve_eval_return_mean.csv").exists()
+    assert main(["report", "--runs", *map(str, runs),
+                 "--out", str(tmp_path / "rep")]) == 0
 
 
 def test_cli_trainer_codes_match_logs(cli_runs):
@@ -465,8 +482,10 @@ ACD_TRAIN = ["acd", "train", "--data", "DATA", "--epochs", "1"]
     ([*ACD_TRAIN, "--sigma", "-1"], "sigma"),
     ([*ACD_TRAIN, "--sigma", "0"], "sigma"),
     ([*ACD_TRAIN, "--train-frac", "1"], "train_frac"),
+    ([*ACD_TRAIN, "--sigma", "inf"], "sigma"),
 ], ids=["collect-episodes-0", "epochs-0", "epochs-negative", "batch-0",
-        "batch-negative", "sigma-negative", "sigma-0", "train-frac-1"])
+        "batch-negative", "sigma-negative", "sigma-0", "train-frac-1",
+        "sigma-infinity"])
 def test_cli_bad_config_values_fail_before_output(cli_runs, tmp_path, capsys,
                                                   argv, word):
     data = str(cli_runs / "ds" / "dataset.ckpt")
@@ -616,6 +635,10 @@ def test_cli_acd_eval_dataset_of_no_samples_exits_typed(cli_runs, cli_acd,
     ("idql", lambda m: m.update(seeds=[]), "seeds"),
     ("idql", lambda m: m.update(seeds=0), "seeds"),
     ("ds", lambda m: m.update(seeds=[0]), "seeds"),
+    ("idql", lambda m: m["config"].update(lr=float("nan")), "lr"),
+    ("idql", lambda m: m["config"].update(lr=float("inf")), "lr"),
+    ("idql", lambda m: m["config"].update(grad_clip=float("nan")),
+     "grad_clip"),
 ], ids=["config-list", "train-without-trainer", "collect-without-policy",
         "train-steps-string", "train-strict-mask-int",
         "collect-episodes-string", "collect-lazy-prob-null",
@@ -627,7 +650,8 @@ def test_cli_acd_eval_dataset_of_no_samples_exits_typed(cli_runs, cli_acd,
         "train-paper-scale-int", "acd-unknown-key", "train-seed-negative",
         "train-seed-string", "train-seed-float", "train-seed-bool",
         "train-seed-repeated", "train-seeds-empty", "train-seeds-int",
-        "collect-with-seeds"])
+        "collect-with-seeds", "train-lr-nan", "train-lr-infinity",
+        "train-grad-clip-nan"])
 def test_cli_rerun_malformed_manifest_exits_typed(cli_runs, cli_acd, tmp_path,
                                                   capsys, experiment, edit,
                                                   word):
@@ -658,6 +682,20 @@ def test_cli_report_log_without_column_exits_typed(cli_runs, tmp_path, capsys,
         csv.writer(f).writerows([[r[j] for j in keep] for r in rows])
     _assert_exit_3_writes_nothing(["report", "--runs", str(run)],
                                   tmp_path / "out", capsys, column)
+
+
+def test_cli_report_non_finite_log_cell_exits_typed(cli_runs, tmp_path,
+                                                    capsys):
+    # a NaN return would otherwise reach the chart's axis ticks
+    src = cli_runs / "idql" / "seed_0"
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "run.json").write_bytes((src / "run.json").read_bytes())
+    log = read_log(src / "train_log.csv", 3)
+    log[1]["eval_return_mean"] = float("nan")
+    write_log(run / "train_log.csv", log, 3)
+    _assert_exit_3_writes_nothing(["report", "--runs", str(run)],
+                                  tmp_path / "out", capsys, "non-finite")
 
 
 @pytest.fixture(scope="module")
@@ -697,6 +735,37 @@ def test_cli_acd_marl_refuses_an_encoder_of_another_env(cli_acd, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "sk3-sp" in err, err
     assert not out.exists()
+
+
+def _relabelled_encoder(path, fitted_on, label):
+    """An untrained encoder sized for fitted_on's series, labelled as
+    fitted on label."""
+    from camarl.acd import AcdModel
+    from camarl.envs import env_spec
+    from camarl.nn.checkpoint import save_checkpoint
+
+    spec = env_spec(fitted_on)
+    model = AcdModel(spec.n_agents + 1, spec.episode_len, spec.obs_dim,
+                     seed=0, enc_hidden=4, dec_hidden=4)
+    save_checkpoint(path, model.params.state_arrays(),
+                    {**model.meta(), "env_id": label, "sigma": 5e-3})
+    return str(path)
+
+
+def test_cli_refuses_an_encoder_that_does_not_fit_the_env(tmp_path, capsys):
+    # pp's five nodes are not sk3's four; pp-sp's six nodes match sk5's,
+    # but its 100-step series are not sk5's 70
+    data = tmp_path / "sk3.ckpt"
+    save_dataset(data, collect_dataset("sk3", 2, seed=3))
+    model = _relabelled_encoder(tmp_path / "pp.ckpt", "pp", "sk3")
+    _assert_exit_3_writes_nothing(
+        ["acd", "eval", "--model", model, "--data", str(data)],
+        tmp_path / "ev", capsys, "does not fit")
+    model = _relabelled_encoder(tmp_path / "pp-sp.ckpt", "pp-sp", "sk5")
+    _assert_exit_3_writes_nothing(
+        ["train", "--env", "sk5", "--trainer", "acd-marl", *TINY,
+         "--encoder", model, "--quiet"], tmp_path / "run", capsys,
+        "does not fit")
 
 
 @pytest.mark.parametrize("env_id", ["sk3", "sk5", "lj"])
@@ -892,6 +961,7 @@ def test_cli_report_idempotent(cli_runs, tmp_path):
     assert first == second
 
 
+@pytest.mark.filterwarnings("ignore:aggregating a single seed")
 def test_cli_report_mismatched_grids(cli_runs, tmp_path, capsys):
     other = tmp_path / "other"
     rc = main(["train", "--env", "sk3-sp", "--trainer", "idql",
@@ -904,6 +974,7 @@ def test_cli_report_mismatched_grids(cli_runs, tmp_path, capsys):
     assert "evaluation grids differ" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:aggregating a single seed")
 def test_cli_report_mixed_envs(cli_runs, tmp_path):
     other = tmp_path / "lj"
     rc = main(["train", "--env", "lj-sp", "--trainer", "idql", "--seeds", "0",

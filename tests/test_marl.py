@@ -642,6 +642,20 @@ def test_train_smoke_writes_logs_and_checkpoints(tmp_path):
         np.testing.assert_array_equal(qa, qb)
 
 
+@given(st.integers(1, 80), st.integers(1, 100), st.integers(0, 3))
+@settings(max_examples=30, deadline=None)
+def test_train_logs_the_whole_evaluation_grid(total_steps, interval, seed):
+    # sk3 episodes run up to 60 steps, so one often crosses several grid
+    # points, the last one included; every point is evaluated anyway
+    cfg = TrainConfig(env_id="sk3", trainer="idql", seed=seed,
+                      total_steps=total_steps, eval_interval=interval,
+                      eval_episodes=1, batch_size=2, n_hidden=4)
+    res = train(cfg)
+    assert [r["step"] for r in res.rows] == [
+        *range(0, total_steps, interval), total_steps]
+    assert res.steps >= total_steps
+
+
 def test_train_acd_constant_one_matches_idql():
     cfg_a = TrainConfig(env_id="lj-sp", trainer="idql", seed=4, **DESK)
     cfg_b = TrainConfig(env_id="lj-sp", trainer="acd-marl", seed=4, **DESK)
