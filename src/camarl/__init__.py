@@ -1,6 +1,6 @@
 """Causality-masked multi-agent Q-learning laboratory.
 
-Subpackages:
+Subpackages (``metrics`` is a single module):
     nn       float64 array substrate: parameters, fused forward and
              backward kernels (dense, GRU), RMSprop, checkpoints
     envs     seeded cooperative gridworlds and their causality oracles

@@ -92,9 +92,9 @@ def _fit_weights(offsets, order):
     """Least-squares weights for the fitted value at offset zero.
 
     The smoothed value is a linear functional of the window samples, so
-    one pseudoinverse per window shape is enough.  Offsets are rescaled
-    to [-1, 1] to keep the Vandermonde matrix well conditioned; the
-    fitted value at zero is unchanged by the rescaling.
+    one pseudoinverse row per position serves every series.  Offsets are
+    rescaled to [-1, 1] to keep the Vandermonde matrix well conditioned;
+    the fitted value at zero is unchanged by the rescaling.
     """
     x = np.asarray(offsets, dtype=np.float64)
     scale = np.abs(x).max()
@@ -115,17 +115,10 @@ def sg_weight_table(T: int):
     delta = sg_window(T)
     half = delta // 2
     table = []
-    center = None
     for t in range(T):
         lo = max(0, t - half)
         hi = min(T, t + half + 1)
-        order = min(POLY_ORDER, hi - lo - 1)
-        if lo == t - half and hi == t + half + 1:
-            if center is None:
-                center = _fit_weights(np.arange(lo, hi) - t, order)
-            w = center
-        else:
-            w = _fit_weights(np.arange(lo, hi) - t, order)
+        w = _fit_weights(np.arange(lo, hi) - t, min(POLY_ORDER, hi - lo - 1))
         w.flags.writeable = False
         table.append((lo, hi, w))
     return tuple(table)
@@ -230,6 +223,7 @@ def save_dataset(path, samples):
     """Persist samples in the deterministic checkpoint container; mixed
     environments or a sample length outside 1..T are refused before
     anything is written."""
+    # imported per call, so a patch of nn.checkpoint.save_checkpoint applies
     from camarl.nn.checkpoint import save_checkpoint
 
     samples = list(samples)

@@ -146,6 +146,7 @@ def train_acd(samples, *, epochs: int = 150, batch_size: int = 128,
 
 def save_acd(out_dir: Path, result: AcdResult):
     """Write the encoder checkpoint and the per-epoch loss log."""
+    # imported per call, so a patch of nn.checkpoint.save_checkpoint applies
     from camarl.nn.checkpoint import save_checkpoint, write_csv
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -35,8 +35,7 @@ from camarl.marl import (
     TRAINERS, TrainConfig, event_fields, load_learners, read_log, read_run,
     train)
 from camarl.metrics import (
-    aggregate_curves, balance_index, bar_chart, line_chart, save_svg,
-    write_curve)
+    aggregate_curves, balance_index, bar_chart, save_svg, write_curves)
 from camarl.nn.checkpoint import write_csv
 
 ACCURACY_FIELDS = ("correct", "false_positive", "false_negative", "n_pairs")
@@ -149,22 +148,17 @@ def _exec_train(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
     for seed in manifest.seeds:
         run_cfg = replace(config, seed=int(seed))
 
-        def progress(row, _seed=seed):
+        def progress(row):
             if not quiet:
-                print(f"[seed {_seed}] step {row['step']} "
+                print(f"[seed {seed}] step {row['step']} "
                       f"return {row['eval_return_mean']:.3f} "
                       f"win {row['win_rate']:.2f} eps {row['epsilon']:.3f}")
 
         result = train(run_cfg, bits_fn=bits_fn,
                        out_dir=out_dir / f"seed_{seed}", progress=progress)
         logs.append(result.rows)
-    for metric in ("eval_return_mean", "win_rate"):
-        points = aggregate_curves(logs, metric)
-        write_curve(out_dir / f"curve_{metric}.csv", points)
-        save_svg(out_dir / f"curve_{metric}.svg",
-                 line_chart({cfg["trainer"]: points},
-                            title=f"{cfg['env_id']} {metric}",
-                            xlabel="environment steps", ylabel=metric))
+    write_curves(out_dir, config.env_id, {config.trainer: logs},
+                 "curve_{metric}.csv")
     if not quiet:
         final = aggregate_curves(logs, "eval_return_mean")[-1]
         print(f"finished {len(manifest.seeds)} seeds; final return "
@@ -272,34 +266,25 @@ def _exec_report(manifest: ExperimentManifest, out_dir: Path, quiet: bool):
         raise IncompatibleInputsError(
             f"runs mix environments: {', '.join(env_ids)}")
     events = event_fields(env_spec(env_ids[0]).n_agents)
-    groups = {}
-    for run_dir, meta in runs:
-        groups.setdefault(meta["trainer"], []).append(
-            (run_dir, read_log(run_dir / "train_log.csv", len(events))))
-    grids = {str(d): tuple(r["step"] for r in log)
-             for pairs in groups.values() for d, log in pairs}
+    logs = {d: read_log(d / "train_log.csv", len(events)) for d, _ in runs}
+    grids = {str(d): tuple(r["step"] for r in log) for d, log in logs.items()}
     if len(set(grids.values())) > 1:
         first = min(grids.values())
         raise IncompatibleInputsError(
             "evaluation grids differ across runs: "
             + ", ".join(sorted(d for d, g in grids.items() if g != first)))
+    groups = {}   # trainer -> seed logs, trainers in sorted order
+    for run_dir, meta in sorted(runs, key=lambda run: run[1]["trainer"]):
+        groups.setdefault(meta["trainer"], []).append(logs[run_dir])
     # report regeneration over the same inputs is idempotent, so an
     # existing manifest in the output directory is replaced
     write_manifest(out_dir, manifest, overwrite=True)
 
-    for metric in ("eval_return_mean", "win_rate"):
-        series = {}
-        for label, pairs in sorted(groups.items()):
-            points = aggregate_curves([log for _, log in pairs], metric)
-            write_curve(out_dir / f"curve_{label}_{metric}.csv", points)
-            series[label] = points
-        save_svg(out_dir / f"curve_{metric}.svg",
-                 line_chart(series, title=f"{env_ids[0]} {metric}",
-                            xlabel="environment steps", ylabel=metric))
+    write_curves(out_dir, env_ids[0], groups, "curve_{label}_{metric}.csv")
     bars = {}
     balance_rows = []
-    for label, pairs in sorted(groups.items()):
-        finals = [[log[-1][k] for k in events] for _, log in pairs]
+    for label, group in groups.items():
+        finals = [[log[-1][k] for k in events] for log in group]
         mean_events = [sum(col) / len(col) for col in zip(*finals)]
         bars[label] = mean_events
         balance_rows.append((label, balance_index(mean_events)))

@@ -279,6 +279,7 @@ def read_log(path, n_agents):
 
 def save_run(out_dir: Path, result: TrainResult):
     """Write result's log, agent checkpoints and run.json into out_dir."""
+    # imported per call, so a patch of nn.checkpoint.save_checkpoint applies
     from camarl.nn.checkpoint import save_checkpoint, write_json
 
     config = result.config

@@ -1,16 +1,102 @@
-"""Standalone SVG charts.
+"""Run analytics: cross-seed learning curves, the per-agent balance
+index and standalone SVG charts.
 
-Charts are assembled as plain markup strings so reports render anywhere
-without a plotting dependency, and the same inputs always produce the
-same bytes.
+The balance index quantifies how evenly work is spread across a team
+from its per-agent event participation counts (``event_count_agent_*``
+in the training log).  Charts are assembled as plain markup strings so
+reports render anywhere without a plotting dependency, and the same
+inputs always produce the same bytes.
 """
 
+import warnings
+from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from camarl.errors import UsageError
-from camarl.nn.checkpoint import atomic_open
+from camarl.errors import IncompatibleInputsError, UsageError
+from camarl.marl.evaluate import return_ci95
+from camarl.nn.checkpoint import atomic_open, write_csv
+
+
+@dataclass
+class CurvePoint:
+    step: int
+    mean: float
+    ci95: float              # 95% t-interval half-width
+
+
+def aggregate_curves(logs, metric: str = "eval_return_mean"):
+    """Mean and 95% confidence half-width of a metric across seed logs.
+
+    All logs must share the same evaluation steps.  With a single seed
+    the half-width degenerates to zero and a warning is issued.
+    """
+    logs = list(logs)
+    if not logs:
+        raise UsageError("no logs to aggregate")
+    steps = [tuple(row["step"] for row in log) for log in logs]
+    if any(s != steps[0] for s in steps[1:]):
+        raise IncompatibleInputsError(
+            "evaluation steps differ across logs; re-run with a shared "
+            "evaluation interval")
+    if len(logs) == 1:
+        warnings.warn("aggregating a single seed: confidence intervals are 0")
+    points = []
+    for j, step in enumerate(steps[0]):
+        vals = np.array([log[j][metric] for log in logs], dtype=np.float64)
+        points.append(CurvePoint(step=int(step), mean=float(vals.mean()),
+                                 ci95=return_ci95(vals)))
+    return points
+
+
+def write_curve(path, points):
+    """One CSV row per curve point; floats kept at full precision."""
+    write_csv(path, ("step", "mean", "ci95"),
+              ((p.step, p.mean, p.ci95) for p in points))
+
+
+def write_curves(out_dir, env_id, groups, csv_name):
+    """Return and win-rate curves of each group of seed logs.
+
+    groups maps label -> logs.  Each group's curve goes to the CSV
+    ``csv_name.format(label=..., metric=...)`` in out_dir, and one chart
+    per metric, ``curve_{metric}.svg``, draws every group in its order.
+    """
+    for metric in ("eval_return_mean", "win_rate"):
+        series = {}
+        for label, logs in groups.items():
+            series[label] = aggregate_curves(logs, metric)
+            write_curve(out_dir / csv_name.format(label=label, metric=metric),
+                        series[label])
+        save_svg(out_dir / f"curve_{metric}.svg",
+                 line_chart(series, title=f"{env_id} {metric}",
+                            xlabel="environment steps", ylabel=metric))
+
+
+def balance_index(counts) -> float:
+    """How evenly the team's event participations are spread, in [0, 1].
+
+    One agent doing everything scores 0; perfectly equal shares score 1.
+    The score is one minus the standard deviation of the share vector,
+    normalized by the one-hot share vector's deviation (the most uneven
+    split possible).  A team with no events at all counts as balanced.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim != 1 or counts.size < 2:
+        raise UsageError("balance index needs one count per agent, N >= 2")
+    if counts.min() < 0:
+        raise UsageError("event counts cannot be negative")
+    total = counts.sum()
+    if total == 0:
+        return 1.0
+    shares = counts / total
+    n = counts.size
+    std_max = np.sqrt(n - 1) / n
+    return float(1.0 - shares.std() / std_max)
+
+
+# -- SVG charts ---------------------------------------------------------------
 
 WIDTH, HEIGHT = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 20, 40, 48

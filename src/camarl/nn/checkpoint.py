@@ -23,6 +23,7 @@ import json
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -110,7 +111,8 @@ def count(lo):
 
 
 def number(v):
-    return type(v) is int or type(v) is float and math.isfinite(v)
+    # NaN, +-inf and an int beyond float range all fail the comparison
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
 def strings(v):

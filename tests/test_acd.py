@@ -86,6 +86,10 @@ def test_sg_weight_table_cached_and_read_only():
         assert w.shape == (hi - lo,)
         with pytest.raises(ValueError):
             w[0] = 1.0
+    # every full-width window is fitted alone yet gets the same weights
+    full = {w.tobytes() for lo, hi, w in table
+            if hi - lo == sg_window(100)}
+    assert len(full) == 1
 
 
 def _savgol_uncached(x):

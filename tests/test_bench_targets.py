@@ -121,6 +121,33 @@ def test_acd_spans_are_called():
     assert min(per_phase) >= 1, per_phase
 
 
+def test_save_checkpoint_span_sees_every_writer(tmp_path):
+    # the writers import save_checkpoint when called, so the span's patch
+    # of camarl.nn.checkpoint reaches them; a writer that binds the name
+    # at import time records zero calls here
+    from camarl import acd, marl
+
+    spans = _load_perfbench("spans")
+    tracer = spans.Tracer()
+    samples = acd.collect_dataset("sk3", 2, seed=0)
+    cfg = marl.TrainConfig(env_id="sk3", trainer="idql", seed=0,
+                           total_steps=20, eval_interval=10,
+                           eval_episodes=1, epsilon_anneal_episodes=5,
+                           batch_size=2, n_hidden=8)
+    counts = [0]
+    with spans.patched(tracer):
+        acd.save_dataset(tmp_path / "dataset.ckpt", samples)
+        counts.append(tracer.names.count("nn.save_checkpoint"))
+        acd.train_acd(samples, epochs=1, batch_size=2, seed=0, enc_hidden=8,
+                      dec_hidden=8, out_dir=tmp_path / "fit")
+        counts.append(tracer.names.count("nn.save_checkpoint"))
+        marl.train(cfg, out_dir=tmp_path / "run")
+        counts.append(tracer.names.count("nn.save_checkpoint"))
+    # under save_dataset, train_acd and train
+    per_writer = [b - a for a, b in zip(counts, counts[1:])]
+    assert min(per_writer) >= 1, per_writer
+
+
 def test_kernel_layer_times_every_declared_kernel(tmp_path):
     from camarl import accel
 

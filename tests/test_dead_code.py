@@ -54,8 +54,6 @@ ALLOWED_DEFAULTS = {
     "train_acd(dec_hidden=)": "the acd_sk3 golden digest and small models",
     "main(argv=)": "tests call the CLI in process",
     "default_config(seed=)": "perfbench builds seeded configs",
-    "_exec_train.progress(_seed=)":
-        "binds the loop's seed when the closure is made",
 }
 
 # modules kept without an importer in src/, each for a stated reason

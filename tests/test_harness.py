@@ -639,6 +639,9 @@ def test_cli_acd_eval_dataset_of_no_samples_exits_typed(cli_runs, cli_acd,
     ("idql", lambda m: m["config"].update(lr=float("inf")), "lr"),
     ("idql", lambda m: m["config"].update(grad_clip=float("nan")),
      "grad_clip"),
+    ("idql", lambda m: m["config"].update(lr=10 ** 400), "lr"),
+    ("idql", lambda m: m["config"].update(grad_clip=10 ** 400), "grad_clip"),
+    ("fit", lambda m: m["config"].update(sigma=10 ** 400), "sigma"),
 ], ids=["config-list", "train-without-trainer", "collect-without-policy",
         "train-steps-string", "train-strict-mask-int",
         "collect-episodes-string", "collect-lazy-prob-null",
@@ -651,7 +654,8 @@ def test_cli_acd_eval_dataset_of_no_samples_exits_typed(cli_runs, cli_acd,
         "train-seed-string", "train-seed-float", "train-seed-bool",
         "train-seed-repeated", "train-seeds-empty", "train-seeds-int",
         "collect-with-seeds", "train-lr-nan", "train-lr-infinity",
-        "train-grad-clip-nan"])
+        "train-grad-clip-nan", "train-lr-huge-int", "train-grad-clip-huge-int",
+        "acd-sigma-huge-int"])
 def test_cli_rerun_malformed_manifest_exits_typed(cli_runs, cli_acd, tmp_path,
                                                   capsys, experiment, edit,
                                                   word):
@@ -947,6 +951,21 @@ def test_cli_report(cli_runs, tmp_path, capsys):
                 for r in csv.DictReader(f)}
     assert set(rows) == {"idql", "icl"}
     assert all(0.0 <= v <= 1.0 for v in rows.values())
+
+
+@pytest.mark.parametrize("trainer", ["idql", "icl"])
+def test_cli_train_curves_are_the_report_of_its_seeds(cli_runs, tmp_path,
+                                                      trainer):
+    # train charts its seeds through the same writer as a report over
+    # them, so the two commands' curve files match byte for byte
+    train_dir, out = cli_runs / trainer, tmp_path / "rep"
+    runs = [str(train_dir / f"seed_{s}") for s in (0, 1)]
+    assert main(["report", "--runs", *runs, "--out", str(out)]) == 0
+    for metric in ("eval_return_mean", "win_rate"):
+        svg = f"curve_{metric}.svg"
+        assert (out / svg).read_bytes() == (train_dir / svg).read_bytes()
+        assert ((out / f"curve_{trainer}_{metric}.csv").read_bytes()
+                == (train_dir / f"curve_{metric}.csv").read_bytes())
 
 
 def test_cli_report_idempotent(cli_runs, tmp_path):
