@@ -27,7 +27,7 @@ from camarl.envs.core import episode_ground_truth_arrays
 from camarl.envs.scripted import ScriptedPolicy
 from camarl.errors import CollectionError, ConfigurationError, UsageError
 from camarl.marl.agent import team_policy
-from camarl.marl.episode import EpisodeRecord, collect_episode
+from camarl.marl.episode import EpisodeRecord, collect_episodes
 
 EVAL_BLOCK = 8  # stack size: 8 `pp` samples (1.7 MB) fit a 2 MiB L2 cache
 POLY_ORDER = 10
@@ -180,9 +180,14 @@ def collect_dataset(env_id: str, n_episodes: int, seed: int = 0, *,
 
     Uses greedy rollouts of the given learners, or the scripted policy
     (with a per-episode chance of each agent idling, which diversifies
-    the ground-truth bits).  Raises when the policy cannot win at all
-    within attempt_factor * n_episodes attempts.  Pass a dict as stats
-    to receive the attempt and win tallies.
+    the ground-truth bits).  Attempt k rolls the env of seed k; the
+    winners are kept in seed order up to the n_episodes-th, and only the
+    attempts up to it count.  Greedy attempts roll in lockstep blocks of
+    as many as wins are still needed, so the last winner ends a block;
+    scripted ones roll one by one, as the policy draws from one generator
+    across episodes.  Raises when the policy cannot win at all within
+    attempt_factor * n_episodes attempts.  Pass a dict as stats to
+    receive the attempt and win tallies.
     """
     if n_episodes == 0:
         if stats is not None:
@@ -195,21 +200,23 @@ def collect_dataset(env_id: str, n_episodes: int, seed: int = 0, *,
         seed=seed, lazy_prob=lazy_prob)
     samples = []
     attempts = 0
-    for ep_seed in seeds:
-        if len(samples) >= n_episodes:
-            break
-        env = make_env(env_id, int(ep_seed))
-        attempts += 1
+    while len(samples) < n_episodes and attempts < budget:
         if learners is not None:
-            ep = collect_episode(env, team_policy(learners))
+            block = seeds[attempts:attempts + n_episodes - len(samples)]
+            envs = [make_env(env_id, int(s)) for s in block]
+            episodes = collect_episodes(envs, team_policy(learners))
         else:
+            block = seeds[attempts:attempts + 1]
+            env = make_env(env_id, int(block[0]))
             policy.begin_episode(env)
-            ep = collect_episode(env, lambda obs: policy.act(env)[None])
-        if not ep.win:
-            continue
-        bits = episode_ground_truth_arrays(spec.family, ep.obs, ep.rewards,
-                                           ep.kinds)
-        samples.append(episode_to_sample(ep, bits, int(ep_seed)))
+            episodes = collect_episodes(
+                [env], lambda obs, keep: policy.act(env)[None])
+        attempts += len(block)
+        for ep_seed, ep in zip(block, episodes):
+            if ep.win:
+                bits = episode_ground_truth_arrays(spec.family, ep.obs,
+                                                   ep.rewards, ep.kinds)
+                samples.append(episode_to_sample(ep, bits, int(ep_seed)))
     if stats is not None:
         stats.update(attempts=attempts, wins=len(samples))
     if not samples:
@@ -244,9 +251,10 @@ def save_dataset(path, samples):
 def load_dataset(path):
     """Read samples back bit-exactly from save_dataset output; every
     header field and array it reads is checked first, each x_k against
-    (N+1, T, D) and each bits_k against (N,) 0/1 of the header's env."""
+    finite (N+1, T, D) and each bits_k against (N,) 0/1 of the header's
+    env."""
     from camarl.nn.checkpoint import (
-        check_fields, count, ints, is_str, load_checkpoint)
+        check_fields, count, finite, ints, is_str, load_checkpoint)
 
     arrays, meta = load_checkpoint(path)
     if meta.get("kind") != "dataset":
@@ -256,7 +264,7 @@ def load_dataset(path):
     check_fields(meta, {"seeds": ints(n), "lengths": ints(n)}, path)
     spec = env_spec(meta["env_id"])
     N, T, D = spec.n_agents, spec.episode_len, spec.obs_dim
-    checks = {"x": lambda a: a.shape == (N + 1, T, D),
+    checks = {"x": lambda a: a.shape == (N + 1, T, D) and finite(a),
               "bits": lambda a: a.shape == (N,) and np.isin(a, (0, 1)).all()}
     check_fields(arrays, {f"{a}_{k}": checks[a] for k in range(n)
                           for a in checks}, path)

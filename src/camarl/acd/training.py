@@ -161,15 +161,17 @@ def save_acd(out_dir: Path, result: AcdResult):
 
 
 def load_acd(path) -> tuple:
-    """Restore (model, meta) from an encoder checkpoint file; its env id
-    and the sizes AcdModel.from_meta reads are checked first."""
+    """Restore (model, meta) from an encoder checkpoint file; its env id,
+    the sizes AcdModel.from_meta reads and the finiteness of every array
+    are checked first."""
     from camarl.nn.checkpoint import (
-        check_fields, count, is_str, load_checkpoint)
+        check_fields, count, finite, is_str, load_checkpoint)
 
     arrays, meta = load_checkpoint(path)
     check_fields(meta, {"env_id": is_str, **dict.fromkeys(
         ("n_nodes", "series_len", "feat_dim", "enc_hidden", "dec_hidden"),
         count(1))}, path)
+    check_fields(arrays, dict.fromkeys(arrays, finite), path)
     model = AcdModel.from_meta(meta)
     model.params.load_arrays(arrays)
     return model, meta

@@ -29,7 +29,7 @@ from camarl.errors import (
     CollectionError, ConfigurationError, IncompatibleInputsError, UsageError)
 from camarl.harness.defaults import default_config
 from camarl.harness.manifest import (
-    CONFIG_FIELDS, TRAIN_FIELDS, ExperimentManifest, new_manifest,
+    CONFIG_FIELDS, TRAIN_FIELDS, ExperimentManifest, distinct, new_manifest,
     read_manifest, seed_list, write_manifest)
 from camarl.marl import (
     TRAINERS, TrainConfig, event_fields, load_learners, read_log, read_run,
@@ -328,6 +328,10 @@ def _manifest_from_args(args) -> ExperimentManifest:
         name = f"train-{args.env}-{args.trainer}"
         return new_manifest(name, "train", config, _parse_seeds(args.seeds))
     kind = f"acd-{args.acd_command}" if args.command == "acd" else args.command
+    if kind == "report" and not distinct(args.runs):
+        raise UsageError("--runs must list distinct run directories: "
+                         + ", ".join(sorted({d for d in args.runs
+                                             if args.runs.count(d) > 1})))
     name = f"collect-{args.env_id}" if kind == "collect" else kind
     return new_manifest(name, kind,
                         {k: getattr(args, k) for k in CONFIG_FIELDS[kind]}, [])

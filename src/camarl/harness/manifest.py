@@ -38,15 +38,20 @@ CONFIG_FIELDS = {
                   "seed": count(0),
                   "train_frac": lambda v: number(v) and 0 < v < 1},
     "acd-eval": {"model": is_str, "data": is_str},
-    "report": {"runs": strings},
+    "report": {"runs": lambda v: strings(v) and distinct(v)},
 }
 KINDS = tuple(CONFIG_FIELDS)
+
+
+def distinct(v):
+    """Whether no item of the list v repeats."""
+    return len(set(v)) == len(v)
 
 
 def seed_list(v):
     """Whether v is a non-empty list of distinct non-negative ints."""
     return (type(v) is list and len(v) > 0 and all(map(count(0), v))
-            and len(set(v)) == len(v))
+            and distinct(v))
 
 
 @dataclass

@@ -204,19 +204,24 @@ class AgentLearner:
 def team_policy(team, epsilon: float = 0.0, rng=None):
     """Joint-action callable for one lockstep rollout of E episodes.
 
-    act(obs) maps the (E, N, D) observations to (E, N) actions; E is
-    read off the first call.  The team acts in one AgentLearner.act,
-    carrying the hidden state and previous actions across the steps;
-    build a fresh one per rollout.  At epsilon 0 nothing is drawn from
-    rng; exploration draws in agent order and takes a single env.
+    act(obs, keep) maps the (E, N, D) observations to (E, N) actions,
+    the collect_episodes contract; E is read off the first call.  The
+    team acts in one AgentLearner.act, carrying the hidden state and
+    previous actions across the steps, and keeps only the rows in keep
+    when episodes finish.  Each row is its own product, so dropping
+    finished rows moves no bits.  Build a fresh one per rollout.  At
+    epsilon 0 nothing is drawn from rng; exploration draws in agent
+    order and takes a single env.
     """
     hidden = prev = None
 
-    def act(obs):
+    def act(obs, keep):
         nonlocal hidden, prev
         if prev is None:
             hidden = team.initial_hidden(obs.shape[0])
             prev = np.full(obs.shape[:2], -1)
+        elif keep is not None:
+            hidden, prev = hidden[keep], prev[keep]
         prev, hidden = team.act(obs, prev, hidden, epsilon, rng)
         return prev
 

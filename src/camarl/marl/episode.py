@@ -41,27 +41,34 @@ class EpisodeRecord:
 def collect_episodes(envs, act) -> list:
     """Roll every env to the end of its episode in lockstep.
 
-    act(obs) maps the (E, N, D) observations, one row per env, to (E, N)
-    actions.  Only envs still running step; a finished env's row stays
-    frozen and the actions act gives for it are discarded.  Returns one
-    record per env, in env order.
+    act(obs, keep) maps the (E, N, D) observations of the E envs still
+    running, one row each in env order, to (E, N) actions.  keep is None
+    when no env finished since the last call; otherwise it lists the rows
+    of the last call whose envs still run, and act drops the state of
+    the others.  A single env never shows act a keep.  Returns one record
+    per env, in env order.
     """
     cur = [env._obs() for env in envs]
     obs = np.stack(cur)
     trails = [[] for _ in envs]
-    running = range(len(envs))
+    running = list(range(len(envs)))
+    keep = None
     while running:
-        acts = act(obs)
-        still = []
-        for k in running:
-            a = acts[k]
+        acts = act(obs, keep)
+        keep = []
+        for row, k in enumerate(running):
+            a = acts[row]
             res = envs[k].step(a)
             trails[k].append((cur[k], a, res))
             if not res.done:
-                cur[k] = res.obs
-                obs[k] = res.obs
-                still.append(k)
-        running = still
+                cur[k] = obs[row] = res.obs
+                keep.append(row)
+        if len(keep) == len(running):
+            keep = None
+        else:
+            running = [running[row] for row in keep]
+            if running:   # the last step of the last env compacts nothing
+                obs = obs[keep]
     return [_record(env, trail) for env, trail in zip(envs, trails)]
 
 

@@ -72,8 +72,9 @@ def return_ci95(returns) -> float:
 def evaluate(learners, env_id: str, n_episodes: int, seed: int) -> EvalSummary:
     """Greedy rollouts over n_episodes fresh environments, in lockstep.
 
-    Deterministic given the seed and the learner parameters, and
-    bit-identical to rolling the episodes one after another.
+    Each step acts only for the episodes still running.  Deterministic
+    given the seed and the learner parameters, and bit-identical to
+    rolling the episodes one after another.
     """
     if n_episodes < 1:
         raise UsageError(

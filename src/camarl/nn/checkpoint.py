@@ -115,6 +115,10 @@ def number(v):
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
+def finite(a):
+    return bool(np.isfinite(a).all())
+
+
 def strings(v):
     return type(v) is list and len(v) > 0 and all(type(s) is str for s in v)
 

@@ -15,10 +15,12 @@ from camarl.acd import (
 from camarl.acd.dataset import (
     POLY_ORDER, _fit_weights, preprocess, sg_weight_table)
 from camarl.acd.training import load_acd, save_acd
-from camarl.envs import OBS_DIM, env_spec
+from camarl.envs import OBS_DIM, env_spec, make_env
+from camarl.envs.core import episode_ground_truth_arrays
 from camarl.errors import (
     CollectionError, ConfigurationError, UsageError)
-from camarl.marl import EpisodeRecord
+from camarl.marl import (
+    AgentLearner, EpisodeRecord, collect_episode, team_policy)
 from camarl.acd.model import TEMPERATURE, sample_gumbel
 from camarl.acd.training import backward
 from camarl.nn.layers import rmsprop_update
@@ -274,6 +276,71 @@ def test_collect_dataset_never_wins():
     with pytest.raises(CollectionError):
         collect_dataset("sk3-sp", 2, seed=0, learners=learners,
                         attempt_factor=2)
+
+
+def _collect_one_by_one(env_id, n, seed, learners, attempt_factor):
+    """Greedy collection rolled one attempt at a time: the reference."""
+    spec = env_spec(env_id)
+    seeds = np.random.SeedSequence(seed).generate_state(
+        attempt_factor * n, np.uint64)
+    samples, attempts = [], 0
+    for ep_seed in seeds:
+        if len(samples) == n:
+            break
+        attempts += 1
+        ep = collect_episode(make_env(env_id, int(ep_seed)),
+                             team_policy(learners))
+        if ep.win:
+            bits = episode_ground_truth_arrays(spec.family, ep.obs,
+                                               ep.rewards, ep.kinds)
+            samples.append(episode_to_sample(ep, bits, int(ep_seed)))
+    return samples, {"attempts": attempts, "wins": len(samples)}
+
+
+def _random_team(env_id, seed):
+    spec = env_spec(env_id)
+    return AgentLearner(spec.obs_dim, spec.n_actions, 16,
+                        seed=[seed + i for i in range(spec.n_agents)])
+
+
+@pytest.mark.parametrize("env_id, n, attempt_factor, short", [
+    ("sk3-sp", 6, 20, False),
+    ("lj-sp", 3, 20, False),
+    ("sk3-sp", 10, 2, True),
+], ids=["sk3-ends-early", "lj-ends-early", "sk3-budget-runs-out"])
+def test_greedy_collection_matches_one_by_one(env_id, n, attempt_factor,
+                                              short):
+    # random teams that win now and then, so the lockstep takes several
+    # blocks of episodes of several lengths
+    learners = _random_team(env_id, 20 if env_id == "sk3-sp" else 0)
+    want, want_stats = _collect_one_by_one(env_id, n, 0, learners,
+                                           attempt_factor)
+    stats = {}
+    got = collect_dataset(env_id, n, seed=0, learners=learners,
+                          attempt_factor=attempt_factor, stats=stats)
+    assert stats == want_stats
+    assert (len(got) < n) == short
+    assert (stats["attempts"] == attempt_factor * n) == short
+    assert [(s.seed, s.length) for s in got] == [
+        (s.seed, s.length) for s in want]
+    for a, b in zip(got, want):
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.bits.tobytes() == b.bits.tobytes()
+
+
+def test_greedy_collection_without_a_win_matches_one_by_one():
+    learners = _random_team("sk3-sp", 0)
+    learners.params["head.W"][...] = 0.0   # always action 0: never a win
+    learners.params["head.b"][...] = 0.0
+    want, want_stats = _collect_one_by_one("sk3-sp", 4, 0, learners, 3)
+    assert want == []
+    stats = {}
+    with pytest.raises(CollectionError) as err:
+        collect_dataset("sk3-sp", 4, seed=0, learners=learners,
+                        attempt_factor=3, stats=stats)
+    assert stats == want_stats == {"attempts": 12, "wins": 0}
+    assert str(err.value) == ("no winning episodes in 12 attempts on "
+                              "sk3-sp (win rate 0.00)")
 
 
 def test_split_dataset():

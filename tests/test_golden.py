@@ -162,7 +162,7 @@ def _digest_qvalues(learners, env_id, n_envs=5, n_steps=20):
 
     The n_envs episodes roll in lockstep; every learner's (E, A)
     Q-values and (E, 1, H) hidden states of the first n_steps steps are
-    hashed in step and agent order.
+    hashed in step and agent order, E the envs still running.
     """
     h = hashlib.sha256()
     seeds = np.random.SeedSequence(7).generate_state(n_envs)
@@ -171,8 +171,11 @@ def _digest_qvalues(learners, env_id, n_envs=5, n_steps=20):
     prev = np.full((n_envs, len(list(learners))), -1)
     steps = 0
 
-    def act(obs):
+    def act(obs, keep):
         nonlocal prev, steps
+        if keep is not None:
+            prev = prev[keep]
+            hidden[:] = [hd[keep] for hd in hidden]
         acts = np.empty_like(prev)
         for i, ln in enumerate(learners):
             q, hidden[i] = ln.q_values(obs[:, i], prev[:, i], hidden[i])
@@ -224,7 +227,8 @@ def _digest_scripted(env_id):
     for seed in SCRIPTED_SEEDS:
         env = make_env(env_id, seed)
         policy.begin_episode(env)
-        ep = marl.collect_episode(env, lambda obs: policy.act(env)[None])
+        ep = marl.collect_episode(env,
+                                  lambda obs, keep: policy.act(env)[None])
         for arr in (ep.obs, ep.actions, ep.rewards, ep.kinds, ep.events):
             h.update(repr((arr.dtype.str, arr.shape)).encode())
             h.update(arr.tobytes())

@@ -588,6 +588,47 @@ def test_cli_acd_malformed_dataset_array_exits_typed(cli_runs, cli_acd,
                                    str(data)], tmp_path / "out", capsys, word)
 
 
+NON_FINITE = pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@NON_FINITE
+def test_cli_acd_non_finite_dataset_exits_typed(cli_runs, cli_acd, tmp_path,
+                                                capsys, command, value):
+    # one non-finite cell of one sample would otherwise be scored
+    from camarl.nn.checkpoint import load_checkpoint, save_checkpoint
+
+    arrays, meta = load_checkpoint(cli_runs / "ds" / "dataset.ckpt")
+    arrays["x_1"][0, 0, 0] = value
+    data = tmp_path / "bad.ckpt"
+    save_checkpoint(data, arrays, meta)
+    given = (["--model", str(cli_acd / "fit" / "encoder.ckpt")]
+             if command == "eval" else ["--epochs", "1"])
+    _assert_exit_3_writes_nothing(["acd", command, *given, "--data",
+                                   str(data)], tmp_path / "out", capsys, "x_1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["acd", "eval", "--data", "DATA", "--model"],
+    [*SK_ACD_MARL, "--encoder"],
+], ids=["acd-eval", "train-acd-marl"])
+@NON_FINITE
+def test_cli_non_finite_encoder_exits_typed(cli_runs, cli_acd, tmp_path,
+                                            capsys, argv, value):
+    from camarl.nn.checkpoint import load_checkpoint, save_checkpoint
+
+    arrays, meta = load_checkpoint(cli_acd / "fit" / "encoder.ckpt")
+    name = sorted(arrays)[-1]
+    arrays[name].flat[-1] = value
+    model = tmp_path / "bad.ckpt"
+    save_checkpoint(model, arrays, meta)
+    data = str(cli_runs / "ds" / "dataset.ckpt")
+    _assert_exit_3_writes_nothing(
+        [data if a == "DATA" else a for a in argv] + [str(model)],
+        tmp_path / "out", capsys, name)
+
+
 def test_cli_acd_eval_dataset_of_no_samples_exits_typed(cli_runs, cli_acd,
                                                         tmp_path, capsys):
     # save_dataset refuses to write one; load_dataset refuses to read one
@@ -622,6 +663,8 @@ def test_cli_acd_eval_dataset_of_no_samples_exits_typed(cli_runs, cli_acd,
     ("fit", lambda m: m["config"].update(data=None), "data"),
     ("idql", lambda m: m.update(kind="report", config={"runs": []},
                                 seeds=[]), "runs"),
+    ("idql", lambda m: m.update(kind="report", config={
+        "runs": ["/a/seed_0", "/b/seed_0", "/a/seed_0"]}, seeds=[]), "runs"),
     ("idql", lambda m: m["config"].pop("total_steps"), "total_steps"),
     ("idql", lambda m: m["config"].pop("encoder"), "encoder"),
     ("idql", lambda m: m["config"].update(totl_steps=40), "totl_steps"),
@@ -648,7 +691,8 @@ def test_cli_acd_eval_dataset_of_no_samples_exits_typed(cli_runs, cli_acd,
         "collect-episodes-0", "acd-epochs-0", "acd-epochs-negative",
         "acd-batch-0", "acd-batch-bool", "acd-sigma-negative",
         "acd-sigma-string", "acd-train-frac-0", "acd-seed-negative",
-        "acd-data-null", "report-without-runs", "train-without-steps",
+        "acd-data-null", "report-without-runs", "report-repeated-run",
+        "train-without-steps",
         "train-without-encoder", "train-misspelt-key",
         "train-paper-scale-int", "acd-unknown-key", "train-seed-negative",
         "train-seed-string", "train-seed-float", "train-seed-bool",
@@ -991,6 +1035,18 @@ def test_cli_report_mismatched_grids(cli_runs, tmp_path, capsys):
                str(other / "seed_0"), "--out", str(tmp_path / "rep")])
     assert rc == 5
     assert "evaluation grids differ" in capsys.readouterr().err
+
+
+def test_cli_report_refuses_a_repeated_run(cli_runs, tmp_path, capsys):
+    # one run directory spelled two ways would count as two seeds
+    run = cli_runs / "idql" / "seed_0"
+    out = tmp_path / "rep"
+    assert main(["report", "--runs", str(run), str(cli_runs / "icl" / "seed_1"),
+                 str(run / ".." / "seed_0"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "--runs" in err and str(run) in err, err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:aggregating a single seed")

@@ -240,10 +240,10 @@ def test_exploration_takes_one_row():
     obs = np.zeros((2, 2, 6))
     team = AgentLearner(6, 4, 8, seed=[0, 1])
     with pytest.raises(UsageError):
-        team_policy(team, 0.5, rng)(obs)
+        team_policy(team, 0.5, rng)(obs, None)
     # greedy lockstep and single-env exploration are both allowed
-    assert team_policy(team)(obs).shape == (2, 2)
-    assert team_policy(team, 0.5, rng)(obs[:1]).shape == (1, 2)
+    assert team_policy(team)(obs, None).shape == (2, 2)
+    assert team_policy(team, 0.5, rng)(obs[:1], None).shape == (1, 2)
 
 
 def _team_and_singles(n=3, **kw):
@@ -481,6 +481,36 @@ def test_lockstep_matches_sequential_episodes(env_id, E):
     if env_id == "sk3" and E > 1:
         # finished envs sat out while others kept stepping
         assert len({ep.length for ep in lockstep}) > 1
+
+
+@pytest.mark.parametrize("E", [1, 20])
+def test_lockstep_acts_only_for_live_envs(E):
+    spec = env_spec("sk3")
+    learners = AgentLearner(spec.obs_dim, spec.n_actions, 64,
+                            seed=list(range(spec.n_agents)))
+    envs = [make_env("sk3", 700 + k) for k in range(E)]
+    policy = team_policy(learners)
+    rows, live = [], []
+    ids = list(range(E))   # the env of each row, followed through keep
+
+    def act(obs, keep):
+        nonlocal ids
+        if keep is not None:
+            assert E > 1 and list(keep) == sorted(set(keep))
+            ids = [ids[j] for j in keep]
+        rows.append(obs.shape[0])
+        live.append(ids)
+        for row, k in enumerate(ids):
+            assert obs[row].tobytes() == envs[k]._obs().tobytes()
+        return policy(obs, keep)
+
+    lengths = [ep.length for ep in collect_episodes(envs, act)]
+    assert rows == sorted(rows, reverse=True)
+    assert live == [[k for k in range(E) if lengths[k] > t]
+                    for t in range(max(lengths))]
+    assert sum(rows) == sum(lengths)
+    if E > 1:
+        assert rows[-1] < E   # some rows were dropped
 
 
 def test_collect_episode_shapes_and_flags():

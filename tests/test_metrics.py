@@ -61,7 +61,7 @@ def test_event_conservation_random_episodes():
         credits = np.zeros(spec.n_agents, dtype=np.int64)
         while True:
             standing = np.array(env.tree_alive)
-            res = env.step(act(obs[None])[0])
+            res = env.step(act(obs[None], None)[0])
             felled = standing & ~np.array(env.tree_alive)
             # participants: agents on the cell of a tree felled this step
             agents, trees = np.array(env.agent_pos), np.array(env.tree_pos)
