@@ -251,8 +251,9 @@ def save_dataset(path, samples):
 def load_dataset(path):
     """Read samples back bit-exactly from save_dataset output; every
     header field and array it reads is checked first, each x_k against
-    finite (N+1, T, D) and each bits_k against (N,) 0/1 of the header's
-    env."""
+    finite (N+1, T, D) whose observation nodes lie in [0, 1] and whose
+    reward node is 0 past channel 0, and each bits_k against (N,) 0/1
+    of the header's env."""
     from camarl.nn.checkpoint import (
         check_fields, count, finite, ints, is_str, load_checkpoint)
 
@@ -264,7 +265,9 @@ def load_dataset(path):
     check_fields(meta, {"seeds": ints(n), "lengths": ints(n)}, path)
     spec = env_spec(meta["env_id"])
     N, T, D = spec.n_agents, spec.episode_len, spec.obs_dim
-    checks = {"x": lambda a: a.shape == (N + 1, T, D) and finite(a),
+    checks = {"x": lambda a: (a.shape == (N + 1, T, D) and finite(a)
+                              and 0.0 <= a[:N].min() and a[:N].max() <= 1.0
+                              and not a[N, :, 1:].any()),
               "bits": lambda a: a.shape == (N,) and np.isin(a, (0, 1)).all()}
     check_fields(arrays, {f"{a}_{k}": checks[a] for k in range(n)
                           for a in checks}, path)

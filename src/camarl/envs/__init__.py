@@ -7,7 +7,7 @@ entities.
 """
 
 from camarl.envs.core import (
-    EnvSpec, StepResult, OBS_DIM, env_spec, make_env, ENV_IDS,
+    EnvSpec, StepResult, OBS_DIM, env_spec, make_env, make_batch, ENV_IDS,
     KIND_NONE, KIND_INTERMEDIATE, KIND_WIN, oracle_bits,
 )
 from camarl.envs.predator_prey import PredatorPrey
@@ -16,7 +16,8 @@ from camarl.envs.skirmish import Skirmish
 from camarl.envs.scripted import ScriptedPolicy
 
 __all__ = [
-    "EnvSpec", "StepResult", "OBS_DIM", "env_spec", "make_env", "ENV_IDS",
+    "EnvSpec", "StepResult", "OBS_DIM", "env_spec", "make_env", "make_batch",
+    "ENV_IDS",
     "KIND_NONE", "KIND_INTERMEDIATE", "KIND_WIN",
     "PredatorPrey", "Lumberjacks", "Skirmish",
     "oracle_bits", "ScriptedPolicy",

@@ -15,18 +15,29 @@ Both masks are one range-k mask.  pp and lj use the literal 5x5 window
 with the target value fading with distance.  Dead agents observe all
 zeros.  Every entry lies in [0, 1].
 
-The state lives in Python lists of ints and bools (``agent_pos`` holds
-[r, c] lists, ``prey_alive``, ``tree_level``, ``enemy_hp``, ...), which
-tests may read and set.  A step runs its rules on those lists in place,
-which for a handful of entities is several times faster than numpy
-operations on tiny arrays.  ``tests/env_reference.py`` keeps the array
-versions, which these match byte for byte, generator draws included.
+One env keeps its state in Python lists of ints and bools
+(``agent_pos`` holds [r, c] lists, ``prey_alive``, ``tree_level``,
+``enemy_hp``, ...), which tests may read and set.  A step runs its rules
+on those lists in place, which for a handful of entities is several
+times faster than numpy operations on tiny arrays.
+``tests/env_reference.py`` keeps the array versions, which these match
+byte for byte, generator draws included.
+
+An ``EnvBatch`` steps E episodes of one env id at once (after EnvPool):
+the same state names hold arrays with a leading env axis, each family
+runs its rules vectorised over the envs, and ``observe_batch`` writes
+every observation into one (E, N, OBS_DIM) array.  Each row matches the
+one-env step byte for byte: the integer rules are the same and every
+float is the same expression elementwise.  Across a handful of envs the
+arrays pay; for one env the lists are faster, so both stay.
 
 A step returns a StepResult: the next observation, the team reward, the
 done flag, the reward kind (KIND_NONE, KIND_INTERMEDIATE or KIND_WIN),
 whether this step won the episode, and events, the (N,) int64 count of
 rewarded events each agent took part in on this step (captures in pp,
-cutdowns in lj, damaging attacks in sk).
+cutdowns in lj, damaging attacks in sk).  A batch step returns the same
+fields per row: (E,) reward, done, kind and win, (E, N) events, and the
+observations of the rows still running.
 
 The causality oracle reads the same observation layout.  It answers, for
 every step t and agent i of an episode: did i plausibly contribute to
@@ -131,6 +142,17 @@ def make_env(env_id: str, seed: int):
     spec = env_spec(env_id)
     cls = {"pp": PredatorPrey, "lj": Lumberjacks, "sk": Skirmish}[spec.family]
     return cls(spec, seed)
+
+
+def make_batch(envs):
+    """The E freshly reset envs of one id, stepped as one EnvBatch."""
+    from camarl.envs.predator_prey import PredatorPreyBatch
+    from camarl.envs.lumberjacks import LumberjacksBatch
+    from camarl.envs.skirmish import SkirmishBatch
+
+    cls = {"pp": PredatorPreyBatch, "lj": LumberjacksBatch,
+           "sk": SkirmishBatch}[envs[0].spec.family]
+    return cls(envs)
 
 
 def place_entities(rng: np.random.Generator, grid: int, count: int) -> list:
@@ -256,6 +278,63 @@ def observe(spec, agents, targets, alive=None, status=None) -> np.ndarray:
     return obs
 
 
+@functools.cache
+def _offset_table(sight_k, grid):
+    """``_mask_cells`` as arrays over every offset on the grid.
+
+    A position's code is r * w + c with w = 2 grid - 1, so the difference
+    of two codes plus center indexes their offset.  Returns the (w, 1)
+    code weights, center, and the 5x5 cell and the fade of each offset;
+    an offset out of range has cell 25, which lands one past the mask,
+    and fade 0.
+    """
+    w = 2 * grid - 1
+    center = (grid - 1) * (w + 1)
+    cell = np.full(w * w, 25)
+    fade = np.zeros(w * w)
+    for (dr, dc), (c, f) in _mask_cells(sight_k).items():
+        cell[dr * w + dc + center] = c
+        fade[dr * w + dc + center] = f
+    return np.array([w, 1]), center, cell, fade
+
+
+def observe_batch(spec, agents, targets, values, alive, status):
+    """``observe`` for E envs at once, a fresh (E, N, OBS_DIM) float64
+    array whose rows have ``observe``'s bytes.
+
+    agents (E, N, 2) and targets (E, M, 2) hold positions; a target is
+    present where its value in values (E, M) is above 0.  alive (E, N)
+    bool and status (E, N) are None when every agent lives with status
+    0.  An agent cell adds 1/N once per living agent on it, from 0.0 and
+    in agent order, as ``observe`` adds; a target cell keeps the largest
+    faded value landing on it.  An offset out of range lands one past
+    its mask, on a cell written after it: agents on the status, targets
+    on the first agent cell, where their 0.0 changes nothing.
+    """
+    weights, center, cell, fade = _offset_table(spec.sight_k, spec.grid)
+    n_env, n = agents.shape[:2]
+    size = n_env * n * OBS_DIM
+    code = agents @ weights
+    own = (code - center)[:, :, None]
+    rows = np.arange(0, size, OBS_DIM).reshape(n_env, n, 1)
+    # living allies, self included: (E, N, N) offsets
+    hit = cell[code[:, None] - own]
+    if alive is not None:
+        hit[~np.broadcast_to(alive[:, None], hit.shape)] = 25
+    obs = np.bincount((rows + AGENT_OFF + hit).reshape(-1),
+                      np.full(hit.size, 1.0 / n), size)
+    obs = obs.reshape(n_env, n, OBS_DIM)
+    obs[:, :, :2] = agents / (spec.grid - 1.0)
+    # targets: (E, N, M) offsets
+    d = (targets @ weights)[:, None] - own
+    np.maximum.at(obs.reshape(-1), rows + TARGET_OFF + cell[d],
+                  values[:, None] * fade[d])
+    obs[:, :, STATUS_OFF] = 0.0 if status is None else status
+    if alive is not None:
+        obs[~alive] = 0.0
+    return obs
+
+
 _EPS = 1e-9
 
 
@@ -344,3 +423,73 @@ class GridEnv:
                                   status),
                           reward, self.done, kind, win,
                           np.array(events, dtype=np.int64))
+
+
+_MOVE_ARRAY = np.array(MOVES + ((0, 0),))   # attack, action 5, stays
+
+
+class EnvBatch:
+    """E episodes of one env id stepped as arrays, one row per env.
+
+    Built from E freshly reset envs of one family: their state lists
+    become arrays with a leading env axis under the same names
+    (positions (E, count, 2) int64, flags bool, levels and hit points
+    int64), and each env keeps its own generator in ``rngs``.  A family
+    gives ``STATE``, the names it copies besides ``agent_pos``; ``_view``,
+    the (targets, values, alive, status) arrays that ``observe_batch``
+    takes; and ``step``: ``_begin_step``, its array rules, then
+    ``_end_step``.  A row that finishes is dropped at once, so every
+    array, ``rngs`` and the observations hold only the running rows, in
+    env order.  The envs it was built from are spent: their state lists
+    no longer advance, while their generators do.
+    """
+
+    STATE = ()
+
+    def __init__(self, envs):
+        self.spec = envs[0].spec
+        self.rngs = [env.rng for env in envs]
+        self.t = np.array([env.t for env in envs])
+        for name in ("agent_pos",) + self.STATE:
+            setattr(self, name, np.array([getattr(env, name) for env in envs]))
+
+    def _obs(self):
+        """Observations of the running rows as they stand, (E, N, OBS_DIM)."""
+        return observe_batch(self.spec, self.agent_pos, *self._view())
+
+    def _begin_step(self, actions, alive=None):
+        """Check the (E, N) actions and move the living agents (all when
+        alive is None); returns the actions as int64."""
+        spec = self.spec
+        a = np.asarray(actions, dtype=np.int64)
+        if a.shape != self.agent_pos.shape[:2]:
+            raise UsageError(f"expected {self.agent_pos.shape[:2]} actions, "
+                             f"got shape {a.shape}")
+        if a.min() < 0 or a.max() >= spec.n_actions:
+            raise UsageError(f"action out of range [0, {spec.n_actions})")
+        move = _MOVE_ARRAY[a]
+        if alive is not None:
+            move[~alive] = 0
+        # a move changes one coordinate by one, so clipping it back onto
+        # the grid is staying put
+        self.agent_pos = np.minimum(np.maximum(self.agent_pos + move, 0),
+                                    spec.grid - 1)
+        return a
+
+    def _end_step(self, reward, kind, win, events) -> StepResult:
+        """Advance the clocks, drop the rows that are done (a win, no
+        agent alive, or the nominal episode length) and observe the
+        rest."""
+        view = self._view()
+        self.t += 1
+        done = win | (self.t >= self.spec.episode_len)
+        if view[2] is not None:
+            done |= ~view[2].any(axis=1)
+        if done.any():
+            keep = np.flatnonzero(~done)
+            for name in ("agent_pos", "t") + self.STATE:
+                setattr(self, name, getattr(self, name)[keep])
+            self.rngs = [self.rngs[k] for k in keep]
+            view = [v if v is None else v[keep] for v in view]
+        return StepResult(observe_batch(self.spec, self.agent_pos, *view),
+                          reward, done, kind, win, events)

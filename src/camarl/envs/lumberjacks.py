@@ -5,6 +5,8 @@ least l agents stand on its cell in the same timestep.  Each cutdown is
 worth +5 to the team and every step costs 0.1.
 """
 
+import numpy as np
+
 from camarl.envs import core
 
 
@@ -43,3 +45,31 @@ class Lumberjacks(core.GridEnv):
         reward = 5.0 * felled - 0.1
         kind = core.KIND_INTERMEDIATE if felled else core.KIND_NONE
         return self._end_step(reward, kind, not any(alive), events)
+
+
+class LumberjacksBatch(core.EnvBatch):
+    STATE = ("tree_pos", "tree_level", "tree_alive")
+
+    def _view(self):
+        """Standing trees, valued at their level over N."""
+        return (self.tree_pos,
+                np.where(self.tree_alive,
+                         self.tree_level / self.spec.n_agents, 0.0),
+                None, None)
+
+    def step(self, actions) -> core.StepResult:
+        self._begin_step(actions)
+        alive = self.tree_alive
+
+        # (E, M, N): agent i stands on tree m; a cell is r * grid + c
+        cell = np.array([self.spec.grid, 1])
+        on = ((self.agent_pos @ cell)[:, None]
+              == (self.tree_pos @ cell)[:, :, None])
+        felled = alive & (on.sum(axis=2) >= self.tree_level)
+        alive &= ~felled
+        events = (on & felled[:, :, None]).sum(axis=1)
+        n = felled.sum(axis=1)
+
+        reward = 5.0 * n - 0.1
+        kind = np.where(n > 0, core.KIND_INTERMEDIATE, core.KIND_NONE)
+        return self._end_step(reward, kind, ~alive.any(axis=1), events)

@@ -7,7 +7,20 @@ does nothing.  Surviving preys take uniform-random valid moves, in
 index order.
 """
 
+import numpy as np
+
 from camarl.envs import core
+
+
+def _move_preys(pos, alive, rng, grid):
+    """Move each surviving prey of one env in place on its [r, c] list, in
+    index order, uniformly over its valid moves."""
+    for p, live in zip(pos, alive):
+        if live:
+            ks = core.valid_moves(p[0], p[1], grid)
+            dr, dc = core.MOVES[ks[rng.integers(len(ks))]]
+            p[0] += dr
+            p[1] += dc
 
 
 class PredatorPrey(core.GridEnv):
@@ -37,14 +50,37 @@ class PredatorPrey(core.GridEnv):
                 for i in near:
                     events[i] += 1
 
-        # survivors move uniformly at random over their valid moves
-        for p, live in zip(self.prey_pos, alive):
-            if live:
-                ks = core.valid_moves(p[0], p[1], spec.grid)
-                dr, dc = core.MOVES[ks[self.rng.integers(len(ks))]]
-                p[0] += dr
-                p[1] += dc
+        _move_preys(self.prey_pos, alive, self.rng, spec.grid)
 
         reward = 5.0 * caught - 0.01
         kind = core.KIND_INTERMEDIATE if caught else core.KIND_NONE
         return self._end_step(reward, kind, not any(alive), events)
+
+
+class PredatorPreyBatch(core.EnvBatch):
+    STATE = ("prey_pos", "prey_alive")
+
+    def _view(self):
+        return self.prey_pos, self.prey_alive * 1.0, None, None
+
+    def step(self, actions) -> core.StepResult:
+        self._begin_step(actions)
+        alive = self.prey_alive
+
+        # (E, P, N): agent i within one cell of prey m
+        near = np.abs(self.agent_pos[:, None]
+                      - self.prey_pos[:, :, None]).sum(axis=3) <= 1
+        caught = alive & (near.sum(axis=2) >= 2)
+        alive &= ~caught
+        events = (near & caught[:, :, None]).sum(axis=1)
+        n = caught.sum(axis=1)
+
+        # each env's survivors draw from its own generator
+        pos = self.prey_pos.tolist()
+        for p, live, rng in zip(pos, alive.tolist(), self.rngs):
+            _move_preys(p, live, rng, self.spec.grid)
+        self.prey_pos = np.array(pos)
+
+        reward = 5.0 * n - 0.01
+        kind = np.where(n > 0, core.KIND_INTERMEDIATE, core.KIND_NONE)
+        return self._end_step(reward, kind, ~alive.any(axis=1), events)

@@ -9,13 +9,17 @@ Agents act in index order, then enemies; damage is capped at the
 remaining HP so overkill never counts.
 """
 
+import numpy as np
+
 from camarl.envs import core
+
+_FAR = 10 ** 9
 
 
 def _nearest_in(pos, hp, from_pos):
     """Index of the nearest living unit by Chebyshev distance, ties to the
     lowest index.  Returns (index, distance) or (-1, big)."""
-    best, best_d = -1, 10 ** 9
+    best, best_d = -1, _FAR
     r0, c0 = from_pos
     for m, ((r, c), h) in enumerate(zip(pos, hp)):
         if h > 0:
@@ -23,6 +27,16 @@ def _nearest_in(pos, hp, from_pos):
             if d < best_d:
                 best, best_d = m, d
     return best, best_d
+
+
+def _nearest_rows(pos, hp, from_pos):
+    """``_nearest_in`` for every env row at once: pos (E, K, 2), hp (E, K),
+    from_pos (E, 2); returns (E,) indices and distances, _FAR where no
+    unit lives."""
+    d = np.abs(pos - from_pos[:, None]).max(axis=2)
+    d[hp <= 0] = _FAR
+    m = d.argmin(axis=1)   # the first minimum: ties go to the lowest index
+    return m, d[np.arange(len(m)), m]
 
 
 class Skirmish(core.GridEnv):
@@ -77,5 +91,54 @@ class Skirmish(core.GridEnv):
                     dr, dc = core.MOVES[core.toward(p, agents[j])]
                     p[0] += dr
                     p[1] += dc
+
+        return self._end_step(reward, kind, win, events)
+
+
+class SkirmishBatch(core.EnvBatch):
+    STATE = ("enemy_pos", "agent_hp", "enemy_hp")
+
+    def _view(self):
+        """Living enemies; whether each agent lives, and its health
+        fraction."""
+        hp = self.agent_hp
+        return (self.enemy_pos, (self.enemy_hp > 0) * 1.0, hp > 0,
+                hp / self.spec.unit_hp)
+
+    def step(self, actions) -> core.StepResult:
+        spec = self.spec
+        hp, enemies, enemy_hp = self.agent_hp, self.enemy_pos, self.enemy_hp
+        acts = self._begin_step(actions, hp > 0)
+        agents = self.agent_pos
+        rows = np.arange(len(hp))
+
+        # agents in index order, each env at once
+        events = np.zeros(hp.shape, dtype=np.int64)
+        for i in range(spec.n_agents):
+            m, d = _nearest_rows(enemies, enemy_hp, agents[:, i])
+            hit = (acts[:, i] == core.A_ATTACK) & (hp[:, i] > 0) & (
+                d <= spec.sight_k)
+            enemy_hp[rows[hit], m[hit]] -= 1
+            events[:, i] = hit
+        damage = events.sum(axis=1)
+
+        reward = damage / (spec.unit_hp * spec.n_enemies)
+        win = (enemy_hp <= 0).all(axis=1)
+        reward = np.where(win, reward + 10.0, reward)
+        kind = np.where(win, core.KIND_WIN, np.where(
+            damage > 0, core.KIND_INTERMEDIATE, core.KIND_NONE))
+        # enemies in index order where the fight goes on; with no agent
+        # alive every later enemy finds none either, as the break does
+        for m in range(spec.n_enemies):
+            p = enemies[:, m]
+            j, d = _nearest_rows(agents, hp, p)
+            turn = ~win & (enemy_hp[:, m] > 0) & (d < _FAR)
+            strike = turn & (d <= spec.sight_k)
+            hp[rows[strike], j[strike]] -= 1
+            # d > sight_k, so the enemy and its target differ
+            gap = agents[rows, j] - p
+            along = np.abs(gap[:, 0]) >= np.abs(gap[:, 1])
+            move = np.where(along[:, None], [1, 0], [0, 1]) * np.sign(gap)
+            p += np.where((turn & (d > spec.sight_k))[:, None], move, 0)
 
         return self._end_step(reward, kind, win, events)

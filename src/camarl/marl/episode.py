@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from camarl.envs import make_batch
+
 
 @dataclass
 class EpisodeRecord:
@@ -47,39 +49,56 @@ def collect_episodes(envs, act) -> list:
     of the last call whose envs still run, and act drops the state of
     the others.  A single env never shows act a keep.  Returns one record
     per env, in env order.
+
+    One env steps on its own; more step as one ``EnvBatch``, which leaves
+    the env objects spent (their state no longer advances).
     """
-    cur = [env._obs() for env in envs]
-    obs = np.stack(cur)
-    trails = [[] for _ in envs]
-    running = list(range(len(envs)))
+    one = len(envs) == 1
+    env = envs[0] if one else make_batch(envs)
+    obs = env._obs()[None] if one else env._obs()
+    ids = np.arange(len(envs))   # the env of each row
+    steps = []
     keep = None
-    while running:
+    while True:
         acts = act(obs, keep)
-        keep = []
-        for row, k in enumerate(running):
-            a = acts[row]
-            res = envs[k].step(a)
-            trails[k].append((cur[k], a, res))
-            if not res.done:
-                cur[k] = obs[row] = res.obs
-                keep.append(row)
-        if len(keep) == len(running):
-            keep = None
+        res = env.step(acts[0] if one else acts)
+        steps.append((ids, obs, acts, res))
+        if one:
+            if res.done:
+                break
+            obs = res.obs[None]
+        elif res.done.any():
+            keep = np.flatnonzero(~res.done)
+            if not keep.size:
+                break
+            ids, obs = ids[keep], res.obs
         else:
-            running = [running[row] for row in keep]
-            if running:   # the last step of the last env compacts nothing
-                obs = obs[keep]
-    return [_record(env, trail) for env, trail in zip(envs, trails)]
+            keep, obs = None, res.obs
+    return _records(envs, steps)
 
 
-def _record(env, trail):
-    obs, acts, results = zip(*trail)
-    return EpisodeRecord(
-        env_id=env.spec.env_id, obs=np.array(obs), actions=np.array(acts),
-        rewards=np.array([r.reward for r in results]),
-        kinds=np.array([r.kind for r in results], dtype=np.int64),
-        win=results[-1].win,
-        events=np.sum([r.events for r in results], axis=0, dtype=np.int64))
+def _records(envs, steps):
+    """One record per env from the (ids, obs, actions, result) of each
+    step, whose rows ids names the envs of."""
+    ids, obs, acts, results = zip(*steps)
+    # one env's results hold scalars and (N,) events, a batch's hold rows
+    join = np.array if len(envs) == 1 else np.concatenate
+    fields = (np.concatenate(obs), np.concatenate(acts),
+              join([r.reward for r in results]),
+              join([r.kind for r in results], dtype=np.int64),
+              join([r.win for r in results]),
+              join([r.events for r in results]))
+    if len(envs) == 1:
+        per_env = [fields]
+    else:   # gather each env's rows, in step order
+        ids = np.concatenate(ids)
+        order = np.argsort(ids, kind="stable")
+        ends = np.cumsum(np.bincount(ids))[:-1]
+        per_env = zip(*(np.split(f[order], ends) for f in fields))
+    return [EpisodeRecord(
+        env_id=env.spec.env_id, obs=o, actions=a, rewards=r, kinds=k,
+        win=bool(w[-1]), events=e.sum(axis=0, dtype=np.int64))
+        for env, (o, a, r, k, w, e) in zip(envs, per_env)]
 
 
 def collect_episode(env, act) -> EpisodeRecord:

@@ -72,9 +72,10 @@ def return_ci95(returns) -> float:
 def evaluate(learners, env_id: str, n_episodes: int, seed: int) -> EvalSummary:
     """Greedy rollouts over n_episodes fresh environments, in lockstep.
 
-    Each step acts only for the episodes still running.  Deterministic
-    given the seed and the learner parameters, and bit-identical to
-    rolling the episodes one after another.
+    Each step acts only for the episodes still running, and more than one
+    episode steps as one batch of arrays.  Deterministic given the seed
+    and the learner parameters, and bit-identical to rolling the episodes
+    one after another.
     """
     if n_episodes < 1:
         raise UsageError(

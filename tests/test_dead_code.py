@@ -354,3 +354,18 @@ def test_each_format_is_read_only_by_its_writer():
     stale = sorted(name for name, path in FORMAT_OWNERS.items()
                    if name not in _module_constants({path: trees[path]}))
     assert not stale, f"stale FORMAT_OWNERS entries: {stale}"
+
+
+def test_one_env_step_call_in_the_rollout_packages():
+    # every episode of training, evaluation and collection rolls through
+    # the one loop in marl/episode.py; a second ``.step(`` call in marl/
+    # or acd/ would be a second rollout loop
+    calls = sorted(
+        f"{path.relative_to(PACKAGE)}:{n.lineno}"
+        for package in ("marl", "acd")
+        for path in sorted((PACKAGE / package).rglob("*.py"))
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "step")
+    assert len(calls) == 1, calls
+    assert calls[0].startswith("marl/episode.py:"), calls

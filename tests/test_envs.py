@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from camarl.envs import (
-    ENV_IDS, OBS_DIM, Skirmish,
-    env_spec, make_env, oracle_bits, KIND_NONE, KIND_INTERMEDIATE, KIND_WIN,
+    ENV_IDS, OBS_DIM, Skirmish, env_spec, make_batch, make_env, oracle_bits,
+    KIND_NONE, KIND_INTERMEDIATE, KIND_WIN,
 )
 from camarl.envs import core
 from camarl.envs.core import (
@@ -220,6 +220,12 @@ def test_bad_actions_raise():
         env.step([9, 0, 0, 0])
     with pytest.raises(UsageError):
         env.step([0, 0, 0])
+    # a batch takes one row of N actions per env
+    batch = make_batch([make_env("pp", s) for s in range(3)])
+    for actions in (np.full((3, 4), 5), np.full((3, 4), -1),
+                    np.full((2, 4), 4), np.full(4, 4)):
+        with pytest.raises(UsageError):
+            batch.step(actions)
 
 
 # ----------------------------------------------------------- predator-prey
@@ -560,14 +566,21 @@ def assert_same_result(res, ref):
             assert np.float64(a).tobytes() == np.float64(b).tobytes(), name
 
 
+def crafted(env_id, seed, state):
+    """A fresh env with the given state, as lists of its own types."""
+    env = make_env(env_id, seed)
+    for name, value in state.items():
+        kind = np.array(getattr(env, name)).dtype
+        setattr(env, name, np.array(value, dtype=kind).tolist())
+    return env
+
+
 def twin_envs(env_id, seed, **state):
     """The env and its reference, both with the given state: lists on
     the env, arrays of the reference's dtypes on the reference."""
-    env, ref = make_env(env_id, seed), R.make_env(env_id, seed)
+    env, ref = crafted(env_id, seed, state), R.make_env(env_id, seed)
     for name, value in state.items():
-        value = np.array(value, dtype=getattr(ref, name).dtype)
-        setattr(env, name, value.tolist())
-        setattr(ref, name, value)
+        setattr(ref, name, np.array(value, dtype=getattr(ref, name).dtype))
     assert_same_state(env, ref)
     assert_same_array(env._obs(), ref._obs(), "obs")
     return env, ref
@@ -628,47 +641,95 @@ def test_scripted_policy_without_begin_episode_matches_reference():
             step_twins(env, ref, a)
 
 
+def step_batch(batch, envs, actions):
+    """Step the batch on (E, N) actions and its scalar twins, one per row
+    and each on its row; compare every result field, each generator, the
+    rows dropped and the state of the rows kept.  Returns the twins still
+    running."""
+    gens = list(batch.rngs)
+    res = batch.step(actions)
+    want = [env.step(a) for env, a in zip(envs, actions)]
+    for name, dtype in (("reward", np.float64), ("done", np.bool_),
+                        ("kind", np.int64), ("win", np.bool_)):
+        assert_same_array(getattr(res, name), np.array(
+            [getattr(w, name) for w in want], dtype=dtype), name)
+    assert_same_array(res.events, np.stack([w.events for w in want]),
+                      "events")
+    for gen, env in zip(gens, envs):
+        assert gen.bit_generator.state == env.rng.bit_generator.state
+    running = [env for env in envs if not env.done]
+    assert len(batch.rngs) == len(running)
+    if not running:
+        assert res.obs.shape == (0,) + res.events.shape[1:] + (OBS_DIM,)
+        return running
+    assert_same_array(res.obs, np.stack([w.obs for w in want if not w.done]),
+                      "obs")
+    for name in ("t",) + STATE:
+        if hasattr(envs[0], name):
+            assert_same_array(getattr(batch, name),
+                              np.array([getattr(e, name) for e in running]),
+                              name)
+    return running
+
+
+class Twins:
+    """A crafted state on the scalar env and its reference, and on row 0
+    of a two-row batch whose row 1 holds the same state from the next
+    seed; each batch row has a scalar twin of its own."""
+
+    def __init__(self, env_id, seed, **state):
+        self.env, self.ref = twin_envs(env_id, seed, **state)
+        seeds = (seed, seed + 1)
+        self.rows = [crafted(env_id, s, state) for s in seeds]
+        self.batch = make_batch([crafted(env_id, s, state) for s in seeds])
+
+    def step(self, actions):
+        if self.rows:
+            self.rows = step_batch(self.batch, self.rows,
+                                   [actions] * len(self.rows))
+        return step_twins(self.env, self.ref, actions)
+
+
 def test_reference_lj_four_agents_on_level_four_tree():
-    env, ref = twin_envs("lj", 4, tree_pos=[[4, 4]] * 2 + [[0, 7 - k]
-                                                         for k in range(6)],
-                         tree_level=[4, 4, 1, 1, 2, 3, 4, 1],
-                         agent_pos=[[4, 4], [4, 4], [4, 5], [4, 3]])
-    res = step_twins(env, ref, [4, 4, 2, 3])  # the last two step onto it
+    tw = Twins("lj", 4, tree_pos=[[4, 4]] * 2 + [[0, 7 - k] for k in range(6)],
+               tree_level=[4, 4, 1, 1, 2, 3, 4, 1],
+               agent_pos=[[4, 4], [4, 4], [4, 5], [4, 3]])
+    res = tw.step([4, 4, 2, 3])  # the last two step onto it
     assert res.events.tolist() == [2, 2, 2, 2]  # both trees on the cell
     assert abs(res.reward - 9.9) < 1e-12
     for a in ([4, 4, 4, 4], [0, 1, 2, 3]):
-        step_twins(env, ref, a)
+        tw.step(a)
 
 
 def test_reference_pp_two_preys_on_one_cell():
-    env, ref = twin_envs("pp", 2, prey_pos=[[6, 6], [6, 6]],
-                         agent_pos=[[5, 6], [6, 7], [0, 0], [13, 13]])
-    res = step_twins(env, ref, [4, 4, 4, 4])
+    tw = Twins("pp", 2, prey_pos=[[6, 6], [6, 6]],
+               agent_pos=[[5, 6], [6, 7], [0, 0], [13, 13]])
+    res = tw.step([4, 4, 4, 4])
     assert res.events.tolist() == [2, 2, 0, 0] and res.win
+    assert not tw.rows   # both rows won and were dropped
     # one of two preys caught; the other keeps moving
-    env, ref = twin_envs("pp", 3, prey_pos=[[6, 6], [6, 6]],
-                         prey_alive=[True, False],
-                         agent_pos=[[5, 6], [0, 0], [13, 13], [0, 13]])
+    tw = Twins("pp", 3, prey_pos=[[6, 6], [6, 6]], prey_alive=[True, False],
+               agent_pos=[[5, 6], [0, 0], [13, 13], [0, 13]])
     for _ in range(10):
-        step_twins(env, ref, [4, 4, 4, 4])
+        tw.step([4, 4, 4, 4])
 
 
 def test_reference_sk_dead_agents():
     # agent 1 is dead: it neither moves nor attacks nor observes
-    env, ref = twin_envs("sk3", 5, agent_hp=[1, 0, 2],
-                         agent_pos=[[5, 5], [5, 6], [0, 0]],
-                         enemy_pos=[[5, 7], [6, 6], [9, 9]])
-    res = step_twins(env, ref, [5, 5, 1])
+    tw = Twins("sk3", 5, agent_hp=[1, 0, 2],
+               agent_pos=[[5, 5], [5, 6], [0, 0]],
+               enemy_pos=[[5, 7], [6, 6], [9, 9]])
+    res = tw.step([5, 5, 1])
     assert not res.obs[1].any()
     for a in ([5, 5, 5], [0, 1, 2], [4, 4, 4], [5, 0, 5]):
-        if env.done:
+        if tw.env.done:
             break
-        step_twins(env, ref, a)
+        tw.step(a)
     # every agent dead: the enemies stop and the episode ends
-    env, ref = twin_envs("sk5", 7, agent_hp=[0, 0, 1, 0, 0],
-                         agent_pos=[[5, 5], [5, 6], [5, 7], [0, 0], [9, 9]],
-                         enemy_pos=[[4, 7], [9, 0], [0, 9], [8, 8], [2, 2]])
-    res = step_twins(env, ref, [5, 5, 4, 5, 5])
+    tw = Twins("sk5", 7, agent_hp=[0, 0, 1, 0, 0],
+               agent_pos=[[5, 5], [5, 6], [5, 7], [0, 0], [9, 9]],
+               enemy_pos=[[4, 7], [9, 0], [0, 9], [8, 8], [2, 2]])
+    res = tw.step([5, 5, 4, 5, 5])
     assert res.done and not res.win and not res.obs.any()
 
 
@@ -676,14 +737,54 @@ def test_reference_sk_ties_on_distance():
     # agent 0 sees enemies 1 and 2 at Chebyshev distance 2, enemy 0 is
     # dead; enemy 1 has agents 0 and 2 at distance 2, enemy 2 is out of
     # range of all and moves along a tied gap
-    env, ref = twin_envs("sk3", 8, enemy_hp=[0, 3, 3],
-                         agent_pos=[[5, 5], [0, 0], [3, 5]],
-                         enemy_pos=[[5, 6], [3, 7], [7, 3]])
+    tw = Twins("sk3", 8, enemy_hp=[0, 3, 3],
+               agent_pos=[[5, 5], [0, 0], [3, 5]],
+               enemy_pos=[[5, 6], [3, 7], [7, 3]])
     for a in ([5, 4, 4], [5, 4, 5], [4, 4, 4], [5, 5, 5]):
-        if env.done:
+        if tw.env.done:
             break
-        step_twins(env, ref, a)
-    env, ref = twin_envs("sk3-sp", 9, agent_pos=[[0, 0], [0, 9], [9, 0]],
-                         enemy_pos=[[5, 5]])
+        tw.step(a)
+    tw = Twins("sk3-sp", 9, agent_pos=[[0, 0], [0, 9], [9, 0]],
+               enemy_pos=[[5, 5]])
     for _ in range(4):
-        step_twins(env, ref, [4, 4, 4])
+        tw.step([4, 4, 4])
+
+
+# ------------------------------------------- batches against scalar envs
+
+@pytest.mark.parametrize("how", ["random", "stay", "scripted"])
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_batch_matches_scalar_envs(env_id, how):
+    # E = 2, 7 and 16 envs; the scripted actions are each env's own
+    # policy on its scalar twin
+    spec = env_spec(env_id)
+    ends = set()   # the steps at which rows were dropped
+    for E in (2, 7, 16):
+        seeds = [E * 31 + k for k in range(E)]
+        batch = make_batch([make_env(env_id, s) for s in seeds])
+        envs = [make_env(env_id, s) for s in seeds]
+        assert_same_array(batch._obs(), np.stack([env._obs() for env in envs]),
+                          "first obs")
+        policies = {}
+        for env, s in zip(envs, seeds):
+            policies[id(env)] = ScriptedPolicy(seed=s, lazy_prob=0.5)
+            policies[id(env)].begin_episode(env)
+        rng = np.random.default_rng(E)
+        running = envs
+        while running:
+            shape = (len(running), spec.n_agents)
+            if how == "random":
+                a = rng.integers(0, spec.n_actions, size=shape)
+            elif how == "stay":
+                a = np.full(shape, A_STAY)
+            else:
+                a = np.stack([policies[id(env)].act(env) for env in running])
+            kept = step_batch(batch, running, a)
+            if len(kept) < len(running):
+                ends.add(running[0].t)
+            running = kept
+    # episodes ended at different steps; standing still, only skirmish
+    # enemies end one, and no lj episode clears eight trees early
+    if (how != "stay" or spec.family == "sk") and env_id != "lj":
+        assert len(ends) > 1, ends
+

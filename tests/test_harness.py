@@ -570,7 +570,10 @@ def test_cli_acd_eval_malformed_dataset_exits_typed(cli_runs, cli_acd,
     (lambda a: a.update(bits_0=np.ones(7)), "bits_0"),
     (lambda a: a.update(x_0=a["x_0"][:, :30]), "x_0"),
     (lambda a: a.update(bits_0=np.full_like(a["bits_0"], 2.0)), "bits_0"),
-], ids=["x-1d", "bits-length-7", "x-length-30", "bits-2"])
+    (lambda a: a["x_0"][0, 3, 2:3].fill(-0.25), "x_0"),
+    (lambda a: a["x_0"][-1, 0, 1:2].fill(0.5), "x_0"),
+], ids=["x-1d", "bits-length-7", "x-length-30", "bits-2", "obs-below-0",
+        "reward-channel-1"])
 def test_cli_acd_malformed_dataset_array_exits_typed(cli_runs, cli_acd,
                                                      tmp_path, capsys,
                                                      command, edit, word):
@@ -593,10 +596,12 @@ NON_FINITE = pytest.mark.parametrize(
 
 
 @pytest.mark.parametrize("command", ["eval", "train"])
-@NON_FINITE
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308],
+                         ids=["nan", "inf", "minus-inf", "1e308"])
 def test_cli_acd_non_finite_dataset_exits_typed(cli_runs, cli_acd, tmp_path,
                                                 capsys, command, value):
-    # one non-finite cell of one sample would otherwise be scored
+    # one non-finite cell of one sample would otherwise be scored, and so
+    # would a finite one far outside the observation range [0, 1]
     from camarl.nn.checkpoint import load_checkpoint, save_checkpoint
 
     arrays, meta = load_checkpoint(cli_runs / "ds" / "dataset.ckpt")
