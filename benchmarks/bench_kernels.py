@@ -38,6 +38,7 @@ def build_cases():
     bh = rng.standard_normal(3 * H) * 0.1
     Wq = rng.standard_normal((H, A)) * 0.1
     bq = rng.standard_normal(A) * 0.1
+    rows = [B] * T   # every row live at every step, as in lj training
 
     x2 = rng.standard_normal((128, 256))
     W2 = rng.standard_normal((256, 256)) * 0.05
@@ -45,7 +46,7 @@ def build_cases():
     y2 = K.affine_act_fwd(x2, W2, b2, K.ACT_TANH)
     gy2 = rng.standard_normal(y2.shape)
 
-    fwd = K.qnet_unroll_fwd(X, h0, Wx, Wh, bx, bh, Wq, bq)
+    fwd = K.qnet_unroll_fwd(X, h0, rows, Wx, Wh, bx, bh, Wq, bq)
     Q, Hs, R, Z, Nc, GHN = fwd
     dQ = rng.standard_normal(Q.shape)
 
@@ -70,9 +71,10 @@ def build_cases():
         ("gru_step  B8 H64",
          lambda: K.gru_fwd(xs, hs, Wx, Wh, bx, bh)),
         ("qnet_unroll_fwd T100 B8 H64",
-         lambda: K.qnet_unroll_fwd(X, h0, Wx, Wh, bx, bh, Wq, bq)),
+         lambda: K.qnet_unroll_fwd(X, h0, rows, Wx, Wh, bx, bh, Wq, bq)),
         ("qnet_unroll_bwd T100 B8 H64",
-         lambda: K.qnet_unroll_bwd(X, h0, Hs, R, Z, Nc, GHN, Wx, Wh, Wq, dQ)),
+         lambda: K.qnet_unroll_bwd(X, h0, rows, Hs, R, Z, Nc, GHN, Wx, Wh, Wq,
+                                   dQ)),
         ("rmsprop_step n=200k", bench_rmsprop),
         ("sumsq n=200k", lambda: (np.asarray(K.sumsq(g)),)),
     ]

@@ -2,11 +2,12 @@
 
 Online and target networks share one architecture: a GRU over the
 observation concatenated with the previous-action one-hot, and a linear
-head of Q-values.  Training unrolls full episodes through the fused
-kernels.  A team of N, one agent per seed, holds its parameters,
-gradients, RMSprop state and target network as (N, P) buffers with a
-leading agent axis on every view, and acts, unrolls and steps all
-agents in one kernel call each.  No parameters are shared: the kernels
+head of Q-values.  Training unrolls whole replayed episodes through the
+fused kernels as a packed batch, each episode over its own length.  A
+team of N, one agent per seed, holds its parameters, gradients, RMSprop
+state and target network as (N, P) buffers with a leading agent axis on
+every view, and acts, unrolls and steps all agents in one kernel call
+each.  No parameters are shared: the kernels
 multiply with ``@``, one product per agent, so each agent's numbers are
 its own, bit for bit.  ``team[i]`` is agent i as a single learner over
 row i of the buffers, and a lone agent is ``team[0]`` of a team of one.
@@ -138,51 +139,67 @@ class AgentLearner:
     def sync_target(self):
         self.target_data[...] = self.params.data
 
-    def target_q(self, X, h0):
-        # the acting kernel stores no intermediates, which the target never
-        # needs; the bits are the unroll's
-        Q = np.empty(X.shape[:-1] + (self.n_actions,))
+    def target_q(self, X, h0, rows):
+        """The target network's Q-values over the packed batch of
+        qnet_unroll_fwd: step t runs the first rows[t] rows, and Q is
+        exactly zero past them.  The acting kernel stores no
+        intermediates, which the target never needs; the bits are the
+        unroll's."""
+        Q = np.zeros(X.shape[:-1] + (self.n_actions,))
         h = h0
-        for t in range(X.shape[-3]):
-            Q[..., t, :, :], h = kernels.qnet_step(X[..., t, :, :], h,
-                                                   *self._target)
+        for t, b in enumerate(rows):
+            Q[..., t, :b, :], h = kernels.qnet_step(
+                X[..., t, :b, :], h[..., :b, :], *self._target)
         return Q
 
-    def td_loss_and_grads(self, X, actions, rewards, valid, terminal, gamma):
-        """Squared TD error, mean over valid timesteps.
+    def td_loss_and_grads(self, X, actions, rewards, lengths, gamma):
+        """Squared TD error, mean over the episodes' steps.
 
-        X: (T, B, n_in) inputs; actions: (T, B); rewards: (T, B) already
-        masked; valid/terminal: (T, B) 0/1, shared by a team, whose other
-        arrays lead with the agent axis.  Bootstraps from the target
-        network's next-step max; terminal steps use the reward alone.
-        Gradients land in self.params.  Returns the loss, (N,) for a team
-        and 0-d for a row.
+        X: (T, B, n_in) inputs; actions and rewards (already masked):
+        (T, B), a team's leading with the agent axis; lengths: each
+        episode's (B,) integer length, longest first and within 1..T,
+        shared by a team.  Step t of the online and target unrolls runs
+        only the episodes longer than t, so Q, the bootstrap and the TD
+        error are exactly zero past each length, and nothing there is
+        read but rewards, which must be zero there as build_batch pads
+        them.  Bootstraps from the target network's next-step max; an
+        episode's last step uses the reward alone.  Gradients land in
+        self.params.  Returns the loss, (N,) for a team and 0-d for a
+        row.
         """
-        n_valid = valid.sum()
-        if n_valid == 0:
-            raise UsageError("empty training batch")
-        h0 = np.zeros(self.lead + (valid.shape[1], self.n_hidden))
+        T, B = X.shape[-3:-1]
+        lengths = np.asarray(lengths)
+        if (lengths.shape != (B,) or lengths.dtype.kind not in "iu"
+                or B == 0 or (lengths[1:] > lengths[:-1]).any()
+                or not 1 <= lengths[-1] <= lengths[0] <= T):
+            raise UsageError(f"need {B} non-increasing integer lengths in "
+                             f"1..{T}, got {lengths!r}")
+        # the number of episodes longer than t, at each step t
+        rows = (lengths > np.arange(T)[:, None]).sum(axis=1)
+        h0 = np.zeros(self.lead + (B, self.n_hidden))
         w = self._online
-        Q, *cache = kernels.qnet_unroll_fwd(X, h0, *w)
+        Q, *cache = kernels.qnet_unroll_fwd(X, h0, rows, *w)
         boot = np.zeros(Q.shape[:-1])
-        boot[..., :-1, :] = self.target_q(X, h0)[..., 1:, :, :].max(axis=-1)
-        y = rewards + gamma * boot * (1.0 - terminal)
+        boot[..., :-1, :] = self.target_q(X, h0, rows)[..., 1:, :, :].max(
+            axis=-1)
+        y = rewards + gamma * boot
         qa = np.take_along_axis(Q, actions[..., None], axis=-1)[..., 0]
-        diff = (qa - y) * valid
+        diff = qa - y
+        n_valid = lengths.sum()
         # each agent's squares summed as one contiguous (T B) row
         loss = (diff ** 2).reshape(self.lead + (-1,)).sum(axis=-1) / n_valid
         dQ = np.zeros_like(Q)
         np.put_along_axis(dQ, actions[..., None],
                           (2.0 * diff / n_valid)[..., None], axis=-1)
-        grads = kernels.qnet_unroll_bwd(X, h0, *cache, w[0], w[1], w[4], dQ)
+        grads = kernels.qnet_unroll_bwd(X, h0, rows, *cache, w[0], w[1], w[4],
+                                        dQ)
         for name, grad in zip(PARAM_NAMES, grads):
             self.params.grads[name] += grad
         return loss
 
-    def train_step(self, X, actions, rewards, valid, terminal, gamma):
+    def train_step(self, X, actions, rewards, lengths, gamma):
         """One gradient step, each agent clipped on its own; the TD loss."""
-        loss = self.td_loss_and_grads(X, actions, rewards, valid, terminal,
-                                      gamma)
+        loss = self.td_loss_and_grads(X, actions, rewards, lengths, gamma)
         rmsprop_update(self.params, lr=self.lr, max_norm=self.grad_clip)
         self._loss[...] = loss
         return self.last_loss

@@ -119,30 +119,31 @@ def masked_rewards(rewards, bits, strict: bool):
 
 
 def build_batch(episodes, team):
-    """The team's arrays from replayed (obs, actions, masked rewards).
+    """The team's packed batch from replayed (obs, actions, masked rewards).
 
-    Returns X (N, T, B, obs+act) built by team.inputs, actions and
-    masked rewards (N, T, B), valid and terminal (T, B), zero-padded to
-    the longest episode.
+    Orders the episodes longest first, ties in sampled order, so that
+    step t of the update runs on the row prefix of the episodes longer
+    than t.  Returns X (N, T, B, obs+act) built by team.inputs, actions
+    and masked rewards (N, T, B), zero-padded to the longest episode, and
+    the (B,) lengths.
     """
-    B = len(episodes)
     lengths = np.array([len(a) for _, a, _ in episodes])
-    T = int(lengths.max())
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    B, T = len(episodes), int(lengths[0])
     n, D = episodes[0][0].shape[1:]
     obs = np.zeros((n, T, B, D), dtype=np.float32)
     prev = np.full((n, T, B), -1)
     actions = np.zeros((n, T, B), dtype=np.int64)
     rewards = np.zeros((n, T, B))
-    for b, (o, a, r) in enumerate(episodes):
+    for b, i in enumerate(order):
+        o, a, r = episodes[i]
         L = len(a)
         obs[:, :L, b] = o.swapaxes(0, 1)
         actions[:, :L, b] = a.T
         prev[:, 1:L, b] = a[:-1].T
         rewards[:, :L, b] = r.T
-    valid = (np.arange(T)[:, None] < lengths).astype(np.float64)
-    terminal = np.zeros((T, B))
-    terminal[lengths - 1, np.arange(B)] = 1.0
-    return team.inputs(obs, prev), actions, rewards, valid, terminal
+    return team.inputs(obs, prev), actions, rewards, lengths
 
 
 def train(config: TrainConfig, *, bits_fn=None, out_dir=None,

@@ -12,6 +12,12 @@ each row of a stack rounds exactly as its own 2-D call.  ``np.dot`` on
 a 3-D stack would fold the items into one GEMM and round differently.
 Hot kernels take no ``np.where`` over data-dependent masks, and write in
 place only into arrays they allocated themselves.
+
+The unroll kernels run packed batches: ``rows[t]`` is the number of rows
+still alive at step t, non-increasing in t, and step t runs only that
+prefix of the rows (PyTorch's packed-sequence layout).  A product over
+fewer rows rounds differently from those rows of a full one; with every
+``rows[t]`` equal to B the products are those of a full unroll.
 """
 
 import numpy as np
@@ -124,54 +130,57 @@ def gru_bwd(x, h, Wx, Wh, r, z, n, ghn, gh_new, out=(None, None)):
     return gx, gh, gWx, gWh, gpre_x.sum(axis=-2), gpre_h.sum(axis=-2)
 
 
-def qnet_unroll_fwd(X, h0, Wx, Wh, bx, bh, Wq, bq):
-    """Whole-episode recurrent Q-network forward.
+def qnet_unroll_fwd(X, h0, rows, Wx, Wh, bx, bh, Wq, bq):
+    """Whole-episode recurrent Q-network forward over a packed batch.
 
     X is (..., T, B, input) and h0 (..., B, H); the net is GRU -> linear
-    head.  The input product stays in the time loop: as one 2-D (T B,
-    input) GEMM it would round differently, and as a stacked ``@``, one
-    product per step and bit for bit, its fresh store cost more at lj.
-    Returns Q plus every intermediate needed by qnet_unroll_bwd.
+    head, and step t runs only the first rows[t] rows.  The input product
+    stays in the time loop: as one 2-D (T B, input) GEMM it would round
+    differently, and as a stacked ``@``, one product per step and bit for
+    bit, its fresh store cost more at lj.  Returns Q, exactly zero past
+    each step's rows, plus every intermediate qnet_unroll_bwd reads;
+    their rows past rows[t] are never written.
     """
-    T = X.shape[-3]
-    rows = X.shape[:-1]
+    shape = X.shape[:-1]
     H = h0.shape[-1]
-    Q = np.empty(rows + Wq.shape[-1:])
-    Hs, R, Z, Nc, GHN = (np.empty(rows + (H,)) for _ in range(5))
+    Q = np.zeros(shape + Wq.shape[-1:])
+    Hs, R, Z, Nc, GHN = (np.empty(shape + (H,)) for _ in range(5))
     h = h0
-    for t in range(T):
-        at = (Ellipsis, t, slice(None), slice(None))
-        Hs[at], R[at], Z[at], Nc[at], GHN[at] = gru_fwd(X[at], h, Wx, Wh,
-                                                         bx, bh)
+    for t, b in enumerate(rows):
+        at = (Ellipsis, t, slice(b), slice(None))
+        Hs[at], R[at], Z[at], Nc[at], GHN[at] = gru_fwd(
+            X[at], h[..., :b, :], Wx, Wh, bx, bh)
         h = Hs[at]
         Q[at] = h @ Wq + bq
     return Q, Hs, R, Z, Nc, GHN
 
 
-def qnet_unroll_bwd(X, h0, Hs, R, Z, Nc, GHN, Wx, Wh, Wq, dQ):
-    """Backward through the whole unroll given per-step head gradients dQ."""
-    T = X.shape[-3]
+def qnet_unroll_bwd(X, h0, rows, Hs, R, Z, Nc, GHN, Wx, Wh, Wq, dQ):
+    """Backward through the whole unroll given per-step head gradients dQ,
+    each step over the same rows as the forward; dQ past them is not
+    read."""
     gWx, gWh, gWq = (np.zeros_like(W) for W in (Wx, Wh, Wq))
     gbx, gbh, gbq = (np.zeros(W.shape[:-2] + W.shape[-1:])
                      for W in (Wx, Wh, Wq))
     WqT = Wq.swapaxes(-1, -2)
     scratch = (np.empty_like(Wx), np.empty_like(Wh))
+    # a row's state gradient stays zero until its last step is reached
     dh = np.zeros_like(h0)
-    for t in range(T - 1, -1, -1):
-        at = (Ellipsis, t, slice(None), slice(None))
+    for t in range(len(rows) - 1, -1, -1):
+        b = rows[t]
+        at = (Ellipsis, t, slice(b), slice(None))
         h_t, dQ_t = Hs[at], dQ[at]
         gWq += h_t.swapaxes(-1, -2) @ dQ_t
         gbq += np.sum(dQ_t, axis=-2)
-        dh = dh + dQ_t @ WqT
-        h_prev = h0 if t == 0 else Hs[..., t - 1, :, :]
-        _, dh_prev, gWx_t, gWh_t, gbx_t, gbh_t = gru_bwd(
-            X[at], h_prev, None, Wh, R[at], Z[at], Nc[at], GHN[at], dh,
+        gh = dh[..., :b, :] + dQ_t @ WqT
+        h_prev = (h0 if t == 0 else Hs[..., t - 1, :, :])[..., :b, :]
+        _, dh[..., :b, :], gWx_t, gWh_t, gbx_t, gbh_t = gru_bwd(
+            X[at], h_prev, None, Wh, R[at], Z[at], Nc[at], GHN[at], gh,
             scratch)
         gWx += gWx_t
         gWh += gWh_t
         gbx += gbx_t
         gbh += gbh_t
-        dh = dh_prev
     return gWx, gWh, gbx, gbh, gWq, gbq
 
 

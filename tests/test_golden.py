@@ -74,7 +74,7 @@ GOLDEN = {
     "train_lj_idql":
         "cab1a89eca8d7e80bef78406ed89d05e107b283504e48738b38bbbc383fbfb1a",
     "train_sk3_acd-marl":
-        "bb70c78f76e291ef30dd1a0ad989e7fbbf0e2e5072b5f187b68a711466eb2a7f",
+        "464b7e968e1cceb4b366990a03ff1f128ee3d5952553306e93fc59d80e5eb835",
     "train_lj_icl_clipped":
         "5d38284a751ef8861ceeb13e830fbab0a93da9f63bd56822efaed861aadb0918",
     "eval_lj_icl":
@@ -90,9 +90,9 @@ GOLDEN = {
     "train_lj_icl_h64":
         "979744ad29b8aa0035cafc20afa19e051fc47d0ee98813db879cdb55e70884c6",
     "train_sk5_icl_strict":
-        "9013e9ed573e128c0436eb44471ddf318ddfb83242e7a2d817543293b3cf4cbb",
+        "eb170fefda776164e988043289d383dcd79fc877bb2a7215d8864fdc9f01a735",
     "train_sk3_icl_cap3":
-        "1aabc856300f4bd85b66c73c2c4c2d7a87a4819e8b221975916a21c66252fd72",
+        "69eba071bc170f0d76d921930a3adddd3a08899f9a0efd8c4fa9b7e9ceb3e55f",
     "train_lj_icl_strict_cap4":
         "8245fa7758368a98e3137ebe75d691f13560aa37066f7ccafe916452ff761c24",
     "train_lj_icl_eval40":

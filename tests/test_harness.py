@@ -952,9 +952,9 @@ CLI_ARTIFACTS = {
     "report":
         "4228bc6b4ebc6043a05fcd8a3752a23886704b310e5cf706af4bf4d75eceea47",
     "train_icl":
-        "e4fd7716f723306f3204ac9e2706fec15ab074cf76528e59a343bf26b757f28d",
+        "c5de1fe4fd4d9e40b70c47476d00fc38ab38b512f12d229cd15ab9a4c8c3f4f2",
     "train_idql":
-        "74de6fd530593e7cd24453c81c361ace08d354f37963308661668cd838a84f57",
+        "f5b2275a9b01e24219753d263549d59c99d4f955be46341c53b90d4b4e3d64cf",
 }
 
 

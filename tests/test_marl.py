@@ -4,7 +4,7 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import special, stats
 
 from camarl.envs import ENV_IDS, OBS_DIM, env_spec, make_env, oracle_bits
@@ -16,7 +16,9 @@ from camarl.marl import (
     masked_rewards, oracle_episode_bits, read_run, team_policy, train,
     write_log,
 )
+from camarl.marl.agent import PARAM_NAMES
 from camarl.marl.evaluate import _T975, return_ci95
+from camarl.nn import kernels
 
 
 # ------------------------------------------------------------------ schedule
@@ -192,8 +194,6 @@ def test_no_parameter_sharing():
 def test_q_values_rows_match_unroll_with_prev_one_hot():
     # each stacked row equals a one-step unroll of its own input, whose
     # previous-action one-hot is built by hand (none for -1)
-    from camarl.nn import kernels
-
     ln = _learner(seed=5)
     rng = np.random.default_rng(5)
     prev = np.array([-1, 0, 1, 2, 3])
@@ -206,7 +206,8 @@ def test_q_values_rows_match_unroll_with_prev_one_hot():
         x[0, 0, :6] = obs[e]
         if prev[e] >= 0:
             x[0, 0, 6 + prev[e]] = 1.0
-        Q, Hs, *_ = kernels.qnet_unroll_fwd(x, hidden[e], *ln._weights())
+        Q, Hs, *_ = kernels.qnet_unroll_fwd(x, hidden[e], [1],
+                                            *ln._weights())
         assert Q[0, 0].tobytes() == q[e].tobytes()
         assert Hs[0].tobytes() == h[e].tobytes()
 
@@ -293,13 +294,11 @@ def test_team_train_steps_match_per_agent_steps():
         X[..., :6] = rng.random((3, T, B, 6))
         a = rng.integers(0, 4, size=(3, T, B))
         r = rng.normal(size=(3, T, B)) * (10.0 if step % 3 == 0 else 0.01)
-        valid = np.ones((T, B))
-        valid[3:, 0] = 0.0
-        term = np.zeros((T, B))
-        term[2, 0] = term[-1, 1:] = 1.0
-        losses = team.train_step(X, a, r, valid, term, 0.99)
+        lengths = np.array([5, 5, 3])
+        r[:, 3:, 2] = 0.0
+        losses = team.train_step(X, a, r, lengths, 0.99)
         for i, ln in enumerate(singles):
-            loss = ln.train_step(X[i], a[i], r[i], valid, term, 0.99)
+            loss = ln.train_step(X[i], a[i], r[i], lengths, 0.99)
             assert np.float64(loss).tobytes() == losses[i].tobytes()
         if step % 2:
             team.sync_target()
@@ -335,10 +334,96 @@ def _manual_batch(ln, rewards, n_steps, action=0):
     actions = np.full((T, B), action, dtype=np.int64)
     rew = np.zeros((T, B))
     rew[:, 0] = rewards
-    valid = np.ones((T, B))
+    return X, actions, rew, np.array([T])
+
+
+def padded_td_loss_and_grads(team, X, actions, rewards, lengths, gamma):
+    """The padded TD update the packed one replaced, kept as reference.
+
+    Every step of the online unroll and of the target pass runs every
+    row; valid and terminal flags derived from lengths mask the TD error
+    and the bootstrap.  Returns the loss and the gradients by parameter
+    name, leaving team.params untouched.
+    """
+    T, B = X.shape[-3:-1]
+    valid = (np.arange(T)[:, None] < lengths).astype(np.float64)
     terminal = np.zeros((T, B))
-    terminal[-1, 0] = 1.0
-    return X, actions, rew, valid, terminal
+    terminal[lengths - 1, np.arange(B)] = 1.0
+    n_valid = valid.sum()
+    h0 = np.zeros(team.lead + (B, team.n_hidden))
+    every_row = [B] * T
+    w = team._online
+    Q, *cache = kernels.qnet_unroll_fwd(X, h0, every_row, *w)
+    target, h = np.empty_like(Q), h0
+    for t in range(T):
+        target[..., t, :, :], h = kernels.qnet_step(X[..., t, :, :], h,
+                                                    *team._target)
+    boot = np.zeros(Q.shape[:-1])
+    boot[..., :-1, :] = target[..., 1:, :, :].max(axis=-1)
+    y = rewards + gamma * boot * (1.0 - terminal)
+    qa = np.take_along_axis(Q, actions[..., None], axis=-1)[..., 0]
+    diff = (qa - y) * valid
+    loss = (diff ** 2).reshape(team.lead + (-1,)).sum(axis=-1) / n_valid
+    dQ = np.zeros_like(Q)
+    np.put_along_axis(dQ, actions[..., None],
+                      (2.0 * diff / n_valid)[..., None], axis=-1)
+    grads = kernels.qnet_unroll_bwd(X, h0, every_row, *cache, w[0], w[1],
+                                    w[4], dQ)
+    return loss, dict(zip(PARAM_NAMES, grads))
+
+
+@st.composite
+def packed_batches(draw, one_length=False):
+    """(N, T, lengths, seed): a team size, a padded length and B lengths
+    in 1..T, longest first; one_length gives every episode length T."""
+    T = draw(st.integers(1, 8))
+    B = draw(st.integers(1, 6))
+    lengths = ([T] * B if one_length else sorted(
+        draw(st.lists(st.integers(1, T), min_size=B, max_size=B)),
+        reverse=True))
+    return draw(st.integers(1, 3)), T, lengths, draw(st.integers(0, 2 ** 16))
+
+
+def _packed_update_both_ways(N, T, lengths, seed):
+    """The packed update and the padded reference on one random batch,
+    with junk inputs and actions past each length: (loss, grads) each."""
+    rng = np.random.default_rng(seed)
+    team = AgentLearner(5, 4, 8, seed=[seed + i for i in range(N)])
+    team.target_data += rng.normal(scale=0.3, size=team.target_data.shape)
+    lengths = np.array(lengths)
+    B = len(lengths)
+    live = np.arange(T)[:, None] < lengths
+    X = np.where(live[..., None], rng.random((N, T, B, team.n_in)),
+                 rng.normal(scale=50.0, size=(N, T, B, team.n_in)))
+    actions = rng.integers(0, 4, size=(N, T, B))
+    rewards = rng.normal(size=(N, T, B)) * live
+    want = padded_td_loss_and_grads(team, X, actions, rewards, lengths, 0.9)
+    loss = team.td_loss_and_grads(X, actions, rewards, lengths, 0.9)
+    return (loss, dict(team.params.grads)), want
+
+
+@settings(max_examples=60, deadline=None)
+@given(packed_batches())
+@example((2, 5, [5, 3, 1, 1], 0))     # lengths T and 1
+@example((1, 4, [2], 1))              # a single row, shorter than T
+@example((3, 6, [6, 6, 2], 2))
+def test_packed_update_matches_padded_reference(batch):
+    (loss, grads), (want_loss, want_grads) = _packed_update_both_ways(*batch)
+    for name, got, ref in [("loss", loss, want_loss),
+                           *((k, grads[k], want_grads[k])
+                             for k in PARAM_NAMES)]:
+        assert got.shape == ref.shape, name
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(packed_batches(one_length=True))
+@example((1, 1, [1], 0))
+def test_packed_update_on_one_length_is_the_padded_update(batch):
+    (loss, grads), (want_loss, want_grads) = _packed_update_both_ways(*batch)
+    assert loss.tobytes() == want_loss.tobytes()
+    for k in PARAM_NAMES:
+        assert grads[k].tobytes() == want_grads[k].tobytes(), k
 
 
 def test_td_loss_terminal_exact_target():
@@ -346,8 +431,8 @@ def test_td_loss_terminal_exact_target():
     _zero_params(ln)
     ln.params["head.b"][...]= [5.0, 0.0, 0.0, 0.0]
     ln.sync_target()
-    X, a, r, v, term = _manual_batch(ln, [5.0], 1)
-    loss = ln.td_loss_and_grads(X, a, r, v, term, gamma=0.99)
+    X, a, r, lengths = _manual_batch(ln, [5.0], 1)
+    loss = ln.td_loss_and_grads(X, a, r, lengths, gamma=0.99)
     assert loss == 0.0
     ln.params.grad.fill(0.0)
 
@@ -355,8 +440,8 @@ def test_td_loss_terminal_exact_target():
 def test_td_loss_masked_terminal_zero_target():
     ln = _learner()
     _zero_params(ln)
-    X, a, r, v, term = _manual_batch(ln, [masked_reward(5.0, 0)], 1)
-    loss = ln.td_loss_and_grads(X, a, r, v, term, gamma=0.99)
+    X, a, r, lengths = _manual_batch(ln, [masked_reward(5.0, 0)], 1)
+    loss = ln.td_loss_and_grads(X, a, r, lengths, gamma=0.99)
     assert loss == 0.0
     ln.params.grad.fill(0.0)
 
@@ -369,32 +454,57 @@ def test_td_loss_bootstrap_value():
     for k, arr in ln.target.items():
         arr[...] = 0.0
     ln.target["head.b"][...] = [1.0, 0.0, 0.0, 0.0]
-    X, a, r, v, term = _manual_batch(ln, [0.0, 0.0], 2)
-    loss = ln.td_loss_and_grads(X, a, r, v, term, gamma=0.99)
+    X, a, r, lengths = _manual_batch(ln, [0.0, 0.0], 2)
+    loss = ln.td_loss_and_grads(X, a, r, lengths, gamma=0.99)
     assert abs(loss - 0.9801 / 2) < 1e-12
     ln.params.grad.fill(0.0)
 
 
+@pytest.mark.parametrize("lengths", [
+    [2, 2],                      # one length too many
+    [[2]],                       # not (B,)
+    [2.0],                       # not integers
+    [True],                      # booleans are no lengths
+    [0],                         # empty episode
+    [3],                         # longer than the batch
+], ids=["count", "shape", "float", "bool", "zero", "beyond-T"])
+def test_td_loss_refuses_lengths(lengths):
+    ln = _learner()
+    X, a, r, _ = _manual_batch(ln, [0.0, 1.0], 2)
+    with pytest.raises(UsageError, match="lengths"):
+        ln.td_loss_and_grads(X, a, r, lengths, gamma=0.99)
+    assert not ln.params.grad.any()
+
+
+def test_td_loss_refuses_increasing_lengths():
+    ln = _learner()
+    X, a, r, _ = _manual_batch(ln, [0.0, 1.0], 2)
+    X, a, r = (np.concatenate([arr, arr], axis=1) for arr in (X, a, r))
+    with pytest.raises(UsageError, match="non-increasing"):
+        ln.td_loss_and_grads(X, a, r, [1, 2], gamma=0.99)
+
+
 def test_td_loss_empty_batch_raises():
     ln = _learner()
-    X, a, r, v, term = _manual_batch(ln, [0.0], 1)
-    with pytest.raises(UsageError):
-        ln.td_loss_and_grads(X, a, r, np.zeros_like(v), term, gamma=0.99)
+    X, a, r, _ = _manual_batch(ln, [0.0], 1)
+    with pytest.raises(UsageError, match="lengths"):
+        ln.td_loss_and_grads(X[:, :0], a[:, :0], r[:, :0],
+                             np.zeros(0, dtype=np.int64), gamma=0.99)
 
 
 def test_td_loss_ignores_padding():
     ln = _learner(seed=5)
-    X, a, r, v, term = _manual_batch(ln, [1.0, 0.5], 2)
-    loss_short = ln.td_loss_and_grads(X, a, r, v, term, 0.99)
+    X, a, r, lengths = _manual_batch(ln, [1.0, 0.5], 2)
+    loss_short = ln.td_loss_and_grads(X, a, r, lengths, 0.99)
     g_short = {k: g.copy() for k, g in ln.params.grads.items()}
     ln.params.grad.fill(0.0)
-    # same episode padded by two junk steps that are masked out
+    # same episode padded by two junk steps past its length; the packed
+    # update never reads inputs or actions there, and rewards there are
+    # zero, as build_batch pads them
     X2 = np.concatenate([X, np.ones((2, 1, ln.n_in)) * 9.0])
     a2 = np.concatenate([a, np.ones((2, 1), dtype=np.int64)])
-    r2 = np.concatenate([r, np.full((2, 1), 7.0)])
-    v2 = np.concatenate([v, np.zeros((2, 1))])
-    t2 = np.concatenate([term, np.zeros((2, 1))])
-    loss_pad = ln.td_loss_and_grads(X2, a2, r2, v2, t2, 0.99)
+    r2 = np.concatenate([r, np.zeros((2, 1))])
+    loss_pad = ln.td_loss_and_grads(X2, a2, r2, lengths, 0.99)
     assert abs(loss_short - loss_pad) < 1e-12
     for k, g in ln.params.grads.items():
         np.testing.assert_allclose(g, g_short[k], rtol=1e-12, atol=1e-14)
@@ -403,14 +513,14 @@ def test_td_loss_ignores_padding():
 
 def test_target_constant_between_syncs():
     ln = _learner(seed=9)
-    X, a, r, v, term = _manual_batch(ln, [1.0, -0.5, 2.0], 3)
-    before = ln.target_q(X, np.zeros((1, ln.n_hidden))).copy()
+    X, a, r, lengths = _manual_batch(ln, [1.0, -0.5, 2.0], 3)
+    h0, rows = np.zeros((1, ln.n_hidden)), [1, 1, 1]
+    before = ln.target_q(X, h0, rows).copy()
     for _ in range(5):
-        ln.train_step(X, a, r, v, term, 0.99)
-    np.testing.assert_array_equal(
-        before, ln.target_q(X, np.zeros((1, ln.n_hidden))))
+        ln.train_step(X, a, r, lengths, 0.99)
+    np.testing.assert_array_equal(before, ln.target_q(X, h0, rows))
     ln.sync_target()
-    after = ln.target_q(X, np.zeros((1, ln.n_hidden)))
+    after = ln.target_q(X, h0, rows)
     assert np.abs(after - before).max() > 0
 
 
@@ -422,19 +532,17 @@ def test_train_step_reduces_loss_on_fixed_batch():
     X[:, :, :6] = rng.random((T, B, 6))
     a = rng.integers(0, 4, size=(T, B))
     r = rng.normal(size=(T, B))
-    v = np.ones((T, B))
-    term = np.zeros((T, B))
-    term[-1] = 1.0
-    first = ln.train_step(X, a, r, v, term, 0.99)
+    lengths = np.full(B, T)
+    first = ln.train_step(X, a, r, lengths, 0.99)
     for _ in range(300):
-        last = ln.train_step(X, a, r, v, term, 0.99)
+        last = ln.train_step(X, a, r, lengths, 0.99)
     assert last < first * 0.5
 
 
 def test_learner_state_roundtrip():
     ln = _learner(seed=13)
-    X, a, r, v, term = _manual_batch(ln, [1.0, 2.0], 2)
-    ln.train_step(X, a, r, v, term, 0.99)
+    X, a, r, lengths = _manual_batch(ln, [1.0, 2.0], 2)
+    ln.train_step(X, a, r, lengths, 0.99)
     state = {k: v.copy() for k, v in ln.state_arrays().items()}
     other = _learner(seed=99)
     other.load_state(state)
@@ -552,8 +660,10 @@ def reference_build_batch(episodes, n_actions, obs_dim, strict_mask):
 
     Takes (obs, actions, rewards, bits) per episode and masks each
     episode's rewards as it is batched, tiling per-episode (N,) bits
-    over the steps as the trainer did.
+    over the steps as the trainer did.  The batch is packed: episodes
+    longest first, ties in the order given (Python's sort is stable).
     """
+    episodes = sorted(episodes, key=lambda ep: -len(ep[1]))
     B = len(episodes)
     lengths = np.array([len(a) for _, a, _, _ in episodes])
     T = int(lengths.max())
@@ -561,7 +671,6 @@ def reference_build_batch(episodes, n_actions, obs_dim, strict_mask):
     X = np.zeros((n, T, B, obs_dim + n_actions))
     actions = np.zeros((n, T, B), dtype=np.int64)
     rewards = np.zeros((n, T, B))
-    valid = np.zeros((T, B))
     agent = np.arange(n)[:, None]
     for b, (obs, acts, rews, bits) in enumerate(episodes):
         L = len(acts)
@@ -572,10 +681,7 @@ def reference_build_batch(episodes, n_actions, obs_dim, strict_mask):
         X[agent, np.arange(1, L), b, obs_dim + a[:, :-1]] = 1.0
         actions[:, :L, b] = a
         rewards[:, :L, b] = masked_rewards(rews, bits, strict_mask).T
-        valid[:L, b] = 1.0
-    terminal = np.zeros((T, B))
-    terminal[lengths - 1, np.arange(B)] = 1.0
-    return X, actions, rewards, valid, terminal
+    return X, actions, rewards, lengths
 
 
 def _random_episodes(rng, n, D, A, B, max_len):
@@ -609,7 +715,7 @@ def test_build_batch_matches_reference(seed, strict):
 def test_build_batch_layout():
     spec, team, ep = _collect(seed=8)
     bits = oracle_episode_bits(ep)
-    X, acts, rews, valid, term = build_batch(
+    X, acts, rews, lengths = build_batch(
         [(ep.obs, ep.actions, masked_rewards(ep.rewards, bits, False))],
         team)
     assert X.shape[0] == acts.shape[0] == rews.shape[0] == spec.n_agents
@@ -626,7 +732,7 @@ def test_build_batch_layout():
     np.testing.assert_array_equal(acts[:, 0], ep.actions[:, 1])
     expect = masked_rewards(ep.rewards, bits, False)[:, 1]
     np.testing.assert_array_equal(rews[:, 0], expect)
-    assert valid.all() and term[-1, 0] == 1.0 and term[:-1].sum() == 0
+    assert lengths.tolist() == [L]
 
 
 def test_build_batch_padding():
@@ -634,14 +740,16 @@ def test_build_batch_padding():
     L2 = ep1.length // 2
     item1 = (ep1.obs, ep1.actions, np.ones((ep1.length, spec.n_agents)))
     item2 = tuple(arr[:L2] for arr in item1)
-    X, acts, rews, valid, term = build_batch([item1, item2], team)
-    X = X[0]
-    assert X.shape[0] == ep1.length
-    for b, L in enumerate((ep1.length, L2)):
-        assert valid[:L, b].all()
-        assert not valid[L:, b].any()
-        assert term[L - 1, b] == 1.0
-        assert X[L:, b].sum() == 0.0
+    item3 = (item2[0] + 1.0, item2[1], item2[2] * 2.0)
+    # the short episodes come first and tie: they keep their order
+    X, acts, rews, lengths = build_batch([item2, item1, item3], team)
+    assert lengths.tolist() == [ep1.length, L2, L2]
+    assert X.shape[1] == ep1.length
+    for b, item in enumerate((item1, item2, item3)):
+        L = lengths[b]
+        np.testing.assert_array_equal(acts[:, :L, b], item[1].T)
+        np.testing.assert_array_equal(rews[:, :L, b], item[2].T)
+        assert X[:, L:, b].sum() == 0.0
         assert not rews[:, L:, b].any() and not acts[:, L:, b].any()
 
 

@@ -160,8 +160,12 @@ def test_gru_reference_formula():
 
 # --------------------------------------------------------- fused unroll
 
-def _unroll_setup(T_len=4, B=2, I=5, H=4, A=3, seed=99, lead=()):
-    # lead=(N,) stacks N independent nets along a leading agent axis
+def _unroll_setup(T_len=4, B=2, I=5, H=4, A=3, seed=99, lead=(),
+                  lengths=None):
+    # lead=(N,) stacks N independent nets along a leading agent axis;
+    # lengths, non-increasing, packs the batch: rows[t] counts the rows
+    # longer than t (every row at every step by default).  S holds a
+    # gradient past the rows too, which the backward must not read.
     rng = np.random.default_rng(seed)
     X = rng.normal(size=lead + (T_len, B, I))
     h0 = np.zeros(lead + (B, H))
@@ -174,7 +178,13 @@ def _unroll_setup(T_len=4, B=2, I=5, H=4, A=3, seed=99, lead=()):
         "bq": rng.uniform(-0.4, 0.4, lead + (A,)),
     }
     S = rng.normal(size=lead + (T_len, B, A))
-    return X, h0, p, S
+    lengths = np.full(B, T_len) if lengths is None else np.asarray(lengths)
+    rows = (lengths > np.arange(T_len)[:, None]).sum(axis=1)
+    return X, h0, rows, p, S
+
+
+# a packed prefix batch of unequal lengths, for T 4 and B 3
+RAGGED = [4, 2, 1]
 
 
 def _unroll_args(p):
@@ -184,49 +194,58 @@ def _unroll_args(p):
             for k, v in p.items()]
 
 
-def _unroll_loss(X, h0, p, S):
-    Q = K.qnet_unroll_fwd(X, h0, *_unroll_args(p))[0]
+def _unroll_loss(X, h0, rows, p, S):
+    Q = K.qnet_unroll_fwd(X, h0, rows, *_unroll_args(p))[0]
     return float((Q * S).sum())
 
 
-def _check_unroll_against_tape(lead):
-    X, h0, p, S = _unroll_setup(lead=lead)
-    Q, Hs, R, Z, Nc, GHN = K.qnet_unroll_fwd(X, h0, *_unroll_args(p))
-    grads = K.qnet_unroll_bwd(X, h0, Hs, R, Z, Nc, GHN,
+def _check_unroll_against_tape(lead, lengths):
+    X, h0, rows, p, S = _unroll_setup(B=3, lead=lead, lengths=lengths)
+    Q, Hs, R, Z, Nc, GHN = K.qnet_unroll_fwd(X, h0, rows, *_unroll_args(p))
+    grads = K.qnet_unroll_bwd(X, h0, rows, Hs, R, Z, Nc, GHN,
                               p["Wx"], p["Wh"], p["Wq"], S)
 
-    # same computation composed from tape ops, one net at a time
+    # same computation composed from tape ops, one net and one episode
+    # at a time, each over its own length
     names = ["Wx", "Wh", "bx", "bh", "Wq", "bq"]
     for i in np.ndindex(lead):
         tp = {k: T.Parameter(v[i]) for k, v in p.items()}
-        h = T.constant(h0[i])
         loss = None
-        for t in range(X.shape[-3]):
-            h = T.gru_step(T.constant(X[i][t]), h, tp["Wx"], tp["Wh"],
-                           tp["bx"], tp["bh"])
-            q = T.dense(h, tp["Wq"], tp["bq"], K.ACT_IDENTITY)
-            term = (q * T.constant(S[i][t])).sum()
-            loss = term if loss is None else loss + term
+        for b in range(X.shape[-2]):
+            h = T.constant(h0[i][b:b + 1])
+            for t in range(int((rows > b).sum())):
+                h = T.gru_step(T.constant(X[i][t, b:b + 1]), h, tp["Wx"],
+                               tp["Wh"], tp["bx"], tp["bh"])
+                q = T.dense(h, tp["Wq"], tp["bq"], K.ACT_IDENTITY)
+                np.testing.assert_allclose(Q[i][t, b:b + 1], q.data,
+                                           rtol=1e-12)
+                term = (q * T.constant(S[i][t, b:b + 1])).sum()
+                loss = term if loss is None else loss + term
         T.backward(loss)
         for name, g in zip(names, grads):
             np.testing.assert_allclose(g[i], tp[name].grad, rtol=1e-9,
                                        atol=1e-11, err_msg=name)
+        live = np.arange(X.shape[-2]) < rows[:, None]
+        assert not Q[i][~live].any()
 
 
 def test_qnet_unroll_matches_tape():
-    _check_unroll_against_tape(())
+    for lengths in (None, RAGGED):
+        _check_unroll_against_tape((), lengths)
 
 
 def test_stacked_qnet_unroll_matches_tape():
-    _check_unroll_against_tape((2,))
+    for lengths in (None, RAGGED):
+        _check_unroll_against_tape((2,), lengths)
 
 
-def _check_unroll_finite_difference(lead):
-    X, h0, p, S = _unroll_setup(seed=41, lead=lead)
-    out = K.qnet_unroll_fwd(X, h0, *_unroll_args(p))
+def _check_unroll_finite_difference(lead, lengths):
+    X, h0, rows, p, S = _unroll_setup(B=3, seed=41, lead=lead,
+                                      lengths=lengths)
+    out = K.qnet_unroll_fwd(X, h0, rows, *_unroll_args(p))
     grads = dict(zip(["Wx", "Wh", "bx", "bh", "Wq", "bq"],
-                     K.qnet_unroll_bwd(X, h0, *out[1:], p["Wx"], p["Wh"],
-                                       p["Wq"], S)))
+                     K.qnet_unroll_bwd(X, h0, rows, *out[1:], p["Wx"],
+                                       p["Wh"], p["Wq"], S)))
     h = 1e-5
     for name, arr in p.items():
         num = np.zeros_like(arr)
@@ -234,20 +253,22 @@ def _check_unroll_finite_difference(lead):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            fp = _unroll_loss(X, h0, p, S)
+            fp = _unroll_loss(X, h0, rows, p, S)
             flat[i] = orig - h
-            fm = _unroll_loss(X, h0, p, S)
+            fm = _unroll_loss(X, h0, rows, p, S)
             flat[i] = orig
             nf[i] = (fp - fm) / (2 * h)
         assert relative_error(grads[name], num) < 1e-4, name
 
 
 def test_qnet_unroll_finite_difference():
-    _check_unroll_finite_difference(())
+    for lengths in (None, RAGGED):
+        _check_unroll_finite_difference((), lengths)
 
 
 def test_stacked_qnet_unroll_finite_difference():
-    _check_unroll_finite_difference((2,))
+    for lengths in (None, RAGGED):
+        _check_unroll_finite_difference((2,), lengths)
 
 
 @pytest.mark.parametrize("T_len", [1, 6, 100])
@@ -255,23 +276,34 @@ def test_stacked_qnet_unroll_finite_difference():
 @pytest.mark.parametrize("N", [1, 3, 4])
 def test_stacked_unroll_matches_per_agent_calls(N, B, T_len):
     # a team's (N, T, B, .) unroll rounds each agent as its own 2-D call,
-    # forward intermediates and gradients alike
-    X, h0, p, S = _unroll_setup(T_len, B, I=58, H=64, A=5, lead=(N,),
-                                seed=N * 1000 + B * 10 + T_len)
-    out = K.qnet_unroll_fwd(X, h0, *_unroll_args(p))
-    grads = K.qnet_unroll_bwd(X, h0, *out[1:], p["Wx"], p["Wh"], p["Wq"], S)
-    for i in range(N):
-        pi = {k: v[i] for k, v in p.items()}
-        out_i = K.qnet_unroll_fwd(X[i], h0[i], *_unroll_args(pi))
-        grads_i = K.qnet_unroll_bwd(X[i], h0[i], *out_i[1:], pi["Wx"],
-                                    pi["Wh"], pi["Wq"], S[i])
-        for k, (a, b) in enumerate(zip(out + grads, out_i + grads_i)):
-            assert a[i].shape == b.shape and a[i].tobytes() == b.tobytes(), k
+    # forward intermediates and gradients alike, on a full batch and on a
+    # packed one whose lengths fall from T_len to 1 (one row: T_len)
+    for lengths in (None, np.linspace(T_len, 1, B).round().astype(int)):
+        X, h0, rows, p, S = _unroll_setup(T_len, B, I=58, H=64, A=5,
+                                          lead=(N,),
+                                          seed=N * 1000 + B * 10 + T_len,
+                                          lengths=lengths)
+        live = np.arange(B) < rows[:, None]
+        out = K.qnet_unroll_fwd(X, h0, rows, *_unroll_args(p))
+        grads = K.qnet_unroll_bwd(X, h0, rows, *out[1:], p["Wx"], p["Wh"],
+                                  p["Wq"], S)
+        for i in range(N):
+            pi = {k: v[i] for k, v in p.items()}
+            out_i = K.qnet_unroll_fwd(X[i], h0[i], rows, *_unroll_args(pi))
+            grads_i = K.qnet_unroll_bwd(X[i], h0[i], rows, *out_i[1:],
+                                        pi["Wx"], pi["Wh"], pi["Wq"], S[i])
+            # the stores' rows past each step's prefix are never written
+            for k, (a, b) in enumerate(zip(out, out_i)):
+                assert a[i][live].tobytes() == b[live].tobytes(), k
+            assert not out[0][i][~live].any()
+            for k, (a, b) in enumerate(zip(grads, grads_i)):
+                assert (a[i].shape == b.shape
+                        and a[i].tobytes() == b.tobytes()), k
 
 
 def test_qnet_step_agrees_with_unroll():
-    X, h0, p, _ = _unroll_setup(T_len=3)
-    Q = K.qnet_unroll_fwd(X, h0, p["Wx"], p["Wh"], p["bx"], p["bh"],
+    X, h0, rows, p, _ = _unroll_setup(T_len=3)
+    Q = K.qnet_unroll_fwd(X, h0, rows, p["Wx"], p["Wh"], p["bx"], p["bh"],
                           p["Wq"], p["bq"])[0]
     h = h0
     for t in range(3):
@@ -478,8 +510,9 @@ def test_kernels_do_not_write_inputs(lead, B, n_in):
         assert not any(np.shares_memory(o, a) for a in (x, h, Wx, Wh, bx, bh))
     call(K.gru_bwd, x, h, Wx, Wh, *fwd[1:], rng.normal(size=h.shape))
     call(K.qnet_step, x, h, Wx, Wh, bx, bh, Wq, bq)
-    out = call(K.qnet_unroll_fwd, X, h0, Wx, Wh, bx, bh, Wq, bq)
-    call(K.qnet_unroll_bwd, X, h0, *out[1:], Wx, Wh, Wq, dQ)
+    rows = np.maximum(B - np.arange(T_len), 1)   # a packed batch
+    out = call(K.qnet_unroll_fwd, X, h0, rows, Wx, Wh, bx, bh, Wq, bq)
+    call(K.qnet_unroll_bwd, X, h0, rows, *out[1:], Wx, Wh, Wq, dQ)
 
 
 # ------------------------------------------------------------ distributions
@@ -863,15 +896,14 @@ def test_reloaded_models_train_on_byte_for_byte():
     X = rng.random((T_, B, ln.n_in))
     a = rng.integers(0, 4, size=(T_, B))
     r = rng.normal(size=(T_, B))
-    valid, term = np.ones((T_, B)), np.zeros((T_, B))
-    term[-1] = 1.0
-    ln.train_step(X, a, r, valid, term, 0.99)
+    lengths = np.full(B, T_)
+    ln.train_step(X, a, r, lengths, 0.99)
     ln.sync_target()
-    ln.train_step(X, a, r, valid, term, 0.99)
+    ln.train_step(X, a, r, lengths, 0.99)
     other = AgentLearner(6, 4, 8, seed=[4])[0]
     other.load_state({k: v.copy() for k, v in ln.state_arrays().items()})
     for learner in (ln, other):
-        learner.train_step(X, a, r, valid, term, 0.99)
+        learner.train_step(X, a, r, lengths, 0.99)
         learner.sync_target()
     assert _snapshot(other.state_arrays()) == _snapshot(ln.state_arrays())
 
