@@ -14,6 +14,16 @@ smooths all observation nodes of a sample or a stack with one product
 per position, t of x is ``w @ x[..., lo:hi, :]``.  That rounds like a
 loop over the samples and nodes, because ``@`` computes each item of a
 stack as its own (1, W) @ (W, D) product.
+
+The encoder reads each batch only up to its last nonzero step
+(``AcdModel.encode``), so the padding must be zero in the data and what
+preprocessing makes of it decides how much is read.  On the ``sk`` ids
+every reward is at least 0, so the reward node's padding normalizes to
+0, and smoothing leaves every observation exactly 0 from half a window
+past the episode's end.  On ``pp`` and ``lj`` the step penalties make
+the smallest reward negative, so min-max normalization maps the reward
+node's padding to a positive constant: those series are live to T, and
+the encoder reads them whole.
 """
 
 import functools
@@ -251,9 +261,9 @@ def save_dataset(path, samples):
 def load_dataset(path):
     """Read samples back bit-exactly from save_dataset output; every
     header field and array it reads is checked first, each x_k against
-    finite (N+1, T, D) whose observation nodes lie in [0, 1] and whose
-    reward node is 0 past channel 0, and each bits_k against (N,) 0/1
-    of the header's env."""
+    finite (N+1, T, D) whose observation nodes lie in [0, 1], whose
+    reward node is 0 past channel 0 and which is 0 past the header's
+    lengths[k], and each bits_k against (N,) 0/1 of the header's env."""
     from camarl.nn.checkpoint import (
         check_fields, count, finite, ints, is_str, load_checkpoint)
 
@@ -265,12 +275,23 @@ def load_dataset(path):
     check_fields(meta, {"seeds": ints(n), "lengths": ints(n)}, path)
     spec = env_spec(meta["env_id"])
     N, T, D = spec.n_agents, spec.episode_len, spec.obs_dim
-    checks = {"x": lambda a: (a.shape == (N + 1, T, D) and finite(a)
-                              and 0.0 <= a[:N].min() and a[:N].max() <= 1.0
-                              and not a[N, :, 1:].any()),
-              "bits": lambda a: a.shape == (N,) and np.isin(a, (0, 1)).all()}
-    check_fields(arrays, {f"{a}_{k}": checks[a] for k in range(n)
-                          for a in checks}, path)
+
+    def x_ok(a, length):
+        # the encoder reads padding, so it must be zero; a length outside
+        # 1..T is left for check_dataset to refuse
+        return (a.shape == (N + 1, T, D) and finite(a)
+                and 0.0 <= a[:N].min() and a[:N].max() <= 1.0
+                and not a[N, :, 1:].any()
+                and not (length > 0 and a[:, length:].any()))
+
+    def bits_ok(a):
+        return a.shape == (N,) and np.isin(a, (0, 1)).all()
+
+    checks = {}
+    for k, length in enumerate(meta["lengths"]):
+        checks[f"x_{k}"] = functools.partial(x_ok, length=length)
+        checks[f"bits_{k}"] = bits_ok
+    check_fields(arrays, checks, path)
     samples = [SeriesSample(
         x=arrays[f"x_{k}"], env_id=meta["env_id"],
         bits=arrays[f"bits_{k}"].astype(np.uint8),

@@ -15,6 +15,17 @@ t + 1 < length: the hidden state shrinks as a prefix of its rows, and
 the loop ends at the longest sample's last step.  The padding past a
 sample's length is never read.
 
+The encoder's first layer ``enc.emb1`` reads only the live prefix of
+each batch: its first P time steps, where P - 1 is the last step at which
+any node or channel of the batch is nonzero.  Every input past P is
+exactly 0.0, so the layer's value is unchanged in exact arithmetic, but
+its product runs over P * D inputs rather than T * D, and a shorter inner
+dimension rounds differently.  Its weight gradient is added only into
+the first P * D rows; the rows past them keep a gradient of exactly 0.0,
+so RMSprop leaves their weights as they are.  A batch live to its last
+step runs the full product.  Each batch of a stack reads its own prefix,
+so a stacked encode still rounds as the batch-1 calls.
+
 Forward and backward are explicit array passes, like the Q-network's
 ``qnet_unroll_fwd``/``_bwd``.  ``encode`` and ``decode`` return their
 output plus a cache of only the activations that ``encode_bwd`` and
@@ -102,9 +113,10 @@ def _dense_bwd(layer, x, y, gy):
 
 
 def _dense_params_bwd(layer, x, y, gy):
-    """_dense_bwd without the input gradient: adds into gW and gb only."""
+    """_dense_bwd without the input gradient: adds into gb and the rows of
+    gW that x has columns for (all of them, unless x is a prefix)."""
     gpre = K.pre_act_grad(gy, y, layer.act)
-    layer.gW += np.dot(x.T, gpre)
+    layer.gW[:x.shape[1]] += np.dot(x.T, gpre)
     layer.gb += np.sum(gpre, axis=0)
 
 
@@ -197,16 +209,32 @@ class AcdModel:
     def _pool_bwd(self, g):
         return np.take(g, self.dst, axis=1) * (1.0 / (self.n_nodes - 1))
 
+    def _embed(self, flat):
+        """enc.emb1 over the live prefix of a (B * n, T * D) batch, its
+        first P * D columns; returns the output and the prefix."""
+        live = np.flatnonzero(flat.any(axis=0))
+        k = (live[-1] // self.feat_dim + 1) * self.feat_dim if len(live) else 0
+        prefix = np.ascontiguousarray(flat[:, :k])
+        return K.affine_act_fwd(prefix, self.emb1.W[:k], self.emb1.b,
+                                self.emb1.act), prefix
+
     def encode(self, x: np.ndarray):
         """Edge logits (..., batch, n_pairs, 2) for smoothed, normalized
         (..., batch, n, T, D) series; each batch of a stack rounds as its
         own call.  Returns the logits and the activations encode_bwd reads.
+
+        enc.emb1 reads only each batch's live prefix, the steps up to the
+        last one with a nonzero input (see the module docstring): exact in
+        value, but its rounding depends on the prefix length.  The cache
+        holds that prefix, or for a stack the list of its batches'.
         """
         self._check_input(x)
         lead, B = x.shape[:-4], x.shape[-4]
         n, P, e = self.n_nodes, self.n_pairs, self.enc_hidden
-        flat = np.ascontiguousarray(x.reshape(lead + (B * n, -1)))
-        a1 = _dense(self.emb1, flat)
+        width = self.series_len * self.feat_dim
+        embedded = [self._embed(f) for f in x.reshape((-1, B * n, width))]
+        a1 = np.stack([a for a, _ in embedded]).reshape(lead + (B * n, e))
+        flat = [f for _, f in embedded] if lead else embedded[0][1]
         h = _dense(self.emb2, a1)
         pair = self._pairs(h)
         m1 = _dense(self.fe1a, pair)
@@ -224,7 +252,9 @@ class AcdModel:
         return logits.reshape(lead + (B, P, EDGE_TYPES)), cache
 
     def encode_bwd(self, cache, g_logits):
-        """Add the encoder's gradients given d(loss)/d(logits)."""
+        """Add the encoder's gradients given d(loss)/d(logits), for the
+        cache of an encode without stack axes; enc.emb1's weight gradient
+        goes only into the rows of its live prefix."""
         flat, a1, pair, m1, pooled, v1, pair2, o1, o2 = cache
         B, n, P, e = (flat.shape[0] // self.n_nodes, self.n_nodes,
                       self.n_pairs, self.enc_hidden)

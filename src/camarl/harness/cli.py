@@ -249,13 +249,14 @@ def _write_accuracy(path, acc):
 
 
 def _print_accuracy(label, acc):
-    balanced = acc["balanced"]
+    balanced, auc = acc["balanced"], acc["margin_auc"]
     print(f"{label}: {acc['correct']:.1f}% correct, "
           f"{acc['false_positive']:.1f}% FP, {acc['false_negative']:.1f}% FN "
           f"over {acc['n_pairs']} pairs")
     print(f"baselines: {acc['label_share']:.1f}% 1-labels, majority "
           f"{acc['majority']:.1f}%, balanced "
-          + ("n/a" if math.isnan(balanced) else f"{balanced:.1f}%"))
+          + ("n/a" if math.isnan(balanced) else f"{balanced:.1f}%")
+          + ", margin AUC " + ("n/a" if math.isnan(auc) else f"{auc:.3f}"))
 
 
 def _exec_report(manifest: ExperimentManifest, out_dir: Path, quiet: bool):

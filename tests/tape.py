@@ -399,10 +399,17 @@ class TapeAcd:
         return dense(x, self.leaves[name + ".W"], self.leaves[name + ".b"], act)
 
     def encode(self, x):
+        """Logits of a (B, n, T, D) batch; enc.emb1 reads the first P
+        steps and the first P * D rows of its weight, P - 1 the last step
+        with a nonzero input, as the fused encoder does."""
         m = self.model
         B, n, e = x.shape[0], m.n_nodes, m.enc_hidden
-        flat = constant(x.reshape(B * n, -1))
-        h = self._dense("enc.emb2", self._dense("enc.emb1", flat))
+        live = np.flatnonzero(x.any(axis=(0, 1, 3)))
+        k = (live[-1] + 1 if len(live) else 0) * x.shape[3]
+        flat = constant(x.reshape(B * n, -1)[:, :k])
+        W1 = take(self.leaves["enc.emb1.W"], np.arange(k), axis=0)
+        h = dense(flat, W1, self.leaves["enc.emb1.b"], m.emb1.act)
+        h = self._dense("enc.emb2", h)
         h = h.reshape((B, n, e))
         pair = concat([take(h, m.src, axis=1), take(h, m.dst, axis=1)],
                       axis=2).reshape((B * m.n_pairs, 2 * e))

@@ -14,6 +14,7 @@ from camarl.acd import (
 )
 from camarl.acd.dataset import (
     POLY_ORDER, _fit_weights, preprocess, sg_weight_table)
+from camarl.acd.inference import margin_auc
 from camarl.acd.training import load_acd, save_acd
 from camarl.envs import OBS_DIM, env_spec, make_env
 from camarl.envs.core import episode_ground_truth_arrays
@@ -23,6 +24,7 @@ from camarl.marl import (
     AgentLearner, EpisodeRecord, collect_episode, team_policy)
 from camarl.acd.model import TEMPERATURE, sample_gumbel
 from camarl.acd.training import backward
+from camarl.nn import kernels as K
 from camarl.nn.layers import rmsprop_update
 
 from helpers import relative_error
@@ -704,6 +706,99 @@ def test_stacked_encode_matches_batch_one_calls(preprocessed_24, env_id,
                 assert a[k].tobytes() == b.tobytes()
 
 
+def _full_width(m):
+    """m with enc.emb1 multiplying every input, padding included: the
+    encoder before it read only the live prefix."""
+    def embed(flat):
+        flat = np.ascontiguousarray(flat)
+        return K.affine_act_fwd(flat, m.emb1.W, m.emb1.b, m.emb1.act), flat
+    m._embed = embed
+    return m
+
+
+def _prefix_width(x):
+    """P * D for a (..., n, T, D) batch, P - 1 its last nonzero step."""
+    live = np.flatnonzero(x.any(axis=tuple(range(x.ndim - 2)) + (-1,)))
+    return (live[-1] + 1 if len(live) else 0) * x.shape[-1]
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["stack", "batch"])
+def test_live_prefix_encode_matches_full_width(preprocessed_24, stacked):
+    # sk3 samples end at different steps, so the stack's items and the
+    # batch read prefixes of different lengths: equal in value, rounded
+    # over a shorter inner dimension
+    data = preprocessed_24["sk3"]
+    _, n, T_len, D = data.shape
+    widths = [_prefix_width(x) for x in data]
+    assert len(set(widths)) > 1 and max(widths) < T_len * D
+    m = AcdModel(n, T_len, D, seed=0, enc_hidden=64, dec_hidden=16)
+    full = _full_width(AcdModel(n, T_len, D, seed=0, enc_hidden=64,
+                                dec_hidden=16))
+    x = data[:, None] if stacked else data
+    got, cache = m.encode(x)
+    want = full.encode(x)[0]
+    for a, b in zip(got.reshape(-1, 2), want.reshape(-1, 2)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    np.testing.assert_array_equal(m.hard_edges(got), full.hard_edges(want))
+    prefixes = cache[0] if stacked else [cache[0]]
+    assert [p.shape[1] for p in prefixes] == (
+        widths if stacked else [max(widths)])
+
+
+def test_live_prefix_reads_pp_whole(preprocessed_24):
+    # the reward node's padding normalizes to a positive constant on pp,
+    # so every series is live to T and the product is today's full one
+    data = preprocessed_24["pp"]
+    _, n, T_len, D = data.shape
+    assert all(_prefix_width(x) == T_len * D for x in data)
+    m = AcdModel(n, T_len, D, seed=0, enc_hidden=32, dec_hidden=16)
+    full = _full_width(AcdModel(n, T_len, D, seed=0, enc_hidden=32,
+                                dec_hidden=16))
+    for x in (data[:8], data[:8, None]):
+        assert m.encode(x)[0].tobytes() == full.encode(x)[0].tobytes()
+
+
+def test_live_prefix_of_silent_and_full_length_inputs():
+    m = _toy_model()
+    full = _full_width(_toy_model())
+    silent = np.zeros((2, 4, 12, 3))
+    last = np.zeros((1, 4, 12, 3))
+    last[0, 1, -1, 2] = 0.5
+    for x in (silent, last, silent[:, None]):
+        logits, cache = m.encode(x)
+        assert np.isfinite(logits).all()
+        np.testing.assert_array_equal(logits, full.encode(x)[0])
+    assert m.encode(silent)[1][0].shape == (8, 0)
+    assert m.encode(last)[1][0].shape == (4, 36)
+    # an all-zero batch trains: its emb1 weight takes no gradient at all
+    _, enc = m.encode(silent)
+    m.encode_bwd(enc, np.ones((2, m.n_pairs, 2)))
+    assert not m.params.grads["enc.emb1.W"].any()
+    assert m.params.grads["enc.emb1.b"].any()
+
+
+def test_live_prefix_leaves_emb1_rows_past_it_alone(preprocessed_24):
+    data = preprocessed_24["sk3"]
+    _, n, T_len, D = data.shape
+    m = AcdModel(n, T_len, D, seed=0, enc_hidden=16, dec_hidden=16)
+    lengths = np.array([s.length for s in collect_dataset("sk3", 24,
+                                                           seed=0)])
+    order = np.argsort(-lengths, kind="stable")
+    x, lb = data[order], lengths[order]
+    k = _prefix_width(x)
+    assert 0 < k < T_len * D
+    terms, *caches = _fused_loss(m, x, 0, sigma_for("sk3"), lb)
+    backward(m, terms, *caches)
+    g = m.params.grads["enc.emb1.W"]
+    assert g[k:].tobytes() == np.zeros_like(g[k:]).tobytes()
+    assert np.abs(g[:k]).max() > 0
+    W = m.params["enc.emb1.W"]
+    before = W.copy()
+    rmsprop_update(m.params, lr=5e-4)
+    assert W[k:].tobytes() == before[k:].tobytes()
+    assert (W[:k] != before[:k]).any()
+
+
 # ----------------------------------------------------------------- training
 
 def _tiny_dataset(n_samples=12, n=3, T=24, D=4, seed=0):
@@ -833,6 +928,9 @@ def test_evaluate_accuracy_baselines():
     assert res["label_share"] == share
     assert res["majority"] == max(share, 100.0 - share)
     assert res["balanced"] == pytest.approx(50.0 * (tpr + tnr))
+    bits, margins = predict_c(m, preprocess(samples), margins=True)
+    assert bits.tobytes() == pred.tobytes()
+    assert res["margin_auc"] == margin_auc(margins, truth)
     # the all-ones predictor on mixed labels is balanced at exactly 50
     m.params["enc.head.W"][...] = 0.0
     m.params["enc.head.b"][...] = [-9.0, 9.0]
@@ -842,6 +940,20 @@ def test_evaluate_accuracy_baselines():
     res = evaluate_accuracy(m, ones)
     assert res["label_share"] == res["majority"] == res["correct"] == 100.0
     assert np.isnan(res["balanced"])
+    assert np.isnan(res["margin_auc"])
+
+
+def test_margin_auc_hand_values():
+    # 1-labels score 0.3 and 2.0, 0-labels -1.0 and 0.3: of the four
+    # pairs three are ordered and one ties, (3 + 0.5) / 4
+    assert margin_auc(np.array([0.3, -1.0, 2.0, 0.3]),
+                      np.array([1, 0, 1, 0])) == 0.875
+    assert margin_auc(np.array([[2.0, 1.0], [0.5, -3.0]]),
+                      np.array([[1, 1], [0, 0]])) == 1.0
+    assert margin_auc(np.array([2.0, 1.0, 0.5]), np.array([0, 0, 1])) == 0.0
+    assert margin_auc(np.full(4, 0.7), np.array([1, 0, 0, 1])) == 0.5
+    assert np.isnan(margin_auc(np.array([0.1, 0.2]), np.array([1, 1])))
+    assert np.isnan(margin_auc(np.array([0.1, 0.2]), np.array([0, 0])))
 
 
 def test_predict_c_stack_matches_per_sample(preprocessed_24):

@@ -572,13 +572,16 @@ def test_cli_acd_eval_malformed_dataset_exits_typed(cli_runs, cli_acd,
     (lambda a: a.update(bits_0=np.full_like(a["bits_0"], 2.0)), "bits_0"),
     (lambda a: a["x_0"][0, 3, 2:3].fill(-0.25), "x_0"),
     (lambda a: a["x_0"][-1, 0, 1:2].fill(0.5), "x_0"),
+    (lambda a: a["x_0"][0, -1, 0:1].fill(0.5), "x_0"),
 ], ids=["x-1d", "bits-length-7", "x-length-30", "bits-2", "obs-below-0",
-        "reward-channel-1"])
+        "reward-channel-1", "nonzero-past-length"])
 def test_cli_acd_malformed_dataset_array_exits_typed(cli_runs, cli_acd,
                                                      tmp_path, capsys,
                                                      command, edit, word):
     # an x_k or bits_k unlike the header's env id's (N+1, T, D) and (N,)
-    # 0/1, whether or not the command goes on to read it
+    # 0/1, or an x_k nonzero past its header length (the last step lies
+    # past every fixture episode's), whether or not the command goes on
+    # to read it
     from camarl.nn.checkpoint import load_checkpoint, save_checkpoint
 
     arrays, meta = load_checkpoint(cli_runs / "ds" / "dataset.ckpt")
@@ -877,15 +880,17 @@ def test_cli_accuracy_lines_print_nan_as_na(capsys):
 
     acc = {"correct": 100.0, "false_positive": 0.0, "false_negative": 0.0,
            "n_pairs": 8, "label_share": 100.0, "majority": 100.0,
-           "balanced": float("nan")}
+           "balanced": float("nan"), "margin_auc": float("nan")}
     _print_accuracy("accuracy", acc)
     assert capsys.readouterr().out == (
         "accuracy: 100.0% correct, 0.0% FP, 0.0% FN over 8 pairs\n"
-        "baselines: 100.0% 1-labels, majority 100.0%, balanced n/a\n")
+        "baselines: 100.0% 1-labels, majority 100.0%, balanced n/a, "
+        "margin AUC n/a\n")
     _print_accuracy("accuracy", dict(acc, label_share=25.0, majority=75.0,
-                                     balanced=62.5))
+                                     balanced=62.5, margin_auc=0.875))
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "baselines: 25.0% 1-labels, majority 75.0%, balanced 62.5%")
+        "baselines: 25.0% 1-labels, majority 75.0%, balanced 62.5%, "
+        "margin AUC 0.875")
 
 
 def test_cli_acd_eval_torn_model_is_configuration_error(cli_runs, cli_acd,
@@ -946,7 +951,7 @@ CLI_ARTIFACTS = {
     "acd_eval":
         "96b7db51b51749b26add7b413772e765ebf17366cf6cf6abdfe8cdf5536dc6d6",
     "acd_train":
-        "e88a1b8445352615a7c5eaa4868bab38c5ab306a3a320df03695cf575b91800f",
+        "1096c558f378cd58ec8e494c376c319054ff79d064f030e1b7d75d2123f5c570",
     "collect":
         "15c0144a8d57f7ca440e1487370cd8538cc47387e4973546a466cf0b3ec879ce",
     "report":
