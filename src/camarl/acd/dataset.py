@@ -15,15 +15,16 @@ per position, t of x is ``w @ x[..., lo:hi, :]``.  That rounds like a
 loop over the samples and nodes, because ``@`` computes each item of a
 stack as its own (1, W) @ (W, D) product.
 
-The encoder reads each batch only up to its last nonzero step
-(``AcdModel.encode``), so the padding must be zero in the data and what
-preprocessing makes of it decides how much is read.  On the ``sk`` ids
-every reward is at least 0, so the reward node's padding normalizes to
-0, and smoothing leaves every observation exactly 0 from half a window
-past the episode's end.  On ``pp`` and ``lj`` the step penalties make
-the smallest reward negative, so min-max normalization maps the reward
-node's padding to a positive constant: those series are live to T, and
-the encoder reads them whole.
+After smoothing and normalization every node of a sample is set to
+exactly 0.0 from its length on, so the series of every env id end where
+its episode ends, and the encoder reads each batch only up to its
+longest length (``AcdModel.encode`` stops at the last nonzero step).
+Inside the episode the values are those of the whole-series
+preprocessing: the smoother's window at t < length still reads the raw
+padding, which must therefore be zero (``check_dataset``), and the
+reward node is min-max normalized over all T, its raw zero padding
+included.  As every position from a block's longest length on is
+zeroed, the smoother computes only the positions below it.
 """
 
 import functools
@@ -54,8 +55,10 @@ class SeriesSample:
 
 def check_dataset(samples) -> str:
     """The one env id of samples; raise ConfigurationError when they mix
-    environments or a sample's length is not an integer in 1..T, T its
-    padded series length."""
+    environments, a sample's length is not an integer in 1..T, T its
+    padded series length, or a sample's series is nonzero from its
+    length on (the smoother reads that padding).  Samples are named
+    x_k by their index k, as in a dataset file."""
     env_ids = sorted({s.env_id for s in samples})
     if len(env_ids) > 1:
         raise ConfigurationError(
@@ -66,6 +69,11 @@ def check_dataset(samples) -> str:
     if bad:
         raise ConfigurationError(
             f"sample lengths must be integers in 1..T, got {', '.join(bad)}")
+    padded = [f"x_{k}" for k, s in enumerate(samples)
+              if s.x[..., s.length:, :].any()]
+    if padded:
+        raise ConfigurationError(
+            f"samples nonzero past their lengths: {', '.join(padded)}")
     return env_ids[0]
 
 
@@ -134,10 +142,14 @@ def sg_weight_table(T: int):
     return tuple(table)
 
 
-def savgol_smooth(x: np.ndarray) -> np.ndarray:
-    """Smooth float64 (..., T, C) data along axis -2 into a new array."""
-    out = np.empty_like(x)
-    for t, (lo, hi, w) in enumerate(sg_weight_table(x.shape[-2])):
+def savgol_smooth(x: np.ndarray, out=None) -> np.ndarray:
+    """Smooth float64 (..., T, C) data along axis -2 into a new array, or
+    only its first out.shape[-2] positions into out."""
+    if out is None:
+        out = np.empty_like(x)
+    table = sg_weight_table(x.shape[-2])
+    for t in range(out.shape[-2]):
+        lo, hi, w = table[t]
         out[..., t, :] = w @ x[..., lo:hi, :]
     return out
 
@@ -150,15 +162,28 @@ def minmax_normalize(series: np.ndarray) -> np.ndarray:
     return np.divide(x - lo, hi - lo, out=np.zeros_like(x), where=hi != lo)
 
 
-def preprocess_series(x: np.ndarray) -> np.ndarray:
-    """Smooth observation nodes, normalize the reward node.
+def preprocess_series(x: np.ndarray, lengths) -> np.ndarray:
+    """Smooth observation nodes, normalize the reward node, and zero
+    every node from the sample's length on.
 
     x is an (..., n_nodes, T, D) sample or stack, the reward series in
-    the last node's channel 0 (the others zero).  Returns a new array.
+    the last node's channel 0 (the others zero), and lengths the true
+    length of each sample, of shape x.shape[:-3].  Inside each length
+    the values are those of the whole series: the smoother's windows
+    read the raw padding and the reward node is normalized over all T.
+    Returns a new array.
     """
-    out = x.astype(np.float64)
-    out[..., :-1, :, :] = savgol_smooth(out[..., :-1, :, :])
-    out[..., -1, :, 0] = minmax_normalize(x[..., -1, :, 0])
+    src = np.ascontiguousarray(x, dtype=np.float64)
+    lengths = np.asarray(lengths)
+    if lengths.shape != src.shape[:-3]:
+        raise UsageError(f"need lengths of shape {src.shape[:-3]} for "
+                         f"series {src.shape}, got {lengths.shape}")
+    out = np.zeros_like(src)
+    savgol_smooth(src[..., :-1, :, :], out=out[..., :-1, :lengths.max(), :])
+    out[..., -1, :, :] = src[..., -1, :, :]
+    out[..., -1, :, 0] = minmax_normalize(src[..., -1, :, 0])
+    past = np.arange(src.shape[-2]) >= lengths[..., None]
+    np.copyto(out, 0.0, where=past[..., None, :, None])
     return out
 
 
@@ -166,20 +191,24 @@ def preprocess(samples) -> np.ndarray:
     """Same-shape samples as one preprocessed (M, n, T, D) stack.
 
     Fills the stack EVAL_BLOCK samples at a time via preprocess_series,
-    so the temporaries stay one block in size whatever M is.  A single
-    block is returned as preprocess_series made it, without the copy.
+    so the temporaries stay one block in size whatever M is, and each
+    block smooths only up to its longest length.  A single block is
+    returned as preprocess_series made it, without the copy.
     """
     shapes = {s.x.shape for s in samples}
     if len(shapes) != 1:
         raise ConfigurationError(
             f"dataset mixes sample shapes: {sorted(shapes)}")
+
+    def block(samples):
+        return preprocess_series(np.stack([s.x for s in samples]),
+                                 [s.length for s in samples])
+
     if len(samples) <= EVAL_BLOCK:
-        return preprocess_series(np.stack([s.x for s in samples]))
+        return block(samples)
     out = np.empty((len(samples),) + shapes.pop())
     for i in range(0, len(samples), EVAL_BLOCK):
-        block = samples[i:i + EVAL_BLOCK]
-        out[i:i + len(block)] = preprocess_series(
-            np.stack([s.x for s in block]))
+        out[i:i + EVAL_BLOCK] = block(samples[i:i + EVAL_BLOCK])
     return out
 
 
@@ -237,9 +266,8 @@ def collect_dataset(env_id: str, n_episodes: int, seed: int = 0, *,
 
 
 def save_dataset(path, samples):
-    """Persist samples in the deterministic checkpoint container; mixed
-    environments or a sample length outside 1..T are refused before
-    anything is written."""
+    """Persist samples in the deterministic checkpoint container; samples
+    that check_dataset refuses are refused before anything is written."""
     # imported per call, so a patch of nn.checkpoint.save_checkpoint applies
     from camarl.nn.checkpoint import save_checkpoint
 
@@ -261,9 +289,10 @@ def save_dataset(path, samples):
 def load_dataset(path):
     """Read samples back bit-exactly from save_dataset output; every
     header field and array it reads is checked first, each x_k against
-    finite (N+1, T, D) whose observation nodes lie in [0, 1], whose
-    reward node is 0 past channel 0 and which is 0 past the header's
-    lengths[k], and each bits_k against (N,) 0/1 of the header's env."""
+    finite (N+1, T, D) whose observation nodes lie in [0, 1] and whose
+    reward node is 0 past channel 0, and each bits_k against (N,) 0/1 of
+    the header's env; check_dataset then refuses an x_k nonzero past the
+    header's lengths[k]."""
     from camarl.nn.checkpoint import (
         check_fields, count, finite, ints, is_str, load_checkpoint)
 
@@ -276,20 +305,17 @@ def load_dataset(path):
     spec = env_spec(meta["env_id"])
     N, T, D = spec.n_agents, spec.episode_len, spec.obs_dim
 
-    def x_ok(a, length):
-        # the encoder reads padding, so it must be zero; a length outside
-        # 1..T is left for check_dataset to refuse
+    def x_ok(a):
         return (a.shape == (N + 1, T, D) and finite(a)
                 and 0.0 <= a[:N].min() and a[:N].max() <= 1.0
-                and not a[N, :, 1:].any()
-                and not (length > 0 and a[:, length:].any()))
+                and not a[N, :, 1:].any())
 
     def bits_ok(a):
         return a.shape == (N,) and np.isin(a, (0, 1)).all()
 
     checks = {}
-    for k, length in enumerate(meta["lengths"]):
-        checks[f"x_{k}"] = functools.partial(x_ok, length=length)
+    for k in range(n):
+        checks[f"x_{k}"] = x_ok
         checks[f"bits_{k}"] = bits_ok
     check_fields(arrays, checks, path)
     samples = [SeriesSample(

@@ -17,14 +17,17 @@ sample's length is never read.
 
 The encoder's first layer ``enc.emb1`` reads only the live prefix of
 each batch: its first P time steps, where P - 1 is the last step at which
-any node or channel of the batch is nonzero.  Every input past P is
-exactly 0.0, so the layer's value is unchanged in exact arithmetic, but
-its product runs over P * D inputs rather than T * D, and a shorter inner
-dimension rounds differently.  Its weight gradient is added only into
-the first P * D rows; the rows past them keep a gradient of exactly 0.0,
-so RMSprop leaves their weights as they are.  A batch live to its last
-step runs the full product.  Each batch of a stack reads its own prefix,
-so a stacked encode still rounds as the batch-1 calls.
+any node or channel of the batch is nonzero.  Preprocessing zeroes every
+series from its sample's length on, so P is the batch's longest length
+on every env id.  Every input past P is exactly 0.0, so the layer's
+value is unchanged in exact arithmetic, but its product runs over P * D
+inputs rather than T * D, and a shorter inner dimension rounds
+differently.  The prefix is copied out contiguous: the weight
+gradient's product reads a strided view more slowly than the copy
+costs.  That gradient is added only into the first P * D rows; the rows
+past them keep a gradient of exactly 0.0, so RMSprop leaves their
+weights as they are.  Each batch of a stack reads its own prefix, so a
+stacked encode still rounds as the batch-1 calls.
 
 Forward and backward are explicit array passes, like the Q-network's
 ``qnet_unroll_fwd``/``_bwd``.  ``encode`` and ``decode`` return their

@@ -1,9 +1,11 @@
 """Causal discovery: preprocessing, model invariants, training, extraction."""
 
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import savgol_filter
 
 from camarl.acd import (
@@ -16,7 +18,7 @@ from camarl.acd.dataset import (
     POLY_ORDER, _fit_weights, preprocess, sg_weight_table)
 from camarl.acd.inference import margin_auc
 from camarl.acd.training import load_acd, save_acd
-from camarl.envs import OBS_DIM, env_spec, make_env
+from camarl.envs import ENV_IDS, OBS_DIM, env_spec, make_env
 from camarl.envs.core import episode_ground_truth_arrays
 from camarl.errors import (
     CollectionError, ConfigurationError, UsageError)
@@ -155,9 +157,14 @@ def test_preprocess_series_matches_per_node_reference(env_id, T, padded,
     x[-1, :L, 0] = rng.normal(size=L)
     x = x.astype(dtype)
     before = x.copy()
-    out = preprocess_series(x)
+    want = _preprocess_per_node(x)
+    out = preprocess_series(x, T)
     assert out.dtype == np.float64 and out.shape == x.shape
-    assert out.tobytes() == _preprocess_per_node(x).tobytes()
+    assert out.tobytes() == want.tobytes()
+    # at the episode's length: the same rows inside it, exact zeros past it
+    cut = preprocess_series(x, L)
+    assert cut[:, :L].tobytes() == want[:, :L].tobytes()
+    assert cut[:, L:].tobytes() == bytes(cut[:, L:].nbytes)
     assert x.tobytes() == before.tobytes()
 
 
@@ -166,7 +173,7 @@ def test_preprocess_series_layout():
     x = np.zeros((3, 50, 5))
     x[:2] = rng.random((2, 50, 5))
     x[2, :, 0] = rng.random(50) * 7 - 2
-    out = preprocess_series(x)
+    out = preprocess_series(x, 50)
     np.testing.assert_allclose(out[0], savgol_smooth(x[0]))
     np.testing.assert_allclose(out[2, :, 0], minmax_normalize(x[2, :, 0]))
     assert out[2, :, 1:].sum() == 0.0
@@ -200,7 +207,7 @@ def test_preprocess_stack_matches_per_sample(env_id):
     assert got.dtype == np.float64
     assert got.shape == (len(samples),) + samples[0].x.shape
     for k, s in enumerate(samples):
-        assert got[k].tobytes() == preprocess_series(s.x).tobytes()
+        assert got[k].tobytes() == preprocess_series(s.x, s.length).tobytes()
     assert got[-1, -1].tobytes() == bytes(const[-1].nbytes)
 
 
@@ -212,16 +219,16 @@ def test_preprocess_fills_the_stack_block_by_block(monkeypatch):
     assert len(samples) % dataset.EVAL_BLOCK != 0
     sizes = []
 
-    def counted(x):
+    def counted(x, lengths):
         sizes.append(len(x))
-        return preprocess_series(x)
+        return preprocess_series(x, lengths)
 
     monkeypatch.setattr(dataset, "preprocess_series", counted)
     got = preprocess(samples)
     assert sum(sizes) == 17 and max(sizes) == dataset.EVAL_BLOCK
     assert got.shape == (17,) + samples[0].x.shape
     for k, s in enumerate(samples):
-        assert got[k].tobytes() == preprocess_series(s.x).tobytes()
+        assert got[k].tobytes() == preprocess_series(s.x, s.length).tobytes()
 
 
 def test_preprocess_rejects_mixed_shapes():
@@ -229,6 +236,66 @@ def test_preprocess_rejects_mixed_shapes():
                      bits=np.zeros(3, dtype=np.uint8), length=24)
     with pytest.raises(ConfigurationError, match="mixes sample shapes"):
         preprocess([a, replace(a, x=np.zeros((4, 25, 2)))])
+
+
+def whole_series_preprocess(x):
+    """The whole-series preprocessing the length-aware one replaced, kept
+    as reference: every position smoothed, and the padding left as the
+    smoother and the min-max normalization make it."""
+    out = x.astype(np.float64)
+    out[..., :-1, :, :] = savgol_smooth(out[..., :-1, :, :])
+    out[..., -1, :, 0] = minmax_normalize(x[..., -1, :, 0])
+    return out
+
+
+@st.composite
+def raw_blocks(draw):
+    """(samples, block): raw samples of one env id with mixed lengths,
+    zero past each length, and a stack size other than EVAL_BLOCK."""
+    spec = env_spec(draw(st.sampled_from(ENV_IDS)))
+    n, T = spec.n_agents + 1, spec.episode_len
+    lengths = draw(st.lists(st.integers(1, T), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    # rewards all at least 0, as on sk, or with negative step penalties
+    low = draw(st.sampled_from([0.0, -1.0]))
+    samples = []
+    for L in lengths:
+        x = np.zeros((n, T, OBS_DIM))
+        x[:-1, :L] = rng.random((n - 1, L, OBS_DIM))
+        x[-1, :L, 0] = rng.uniform(low, 1.0, L)
+        samples.append(SeriesSample(x=x, env_id=spec.env_id,
+                                    bits=np.zeros(n - 1, np.uint8),
+                                    length=L))
+    return samples, draw(st.integers(1, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw_blocks())
+def test_preprocess_keeps_each_episode_and_zeroes_its_padding(case):
+    # in-episode rows byte for byte those of the whole-series reference,
+    # the padding exactly 0.0, whatever the block mates and block size
+    import camarl.acd.dataset as dataset
+
+    samples, block = case
+    got = preprocess(samples)
+    with patch.object(dataset, "EVAL_BLOCK", block):
+        regrouped = preprocess(samples)
+    for k, s in enumerate(samples):
+        want = whole_series_preprocess(s.x)
+        assert got[k, :, :s.length].tobytes() == (
+            want[:, :s.length].tobytes())
+        assert got[k, :, s.length:].tobytes() == (
+            bytes(got[k, :, s.length:].nbytes))
+        assert got[k].tobytes() == preprocess([s])[0].tobytes()
+        assert got[k].tobytes() == regrouped[k].tobytes()
+
+
+def test_preprocess_series_needs_one_length_per_sample():
+    x = np.zeros((2, 4, 24, 3))
+    with pytest.raises(UsageError, match="lengths"):
+        preprocess_series(x, 24)
+    with pytest.raises(UsageError, match="lengths"):
+        preprocess_series(x[0], [24])
 
 
 # ------------------------------------------------------------------ dataset
@@ -745,17 +812,26 @@ def test_live_prefix_encode_matches_full_width(preprocessed_24, stacked):
         widths if stacked else [max(widths)])
 
 
-def test_live_prefix_reads_pp_whole(preprocessed_24):
-    # the reward node's padding normalizes to a positive constant on pp,
-    # so every series is live to T and the product is today's full one
-    data = preprocessed_24["pp"]
+def test_live_prefix_of_pp_is_its_longest_length():
+    # the padding is zero after preprocessing, reward node included, so a
+    # pp batch reads its longest length, and each item of a stack its own
+    samples = collect_dataset("pp", 24, seed=0)
+    data, lengths = preprocess(samples), np.array([s.length for s in samples])
     _, n, T_len, D = data.shape
-    assert all(_prefix_width(x) == T_len * D for x in data)
+    assert lengths.max() < T_len
     m = AcdModel(n, T_len, D, seed=0, enc_hidden=32, dec_hidden=16)
     full = _full_width(AcdModel(n, T_len, D, seed=0, enc_hidden=32,
                                 dec_hidden=16))
-    for x in (data[:8], data[:8, None]):
-        assert m.encode(x)[0].tobytes() == full.encode(x)[0].tobytes()
+    for lo in (0, 8, 16):
+        x, lb = data[lo:lo + 8], lengths[lo:lo + 8]
+        assert m.encode(x)[1][0].shape == (8 * n, lb.max() * D)
+        logits, cache = m.encode(x[:, None])
+        assert [p.shape for p in cache[0]] == [(n, k * D) for k in lb]
+        want = full.encode(x[:, None])[0]
+        for a, b in zip(logits.reshape(-1, 2), want.reshape(-1, 2)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        np.testing.assert_array_equal(m.hard_edges(logits),
+                                      full.hard_edges(want))
 
 
 def test_live_prefix_of_silent_and_full_length_inputs():
@@ -873,6 +949,23 @@ def test_train_acd_validation(tmp_path):
             train_acd(bad, epochs=1, enc_hidden=8, dec_hidden=4,
                       out_dir=tmp_path / "fit")
         assert not (tmp_path / "fit").exists()
+
+
+def test_nonzero_padding_refused_before_anything_is_written(tmp_path):
+    # the smoother's windows near an episode's end read the raw padding,
+    # so a sample nonzero past its length is refused in memory as in a file
+    from camarl.acd import save_dataset
+
+    bad = _tiny_dataset(3)
+    bad[2] = replace(bad[2], length=20)
+    with pytest.raises(ConfigurationError, match="x_2"):
+        save_dataset(tmp_path / "ds.ckpt", bad)
+    with pytest.raises(ConfigurationError, match="x_2"):
+        train_acd(bad, epochs=1, enc_hidden=8, dec_hidden=4,
+                  out_dir=tmp_path / "fit")
+    assert not any(tmp_path.iterdir())
+    bad[2].x[:, 20:] = 0.0
+    save_dataset(tmp_path / "ds.ckpt", bad)
 
 
 # ---------------------------------------------------------------- inference

@@ -64,11 +64,11 @@ GOLDEN = {
     "dataset_scripted_sk3":
         "37ea320ebf7a34c244ef7598c9a3de95c740b048920c4096088d5786a5d1f33c",
     "acd_pp":
-        "4a0a032ab71746f2e8daa39c35e47bf88c392a001509bd4ce6fcbe12c35a1f29",
+        "30572273cca4399f013a8ab4973136c75ce08a74811dd25dcf489bb54fc58628",
     "qvalues_lj_icl":
         "656d69cc25b2cb6a29b22e52ea5d36d0780929882af7ca903f745fbbbbafc9d7",
     "acd_sk3":
-        "ee82c1c9de4b4130e7cf5248998124d8e181dc3393fc9891f41fd0b555cc0b21",
+        "658d85acced8df980c92e47aecb90bd9bb6bf89edcadd8c227ccb18f61ba795f",
     "train_lj_icl":
         "e8a54675116c88397f6f6912adc5a746746c5901e0fde650cdd0f139f2d27db7",
     "train_lj_idql":

@@ -951,7 +951,7 @@ CLI_ARTIFACTS = {
     "acd_eval":
         "96b7db51b51749b26add7b413772e765ebf17366cf6cf6abdfe8cdf5536dc6d6",
     "acd_train":
-        "1096c558f378cd58ec8e494c376c319054ff79d064f030e1b7d75d2123f5c570",
+        "9e29c551e503aa07e25d57e136000c553bf213cd8940ab6651ca9d051e165903",
     "collect":
         "15c0144a8d57f7ca440e1487370cd8538cc47387e4973546a466cf0b3ec879ce",
     "report":
